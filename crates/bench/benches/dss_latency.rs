@@ -3,35 +3,13 @@
 
 use std::hint::black_box;
 use tango_bench::microbench;
-use tango_sched::{CandidateNode, DssLc, TypeBatch};
-use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
-
-fn make_batch(n_nodes: usize, n_requests: u64) -> TypeBatch {
-    let nodes: Vec<CandidateNode> = (0..n_nodes)
-        .map(|i| CandidateNode {
-            node: NodeId(i as u32),
-            cluster: ClusterId((i / 10) as u32),
-            total: Resources::cpu_mem(8_000, 16_384),
-            available_lc: Resources::cpu_mem(2_000 + (i as u64 % 7) * 500, 4_096),
-            available_be: Resources::cpu_mem(2_000, 4_096),
-            min_request: Resources::cpu_mem(500, 256),
-            delay: SimTime::from_micros(300 + (i as u64 % 50) * 997),
-            link_capacity: 64,
-            slack: 1.0,
-            alive: true,
-        })
-        .collect();
-    TypeBatch {
-        service: ServiceId(0),
-        requests: (0..n_requests).map(RequestId).collect(),
-        nodes: nodes.into(),
-    }
-}
+use tango_bench::scenarios::make_batch;
+use tango_sched::DssLc;
 
 fn main() {
     for &n in &[100usize, 500, 1000] {
         // paper-like regime: pending ≈ 2× instantaneous capacity, so both
-        // the immediate and the λ-augmented overflow graphs are solved
+        // the immediate and the λ-augmented overflow phases run
         let batch = make_batch(n, n as u64 * 2);
         let mut sched = DssLc::new(7);
         let s = microbench::run(&format!("dss_lc_decision/{n}"), 300, || {

@@ -1,8 +1,8 @@
 //! Fixed-seed baseline benchmark: the scenarios the performance work is
-//! judged against (MCMF solve, batched MCMF, DSS-LC decision, GNN
-//! forward, whole-system tick), measured with the microbench harness and
-//! written as JSON so before/after numbers can be committed next to the
-//! code.
+//! judged against (DSS-LC decision, GNN forward, whole-system tick,
+//! checkpointing, the TD3 learner, the cloud-spill tick), measured with
+//! the microbench harness and written as JSON so before/after numbers
+//! can be committed next to the code.
 //!
 //! Usage: `bench_baseline [out.json]` — defaults to stdout-only when no
 //! path is given. Every scenario is deterministic in work (fixed seeds,
@@ -13,10 +13,8 @@ use std::hint::black_box;
 use tango::{BePolicy, CheckpointPolicy, EdgeCloudSystem, FaultPlan, NodeRef, TangoConfig};
 use tango_bench::microbench::{self, Sample};
 use tango_bench::scenarios::{
-    edge_spill_cfg, emit, layered, make_batch, make_graph, replay_sample_bench, td3_update_bench,
-    to_json,
+    edge_spill_cfg, emit, make_batch, make_graph, replay_sample_bench, td3_update_bench, to_json,
 };
-use tango_flow::{FlowGraph, MinCostMaxFlow};
 use tango_gnn::{Encoder, EncoderKind, GnnEncoder};
 use tango_sched::DssLc;
 use tango_types::ClusterId;
@@ -25,35 +23,16 @@ use tango_types::SimTime;
 fn scenarios() -> Vec<Sample> {
     let mut out = Vec::new();
 
-    // 1. MCMF: rebuild-from-template + solve, the DSS-LC inner engine.
-    let template = layered(32, 6);
-    let mut g = template.clone();
-    out.push(microbench::run("mcmf_solve/32x6", 300, || {
-        g.clone_from(&template);
-        let r = MinCostMaxFlow::new(&mut g).solve(0, 1, i64::MAX);
-        black_box(r)
-    }));
-
-    // 2. Batched MCMF: eight independent instances through the pooled
-    //    batch solver — the per-master fan-out shape of a dispatch round.
-    let mut graphs: Vec<FlowGraph> = (0..8).map(|_| template.clone()).collect();
-    let pool = tango_par::global();
-    out.push(microbench::run("mcmf_batch/8x32x6", 300, || {
-        for g in &mut graphs {
-            g.clone_from(&template);
-        }
-        black_box(tango_flow::solve_batch(&pool, &mut graphs, 0, 1, i64::MAX))
-    }));
-
-    // 3. DSS-LC decision at the paper's 500-node scale, overloaded 2×
-    //    so both the G_k and λ-augmented Ĝ′_k phases run.
+    // 1. DSS-LC decision at the paper's 500-node scale, overloaded 2×
+    //    so both the G_k and λ-augmented Ĝ′_k phases run (closed-form
+    //    routing; no flow solver on this path).
     let batch = make_batch(500, 1000);
     let mut sched = DssLc::new(7);
     out.push(microbench::run("dss_lc_decision/500", 300, || {
         black_box(sched.plan(black_box(&batch)))
     }));
 
-    // 4. GNN forward: the DCG-BE per-decision cost at 1000 nodes, plus
+    // 2. GNN forward: the DCG-BE per-decision cost at 1000 nodes, plus
     //    the 4000-node shape where the row-parallel aggregation pays off.
     let graph = make_graph(1000, 8);
     for (name, kind) in [
@@ -73,7 +52,7 @@ fn scenarios() -> Vec<Sample> {
         black_box(big_enc.forward(black_box(&big_graph)))
     }));
 
-    // 5. Whole-system tick: one simulated second of the dual-space
+    // 3. Whole-system tick: one simulated second of the dual-space
     //    system at 4 and 16 clusters.
     for clusters in [4usize, 16] {
         out.push(microbench::run(
@@ -88,7 +67,7 @@ fn scenarios() -> Vec<Sample> {
         ));
     }
 
-    // 6. Paper-scale ticks (§6.1 dual space): one simulated second at the
+    // 4. Paper-scale ticks (§6.1 dual space): one simulated second at the
     //    paper's 104 clusters, and at the ~1000-node preset whose worker
     //    draw pins total node count near the paper's. These are the
     //    scenarios the sharded sync loop and incremental candidate views
@@ -105,7 +84,7 @@ fn scenarios() -> Vec<Sample> {
         black_box(report.lc_arrived)
     }));
 
-    // 7. Whole-system tick under churn: same 16-cluster second, but with
+    // 5. Whole-system tick under churn: same 16-cluster second, but with
     //    timed crashes, a degraded link, and seeded MTTF/MTTR churn — the
     //    cost of failure-aware scheduling and recovery on the hot path.
     out.push(microbench::run("system_tick_churn/16", 1_000, || {
@@ -137,7 +116,7 @@ fn scenarios() -> Vec<Sample> {
         black_box(report.faults.node_crashes + report.lc_arrived)
     }));
 
-    // 8. Checkpointing: encode and restore latency for a mid-run snapshot
+    // 6. Checkpointing: encode and restore latency for a mid-run snapshot
     //    of the 16-cluster system, plus the snapshot's size. The encode
     //    scenario re-snapshots a restored run (the only public handle on
     //    a mid-run system); the restore scenario pays the full
@@ -176,7 +155,7 @@ fn scenarios() -> Vec<Sample> {
         "bytes",
     ));
 
-    // 9. TD3 learner hot path: one full update round (both critics plus
+    // 7. TD3 learner hot path: one full update round (both critics plus
     //    the delayed actor/target rounds, amortized) on a 64-node graph,
     //    and a uniform 32-batch draw from a full 4096-slot replay ring.
     //    The workloads live in scenarios.rs, shared with the perf-smoke
@@ -184,7 +163,7 @@ fn scenarios() -> Vec<Sample> {
     out.push(td3_update_bench(300));
     out.push(replay_sample_bench(300));
 
-    // 10. Elastic cloud tier: the 16-cluster tick with the cloud attached
+    // 8. Elastic cloud tier: the 16-cluster tick with the cloud attached
     //    and the KubeDSM defrag pass spilling BE pods — prices candidate
     //    views over the extra tier plus migration and egress accounting
     //    on the hot path.

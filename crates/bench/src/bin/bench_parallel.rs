@@ -1,7 +1,7 @@
 //! Thread-count sweep over the parallel-sensitive scenarios.
 //!
-//! Runs `mcmf_batch/8x32x6`, `gnn_forward/sage/4000` and
-//! `system_tick/16` at 1, 2, 4 and 8 worker threads and writes the whole
+//! Runs `gnn_forward/sage/4000`, `system_tick/16` and
+//! `dispatch_heavy/6` at 1, 2, 4 and 8 worker threads and writes the whole
 //! sweep as one JSON document (`BENCH_parallel.json` in CI usage). The
 //! work is bit-identical at every thread count — the deterministic-
 //! parallelism contract of `tango-par` — so the sweep measures pure
@@ -15,24 +15,13 @@
 use std::hint::black_box;
 use tango::{BePolicy, EdgeCloudSystem, TangoConfig};
 use tango_bench::microbench::{self, Sample};
-use tango_bench::scenarios::{emit, layered, make_graph, sweep_json};
-use tango_flow::FlowGraph;
+use tango_bench::scenarios::{emit, make_graph, sweep_json};
 use tango_gnn::{Encoder, EncoderKind, GnnEncoder};
 use tango_types::SimTime;
 
 fn sweep(threads: usize) -> Vec<Sample> {
     tango_par::set_threads(threads);
     let mut out = Vec::new();
-
-    let template = layered(32, 6);
-    let mut graphs: Vec<FlowGraph> = (0..8).map(|_| template.clone()).collect();
-    let pool = tango_par::Pool::new(threads);
-    out.push(microbench::run("mcmf_batch/8x32x6", 300, || {
-        for g in &mut graphs {
-            g.clone_from(&template);
-        }
-        black_box(tango_flow::solve_batch(&pool, &mut graphs, 0, 1, i64::MAX))
-    }));
 
     let graph = make_graph(4000, 8);
     let mut enc = GnnEncoder::paper_shape(EncoderKind::Sage { p: 3 }, 8, 32, 16, 5);

@@ -12,7 +12,7 @@ use std::time::Instant;
 /// One benchmark measurement.
 #[derive(Debug, Clone)]
 pub struct Sample {
-    /// Scenario name, e.g. `mcmf_solve/32x6`.
+    /// Scenario name, e.g. `dss_lc_decision/500`.
     pub name: String,
     /// Iterations actually timed (across all batches).
     pub iters: u64,

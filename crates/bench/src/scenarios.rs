@@ -7,7 +7,6 @@
 
 use crate::microbench::Sample;
 use tango::{BePolicy, CloudConfig, DefragConfig, TangoConfig};
-use tango_flow::FlowGraph;
 use tango_gnn::FeatureGraph;
 use tango_nn::Matrix;
 use tango_rl::{ReplayBuffer, Td3Agent, Td3Config};
@@ -15,44 +14,8 @@ use tango_sched::{CandidateNode, TypeBatch};
 use tango_simcore::SimRng;
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
-/// Deterministic layered flow graph (same generator as the mcmf bench).
-pub fn layered(width: usize, layers: usize) -> FlowGraph {
-    let n = 2 + layers * width;
-    let mut g = FlowGraph::new(n);
-    let node = |l: usize, w: usize| 2 + l * width + w;
-    let mut x: u64 = 0x9E3779B97F4A7C15;
-    let mut rnd = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    for w in 0..width {
-        g.add_edge(0, node(0, w), (rnd() % 8 + 1) as i64, (rnd() % 50) as i64);
-        g.add_edge(
-            node(layers - 1, w),
-            1,
-            (rnd() % 8 + 1) as i64,
-            (rnd() % 50) as i64,
-        );
-    }
-    for l in 0..layers - 1 {
-        for w in 0..width {
-            for _ in 0..3 {
-                let t = (rnd() % width as u64) as usize;
-                g.add_edge(
-                    node(l, w),
-                    node(l + 1, t),
-                    (rnd() % 6 + 1) as i64,
-                    (rnd() % 100) as i64,
-                );
-            }
-        }
-    }
-    g
-}
-
-/// Paper-like DSS-LC batch (same generator as the dss_latency bench).
+/// Paper-like DSS-LC batch, shared by `bench_baseline` and the
+/// `dss_latency` bench.
 pub fn make_batch(n_nodes: usize, n_requests: u64) -> TypeBatch {
     let nodes: Vec<CandidateNode> = (0..n_nodes)
         .map(|i| CandidateNode {
@@ -281,10 +244,6 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        let a = layered(8, 3);
-        let b = layered(8, 3);
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edge_count(), b.edge_count());
         let ba = make_batch(10, 20);
         assert_eq!(ba.nodes.len(), 10);
         assert_eq!(ba.requests.len(), 20);

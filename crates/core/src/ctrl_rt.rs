@@ -198,9 +198,9 @@ impl EdgeCloudSystem {
     /// Route `cluster`'s LC dispatch rounds through an external decision
     /// `source`, falling back to the configured local policy whenever the
     /// source declines, replies malformed, or blows the sim-time
-    /// `deadline`. Returns the proxy's outcome counters. The wrapped
-    /// backend cannot be checkpointed — snapshotting a run with a proxy
-    /// attached fails loudly.
+    /// `deadline`. Returns the proxy's outcome counters. The proxy cannot
+    /// be checkpointed — snapshotting a run with a proxy attached fails
+    /// loudly with `SnapError::Unsupported`.
     pub fn attach_lc_proxy(
         &mut self,
         cluster: ClusterId,

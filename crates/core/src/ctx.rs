@@ -60,7 +60,7 @@ pub struct SystemCtx<'a> {
     pub(crate) allocator: &'a mut Allocator,
     /// Lifecycle stage state (requests, reservations, node wait queues).
     pub(crate) lifecycle: &'a mut LifecycleState,
-    /// Dispatch stage state (policy backends, central BE queue).
+    /// Dispatch stage state (LC/BE schedulers, central BE queue).
     pub(crate) dispatch: &'a mut DispatchState,
     /// Sync stage scratch (per-node draft buffer).
     pub(crate) sync: &'a mut SyncState,

@@ -1,7 +1,7 @@
 //! Dispatch stage: per-master LC dispatch rounds, BE forwarding, and the
 //! central BE dispatcher — the ➋/➌ arrows of Fig. 3.
 //!
-//! The stage owns [`DispatchState`] (the policy backends, the central BE
+//! The stage owns [`DispatchState`] (the two schedulers, the central BE
 //! queue, and the incremental candidate-view cache): both the LC and the
 //! BE paths read their scheduler views from
 //! `crate::view_cache::CandidateViewCache`, whose single row builder
@@ -18,17 +18,17 @@ use std::sync::Arc;
 use tango_metrics::{TraceEvent, TraceLane};
 use tango_net::NetworkTopology;
 use tango_par::Pool;
-use tango_sched::{CandidateNode, SchedulerBackend, TypeBatch};
+use tango_sched::{BeScheduler, CandidateNode, LcScheduler, TypeBatch};
 use tango_types::{ClusterId, FxHashSet, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
 
 /// State owned by the dispatch stage.
 pub struct DispatchState {
-    /// Per-cluster LC policy backends, indexed by `ClusterId`.
-    pub(crate) lc: Vec<Box<dyn SchedulerBackend + Send>>,
-    /// The central BE policy backend.
-    pub(crate) be: Box<dyn SchedulerBackend + Send>,
+    /// Per-cluster LC schedulers, indexed by `ClusterId`.
+    pub(crate) lc: Vec<Box<dyn LcScheduler + Send>>,
+    /// The central BE scheduler.
+    pub(crate) be: Box<dyn BeScheduler + Send>,
     /// The geographically central cluster hosting the BE dispatcher.
     pub(crate) central: ClusterId,
     /// The central BE scheduling queue.
@@ -137,7 +137,7 @@ pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, first: ClusterId, sched: &mut
 ///   A conflicting round closes the wave and opens the next one, so
 ///   conflicts are resolved by *ordering*, never by re-planning.
 /// * **Plan (parallel within a wave)** — candidate views are prefetched
-///   sequentially, then each round's `plan_lc` runs on its own backend
+///   sequentially, then each round's `assign_many` runs on its own scheduler
 ///   over `tango-par`. Disjoint footprints mean no plan can observe
 ///   another wave member's writes, so the frozen views equal what strict
 ///   sequential execution would have read.
@@ -256,7 +256,7 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
                 .collect();
         }
 
-        // Plan: one backend per round, disjoint `&mut` borrows, cluster-
+        // Plan: one scheduler per round, disjoint `&mut` borrows, cluster-
         // level fan-out. A single planning round keeps the shared pool so
         // its per-type fan-out still parallelizes; with several, each
         // planner runs single-threaded inside the cluster-level fan-out —
@@ -265,7 +265,7 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
         let planning: Vec<usize> = (i..j).filter(|&k| !rounds[k].batches.is_empty()).collect();
         if let [k] = planning[..] {
             let ci = rounds[k].cluster.index();
-            rounds[k].plans = ctx.dispatch.lc[ci].plan_lc(&rounds[k].batches, ctx.pool);
+            rounds[k].plans = ctx.dispatch.lc[ci].assign_many(&rounds[k].batches, ctx.pool);
         } else if !planning.is_empty() {
             let mut want: Vec<Option<usize>> = vec![None; ctx.dispatch.lc.len()];
             for &k in &planning {
@@ -275,23 +275,23 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
                 round: usize,
                 batches: Vec<TypeBatch>,
                 plans: Vec<Vec<(RequestId, NodeId)>>,
-                backend: &'b mut Box<dyn SchedulerBackend + Send>,
+                sched: &'b mut Box<dyn LcScheduler + Send>,
             }
             let mut jobs: Vec<PlanJob<'_>> = Vec::with_capacity(planning.len());
-            for (ci, backend) in ctx.dispatch.lc.iter_mut().enumerate() {
+            for (ci, sched) in ctx.dispatch.lc.iter_mut().enumerate() {
                 if let Some(k) = want[ci] {
                     jobs.push(PlanJob {
                         round: k,
                         batches: std::mem::take(&mut rounds[k].batches),
                         plans: Vec::new(),
-                        backend,
+                        sched,
                     });
                 }
             }
             ctx.pool.par_chunks_mut(&mut jobs, 1, |_, chunk| {
                 for job in chunk {
                     let inner = Pool::single();
-                    job.plans = job.backend.plan_lc(&job.batches, &inner);
+                    job.plans = job.sched.assign_many(&job.batches, &inner);
                 }
             });
             for job in jobs {
@@ -383,7 +383,7 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
                     .collect()
             };
             pay_be_feedback(ctx, &demand, &local, now);
-            match ctx.dispatch.be.pick_be_sized(&demand, &local) {
+            match ctx.dispatch.be.schedule(&demand, &local) {
                 Some((node, _)) if ctx.fault.is_down(node) => {
                     ctx.fault.summary.down_node_dispatches += 1;
                     ctx.clusters[ci].be_q.push_back(rid);
@@ -442,7 +442,7 @@ pub(crate) fn pay_be_feedback(
         ctx.dispatch.be_completed_frac = 0.0;
         // r = r_short + η·r_long (§5.3.1; η = 1 in the paper)
         let reward = r_short + ctx.cfg.ablations.dcg_eta * r_long;
-        ctx.dispatch.be.feedback_be(reward, next_demand, next_nodes);
+        ctx.dispatch.be.feedback(reward, next_demand, next_nodes);
     }
 }
 
@@ -498,7 +498,7 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
             views.candidates(&inp, service, ViewScope::BeGlobal)
         };
         pay_be_feedback(ctx, &demand, &candidates, now);
-        match ctx.dispatch.be.pick_be_sized(&demand, &candidates) {
+        match ctx.dispatch.be.schedule(&demand, &candidates) {
             Some((node, _)) if ctx.fault.is_down(node) => {
                 ctx.fault.summary.down_node_dispatches += 1;
                 deferred.push_back(rid);

@@ -5,8 +5,8 @@ use tango_gnn::EncoderKind;
 use tango_rl::{Agent, SacAgent, SacConfig};
 use tango_sched::dcg_be::{build_graph, GreedyBe, RoundRobinBe};
 use tango_sched::{
-    BeBackend, BeScheduler, DcgBe, DcgBeConfig, DssLc, GnnSacBe, KsNative, LcBackend, LcScheduler,
-    LoadGreedy, SchedulerBackend, Scoring, Td3Be, Td3BeConfig, TypeBatch,
+    BeScheduler, DcgBe, DcgBeConfig, DssLc, GnnSacBe, KsNative, LcScheduler, LoadGreedy, Scoring,
+    Td3Be, Td3BeConfig, TypeBatch,
 };
 use tango_types::{NodeId, RequestId};
 
@@ -53,26 +53,6 @@ pub fn make_be_scheduler(
         BePolicy::LoadGreedy => Box::new(GreedyBe),
         BePolicy::KsNative => Box::new(RoundRobinBe::default()),
     }
-}
-
-/// Instantiate an LC policy behind the unified [`SchedulerBackend`]
-/// surface the dispatch stage consumes.
-pub fn make_lc_backend(
-    policy: LcPolicy,
-    seed: u64,
-    ablations: &Ablations,
-) -> Box<dyn SchedulerBackend + Send> {
-    Box::new(LcBackend::new(make_lc_scheduler(policy, seed, ablations)))
-}
-
-/// Instantiate the central BE policy behind the unified
-/// [`SchedulerBackend`] surface.
-pub fn make_be_backend(
-    policy: BePolicy,
-    seed: u64,
-    ablations: &Ablations,
-) -> Box<dyn SchedulerBackend + Send> {
-    Box::new(BeBackend::new(make_be_scheduler(policy, seed, ablations)))
 }
 
 /// DSACO-style distributed LC scheduling \[34\]: each master runs its own

@@ -308,7 +308,7 @@ pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Ve
 
     // Control plane: keep-alive suspicion levels. Mirror/proxy
     // attachments are run-local wiring and are not part of the state
-    // (a proxy additionally fails the encode above via its backend).
+    // (a proxy additionally fails the encode above via its scheduler blob).
     b.section(SEC_CTRL, |w| match &sys.ctrl.detector {
         None => w.put_u8(0),
         Some(det) => {

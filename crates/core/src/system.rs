@@ -19,13 +19,13 @@
 //! * `Arrival` — a trace request reaches its origin master and is queued
 //!   (LC queue or BE queue);
 //! * `Dispatch(c)` — master c's dispatch round: LC requests are planned
-//!   per type by the cluster's LC backend over geo-nearby candidates;
+//!   per type by the cluster's LC scheduler over geo-nearby candidates;
 //!   BE requests are forwarded to the central cluster (or scheduled
 //!   locally in `local_only` / CERES mode);
 //! * `CentralArrive` — a forwarded BE request lands at the central
 //!   cluster's BE traffic dispatcher;
 //! * `BeDispatch` — the central dispatcher schedules queued BE requests
-//!   with the configured backend, paying it the §5.3.1 reward for its
+//!   with the configured BE scheduler, paying it the §5.3.1 reward for its
 //!   previous decision;
 //! * `Deliver` — a dispatched request reaches its target worker and is
 //!   admitted under the configured allocator (HRM regulations or static
@@ -45,7 +45,7 @@ use crate::dispatch::DispatchState;
 use crate::fault_rt;
 use crate::lifecycle::LifecycleState;
 use crate::migration::MigrationState;
-use crate::policy::{make_be_backend, make_lc_backend};
+use crate::policy::{make_be_scheduler, make_lc_scheduler};
 use crate::report::{RunAudit, RunReport};
 use crate::runtime::{static_limits, Allocator, ClusterRt};
 use crate::sync_loop::SyncState;
@@ -143,7 +143,7 @@ impl EdgeCloudSystem {
 
         let mut nodes: Vec<Node> = Vec::new();
         let mut clusters: Vec<ClusterRt> = Vec::new();
-        let mut lc_backends = Vec::new();
+        let mut lc_scheds = Vec::new();
 
         let limits = static_limits(&cfg, &catalog);
         for c in 0..cfg.clusters {
@@ -176,14 +176,14 @@ impl EdgeCloudSystem {
                 workers.push(wid);
             }
             clusters.push(ClusterRt::new(cid, master_id, workers));
-            lc_backends.push(make_lc_backend(
+            lc_scheds.push(make_lc_scheduler(
                 cfg.lc_policy,
                 cfg.seed ^ (c as u64) << 8,
                 &cfg.ablations,
             ));
         }
 
-        let be_backend = make_be_backend(cfg.be_policy, cfg.seed ^ 0xbe, &cfg.ablations);
+        let be_sched = make_be_scheduler(cfg.be_policy, cfg.seed ^ 0xbe, &cfg.ablations);
         let allocator = Allocator::from_config(&cfg, &catalog);
         let reassurer = cfg.reassurance.clone().map(Reassurer::new);
         // The BE dispatcher must stay on the edge: pick the central
@@ -222,10 +222,10 @@ impl EdgeCloudSystem {
                 workers.push(wid);
             }
             clusters.push(ClusterRt::new(cid, master_id, workers));
-            // Index/snapshot-shape consistency: one LC backend per
+            // Index/snapshot-shape consistency: one LC scheduler per
             // cluster, even though the cloud master never runs a
             // dispatch round (`prime` only schedules edge clusters).
-            lc_backends.push(make_lc_backend(
+            lc_scheds.push(make_lc_scheduler(
                 cfg.lc_policy,
                 cfg.seed ^ (cfg.clusters as u64) << 8,
                 &cfg.ablations,
@@ -251,8 +251,8 @@ impl EdgeCloudSystem {
             counters,
             lifecycle,
             dispatch: DispatchState {
-                lc: lc_backends,
-                be: be_backend,
+                lc: lc_scheds,
+                be: be_sched,
                 central,
                 central_q: VecDeque::new(),
                 be_pending_feedback: None,

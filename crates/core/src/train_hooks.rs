@@ -21,7 +21,7 @@ use tango_types::SimTime;
 impl EdgeCloudSystem {
     /// Overlay a BE policy blob captured by
     /// [`snapshot_be_policy`](Self::snapshot_be_policy) onto the freshly
-    /// built backend — the episode-reset hook: everything else about the
+    /// built scheduler — the episode-reset hook: everything else about the
     /// system starts clean, the learner continues where it left off.
     pub fn restore_be_policy(&mut self, blob: &[u8]) -> Result<(), SnapError> {
         self.dispatch

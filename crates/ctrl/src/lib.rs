@@ -11,11 +11,11 @@
 //!   view of cluster/node/QoS/reservation state, published as framed
 //!   full-or-delta updates keyed on the candidate-view structure clock,
 //!   so calm ticks publish near-nothing;
-//! * [`proxy`] — a **ProxyBackend** implementing the unified
-//!   `SchedulerBackend` surface: forwards each dispatch round's
-//!   candidate views to an external decision source over a framed wire
-//!   format and falls back deterministically to the wrapped local
-//!   backend on decline, deadline miss, or malformed decision;
+//! * [`proxy`] — a **ProxyBackend** implementing the LC scheduler
+//!   trait: forwards each dispatch round's candidate views to an
+//!   external decision source over a framed wire format and falls back
+//!   deterministically to the wrapped local scheduler on decline,
+//!   deadline miss, or malformed decision;
 //! * [`health`] — a **keep-alive failure detector**: per-node heartbeat
 //!   bookkeeping driven from sync-tick observations, with a configurable
 //!   miss threshold and suspicion decay, so crash handling is triggered

@@ -4,7 +4,7 @@
 //! round the proxy serializes the round's candidate views into a framed
 //! [`DecisionRequest`] (`TGDQ`), offers it to a [`DecisionSource`], and
 //! validates whatever comes back as a [`DecisionReply`] (`TGDR`). The
-//! wrapped local backend (DSS-LC or a baseline) remains the authority of
+//! wrapped local scheduler (DSS-LC or a baseline) remains the authority of
 //! last resort — the proxy falls back to it deterministically when the
 //! source declines, misses its sim-time deadline, or returns a malformed
 //! or inconsistent decision. Fallback therefore never depends on
@@ -13,18 +13,17 @@
 //! run is bit-identical regardless of how slow the external process
 //! really was.
 //!
-//! The BE role (`pick_be`/`feedback_be`) passes straight through to the
-//! wrapped backend — delegation covers LC round planning, the decision
-//! with a wire-shaped batch view.
+//! The proxy is an [`LcScheduler`] itself: delegation covers LC round
+//! planning, the one decision with a wire-shaped batch view.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use tango_par::Pool;
-use tango_sched::{CandidateNode, SchedulerBackend, TypeBatch};
+use tango_sched::{CandidateNode, LcScheduler, TypeBatch};
 use tango_snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
-use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
+use tango_types::{ClusterId, NodeId, RequestId, ServiceId, SimTime};
 
 /// Wire magic for a decision request frame.
 pub const DECISION_REQUEST_MAGIC: u32 = u32::from_le_bytes(*b"TGDQ");
@@ -324,11 +323,11 @@ impl ProxyStats {
     }
 }
 
-/// A [`SchedulerBackend`] that delegates LC round planning to a
-/// [`DecisionSource`], falling back to the wrapped backend whenever the
+/// An [`LcScheduler`] that delegates LC round planning to a
+/// [`DecisionSource`], falling back to the wrapped scheduler whenever the
 /// source does not produce a valid in-deadline decision.
 pub struct ProxyBackend {
-    inner: Box<dyn SchedulerBackend + Send>,
+    inner: Box<dyn LcScheduler + Send>,
     source: Box<dyn DecisionSource + Send>,
     cluster: ClusterId,
     deadline: SimTime,
@@ -340,7 +339,7 @@ impl ProxyBackend {
     /// Wrap `inner`, delegating each LC round to `source` with the given
     /// sim-time decision deadline.
     pub fn new(
-        inner: Box<dyn SchedulerBackend + Send>,
+        inner: Box<dyn LcScheduler + Send>,
         source: Box<dyn DecisionSource + Send>,
         cluster: ClusterId,
         deadline: SimTime,
@@ -400,14 +399,17 @@ impl ProxyBackend {
     }
 }
 
-impl SchedulerBackend for ProxyBackend {
-    fn name(&self) -> &'static str {
-        "proxy"
+impl LcScheduler for ProxyBackend {
+    /// A lone batch is offered as a one-batch round.
+    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
+        self.assign_many(std::slice::from_ref(batch), &Pool::single())
+            .pop()
+            .unwrap_or_default()
     }
 
-    fn plan_lc(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<Vec<(RequestId, NodeId)>> {
+    fn assign_many(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<Vec<(RequestId, NodeId)>> {
         if batches.iter().all(|b| b.requests.is_empty()) {
-            return self.inner.plan_lc(batches, pool);
+            return self.inner.assign_many(batches, pool);
         }
         self.round += 1;
         let request = DecisionRequest {
@@ -425,7 +427,7 @@ impl SchedulerBackend for ProxyBackend {
         };
         let Some(reply_bytes) = self.source.decide(&encode_request(&request)) else {
             self.stats.declined.fetch_add(1, Ordering::Relaxed);
-            return self.inner.plan_lc(batches, pool);
+            return self.inner.assign_many(batches, pool);
         };
         let placements = decode_reply(&reply_bytes)
             .map_err(|_| "malformed reply frame")
@@ -437,17 +439,13 @@ impl SchedulerBackend for ProxyBackend {
             }
             Err(_) => {
                 self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.inner.plan_lc(batches, pool)
+                self.inner.assign_many(batches, pool)
             }
         }
     }
 
-    fn pick_be(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
-        self.inner.pick_be(demand, nodes)
-    }
-
-    fn feedback_be(&mut self, reward: f32, next_demand: &Resources, next_nodes: &[CandidateNode]) {
-        self.inner.feedback_be(reward, next_demand, next_nodes)
+    fn name(&self) -> &'static str {
+        "proxy"
     }
 
     fn snapshot_state(&self) -> Result<Vec<u8>, &'static str> {
@@ -463,6 +461,7 @@ impl SchedulerBackend for ProxyBackend {
 mod tests {
     use super::*;
     use std::sync::Arc as StdArc;
+    use tango_types::Resources;
 
     fn cand(node: u32, alive: bool) -> CandidateNode {
         CandidateNode {
@@ -489,20 +488,13 @@ mod tests {
 
     /// A local stand-in that places every request on a fixed node.
     struct PinAll(NodeId);
-    impl SchedulerBackend for PinAll {
+    impl LcScheduler for PinAll {
+        fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
+            batch.requests.iter().map(|&r| (r, self.0)).collect()
+        }
         fn name(&self) -> &'static str {
             "pin-all"
         }
-        fn plan_lc(&mut self, batches: &[TypeBatch], _p: &Pool) -> Vec<Vec<(RequestId, NodeId)>> {
-            batches
-                .iter()
-                .map(|b| b.requests.iter().map(|&r| (r, self.0)).collect())
-                .collect()
-        }
-        fn pick_be(&mut self, _d: &Resources, _n: &[CandidateNode]) -> Option<NodeId> {
-            None
-        }
-        fn feedback_be(&mut self, _r: f32, _d: &Resources, _n: &[CandidateNode]) {}
     }
 
     #[test]
@@ -567,7 +559,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1, 2], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.plan_lc(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches, &Pool::single());
         assert_eq!(
             out,
             vec![vec![(RequestId(1), NodeId(1)), (RequestId(2), NodeId(1))]]
@@ -595,7 +587,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.plan_lc(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches, &Pool::single());
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -621,7 +613,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true), cand(1, false)])];
-        let out = proxy.plan_lc(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches, &Pool::single());
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -635,9 +627,12 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true)])];
-        let out = proxy.plan_lc(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches, &Pool::single());
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 1, 0));
+        // a lone batch is offered to the source as a one-batch round
+        assert_eq!(proxy.assign(&batches[0]), out[0]);
+        assert_eq!(proxy.stats().totals(), (0, 2, 0));
         assert!(proxy.snapshot_state().is_err());
     }
 
@@ -664,7 +659,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[9], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.plan_lc(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches, &Pool::single());
         assert_eq!(out, vec![vec![(RequestId(9), NodeId(0))]]);
         drop(proxy); // hang up so the server thread exits
         t.join().unwrap();

@@ -17,38 +17,11 @@ pub(crate) struct Edge {
 }
 
 /// A directed flow network.
-///
-/// The adjacency storage is pooled: [`FlowGraph::reset`] keeps the
-/// allocated edge vector and per-node adjacency lists around so a caller
-/// that rebuilds a similarly-shaped graph every dispatch round (DSS-LC
-/// does, per request type per tick) performs no heap allocation in
-/// steady state.
 #[derive(Debug, Default)]
 pub struct FlowGraph {
     pub(crate) edges: Vec<Edge>,
-    /// Adjacency rows; only the first `n_nodes` are live. Rows beyond
-    /// `n_nodes` are retained empty so their capacity can be reused.
+    /// Outgoing edge ids (forward and reverse) per node.
     pub(crate) adj: Vec<Vec<usize>>,
-    n_nodes: usize,
-}
-
-impl Clone for FlowGraph {
-    fn clone(&self) -> Self {
-        FlowGraph {
-            edges: self.edges.clone(),
-            adj: self.adj.clone(),
-            n_nodes: self.n_nodes,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        // Vec::clone_from reuses existing buffers (element-wise for the
-        // nested adjacency rows), so repeated clone_from into the same
-        // target is allocation-free once warm.
-        self.edges.clone_from(&source.edges);
-        self.adj.clone_from(&source.adj);
-        self.n_nodes = source.n_nodes;
-    }
 }
 
 impl FlowGraph {
@@ -57,54 +30,27 @@ impl FlowGraph {
         FlowGraph {
             edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            n_nodes: n,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.adj.len()
     }
 
-    /// Number of *forward* edges (reverse edges are bookkeeping).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
-    }
-
-    /// Drop all nodes and edges but retain every allocation (the edge
-    /// vector and the per-node adjacency lists), so the next build is
-    /// allocation-free. Equivalent to `reset(0)`.
-    pub fn clear(&mut self) {
-        self.reset(0);
-    }
-
-    /// Reset to `n` fresh nodes and no edges, retaining allocations.
-    pub fn reset(&mut self, n: usize) {
-        self.edges.clear();
-        let live = self.n_nodes.min(self.adj.len());
-        for a in &mut self.adj[..live] {
-            a.clear();
-        }
-        if self.adj.len() < n {
-            self.adj.resize_with(n, Vec::new);
-        }
-        self.n_nodes = n;
-    }
-
-    /// Add a node, returning its index. Recycles a retained adjacency row
-    /// when one is available.
+    /// Add a node, returning its index.
     pub fn add_node(&mut self) -> usize {
-        if self.n_nodes == self.adj.len() {
-            self.adj.push(Vec::new());
-        }
-        self.n_nodes += 1;
-        self.n_nodes - 1
+        self.adj.push(Vec::new());
+        self.adj.len() - 1
     }
 
     /// Add a directed edge `u → v` with capacity `cap` (≥ 0) and per-unit
     /// cost `cost`. Returns a reference usable for flow queries.
     pub fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: i64) -> EdgeRef {
-        assert!(u < self.n_nodes && v < self.n_nodes, "node out of range");
+        assert!(
+            u < self.node_count() && v < self.node_count(),
+            "node out of range"
+        );
         assert!(cap >= 0, "capacity must be non-negative");
         let id = self.edges.len();
         self.edges.push(Edge {
@@ -141,21 +87,9 @@ impl FlowGraph {
         self.edges[e.0].flow
     }
 
-    /// Residual capacity of a forward edge.
-    pub fn residual(&self, e: EdgeRef) -> i64 {
-        self.edges[e.0].cap - self.edges[e.0].flow
-    }
-
     /// Capacity of a forward edge.
     pub fn capacity(&self, e: EdgeRef) -> i64 {
         self.edges[e.0].cap
-    }
-
-    /// Zero out all flow (reuse the same topology for another solve).
-    pub fn reset_flow(&mut self) {
-        for e in &mut self.edges {
-            e.flow = 0;
-        }
     }
 }
 
@@ -167,7 +101,7 @@ mod tests {
     fn edges_come_in_forward_reverse_pairs() {
         let mut g = FlowGraph::new(2);
         let e = g.add_edge(0, 1, 5, 3);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges.len(), 2);
         assert_eq!(g.edges[e.0].to, 1);
         assert_eq!(g.edges[e.0 ^ 1].to, 0);
         assert_eq!(g.edges[e.0 ^ 1].cap, 0);
@@ -202,61 +136,5 @@ mod tests {
     fn negative_capacity_panics() {
         let mut g = FlowGraph::new(2);
         g.add_edge(0, 1, -1, 0);
-    }
-
-    #[test]
-    fn reset_retains_allocations_and_rebuilds() {
-        let mut g = FlowGraph::new(3);
-        g.add_edge(0, 1, 5, 1);
-        g.add_edge(1, 2, 5, 1);
-        let edge_cap = g.edges.capacity();
-        g.reset(2);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.edges.capacity() >= edge_cap, "edge storage retained");
-        let e = g.add_edge(0, 1, 3, 7);
-        assert_eq!(g.capacity(e), 3);
-        assert_eq!(g.edge_count(), 1);
-        // growing again after a shrink recycles retained rows
-        g.reset(1);
-        let n = g.add_node();
-        assert_eq!(n, 1);
-        assert!(g.adj[n].is_empty(), "recycled row starts empty");
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut g = FlowGraph::new(4);
-        g.add_edge(0, 1, 1, 1);
-        g.clear();
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
-        let a = g.add_node();
-        let b = g.add_node();
-        let e = g.add_edge(a, b, 2, 0);
-        assert_eq!(g.residual(e), 2);
-    }
-
-    #[test]
-    fn clone_from_reproduces_graph() {
-        let mut src = FlowGraph::new(3);
-        let e = src.add_edge(0, 2, 9, 4);
-        let mut dst = FlowGraph::new(50);
-        dst.add_edge(3, 4, 1, 1);
-        dst.clone_from(&src);
-        assert_eq!(dst.node_count(), 3);
-        assert_eq!(dst.edge_count(), 1);
-        assert_eq!(dst.capacity(e), 9);
-    }
-
-    #[test]
-    fn reset_flow_clears() {
-        let mut g = FlowGraph::new(2);
-        let e = g.add_edge(0, 1, 5, 0);
-        g.edges[e.0].flow = 3;
-        g.edges[e.0 ^ 1].flow = -3;
-        g.reset_flow();
-        assert_eq!(g.flow(e), 0);
-        assert_eq!(g.residual(e), 5);
     }
 }

@@ -20,37 +20,14 @@ pub struct FlowResult {
 
 const INF: i64 = i64::MAX / 4;
 
-/// Costs at or below this use Dial bucket queues in the Dijkstra phases;
-/// larger costs (e.g. µs-scale delays) fall back to the binary heap,
-/// where scanning one bucket per distance unit would dominate.
-const SMALL_COST_MAX: i64 = 4096;
-
-/// Hard ceiling on bucket-queue size; a tentative distance beyond this
-/// aborts the bucket attempt and re-runs the phase on the heap.
-const BUCKET_CAP: usize = 1 << 20;
-
-/// Reusable solver scratch: potentials, distances, DFS stacks and
-/// the Dijkstra heap. Holding one of these across solves makes every
-/// [`McmfWorkspace::solve`] call allocation-free in steady state — the
-/// per-dispatch pattern DSS-LC runs (one solve per request type per
-/// tick) never touches the heap allocator once the buffers are warm.
-///
-/// The workspace is pure per-solve scratch: every buffer is re-sized and
-/// re-initialized at the top of [`McmfWorkspace::solve`], so its contents
-/// never influence results. Checkpoints (DESIGN.md §11) therefore exclude
-/// it — a restored run starts with a cold workspace and computes the same
-/// answers.
-#[derive(Debug, Clone, Default)]
-pub struct McmfWorkspace {
+/// Solver scratch: potentials, distances, DFS stacks and the Dijkstra
+/// heap. Every buffer is re-sized and re-initialized at the top of
+/// [`McmfWorkspace::solve`], so its contents never influence results.
+#[derive(Debug, Default)]
+struct McmfWorkspace {
     potential: Vec<i64>,
     dist: Vec<i64>,
     heap: BinaryHeap<Reverse<(i64, usize)>>,
-    /// Dial bucket queue: `buckets[d]` holds nodes with tentative reduced
-    /// distance `d`. Only used when the graph's costs are small enough
-    /// for bucket scanning to beat the binary heap.
-    buckets: Vec<Vec<u32>>,
-    /// Bucket indices dirtied this phase (cleared lazily next phase).
-    touched: Vec<u32>,
     /// Current-arc pointers for the blocking-flow DFS (one per node).
     cur: Vec<usize>,
     /// Edge-id stack holding the DFS path under construction.
@@ -60,11 +37,6 @@ pub struct McmfWorkspace {
 }
 
 impl McmfWorkspace {
-    /// Fresh workspace with no retained buffers.
-    pub fn new() -> Self {
-        McmfWorkspace::default()
-    }
-
     /// Initialize potentials with Bellman–Ford so that negative edge costs
     /// are handled. Called automatically by [`Self::solve`] when needed.
     ///
@@ -107,26 +79,7 @@ impl McmfWorkspace {
     /// to `sink`, or `None` when it is unreachable. Tentative labels left
     /// in `dist` for unsettled nodes are all ≥ the returned distance,
     /// which is exactly what the clamped potential update relies on.
-    fn dijkstra(
-        &mut self,
-        g: &FlowGraph,
-        source: usize,
-        sink: usize,
-        small_costs: bool,
-    ) -> Option<i64> {
-        if small_costs {
-            if let Some(found) = self.dijkstra_buckets(g, source, sink) {
-                return found;
-            }
-            // bucket range overflowed (reduced costs drifted large);
-            // fall through to the heap, which handles any cost scale
-        }
-        self.dijkstra_heap(g, source, sink)
-    }
-
-    /// Binary-heap Dijkstra: the general-purpose implementation, correct
-    /// for any non-negative reduced costs.
-    fn dijkstra_heap(&mut self, g: &FlowGraph, source: usize, sink: usize) -> Option<i64> {
+    fn dijkstra(&mut self, g: &FlowGraph, source: usize, sink: usize) -> Option<i64> {
         let n = g.node_count();
         self.dist.clear();
         self.dist.resize(n, INF);
@@ -162,80 +115,6 @@ impl McmfWorkspace {
             }
         }
         None
-    }
-
-    /// Dial's algorithm: a monotone bucket queue indexed by tentative
-    /// reduced distance. For the small integer costs dispatch graphs
-    /// carry, scanning buckets is far cheaper than binary-heap churn —
-    /// no comparisons, no sift-downs, and settled-order pops are free.
-    ///
-    /// Returns `None` if a tentative distance outgrows [`BUCKET_CAP`]
-    /// (reduced costs can drift upward across phases); the caller then
-    /// retries the phase with the heap. Returns `Some(result)` otherwise,
-    /// with the same contract as [`Self::dijkstra_heap`].
-    fn dijkstra_buckets(
-        &mut self,
-        g: &FlowGraph,
-        source: usize,
-        sink: usize,
-    ) -> Option<Option<i64>> {
-        let n = g.node_count();
-        self.dist.clear();
-        self.dist.resize(n, INF);
-        self.dist[source] = 0;
-        for &b in &self.touched {
-            self.buckets[b as usize].clear();
-        }
-        self.touched.clear();
-        if self.buckets.is_empty() {
-            self.buckets.push(Vec::new());
-        }
-        self.buckets[0].push(source as u32);
-        self.touched.push(0);
-        let mut d = 0usize;
-        let mut hi = 0usize;
-        while d <= hi {
-            while let Some(node) = self.buckets[d].pop() {
-                let u = node as usize;
-                if self.dist[u] != d as i64 {
-                    continue; // stale entry superseded by a shorter label
-                }
-                if u == sink {
-                    return Some(Some(d as i64));
-                }
-                let pot_u = self.potential[u];
-                for &eid in &g.adj[u] {
-                    let e = &g.edges[eid];
-                    if e.cap - e.flow <= 0 {
-                        continue;
-                    }
-                    let pot_v = self.potential[e.to];
-                    if pot_v >= INF {
-                        continue;
-                    }
-                    let reduced = e.cost + pot_u - pot_v;
-                    debug_assert!(reduced >= 0, "negative reduced cost after potentials");
-                    let nd = d as i64 + reduced;
-                    if nd < self.dist[e.to] {
-                        let ndu = nd as usize;
-                        if ndu >= BUCKET_CAP {
-                            return None; // too sparse for buckets; use the heap
-                        }
-                        self.dist[e.to] = nd;
-                        if ndu >= self.buckets.len() {
-                            self.buckets.resize_with(ndu + 1, Vec::new);
-                        }
-                        if self.buckets[ndu].is_empty() {
-                            self.touched.push(ndu as u32);
-                        }
-                        self.buckets[ndu].push(e.to as u32);
-                        hi = hi.max(ndu);
-                    }
-                }
-            }
-            d += 1;
-        }
-        Some(None)
     }
 
     /// Saturate the admissible subgraph: push flow along every residual
@@ -343,23 +222,9 @@ impl McmfWorkspace {
 
     /// Route up to `limit` units of flow from `source` to `sink` at
     /// minimum cost over `g`'s residual network. Use `i64::MAX` for a
-    /// true max-flow. Allocation-free once the workspace buffers are warm.
-    pub fn solve(
-        &mut self,
-        g: &mut FlowGraph,
-        source: usize,
-        sink: usize,
-        limit: i64,
-    ) -> FlowResult {
-        let mut has_negative = false;
-        let mut max_abs_cost = 0i64;
-        for e in &g.edges {
-            if e.cap - e.flow > 0 {
-                has_negative |= e.cost < 0;
-                max_abs_cost = max_abs_cost.max(e.cost.abs());
-            }
-        }
-        let small_costs = max_abs_cost <= SMALL_COST_MAX && g.node_count() <= u32::MAX as usize;
+    /// true max-flow.
+    fn solve(&mut self, g: &mut FlowGraph, source: usize, sink: usize, limit: i64) -> FlowResult {
+        let has_negative = g.edges.iter().any(|e| e.cap - e.flow > 0 && e.cost < 0);
         if has_negative {
             self.bellman_ford(g, source);
         } else {
@@ -371,7 +236,7 @@ impl McmfWorkspace {
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
         while total_flow < limit {
-            let Some(d_sink) = self.dijkstra(g, source, sink, small_costs) else {
+            let Some(d_sink) = self.dijkstra(g, source, sink) else {
                 break;
             };
             // Update potentials, clamping at the sink's distance: the
@@ -398,33 +263,7 @@ impl McmfWorkspace {
     }
 }
 
-/// Solve many *independent* MCMF instances (same source/sink indices,
-/// e.g. a batch of §5.2.1 dispatch graphs) concurrently on `pool`.
-///
-/// Each worker holds one [`McmfWorkspace`] and reuses it across the
-/// instances of its statically chunked range; results come back in
-/// input order. Instances never share residual state, so the outcome is
-/// bit-identical to solving the batch sequentially, at any thread count.
-pub fn solve_batch(
-    pool: &tango_par::Pool,
-    graphs: &mut [FlowGraph],
-    source: usize,
-    sink: usize,
-    limit: i64,
-) -> Vec<FlowResult> {
-    let mut results = vec![FlowResult::default(); graphs.len()];
-    pool.par_zip_chunks_mut(graphs, &mut results, |_, gs, rs| {
-        let mut ws = McmfWorkspace::new();
-        for (g, r) in gs.iter_mut().zip(rs.iter_mut()) {
-            *r = ws.solve(g, source, sink, limit);
-        }
-    });
-    results
-}
-
-/// Solver state bound to a graph. Thin convenience wrapper over
-/// [`McmfWorkspace`] for one-shot solves; callers on a hot path should
-/// hold a `McmfWorkspace` themselves and reuse it across graphs.
+/// Min-cost max-flow solver bound to a graph.
 pub struct MinCostMaxFlow<'g> {
     g: &'g mut FlowGraph,
     ws: McmfWorkspace,
@@ -436,7 +275,7 @@ impl<'g> MinCostMaxFlow<'g> {
     pub fn new(graph: &'g mut FlowGraph) -> Self {
         MinCostMaxFlow {
             g: graph,
-            ws: McmfWorkspace::new(),
+            ws: McmfWorkspace::default(),
         }
     }
 
@@ -444,48 +283,6 @@ impl<'g> MinCostMaxFlow<'g> {
     /// minimum cost. Use `i64::MAX` for a true max-flow.
     pub fn solve(&mut self, source: usize, sink: usize, limit: i64) -> FlowResult {
         self.ws.solve(self.g, source, sink, limit)
-    }
-
-    /// Decompose the current flow leaving `source` into unit paths
-    /// (sequences of node indices). Destroys nothing: works on a copy of
-    /// the per-edge flows. Cycles in the flow (possible with zero-cost
-    /// loops) are skipped.
-    pub fn decompose_paths(&self, source: usize, sink: usize) -> Vec<Vec<usize>> {
-        let mut remaining: Vec<i64> = self.g.edges.iter().map(|e| e.flow).collect();
-        let mut paths = Vec::new();
-        loop {
-            // walk greedily from source along positive-flow edges
-            let mut path = vec![source];
-            let mut u = source;
-            let mut used_edges = Vec::new();
-            let mut steps = 0;
-            while u != sink {
-                steps += 1;
-                if steps > self.g.node_count() + 1 {
-                    break; // cycle guard
-                }
-                let next = self.g.adj[u]
-                    .iter()
-                    .copied()
-                    .find(|&eid| eid % 2 == 0 && remaining[eid] > 0);
-                match next {
-                    Some(eid) => {
-                        used_edges.push(eid);
-                        u = self.g.edges[eid].to;
-                        path.push(u);
-                    }
-                    None => break,
-                }
-            }
-            if u != sink {
-                break;
-            }
-            for eid in used_edges {
-                remaining[eid] -= 1;
-            }
-            paths.push(path);
-        }
-        paths
     }
 }
 
@@ -501,40 +298,6 @@ mod tests {
         let r = MinCostMaxFlow::new(&mut g).solve(0, 1, i64::MAX);
         assert_eq!(r, FlowResult { flow: 7, cost: 14 });
         assert_eq!(g.flow(e), 7);
-    }
-
-    /// `solve_batch` matches per-instance sequential solves, per-element
-    /// and flow-state, at several thread counts.
-    #[test]
-    fn solve_batch_matches_sequential_at_any_thread_count() {
-        let make = |seed: u64| -> FlowGraph {
-            let mut g = FlowGraph::new(6);
-            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let mut rnd = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            for u in 0..5usize {
-                for _ in 0..3 {
-                    let v = 1 + (rnd() % 5) as usize;
-                    g.add_edge(u, v, (rnd() % 9) as i64, (rnd() % 40) as i64);
-                }
-            }
-            g
-        };
-        let want: Vec<FlowResult> = (0..13u64)
-            .map(|s| {
-                let mut g = make(s);
-                MinCostMaxFlow::new(&mut g).solve(0, 1, i64::MAX)
-            })
-            .collect();
-        for t in [1usize, 2, 4, 8] {
-            let mut graphs: Vec<FlowGraph> = (0..13u64).map(make).collect();
-            let got = solve_batch(&tango_par::Pool::new(t), &mut graphs, 0, 1, i64::MAX);
-            assert_eq!(got, want, "threads = {t}");
-        }
     }
 
     #[test]
@@ -599,36 +362,6 @@ mod tests {
         assert_eq!(r, FlowResult { flow: 3, cost: 6 });
     }
 
-    /// A workspace reused across separate graphs (different sizes, one
-    /// with negative costs) produces the same answers as fresh solvers.
-    #[test]
-    fn workspace_reuse_across_graphs_matches_fresh_solves() {
-        let mut ws = McmfWorkspace::new();
-
-        let mut g1 = FlowGraph::new(4);
-        g1.add_edge(0, 1, 2, 1);
-        g1.add_edge(0, 2, 2, 4);
-        g1.add_edge(1, 2, 1, 1);
-        g1.add_edge(1, 3, 1, 6);
-        g1.add_edge(2, 3, 3, 1);
-        let r1 = ws.solve(&mut g1, 0, 3, i64::MAX);
-        assert_eq!(r1, FlowResult { flow: 4, cost: 20 });
-
-        // smaller graph with negative costs — buffers shrink in place
-        let mut g2 = FlowGraph::new(3);
-        g2.add_edge(0, 1, 2, -3);
-        g2.add_edge(1, 2, 2, 1);
-        g2.add_edge(0, 2, 2, 0);
-        let r2 = ws.solve(&mut g2, 0, 2, i64::MAX);
-        assert_eq!(r2, FlowResult { flow: 4, cost: -4 });
-
-        // and a pooled-graph rebuild via reset()
-        g2.reset(2);
-        g2.add_edge(0, 1, 7, 2);
-        let r3 = ws.solve(&mut g2, 0, 1, i64::MAX);
-        assert_eq!(r3, FlowResult { flow: 7, cost: 14 });
-    }
-
     #[test]
     fn negative_costs_are_handled_via_bellman_ford() {
         let mut g = FlowGraph::new(3);
@@ -650,24 +383,6 @@ mod tests {
         g.add_edge(out, 1, 10, 0);
         let r = MinCostMaxFlow::new(&mut g).solve(0, 1, i64::MAX);
         assert_eq!(r.flow, 2);
-    }
-
-    #[test]
-    fn path_decomposition_covers_all_flow() {
-        let mut g = FlowGraph::new(4);
-        g.add_edge(0, 1, 2, 1);
-        g.add_edge(0, 2, 1, 2);
-        g.add_edge(1, 3, 2, 1);
-        g.add_edge(2, 3, 1, 1);
-        let mut solver = MinCostMaxFlow::new(&mut g);
-        let r = solver.solve(0, 3, i64::MAX);
-        assert_eq!(r.flow, 3);
-        let paths = solver.decompose_paths(0, 3);
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            assert_eq!(*p.first().unwrap(), 0);
-            assert_eq!(*p.last().unwrap(), 3);
-        }
     }
 
     #[test]

@@ -20,19 +20,17 @@
 //!   requests and leaves the pod unavailable for the container start-up
 //!   time. D-VPA (in `tango-hrm`) is the paper's replacement.
 //! * [`cluster::Cluster`] — master + workers with LC/BE scheduling queues.
-//! * [`scheduler::RoundRobin`] — the K8s-native default dispatch baseline.
+//!
+//! Dispatch policies, including the K8s-native round-robin baseline, live
+//! in `tango-sched`.
 
 pub mod cluster;
-pub mod hpa;
 pub mod node;
 pub mod pod;
-pub mod scheduler;
 pub mod snapshot;
 pub mod vpa;
 
 pub use cluster::Cluster;
-pub use hpa::{Hpa, HpaConfig};
 pub use node::{CompletedRequest, Node, RunningRequest};
 pub use pod::{Container, Pod};
-pub use scheduler::RoundRobin;
 pub use vpa::NativeVpa;

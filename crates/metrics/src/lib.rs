@@ -16,7 +16,6 @@
 //!   ring-buffer recorder for per-request timelines.
 
 pub mod counters;
-pub mod p2;
 pub mod percentile;
 pub mod qos;
 pub mod snapshot;
@@ -25,7 +24,6 @@ pub mod trace;
 pub mod window;
 
 pub use counters::{ExperimentCounters, PeriodRecord};
-pub use p2::P2Quantile;
 pub use percentile::percentile;
 pub use qos::{slack_score, NodeWindows, QosDetector};
 pub use store::{NodeRole, NodeSnapshot, StateStorage, StoreRow};

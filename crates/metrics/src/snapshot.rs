@@ -1,14 +1,12 @@
 //! Checkpoint codecs for the telemetry state.
 //!
 //! Everything here is *state*, not cache: the QoS detector's latency
-//! windows feed the re-assurer's slack decisions, the P² markers carry a
-//! whole run's percentile estimate, the experiment counters are the final
-//! report, and the state storage is read by dispatch rounds between Sync
-//! ticks — none of it can be rebuilt from the config. Hash maps are
-//! encoded sorted by key so snapshots are byte-stable.
+//! windows feed the re-assurer's slack decisions, the experiment counters
+//! are the final report, and the state storage is read by dispatch rounds
+//! between Sync ticks — none of it can be rebuilt from the config. Hash
+//! maps are encoded sorted by key so snapshots are byte-stable.
 
 use crate::counters::{Accum, ExperimentCounters};
-use crate::p2::P2Quantile;
 use crate::qos::QosDetector;
 use crate::store::{NodeRole, NodeSnapshot, StateStorage};
 use crate::window::LatencyWindow;
@@ -115,29 +113,6 @@ impl SnapDecode for ExperimentCounters {
         Ok(ExperimentCounters {
             period,
             buckets: Vec::<Accum>::decode(r)?,
-        })
-    }
-}
-
-impl SnapEncode for P2Quantile {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_f64(self.q);
-        self.heights.encode(w);
-        self.positions.encode(w);
-        self.desired.encode(w);
-        self.increments.encode(w);
-        w.put_u64(self.count as u64);
-    }
-}
-impl SnapDecode for P2Quantile {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(P2Quantile {
-            q: r.f64()?,
-            heights: <[f64; 5]>::decode(r)?,
-            positions: <[f64; 5]>::decode(r)?,
-            desired: <[f64; 5]>::decode(r)?,
-            increments: <[f64; 5]>::decode(r)?,
-            count: r.u64()? as usize,
         })
     }
 }
@@ -292,20 +267,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(back.periods(), c.periods());
         assert_eq!(back.be_throughput(), c.be_throughput());
-    }
-
-    #[test]
-    fn p2_round_trip_is_exact() {
-        let mut p = P2Quantile::p95();
-        for i in 0..1_000 {
-            p.observe((i * 7 % 101) as f64);
-        }
-        let bytes = round_trip_bytes(&p);
-        let mut r = SnapReader::new(&bytes);
-        let back = P2Quantile::decode(&mut r).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(back.estimate(), p.estimate());
-        assert_eq!(back.count(), p.count());
     }
 
     #[test]

@@ -119,45 +119,6 @@ impl Pool {
         });
     }
 
-    /// Like [`Pool::par_chunks_mut`] (stride 1) over two equal-length
-    /// slices chunked identically: `f(first_index, a_chunk, b_chunk)`.
-    /// The zip form lets a fan-out write results next to its inputs
-    /// (e.g. solve a batch of flow graphs into a result slice).
-    pub fn par_zip_chunks_mut<A: Send, B: Send>(
-        &self,
-        a: &mut [A],
-        b: &mut [B],
-        f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
-    ) {
-        assert_eq!(a.len(), b.len(), "par_zip_chunks_mut length mismatch");
-        if a.is_empty() {
-            return;
-        }
-        let workers = self.workers_for(a.len());
-        if workers == 1 {
-            f(0, a, b);
-            return;
-        }
-        let per = a.len().div_ceil(workers);
-        let mut ca = a.chunks_mut(per);
-        let mut cb = b.chunks_mut(per);
-        let first = (ca.next().expect("nonempty"), cb.next().expect("nonempty"));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ca
-                .zip(cb)
-                .enumerate()
-                .map(|(i, (xa, xb))| {
-                    let f = &f;
-                    scope.spawn(move || f((i + 1) * per, xa, xb))
-                })
-                .collect();
-            f(0, first.0, first.1);
-            for h in handles {
-                h.join().expect("tango-par worker panicked");
-            }
-        });
-    }
-
     /// Run `f` over caller-chosen contiguous *parts* of three
     /// equal-length slices, in parallel: `f(first_index, a, b, c)` once
     /// per part. `bounds` lists the ascending end offset of each part;
@@ -166,7 +127,7 @@ impl Pool {
     ///
     /// This is the shard primitive for structure-aligned fan-outs (one
     /// part per group of clusters, never splitting a cluster), where the
-    /// even `ceil(len/workers)` chunking of [`Pool::par_zip_chunks_mut`]
+    /// even `ceil(len/workers)` chunking of [`Pool::par_chunks_mut`]
     /// would cut through a group. The determinism contract is the same —
     /// each part writes only its own elements, so the part layout can
     /// never affect results, only where time is spent.
@@ -410,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_chunks_align() {
-        let mut a: Vec<u64> = (0..33).collect();
-        let mut b = vec![0u64; 33];
-        Pool::new(4).par_zip_chunks_mut(&mut a, &mut b, |first, xa, xb| {
-            for (j, (x, y)) in xa.iter_mut().zip(xb.iter_mut()).enumerate() {
-                assert_eq!(*x as usize, first + j);
-                *y = *x * 2;
-            }
-        });
-        assert_eq!(b, (0..33).map(|x| x * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn parts_zip3_respects_caller_bounds() {
         for t in [1, 2, 4, 16] {
             let mut a: Vec<u64> = (0..20).collect();
@@ -472,7 +420,6 @@ mod tests {
         let p = Pool::new(8);
         assert!(p.par_map_collect(&Vec::<u8>::new(), |_, &x| x).is_empty());
         p.par_chunks_mut(&mut Vec::<u8>::new(), 1, |_, _| panic!("no chunks"));
-        p.par_zip_chunks_mut(&mut [0u8; 0], &mut [0u8; 0], |_, _, _| panic!("no chunks"));
         p.par_parts_zip3_mut(
             &[],
             &mut [0u8; 0],

@@ -18,22 +18,17 @@ use tango_types::{NodeId, Resources};
 
 /// A centralized BE scheduling policy.
 pub trait BeScheduler {
-    /// Choose a target node for one BE request. `None` = nothing feasible
-    /// (the request returns to the scheduling queue, Alg. 3's
-    /// reschedule-on-failure).
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId>;
-
-    /// Choose a target node *and* the resources to grant the request —
-    /// the continuous-action surface (TD3-style policies size the grant
-    /// jointly with the placement). Discrete policies fall through to
-    /// [`BeScheduler::schedule`] and grant the nominal demand.
-    fn schedule_sized(
+    /// Choose a target node for one BE request and the resources to grant
+    /// it. `None` = nothing feasible (the request returns to the
+    /// scheduling queue, Alg. 3's reschedule-on-failure). Discrete
+    /// policies grant exactly `*demand`; continuous-action policies
+    /// (TD3-style) size the grant jointly with the placement and may
+    /// grant less, never more, in each dimension.
+    fn schedule(
         &mut self,
         demand: &Resources,
         nodes: &[CandidateNode],
-    ) -> Option<(NodeId, Resources)> {
-        self.schedule(demand, nodes).map(|n| (n, *demand))
-    }
+    ) -> Option<(NodeId, Resources)>;
 
     /// Report the reward for the previous `schedule` decision together
     /// with the state that followed it.
@@ -202,7 +197,11 @@ impl DcgBe {
 }
 
 impl BeScheduler for DcgBe {
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
+    fn schedule(
+        &mut self,
+        demand: &Resources,
+        nodes: &[CandidateNode],
+    ) -> Option<(NodeId, Resources)> {
         let graph = build_graph(demand, nodes);
         let mask = if self.context_filter {
             context_mask(demand, nodes)
@@ -210,7 +209,7 @@ impl BeScheduler for DcgBe {
             nodes.iter().map(|c| c.alive).collect()
         };
         let idx = self.agent.act(&graph, &mask)?;
-        Some(nodes[idx].node)
+        Some((nodes[idx].node, *demand))
     }
 
     fn feedback(&mut self, reward: f32, next_demand: &Resources, next_nodes: &[CandidateNode]) {
@@ -262,11 +261,15 @@ impl GnnSacBe {
 }
 
 impl BeScheduler for GnnSacBe {
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
+    fn schedule(
+        &mut self,
+        demand: &Resources,
+        nodes: &[CandidateNode],
+    ) -> Option<(NodeId, Resources)> {
         let graph = build_graph(demand, nodes);
         let mask = context_mask(demand, nodes);
         let idx = self.agent.act(&graph, &mask)?;
-        Some(nodes[idx].node)
+        Some((nodes[idx].node, *demand))
     }
 
     fn feedback(&mut self, reward: f32, next_demand: &Resources, next_nodes: &[CandidateNode]) {
@@ -295,7 +298,11 @@ impl BeScheduler for GnnSacBe {
 pub struct GreedyBe;
 
 impl BeScheduler for GreedyBe {
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
+    fn schedule(
+        &mut self,
+        demand: &Resources,
+        nodes: &[CandidateNode],
+    ) -> Option<(NodeId, Resources)> {
         // Single-pass fold computing each candidate's utilization once.
         // Tie rule matches `Iterator::max_by` (last maximum wins, and an
         // incomparable pair counts as a tie): the incumbent survives only
@@ -314,7 +321,7 @@ impl BeScheduler for GreedyBe {
                 best = Some((c.node, f));
             }
         }
-        best.map(|(n, _)| n)
+        best.map(|(n, _)| (n, *demand))
     }
 
     fn feedback(&mut self, _: f32, _: &Resources, _: &[CandidateNode]) {}
@@ -331,13 +338,17 @@ pub struct RoundRobinBe {
 }
 
 impl BeScheduler for RoundRobinBe {
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
+    fn schedule(
+        &mut self,
+        demand: &Resources,
+        nodes: &[CandidateNode],
+    ) -> Option<(NodeId, Resources)> {
         let n = nodes.len();
         for off in 0..n {
             let i = (self.cursor + off) % n;
             if nodes[i].alive && demand.fits_within(&nodes[i].available_be) {
                 self.cursor = (i + 1) % n;
-                return Some(nodes[i].node);
+                return Some((nodes[i].node, *demand));
             }
         }
         None
@@ -405,10 +416,11 @@ mod tests {
         let mut dead = cand(1, 8, 1);
         dead.alive = false;
         let nodes = vec![dead, cand(2, 8, 1)];
-        assert_eq!(GreedyBe.schedule(&demand(), &nodes), Some(NodeId(2)));
+        let on_2 = Some((NodeId(2), demand()));
+        assert_eq!(GreedyBe.schedule(&demand(), &nodes), on_2);
         let mut rr = RoundRobinBe::default();
         for _ in 0..4 {
-            assert_eq!(rr.schedule(&demand(), &nodes), Some(NodeId(2)));
+            assert_eq!(rr.schedule(&demand(), &nodes), on_2);
         }
         let mut only_dead = nodes;
         only_dead.truncate(1);
@@ -442,7 +454,7 @@ mod tests {
         let nodes = vec![poor, rich];
         for _ in 0..20 {
             let pick = s.schedule(&demand(), &nodes).unwrap();
-            assert_eq!(pick, NodeId(2));
+            assert_eq!(pick, (NodeId(2), demand()));
             s.feedback(0.5, &demand(), &nodes);
         }
     }
@@ -474,8 +486,9 @@ mod tests {
     fn gnn_sac_schedules_with_mask() {
         let mut s = GnnSacBe::new(EncoderKind::Sage { p: 3 }, 1e-3, 7);
         let nodes = vec![cand(1, 8, 1), cand(2, 8, 5)];
-        let pick = s.schedule(&demand(), &nodes).unwrap();
+        let (pick, granted) = s.schedule(&demand(), &nodes).unwrap();
         assert!(pick == NodeId(1) || pick == NodeId(2));
+        assert_eq!(granted, demand());
         s.feedback(0.3, &demand(), &nodes);
     }
 
@@ -486,7 +499,7 @@ mod tests {
         full.available_be = Resources::cpu_mem(600, 300); // mostly used
         let empty = cand(2, 8, 1);
         let pick = s.schedule(&demand(), &[full, empty]).unwrap();
-        assert_eq!(pick, NodeId(2));
+        assert_eq!(pick, (NodeId(2), demand()));
     }
 
     #[test]
@@ -494,7 +507,7 @@ mod tests {
         let mut s = RoundRobinBe::default();
         let nodes = vec![cand(1, 8, 1), cand(2, 8, 1)];
         let picks: Vec<u32> = (0..4)
-            .map(|_| s.schedule(&demand(), &nodes).unwrap().raw())
+            .map(|_| s.schedule(&demand(), &nodes).unwrap().0.raw())
             .collect();
         assert_eq!(picks, vec![1, 2, 1, 2]);
     }

@@ -1,11 +1,16 @@
-//! DSS-LC: distributed LC request scheduling as min-cost flow (Alg. 2).
+//! DSS-LC: distributed LC request scheduling (Alg. 2).
 //!
-//! Per type k the dispatcher builds the graph G_k of §5.2.1: a source
-//! (this master's pending queue), one split node per candidate worker
-//! (the internal edge carries the Eq. 2 capacity |t_i^k|), link edges
-//! carrying the Eq. 4 transmission capacity c_{i,j} with cost t^delay,
-//! and a sink. The min-cost max-flow optimum of Eq. 3 yields the routing
-//! paths; flow decomposition turns them back into per-request targets.
+//! Per type k the paper routes the master's pending queue over the graph
+//! G_k of §5.2.1: a source, one split node per candidate worker (the
+//! internal edge carries the Eq. 2 capacity |t_i^k|), link edges carrying
+//! the Eq. 4 transmission capacity c_{i,j} at cost t^delay, and a sink.
+//! That graph is bipartite with all cost on the link edges, so its
+//! min-cost max-flow optimum (Eq. 3) has a closed form: fill candidates
+//! in ascending delay order, each up to min(link capacity, node
+//! capacity). [`DssLc::route`] is that greedy and is what every dispatch
+//! round runs; [`DssLc::route_mcmf`] builds G_k and solves it with the
+//! general `tango-flow` solver, and is kept only as the test oracle that
+//! pins the two equal.
 //!
 //! Overload (Σ pending > Σ capacity) follows the paper exactly: ρ(·)
 //! shuffles the requests, the first Σcap go through G_k, and the rest —
@@ -16,7 +21,7 @@
 //! their target node.
 
 use crate::view::{LcScheduler, TypeBatch};
-use tango_flow::{EdgeRef, FlowGraph, McmfWorkspace};
+use tango_flow::{EdgeRef, FlowGraph, MinCostMaxFlow};
 use tango_par::Pool;
 use tango_simcore::SimRng;
 use tango_types::{NodeId, RequestId};
@@ -27,13 +32,6 @@ use tango_types::{NodeId, RequestId};
 /// allocation beyond the placements handed back to the caller.
 #[derive(Debug, Default)]
 struct DispatchScratch {
-    /// Retained dispatch graph for the pooled MCMF route (rebuilt in
-    /// place with [`FlowGraph::reset`]).
-    graph: FlowGraph,
-    /// Retained MCMF solver scratch.
-    ws: McmfWorkspace,
-    /// Per-candidate sink-side edges of the pooled graph.
-    node_edges: Vec<EdgeRef>,
     /// Eq. 2 instantaneous capacities (G_k phase).
     caps: Vec<u64>,
     /// Eq. 7 λ-augmented capacities (Ĝ′_k phase).
@@ -102,10 +100,9 @@ impl DssLc {
     /// The dispatch graph is bipartite (source → link edge → split node →
     /// sink) with all cost on the link edges, so the min-cost max-flow
     /// optimum has a closed form: saturate nodes in ascending delay
-    /// order, each up to min(link capacity, node capacity). This is what
-    /// the production solver reduces to on these instances;
-    /// [`DssLc::route_mcmf`] keeps the general solver and the test suite
-    /// pins their equality.
+    /// order, each up to min(link capacity, node capacity).
+    /// [`DssLc::route_mcmf`] solves the same graph with the general
+    /// solver and the test suite pins their equality.
     pub fn route(batch: &TypeBatch, capacities: &[u64], demand: u64) -> Vec<(usize, u64)> {
         let mut order_idx = Vec::new();
         let mut out = Vec::new();
@@ -147,71 +144,33 @@ impl DssLc {
         out.sort_unstable();
     }
 
-    /// The same routing via the general min-cost max-flow solver —
-    /// retained for cross-validation and for extended formulations
-    /// (inter-node relay edges, MPLS/OSPF-style constraints, §5.2.2).
-    /// One-shot form; the hot path is [`Self::route_mcmf_pooled`]. Both
-    /// entry points run `route_mcmf_into` on a `DispatchScratch`
-    /// — the one-shot form simply pays for a cold one — so their graph
-    /// setup cannot drift apart.
+    /// The same routing via the general min-cost max-flow solver over the
+    /// §5.2.1 graph G_k — the paper's formulation, kept as the test
+    /// oracle for [`Self::route`]. No dispatch round calls it.
     pub fn route_mcmf(batch: &TypeBatch, capacities: &[u64], demand: u64) -> Vec<(usize, u64)> {
-        Self::route_mcmf_into(&mut DispatchScratch::default(), batch, capacities, demand)
-    }
-
-    /// MCMF routing over this scheduler's retained dispatch graph and
-    /// solver workspace: the graph is rebuilt in place (no allocation
-    /// once warm) instead of constructed fresh per request type.
-    pub fn route_mcmf_pooled(
-        &mut self,
-        batch: &TypeBatch,
-        capacities: &[u64],
-        demand: u64,
-    ) -> Vec<(usize, u64)> {
-        Self::route_mcmf_into(&mut self.scratch, batch, capacities, demand)
-    }
-
-    /// Shared MCMF routing core: reset the retained dispatch graph in
-    /// `scratch`, rebuild it for this batch, solve, read off counts.
-    fn route_mcmf_into(
-        scratch: &mut DispatchScratch,
-        batch: &TypeBatch,
-        capacities: &[u64],
-        demand: u64,
-    ) -> Vec<(usize, u64)> {
         if demand == 0 || batch.nodes.is_empty() {
             return Vec::new();
         }
-        // graph: 0 = source, 1 = sink, then split nodes per candidate
-        let g = &mut scratch.graph;
-        g.reset(2);
-        Self::build_dispatch_graph(batch, capacities, g, &mut scratch.node_edges);
-        scratch.ws.solve(g, 0, 1, demand as i64);
-        Self::collect_counts(g, &scratch.node_edges)
-    }
-
-    /// Build the §5.2.1 dispatch graph into `g` (source 0 and sink 1
-    /// already present): one split node per candidate carrying the Eq. 2
-    /// capacity, link edges carrying Eq. 4 capacity at t^delay cost.
-    fn build_dispatch_graph(
-        batch: &TypeBatch,
-        capacities: &[u64],
-        g: &mut FlowGraph,
-        node_edges: &mut Vec<EdgeRef>,
-    ) {
-        node_edges.clear();
-        node_edges.reserve(batch.nodes.len());
-        for (i, cand) in batch.nodes.iter().enumerate() {
-            let (inn, out, _e) = g.add_split_node(capacities[i] as i64);
-            // cost: microseconds of dispatch delay (Eq. 3 objective)
-            let cost = cand.delay.as_micros() as i64;
-            g.add_edge(0, inn, cand.link_capacity as i64, cost);
-            let e_out = g.add_edge(out, 1, i64::MAX / 8, 0);
-            node_edges.push(e_out);
-        }
-    }
-
-    /// Read per-candidate assigned counts off the solved graph.
-    fn collect_counts(g: &FlowGraph, node_edges: &[EdgeRef]) -> Vec<(usize, u64)> {
+        // graph: 0 = source, 1 = sink, then one split node per candidate
+        // carrying its Eq. 2 capacity behind an Eq. 4 link edge
+        let mut g = FlowGraph::new(2);
+        let node_edges: Vec<EdgeRef> = batch
+            .nodes
+            .iter()
+            .zip(capacities)
+            .map(|(cand, &cap)| {
+                let (inn, out, _) = g.add_split_node(cap as i64);
+                // cost: microseconds of dispatch delay (Eq. 3 objective)
+                g.add_edge(
+                    0,
+                    inn,
+                    cand.link_capacity as i64,
+                    cand.delay.as_micros() as i64,
+                );
+                g.add_edge(out, 1, i64::MAX / 8, 0)
+            })
+            .collect();
+        MinCostMaxFlow::new(&mut g).solve(0, 1, demand as i64);
         node_edges
             .iter()
             .enumerate()
@@ -276,8 +235,8 @@ impl DssLc {
     }
 
     /// Alg. 2 with all state explicit, shared by the sequential
-    /// [`Self::plan`] and the parallel [`Self::plan_many`] /
-    /// [`plan_masters`] paths so they cannot drift.
+    /// [`Self::plan`] and the parallel [`Self::plan_many`] paths so they
+    /// cannot drift.
     fn plan_with(
         scratch: &mut DispatchScratch,
         rng: &mut SimRng,
@@ -366,45 +325,6 @@ impl DssLc {
         plan.unrouted = scratch.order[cursor..].to_vec();
         plan
     }
-}
-
-/// The paper's full DSS-LC fan-out — "for each master node do in
-/// parallel / for each type k do in parallel" (§5.2) — over every
-/// (master, commodity) pair at once: `batches[m]` holds master `m`'s
-/// per-type batches, solved by `scheds[m]`.
-///
-/// Per-batch ρ(·) streams are forked sequentially in (master, type)
-/// order before the fan-out and plans are merged back in the same
-/// order, so the result is bit-identical for every thread count. Each
-/// worker reuses one `DispatchScratch` across its chunk.
-pub fn plan_masters(
-    scheds: &mut [DssLc],
-    batches: &[Vec<TypeBatch>],
-    pool: &Pool,
-) -> Vec<Vec<LcPlan>> {
-    assert_eq!(scheds.len(), batches.len(), "one scheduler per master");
-    let work: Vec<(SimRng, bool, &TypeBatch)> = scheds
-        .iter_mut()
-        .zip(batches)
-        .flat_map(|(s, bs)| {
-            bs.iter()
-                .map(|b| (s.rng.fork(), s.overflow_routing, b))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let flat = pool.par_map_collect_with(
-        &work,
-        DispatchScratch::default,
-        |scratch, _, (rng, overflow_routing, batch)| {
-            let mut rng = rng.clone();
-            DssLc::plan_with(scratch, &mut rng, *overflow_routing, batch)
-        },
-    );
-    let mut flat = flat.into_iter();
-    batches
-        .iter()
-        .map(|bs| (&mut flat).take(bs.len()).collect())
-        .collect()
 }
 
 impl LcScheduler for DssLc {
@@ -636,31 +556,6 @@ mod tests {
         assert_eq!(p.unrouted, expected[consumed.len()..].to_vec());
     }
 
-    /// The pooled MCMF route (retained graph + workspace) matches the
-    /// one-shot solver across reuse, including after batches of different
-    /// shapes.
-    #[test]
-    fn pooled_mcmf_route_matches_one_shot() {
-        let mut s = DssLc::new(0);
-        for seed in 0..12u64 {
-            let mut rng = tango_simcore::SimRng::new(seed * 31 + 7);
-            let n = 1 + rng.next_below(9) as usize;
-            let nodes: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut c = cand(i as u32, rng.next_below(7), 1 + rng.next_below(25));
-                    c.link_capacity = 1 + rng.next_below(6) as u32;
-                    c
-                })
-                .collect();
-            let caps: Vec<u64> = nodes.iter().map(|c| c.capacity_now(true)).collect();
-            let demand = rng.next_below(25);
-            let b = batch(0, nodes);
-            let fresh = DssLc::route_mcmf(&b, &caps, demand);
-            let pooled = s.route_mcmf_pooled(&b, &caps, demand);
-            assert_eq!(fresh, pooled, "pooled/one-shot divergence at seed {seed}");
-        }
-    }
-
     /// A mixed bag of per-type batches (under-capacity, overloaded, and
     /// empty-candidate) for the fan-out tests.
     fn batch_bag(n: usize) -> Vec<TypeBatch> {
@@ -681,16 +576,29 @@ mod tests {
     }
 
     /// `plan_many` is bit-identical across thread counts: same plans,
-    /// same order, for 1, 2, 4, and 8 workers.
+    /// same order, for 1, 2, 4, and 8 workers — over several masters'
+    /// seeds and batch mixes, including a master with nothing to plan.
     #[test]
     fn plan_many_is_thread_count_invariant() {
-        let batches = batch_bag(17);
-        let reference = DssLc::new(99).plan_many(&batches, &Pool::single());
-        assert!(reference.iter().any(|p| !p.immediate.is_empty()));
-        assert!(reference.iter().any(|p| !p.queued.is_empty()));
-        for t in [2usize, 4, 8] {
-            let got = DssLc::new(99).plan_many(&batches, &Pool::new(t));
-            assert_eq!(got, reference, "threads = {t}");
+        let per_master = [
+            batch_bag(17),
+            batch_bag(4),
+            batch_bag(9),
+            Vec::new(),
+            batch_bag(1),
+        ];
+        for (m, batches) in per_master.iter().enumerate() {
+            let seed = 99 + m as u64;
+            let reference = DssLc::new(seed).plan_many(batches, &Pool::single());
+            assert_eq!(reference.len(), batches.len());
+            if m == 0 {
+                assert!(reference.iter().any(|p| !p.immediate.is_empty()));
+                assert!(reference.iter().any(|p| !p.queued.is_empty()));
+            }
+            for t in [1usize, 2, 4, 8] {
+                let got = DssLc::new(seed).plan_many(batches, &Pool::new(t));
+                assert_eq!(got, reference, "master {m}, threads = {t}");
+            }
         }
     }
 
@@ -708,24 +616,6 @@ mod tests {
         }
         let single = batch(4, vec![cand(1, 9, 2)]);
         assert_eq!(a.plan(&single), b.plan(&single));
-    }
-
-    /// The full (master, commodity) fan-out matches the per-master
-    /// `plan_many` results at every thread count.
-    #[test]
-    fn plan_masters_is_thread_count_invariant() {
-        let per_master: Vec<Vec<TypeBatch>> =
-            vec![batch_bag(4), batch_bag(9), Vec::new(), batch_bag(1)];
-        let reference: Vec<Vec<LcPlan>> = per_master
-            .iter()
-            .enumerate()
-            .map(|(m, bs)| DssLc::new(m as u64).plan_many(bs, &Pool::single()))
-            .collect();
-        for t in [1usize, 2, 4, 8] {
-            let mut scheds: Vec<DssLc> = (0..per_master.len() as u64).map(DssLc::new).collect();
-            let got = plan_masters(&mut scheds, &per_master, &Pool::new(t));
-            assert_eq!(got, reference, "threads = {t}");
-        }
     }
 
     #[test]

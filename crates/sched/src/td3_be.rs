@@ -6,7 +6,8 @@
 //! emits per-candidate `[cpu, mem]` fractions in `[min_frac, 1]`, the
 //! placement is the critic argmax over feasible nodes, and the chosen
 //! node is granted `demand × fractions` through the normal
-//! reservation/allocator path (via [`BeScheduler::schedule_sized`]).
+//! reservation/allocator path (the grant half of
+//! [`BeScheduler::schedule`]).
 //!
 //! Feasibility in the context filter is checked against the *floor*
 //! grant (`demand × min_frac`): a node that can host the squeezed
@@ -47,7 +48,7 @@ impl Default for Td3BeConfig {
     }
 }
 
-/// TD3 continuous-action BE scheduler backend.
+/// TD3 continuous-action BE scheduler.
 pub struct Td3Be {
     agent: Td3Agent,
     min_frac: f32,
@@ -102,11 +103,7 @@ pub fn scale_demand(demand: &Resources, frac: &[f32; ACTION_DIM]) -> Resources {
 }
 
 impl BeScheduler for Td3Be {
-    fn schedule(&mut self, demand: &Resources, nodes: &[CandidateNode]) -> Option<NodeId> {
-        self.schedule_sized(demand, nodes).map(|(n, _)| n)
-    }
-
-    fn schedule_sized(
+    fn schedule(
         &mut self,
         demand: &Resources,
         nodes: &[CandidateNode],
@@ -161,7 +158,7 @@ mod tests {
         let mut s = Td3Be::new(Td3BeConfig::default());
         let nodes = vec![cand(1, 8, 1), cand(2, 8, 5)];
         for _ in 0..10 {
-            let (node, granted) = s.schedule_sized(&demand(), &nodes).unwrap();
+            let (node, granted) = s.schedule(&demand(), &nodes).unwrap();
             assert!(node == NodeId(1) || node == NodeId(2));
             assert!(granted.fits_within(&demand()));
             assert!(granted.cpu_milli >= (demand().cpu_milli as f32 * 0.25) as u64);
@@ -176,7 +173,7 @@ mod tests {
         let mut tight = cand(1, 0, 1);
         tight.available_be = Resources::cpu_mem(200, 100);
         let mut s = Td3Be::new(Td3BeConfig::default());
-        let (node, granted) = s.schedule_sized(&demand(), &[tight.clone()]).unwrap();
+        let (node, granted) = s.schedule(&demand(), &[tight.clone()]).unwrap();
         assert_eq!(node, NodeId(1));
         // grant is capped at what the node has free
         assert!(granted.fits_within(&tight.available_be));
@@ -187,7 +184,7 @@ mod tests {
         let mut empty = cand(1, 0, 1);
         empty.available_be = Resources::ZERO;
         let mut s = Td3Be::new(Td3BeConfig::default());
-        assert_eq!(s.schedule_sized(&demand(), &[empty]), None);
+        assert_eq!(s.schedule(&demand(), &[empty]), None);
     }
 
     #[test]
@@ -195,15 +192,15 @@ mod tests {
         let mut a = Td3Be::new(Td3BeConfig::default());
         let nodes = vec![cand(1, 8, 1), cand(2, 8, 5)];
         for _ in 0..12 {
-            a.schedule_sized(&demand(), &nodes).unwrap();
+            a.schedule(&demand(), &nodes).unwrap();
             a.feedback(0.2, &demand(), &nodes);
         }
         let blob = a.snapshot_state().unwrap();
         let mut b = Td3Be::new(Td3BeConfig::default());
         b.restore_state(&blob).unwrap();
         for _ in 0..8 {
-            let pa = a.schedule_sized(&demand(), &nodes).unwrap();
-            let pb = b.schedule_sized(&demand(), &nodes).unwrap();
+            let pa = a.schedule(&demand(), &nodes).unwrap();
+            let pb = b.schedule(&demand(), &nodes).unwrap();
             assert_eq!(pa, pb);
             a.feedback(0.1, &demand(), &nodes);
             b.feedback(0.1, &demand(), &nodes);

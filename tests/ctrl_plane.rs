@@ -2,15 +2,16 @@
 //! pure observers (pinned goldens survive attachment at every thread
 //! count), mirror frame streams reconstruct the latest snapshot, an
 //! external pin policy really changes placement with deterministic
-//! deadline-miss fallback, and keep-alive detection trips within the
-//! configured miss bound.
+//! deadline-miss fallback, a proxied run refuses to checkpoint, and
+//! keep-alive detection trips within the configured miss bound.
 
 use tango_repro::ctrl::{
     apply_frame, decode_frame, DecisionReply, KeepAliveConfig, NoopProxy, PolicyFn,
 };
 use tango_repro::metrics::{TraceEvent, TraceRecorder};
 use tango_repro::tango::{
-    BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport, TangoConfig,
+    BePolicy, CheckpointPolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport,
+    SnapError, TangoConfig,
 };
 use tango_repro::types::{ClusterId, NodeId, SimTime};
 
@@ -347,4 +348,34 @@ fn detection_runs_are_deterministic_and_thread_invariant() {
         .run(SimTime::from_secs(5), "det")
         .digest();
     assert_eq!(d1, d4, "detection-driven faults must stay thread-invariant");
+}
+
+/// The proxy's decision source lives outside the simulation, so a run
+/// with a proxy attached must refuse to checkpoint: `run_checkpointed`
+/// fails with `SnapError::Unsupported` instead of handing back snapshots
+/// whose proxied LC slot would restore as the plain local policy.
+#[test]
+fn proxy_attached_run_refuses_to_checkpoint() {
+    let policy = CheckpointPolicy {
+        every_n_ticks: 5,
+        keep_last_k: 0,
+    };
+    let horizon = SimTime::from_secs(2);
+
+    let mut sys = EdgeCloudSystem::new(calm_cfg());
+    sys.attach_lc_proxy(ClusterId(1), Box::new(NoopProxy), SimTime::from_millis(10));
+    match sys.run_checkpointed(horizon, "proxied", policy) {
+        Err(SnapError::Unsupported(_)) => {}
+        Err(e) => panic!("expected SnapError::Unsupported, got {e:?}"),
+        Ok((_, checkpoints)) => panic!(
+            "a proxied run produced {} checkpoints instead of refusing",
+            checkpoints.len()
+        ),
+    }
+
+    // the refusal is the proxy's: the same run without it checkpoints
+    let (_, checkpoints) = EdgeCloudSystem::new(calm_cfg())
+        .run_checkpointed(horizon, "local", policy)
+        .expect("local policies are snapshottable");
+    assert!(!checkpoints.is_empty());
 }

@@ -134,12 +134,11 @@ fn arb_batch(rng: &mut SimRng) -> TypeBatch {
     }
 }
 
-/// The greedy closed form, the general MCMF solver, and the pooled MCMF
-/// path agree on total flow and total cost over random batches.
+/// The greedy closed form and the general MCMF solver agree on total
+/// flow and total cost over random batches.
 #[test]
 fn route_matches_route_mcmf_on_random_batches() {
     const CASES: u64 = 200;
-    let mut pooled = DssLc::new(0);
     for seed in 0..CASES {
         let mut rng = SimRng::new(0x20_77_00 + seed);
         let batch = arb_batch(&mut rng);
@@ -148,7 +147,6 @@ fn route_matches_route_mcmf_on_random_batches() {
 
         let fast = DssLc::route(&batch, &caps, demand);
         let slow = DssLc::route_mcmf(&batch, &caps, demand);
-        let via_pool = pooled.route_mcmf_pooled(&batch, &caps, demand);
 
         let total = |v: &[(usize, u64)]| -> u64 { v.iter().map(|&(_, k)| k).sum() };
         let cost = |v: &[(usize, u64)]| -> u64 {
@@ -158,7 +156,6 @@ fn route_matches_route_mcmf_on_random_batches() {
         };
         assert_eq!(total(&fast), total(&slow), "flow mismatch at seed {seed}");
         assert_eq!(cost(&fast), cost(&slow), "cost mismatch at seed {seed}");
-        assert_eq!(slow, via_pool, "pooled MCMF diverged at seed {seed}");
 
         // neither route may exceed any node's effective capacity
         for &(i, k) in &fast {

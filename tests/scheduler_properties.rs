@@ -3,12 +3,14 @@
 //! Expressed as deterministic seeded sweeps (see `tests/properties.rs`
 //! for why `proptest` itself is not available in this build environment).
 
+use tango_repro::gnn::EncoderKind;
 use tango_repro::kube::Node;
-use tango_repro::metrics::P2Quantile;
 use tango_repro::sched::{
     CandidateNode, DssLc, KsNative, LcScheduler, LoadGreedy, Scoring, TypeBatch,
 };
 use tango_repro::simcore::SimRng;
+use tango_repro::tango::policy::make_be_scheduler;
+use tango_repro::tango::{Ablations, BePolicy};
 use tango_repro::types::{
     ClusterId, NodeId, RequestId, Resources, ServiceClass, ServiceId, ServiceSpec, SimTime,
 };
@@ -169,31 +171,91 @@ fn node_conserves_work_across_limit_changes() {
     }
 }
 
-/// P² estimator stays within a tolerance band of the exact p95 on
-/// smooth distributions (its contract — the parabolic interpolation
-/// assumes a locally smooth density; discontinuous mixtures with a
-/// jump at the tracked quantile can bias it, which is why the QoS
-/// detector's small windows use the exact percentile instead).
+/// A random BE candidate set: some nodes down (with room to spare, so a
+/// policy that ignored liveness would be caught), some alive but too
+/// small for a typical demand, some roomy.
+fn arb_be_candidates(rng: &mut SimRng) -> Vec<CandidateNode> {
+    let n = 1 + rng.next_below(12) as usize;
+    (0..n)
+        .map(|i| {
+            let cap = rng.next_below(6);
+            CandidateNode {
+                node: NodeId(i as u32),
+                cluster: ClusterId((i / 4) as u32),
+                total: Resources::cpu_mem(8_000, 16_384),
+                available_lc: Resources::cpu_mem(cap * 500, cap * 256),
+                available_be: Resources::cpu_mem(cap * 300, cap * 200),
+                min_request: Resources::cpu_mem(500, 256),
+                delay: SimTime::from_millis(1 + rng.next_below(40)),
+                link_capacity: 8,
+                slack: 1.0,
+                alive: rng.next_below(5) != 0,
+            }
+        })
+        .collect()
+}
+
+/// The BE placement contract, for every policy `make_be_scheduler`
+/// builds: `schedule` returns `None` or an alive node from the candidate
+/// list, with a grant no larger than the demand in any dimension.
+/// Discrete policies grant exactly the demand; TD3 may grant less. The
+/// grant also fits the chosen node's `available_be` — except for DCG-BE
+/// with `dcg_context_filter: false`, whose ablation exists to let it pick
+/// too-small nodes (those requests bounce back to the queue).
 #[test]
-fn p2_tracks_exact_p95() {
-    let mut seeder = SimRng::new(0x9595);
-    for _ in 0..24 {
-        let seed = seeder.next_u64();
-        let mean = seeder.range_f64(10.0, 500.0);
-        let mut rng = SimRng::new(seed);
-        let mut p2 = P2Quantile::p95();
-        let mut xs = Vec::with_capacity(5_000);
-        for _ in 0..5_000 {
-            let x = rng.exponential(mean);
-            p2.observe(x);
-            xs.push(x);
+fn be_policies_honour_the_placement_contract() {
+    let policies = [
+        BePolicy::DcgBe(EncoderKind::Sage { p: 3 }),
+        BePolicy::GnnSac,
+        BePolicy::Td3,
+        BePolicy::LoadGreedy,
+        BePolicy::KsNative,
+    ];
+    let ablation_sets = [
+        Ablations::default(),
+        Ablations {
+            dcg_context_filter: false,
+            ..Ablations::default()
+        },
+    ];
+    for ablations in &ablation_sets {
+        for policy in policies {
+            let name = policy.name();
+            let filter_off = !ablations.dcg_context_filter && matches!(policy, BePolicy::DcgBe(_));
+            let mut sched = make_be_scheduler(policy, 7, ablations);
+            let mut rng = SimRng::new(0xBE_C0DE);
+            let mut placed = 0;
+            for round in 0..96 {
+                let nodes = arb_be_candidates(&mut rng);
+                let demand =
+                    Resources::cpu_mem(100 + rng.next_below(900), 64 + rng.next_below(600));
+                let Some((node, granted)) = sched.schedule(&demand, &nodes) else {
+                    continue;
+                };
+                placed += 1;
+                let Some(c) = nodes.iter().find(|c| c.node == node) else {
+                    panic!("{name}: round {round} picked {node:?}, not a candidate");
+                };
+                assert!(c.alive, "{name}: round {round} picked dead {node:?}");
+                assert!(
+                    granted.fits_within(&demand),
+                    "{name}: round {round} granted {granted:?} over demand {demand:?}"
+                );
+                if matches!(policy, BePolicy::Td3) {
+                    assert!(granted.cpu_milli > 0 && granted.memory_mib > 0, "{name}");
+                } else {
+                    assert_eq!(granted, demand, "{name}: discrete grant must be the demand");
+                }
+                if !filter_off {
+                    assert!(
+                        granted.fits_within(&c.available_be),
+                        "{name}: round {round} grant {granted:?} exceeds {:?}",
+                        c.available_be
+                    );
+                }
+                sched.feedback(0.5, &demand, &nodes);
+            }
+            assert!(placed > 0, "{name}: never placed anything");
         }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let exact = xs[(0.95 * xs.len() as f64) as usize];
-        let est = p2.estimate().unwrap();
-        assert!(
-            (est - exact).abs() / exact < 0.15,
-            "est {est} vs exact {exact} (mean {mean})"
-        );
     }
 }
