@@ -1,8 +1,8 @@
 //! Fixed-seed baseline benchmark: the scenarios the performance work is
 //! judged against (DSS-LC decision, GNN forward, whole-system tick,
-//! checkpointing, the TD3 learner, the cloud-spill tick), measured with
-//! the microbench harness and written as JSON so before/after numbers
-//! can be committed next to the code.
+//! checkpointing, the TD3 and DCG-BE learners, the cloud-spill tick),
+//! measured with the microbench harness and written as JSON so
+//! before/after numbers can be committed next to the code.
 //!
 //! Usage: `bench_baseline [out.json]` — defaults to stdout-only when no
 //! path is given. Every scenario is deterministic in work (fixed seeds,
@@ -13,7 +13,8 @@ use std::hint::black_box;
 use tango::{BePolicy, CheckpointPolicy, EdgeCloudSystem, FaultPlan, NodeRef, TangoConfig};
 use tango_bench::microbench::{self, Sample};
 use tango_bench::scenarios::{
-    edge_spill_cfg, emit, make_batch, make_graph, replay_sample_bench, td3_update_bench, to_json,
+    dcg_be_decision_bench, edge_spill_cfg, emit, make_batch, make_graph, replay_sample_bench,
+    td3_update_bench, to_json,
 };
 use tango_gnn::{Encoder, EncoderKind, GnnEncoder};
 use tango_sched::DssLc;
@@ -155,13 +156,15 @@ fn scenarios() -> Vec<Sample> {
         "bytes",
     ));
 
-    // 7. TD3 learner hot path: one full update round (both critics plus
-    //    the delayed actor/target rounds, amortized) on a 64-node graph,
-    //    and a uniform 32-batch draw from a full 4096-slot replay ring.
-    //    The workloads live in scenarios.rs, shared with the perf-smoke
-    //    regression guard.
+    // 7. Learner hot paths: one full TD3 update round (both critics
+    //    plus the delayed actor/target rounds, amortized) on a 64-node
+    //    graph, a uniform 32-batch draw from a full 4096-slot replay
+    //    ring, and one training interval of DCG-BE decisions over 183
+    //    rows, 40% infeasible. The workloads live in scenarios.rs,
+    //    shared with the perf-smoke regression guard.
     out.push(td3_update_bench(300));
     out.push(replay_sample_bench(300));
+    out.push(dcg_be_decision_bench(300));
 
     // 8. Elastic cloud tier: the 16-cluster tick with the cloud attached
     //    and the KubeDSM defrag pass spilling BE pods — prices candidate

@@ -11,8 +11,8 @@
 //! `system_tick/104` runs (plain and mirror-attached) and a cloud-spill
 //! `edge_spill/16` run must each finish within 1.25× the committed
 //! `BENCH_baseline.json` figure (pro-rated to the smoke horizon), and
-//! the `td3_update`/`replay_sample` learner microbenches must stay
-//! within 1.25× their committed ns/iter. Set `TANGO_PERF_GUARD=off` to
+//! the `td3_update`/`replay_sample`/`dcg_be_decision` learner
+//! microbenches must stay within 1.25× their committed ns/iter. Set `TANGO_PERF_GUARD=off` to
 //! demote the guard to a warning on hosts that are not comparable to
 //! the baseline machine.
 
@@ -178,16 +178,17 @@ fn regression_guard() {
     );
 }
 
-/// TD3 learner microbenches: per-iteration cost is horizon-independent
+/// Learner microbenches: per-iteration cost is horizon-independent
 /// (the committed wall_ns for a microbench row is median ns/iter), so
 /// compare ns/iter directly — no pro-rating. Best of three short reruns
 /// of the exact bench_baseline workloads, same 1.25x envelope and
 /// guard-off escape as [`enforce`].
 fn microbench_guard(json: &str) {
     type BenchFn = fn(u64) -> tango_bench::microbench::Sample;
-    let benches: [BenchFn; 2] = [
+    let benches: [BenchFn; 3] = [
         tango_bench::scenarios::td3_update_bench,
         tango_bench::scenarios::replay_sample_bench,
+        tango_bench::scenarios::dcg_be_decision_bench,
     ];
     for bench in benches {
         let mut best: Option<tango_bench::microbench::Sample> = None;

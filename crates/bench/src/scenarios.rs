@@ -10,7 +10,7 @@ use tango::{BePolicy, CloudConfig, DefragConfig, TangoConfig};
 use tango_gnn::FeatureGraph;
 use tango_nn::Matrix;
 use tango_rl::{ReplayBuffer, Td3Agent, Td3Config};
-use tango_sched::{CandidateNode, TypeBatch};
+use tango_sched::{BeScheduler, CandidateNode, DcgBe, DcgBeConfig, TypeBatch};
 use tango_simcore::SimRng;
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
@@ -99,6 +99,46 @@ pub fn td3_update_bench(min_time_ms: u64) -> Sample {
         agent.observe(std::hint::black_box(0.5), &graph, &mask, false);
         std::hint::black_box(agent.train_rounds)
     })
+}
+
+/// A `tango_full`-shaped BE pick: 183 candidate rows in 16 clusters,
+/// 40% of them lacking the free CPU the 500 m / 256 MiB request needs.
+fn dcg_be_rows() -> (Resources, Vec<CandidateNode>) {
+    let demand = Resources::cpu_mem(500, 256);
+    let mut rows = make_batch(183, 1).nodes.to_vec();
+    for (i, c) in rows.iter_mut().enumerate() {
+        c.cluster = ClusterId((i * 16 / 183) as u32);
+        if i % 5 < 2 {
+            c.available_be = Resources::cpu_mem(300, 4_096);
+        }
+    }
+    (demand, rows)
+}
+
+/// DCG-BE decision microbench: `schedule` plus `feedback` over 183
+/// candidate rows in 16 clusters, 40% of them infeasible (the shape of
+/// a `tango_full` BE pick). One iteration is one whole `train_interval`
+/// of decisions, so every iteration pays exactly one training round;
+/// the agent is primed past its first round before timing starts.
+/// Shared by `bench_baseline` and `perf_smoke` like
+/// [`td3_update_bench`].
+pub fn dcg_be_decision_bench(min_time_ms: u64) -> Sample {
+    let (demand, rows) = dcg_be_rows();
+    let cfg = DcgBeConfig::default();
+    let interval = cfg.train_interval;
+    let mut be = DcgBe::new(cfg);
+    let mut decisions = || {
+        for _ in 0..interval {
+            std::hint::black_box(be.schedule(std::hint::black_box(&demand), &rows));
+            be.feedback(0.5, &demand, &rows);
+        }
+    };
+    decisions();
+    crate::microbench::run(
+        &format!("dcg_be_decision/183x{interval}"),
+        min_time_ms,
+        decisions,
+    )
 }
 
 /// Replay-ring sampling microbench: a uniform 32-draw from a full
@@ -277,6 +317,16 @@ mod tests {
         );
         assert!(!j.contains("wall_ns"), "byte count stamped as a latency");
         assert!(!j.contains("rate_per_sec"));
+    }
+
+    #[test]
+    fn dcg_be_rows_are_forty_percent_infeasible() {
+        let (demand, rows) = dcg_be_rows();
+        let masked = tango_sched::dcg_be::context_mask(&demand, &rows)
+            .iter()
+            .filter(|&&ok| !ok)
+            .count();
+        assert_eq!((rows.len(), masked), (183, 74));
     }
 
     #[test]

@@ -59,10 +59,7 @@ impl Linear {
     /// Backward pass: given ∂L/∂y, accumulate ∂L/∂W and ∂L/∂b and return
     /// ∂L/∂x. Must follow a `forward` call.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
+        let x = self.cached_input();
         assert_eq!(grad_out.rows, x.rows, "batch size mismatch in backward");
         // dW = xᵀ · dY
         self.grad_w.add_assign(&x.t_matmul(grad_out));
@@ -76,10 +73,17 @@ impl Linear {
         grad_out.matmul_t(&self.w)
     }
 
+    /// The input cached by the last [`Linear::forward`].
+    pub(crate) fn cached_input(&self) -> &Matrix {
+        self.cached_input
+            .as_ref()
+            .expect("backward called before forward")
+    }
+
     /// Clear accumulated gradients.
     pub fn zero_grad(&mut self) {
-        self.grad_w = Matrix::zeros(self.w.rows, self.w.cols);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
     /// (parameter, gradient) slices for the optimizer: weights then bias.

@@ -14,8 +14,6 @@ use tango_simcore::SimRng;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// ReLU masks cached per hidden layer during `forward`.
-    masks: Vec<Matrix>,
     adam: Adam,
     /// (weight slot, bias slot) per layer.
     slots: Vec<(usize, usize)>,
@@ -38,7 +36,6 @@ impl Mlp {
         }
         Mlp {
             layers,
-            masks: Vec::new(),
             adam,
             slots,
         }
@@ -69,41 +66,39 @@ impl Mlp {
 
     /// Training forward pass (caches activations for backward).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.masks.clear();
-        let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        let (first, rest) = self.layers.split_first_mut().expect("nonempty");
+        let mut h = first.forward(x);
+        for layer in rest {
+            relu(&mut h);
             h = layer.forward(&h);
-            if i + 1 < n {
-                let mask = h.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                h = h.map(|v| v.max(0.0));
-                self.masks.push(mask);
-            }
         }
         h
     }
 
     /// Inference forward pass (no caches touched).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+        let (first, rest) = self.layers.split_first().expect("nonempty");
+        let mut h = first.forward_inference(x);
+        for layer in rest {
+            relu(&mut h);
             h = layer.forward_inference(&h);
-            if i + 1 < n {
-                h = h.map(|v| v.max(0.0));
-            }
         }
         h
     }
 
     /// Backward pass from ∂L/∂output; accumulates layer gradients and
     /// returns ∂L/∂input.
+    ///
+    /// A hidden unit's ReLU was active iff its output, which the next
+    /// layer cached as input, is `> 0`; inactive units pass `g · 0.0`,
+    /// the signed zero an explicit 0/1 mask product gives.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let n = self.layers.len();
-        let mut g = grad_out.clone();
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                g = g.hadamard(&self.masks[i]);
+        let mut g = self.layers[n - 1].backward(grad_out);
+        for i in (0..n - 1).rev() {
+            let next_input = self.layers[i + 1].cached_input();
+            for (gv, &x) in g.as_mut_slice().iter_mut().zip(next_input.as_slice()) {
+                *gv *= if x > 0.0 { 1.0 } else { 0.0 };
             }
             g = self.layers[i].backward(&g);
         }
@@ -115,13 +110,8 @@ impl Mlp {
         self.adam.begin_step();
         for (layer, &(ws, bs)) in self.layers.iter_mut().zip(&self.slots) {
             let [(w, gw), (b, gb)] = layer.params_and_grads();
-            // split borrows: copy grads out (they're small)
-            let gw = gw.to_vec();
-            let gb = gb.to_vec();
-            self.adam.update(ws, w, &gw);
-            self.adam.update(bs, b, &gb);
-        }
-        for layer in &mut self.layers {
+            self.adam.update(ws, w, gw);
+            self.adam.update(bs, b, gb);
             layer.zero_grad();
         }
     }
@@ -144,7 +134,7 @@ impl Mlp {
     }
 
     /// Write every layer's weights and biases, then the embedded Adam
-    /// state. Gradients and ReLU mask caches are transient (zeroed or
+    /// state. Gradients and cached activations are transient (zeroed or
     /// rebuilt on the next training pass at any snapshot boundary) and
     /// are excluded so re-encoding restored state is byte-stable.
     pub fn snap_write(&self, w: &mut tango_snap::SnapWriter) {
@@ -195,6 +185,13 @@ impl Mlp {
                 *x = tau * y + (1.0 - tau) * *x;
             }
         }
+    }
+}
+
+/// In-place ReLU.
+fn relu(h: &mut Matrix) {
+    for v in h.as_mut_slice() {
+        *v = v.max(0.0);
     }
 }
 

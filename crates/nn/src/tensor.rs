@@ -81,104 +81,67 @@ impl Matrix {
     }
 
     /// `self · other` (rows×cols · cols×k). Panics on shape mismatch.
+    ///
+    /// Each output element starts at `+0.0` and adds `a[i][p]·b[p][j]`
+    /// in ascending `p`, skipping terms whose `a[i][p] == 0.0`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // Blocked i-k-j: a KB-row panel of `other` stays cache-resident
-        // while every row of `self` streams past it. For each output
-        // element the k's still accumulate in ascending order (panels
-        // ascend, k ascends within a panel), so results are bit-identical
-        // to the naive triple loop. The inner axpy is slice-zip form:
-        // independent lanes, no bounds checks, auto-vectorizable.
-        //
-        // Output rows are disjoint, so the row loop fans out over the
-        // global pool (statically chunked; each chunk keeps the same
-        // panel order), bit-identical at any thread count.
-        const KB: usize = 64;
-        let cols = other.cols;
-        let pool = tango_par::global().limit(self.rows * self.cols * cols, 1 << 17);
-        pool.par_chunks_mut(out.as_mut_slice(), cols.max(1), |first_row, out_rows| {
-            let mut kb = 0;
-            while kb < self.cols {
-                let kend = (kb + KB).min(self.cols);
-                for (r, out_row) in out_rows.chunks_mut(cols).enumerate() {
-                    let arow = &self.row(first_row + r)[kb..kend];
-                    for (dk, &a) in arow.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let orow = other.row(kb + dk);
-                        for (o, &b) in out_row.iter_mut().zip(orow) {
-                            *o += a * b;
-                        }
-                    }
-                }
-                kb = kend;
-            }
-        });
-        out
+        if self.rows <= 3 {
+            return axpy_rows(self.rows, self.entries(), other);
+        }
+        let row = |i| self.row(i).iter().copied();
+        gemm::<true, _>(self.rows, row, &pack(other), 0.0)
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
+    /// `selfᵀ · other`: the float sequence of [`Matrix::matmul`] on the
+    /// transposed left operand (`+0.0`, ascending, zero terms skipped).
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul shape mismatch: {}x{} ᵀ· {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let arow = self.row(r);
-            let brow = other.row(r);
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (j, &b) in brow.iter().enumerate() {
-                    out_row[j] += a * b;
-                }
-            }
+        if self.rows <= 3 {
+            return axpy_rows(self.cols, self.entries().map(|(r, i, x)| (i, r, x)), other);
         }
-        out
+        let column = |i| self.data.iter().skip(i).step_by(self.cols).copied();
+        gemm::<true, _>(self.cols, column, &pack(other), 0.0)
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`. Each output element is the dot product of two
+    /// rows as `Iterator::sum` folds it: it starts at `-0.0` and adds
+    /// every term in ascending order, zero terms included.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t shape mismatch: {}x{} · {}x{}ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        // Blocked over `other`'s rows so a JB-row panel is reused across
-        // every row of `self`. Each dot product is the same strict
-        // left-to-right reduction as before, so results are bit-identical
-        // — and output rows are independent, so they fan out over the
-        // global pool like `matmul`.
-        const JB: usize = 64;
-        let cols = other.rows;
-        let pool = tango_par::global().limit(self.rows * self.cols * cols, 1 << 17);
-        pool.par_chunks_mut(out.as_mut_slice(), cols.max(1), |first_row, out_rows| {
-            let mut jb = 0;
-            while jb < cols {
-                let jend = (jb + JB).min(cols);
-                for (r, out_row_full) in out_rows.chunks_mut(cols).enumerate() {
-                    let arow = self.row(first_row + r);
-                    let out_row = &mut out_row_full[jb..jend];
-                    for (o, j) in out_row.iter_mut().zip(jb..jend) {
-                        let brow = other.row(j);
-                        *o = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
-                    }
+        if self.rows <= 3 {
+            // A row or three (the critic's pooled row): packing `other`
+            // would cost as much as the product, so take the dots directly.
+            let mut out = Matrix::zeros(self.rows, other.rows);
+            for i in 0..self.rows {
+                for j in 0..other.rows {
+                    let terms = self.row(i).iter().zip(other.row(j));
+                    let dot = terms.fold(-0.0, |acc, (&a, &b)| acc + a * b);
+                    out.set(i, j, dot);
                 }
-                jb = jend;
             }
-        });
-        out
+            return out;
+        }
+        let row = |i| self.row(i).iter().copied();
+        gemm::<false, _>(self.rows, row, &pack_t(other), -0.0)
+    }
+
+    /// Every `(row, column, value)`, row-major.
+    fn entries(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
+        let rows = self.data.chunks_exact(self.cols.max(1)).enumerate();
+        rows.flat_map(|(r, row)| row.iter().enumerate().map(move |(c, &x)| (r, c, x)))
     }
 
     /// Transposed copy.
@@ -304,6 +267,151 @@ impl Matrix {
     }
 }
 
+/// `out[i] += x · b[p]` for every `(i, p, x)` with `x != 0.0`, into a
+/// zeroed `m×b.cols` output: the [`Matrix::matmul`] float sequence as
+/// long as each `i`'s terms come in ascending `p`. Serves left operands
+/// of 1–3 rows, where packing `b` or setting up a strip per output row
+/// would cost as much as the product (the critic's pooled row).
+fn axpy_rows(m: usize, terms: impl Iterator<Item = (usize, usize, f32)>, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m, b.cols);
+    for (i, p, x) in terms.filter(|&(_, _, x)| x != 0.0) {
+        for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(p)) {
+            *o += x * y;
+        }
+    }
+    out
+}
+
+/// A `k×n` right-hand operand in strip-major order: the columns of
+/// each strip (see [`strips_of`]) form one contiguous `k×w` block, so a
+/// strip's panel has unit stride whatever `n` is.
+struct Packed {
+    k: usize,
+    n: usize,
+    data: Vec<f32>,
+}
+
+/// Pack `b` as the right-hand operand.
+fn pack(b: &Matrix) -> Packed {
+    let mut data = Vec::with_capacity(b.rows * b.cols);
+    for (j0, w) in strips_of(b.cols) {
+        for row in b.data.chunks_exact(b.cols) {
+            data.extend_from_slice(&row[j0..j0 + w]);
+        }
+    }
+    Packed {
+        k: b.rows,
+        n: b.cols,
+        data,
+    }
+}
+
+/// Pack `bᵀ` as the right-hand operand.
+fn pack_t(b: &Matrix) -> Packed {
+    let mut data = Vec::with_capacity(b.rows * b.cols);
+    for (j0, w) in strips_of(b.rows) {
+        let rows = &b.data[j0 * b.cols..(j0 + w) * b.cols];
+        for p in 0..b.cols {
+            data.extend(rows.iter().skip(p).step_by(b.cols));
+        }
+    }
+    Packed {
+        k: b.cols,
+        n: b.rows,
+        data,
+    }
+}
+
+/// `(first column, width)` of each strip over `n` output columns: 32
+/// wide, then narrower strips for the remainder.
+fn strips_of(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j0 = 0;
+    std::iter::from_fn(move || {
+        let w = match n - j0 {
+            0 => return None,
+            32.. => 32,
+            16.. => 16,
+            8.. => 8,
+            4.. => 4,
+            _ => 1,
+        };
+        j0 += w;
+        Some((j0 - w, w))
+    })
+}
+
+/// `init + Σ_p a[i][p]·b[p][j]` for every output element, `p`
+/// ascending; with `SKIP`, terms whose `a[i][p] == 0.0` are left out.
+/// `a(i)` yields row `i` of the `m×k` left operand.
+///
+/// Each chunk of output rows first lists its rows' terms `(p, a[i][p])`
+/// (so the zero test is paid once per term, not once per strip). Then,
+/// one strip at a time, a strip of one output row stays in registers
+/// while its terms run, and every inner loop is a contiguous axpy over
+/// the strip's panel, which stays cache-hot while the chunk's rows
+/// stream past it. Output rows are independent, so they fan out over the
+/// global pool; no element's float sequence depends on the partition,
+/// hence bit-identical results at any thread count.
+fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
+    m: usize,
+    a: impl Fn(usize) -> R + Sync,
+    b: &Packed,
+    init: f32,
+) -> Matrix {
+    let n = b.n;
+    let mut out = Matrix::zeros(m, n);
+    let pool = tango_par::global().limit(m * b.k * n, 1 << 17);
+    pool.par_chunks_mut(&mut out.data, n, |first_row, out_rows| {
+        let mut ends = Vec::with_capacity(out_rows.len() / n);
+        let mut terms = Vec::new();
+        for i in first_row..first_row + out_rows.len() / n {
+            terms.extend(a(i).enumerate().filter(|&(_, x)| !(SKIP && x == 0.0)));
+            ends.push(terms.len());
+        }
+        for (j0, w) in strips_of(n) {
+            let panel = &b.data[j0 * b.k..(j0 + w) * b.k];
+            let strip: Strip = match w {
+                32 => strip::<32>,
+                16 => strip::<16>,
+                8 => strip::<8>,
+                4 => strip::<4>,
+                _ => strip::<1>,
+            };
+            strip(&terms, &ends, panel, init, out_rows, n, j0);
+        }
+    });
+    out
+}
+
+/// [`strip`] at one width.
+type Strip = fn(&[(usize, f32)], &[usize], &[f32], f32, &mut [f32], usize, usize);
+
+/// Columns `j0..j0 + W` of every row of an output chunk (row stride
+/// `n`) from the strip's `k×W` panel. Row `r`'s terms are
+/// `terms[ends[r - 1]..ends[r]]`.
+fn strip<const W: usize>(
+    terms: &[(usize, f32)],
+    ends: &[usize],
+    panel: &[f32],
+    init: f32,
+    out_rows: &mut [f32],
+    n: usize,
+    j0: usize,
+) {
+    let mut start = 0;
+    for (out_row, &end) in out_rows.chunks_exact_mut(n).zip(ends) {
+        let mut acc = [init; W];
+        for &(p, x) in &terms[start..end] {
+            let bs: &[f32; W] = panel[p * W..(p + 1) * W].try_into().expect("W columns");
+            for (o, &y) in acc.iter_mut().zip(bs) {
+                *o += x * y;
+            }
+        }
+        out_row[j0..j0 + W].copy_from_slice(&acc);
+        start = end;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,14 +511,17 @@ mod tests {
         assert!((a.norm() - 5.0).abs() < 1e-6);
     }
 
-    /// Reference triple-loop products for checking the blocked kernels.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    /// The exact float sequence of [`Matrix::matmul`]: `+0.0`, then
+    /// `a[i][p]·b[p][j]` for ascending `p`, skipping `a[i][p] == 0.0`.
+    fn ref_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows, b.cols);
         for i in 0..a.rows {
             for j in 0..b.cols {
                 let mut acc = 0.0f32;
-                for k in 0..a.cols {
-                    acc += a.get(i, k) * b.get(k, j);
+                for p in 0..a.cols {
+                    if a.get(i, p) != 0.0 {
+                        acc += a.get(i, p) * b.get(p, j);
+                    }
                 }
                 out.set(i, j, acc);
             }
@@ -418,59 +529,164 @@ mod tests {
         out
     }
 
-    /// The row-parallel kernels preserve the per-element accumulation
-    /// order, so any thread count must match the single-thread result
-    /// bit-for-bit (the tango-par determinism contract).
-    #[test]
-    fn matmul_is_thread_count_invariant() {
-        let a =
-            Matrix::from_vec(67, 130, (0..67 * 130).map(|i| (i as f32).sin()).collect()).unwrap();
-        let b =
-            Matrix::from_vec(130, 41, (0..130 * 41).map(|i| (i as f32).cos()).collect()).unwrap();
-        let saved = tango_par::threads();
-        tango_par::set_threads(1);
-        let (m1, t1) = (a.matmul(&b), a.matmul_t(&b.transpose()));
-        for t in [2usize, 4, 8] {
-            tango_par::set_threads(t);
-            assert_eq!(a.matmul(&b), m1, "matmul, threads = {t}");
-            assert_eq!(a.matmul_t(&b.transpose()), t1, "matmul_t, threads = {t}");
+    /// The exact float sequence of [`Matrix::t_matmul`]: `+0.0`, then
+    /// `a[r][i]·b[r][j]` for ascending `r`, skipping `a[r][i] == 0.0`.
+    fn ref_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for i in 0..a.cols {
+            for j in 0..b.cols {
+                let mut acc = 0.0f32;
+                for r in 0..a.rows {
+                    if a.get(r, i) != 0.0 {
+                        acc += a.get(r, i) * b.get(r, j);
+                    }
+                }
+                out.set(i, j, acc);
+            }
         }
-        tango_par::set_threads(saved);
+        out
     }
 
-    /// The blocked kernels preserve the naive kernels' per-element
-    /// accumulation order, so they must match bit-for-bit — including on
-    /// shapes larger than one block and on non-multiple-of-block sizes.
-    #[test]
-    fn blocked_matmul_matches_naive_reference() {
-        let mut state = 0x243F6A8885A308D3u64;
-        let mut rnd = move || {
+    /// The exact float sequence of [`Matrix::matmul_t`]: `-0.0`, then
+    /// every `a[i][p]·b[j][p]` for ascending `p`.
+    fn ref_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                let mut acc = -0.0f32;
+                for p in 0..a.cols {
+                    acc += a.get(i, p) * b.get(j, p);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(
+            (got.rows, got.cols),
+            (want.rows, want.cols),
+            "{what}: shape"
+        );
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{idx}]: {g} vs {w}");
+        }
+    }
+
+    /// A seeded `rows×cols` matrix in the shapes the kernels meet: row
+    /// `r % 4 == 1` is ReLU-sparse (about half exact zeros), row
+    /// `r % 4 == 2` is all `-0.0` and `+0.0`, the rest are dense with
+    /// scattered `-0.0` entries.
+    fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed | 1;
+        let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            (state >> 40) as f32 / 16777216.0 - 0.5
+            (state >> 40) as f32 / 16_777_216.0 - 0.5
         };
-        for &(r, k, c) in &[
-            (3usize, 5usize, 4usize),
-            (17, 64, 9),
-            (33, 130, 70),
-            (1, 200, 1),
-        ] {
-            let a = Matrix::from_vec(r, k, (0..r * k).map(|_| rnd()).collect()).unwrap();
-            let b = Matrix::from_vec(k, c, (0..k * c).map(|_| rnd()).collect()).unwrap();
-            let blocked = a.matmul(&b);
-            let naive = naive_matmul(&a, &b);
-            assert_eq!(blocked, naive, "matmul {r}x{k}·{k}x{c}");
-            // matmul_t: a · (bᵀ)ᵀ, i.e. against a c×k matrix
-            let bt = b.transpose();
-            let blocked_t = a.matmul_t(&bt);
-            assert_eq!((blocked_t.rows, blocked_t.cols), (r, c));
-            for i in 0..r {
-                for j in 0..c {
-                    let d = (blocked_t.get(i, j) - naive.get(i, j)).abs();
-                    assert!(d < 1e-5, "matmul_t [{i},{j}] off by {d}");
+        let mut m = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = next();
+                let v = match r % 4 {
+                    1 => v.max(0.0),
+                    2 if c % 2 == 0 => -0.0,
+                    2 => 0.0,
+                    _ if c % 7 == 3 => -0.0,
+                    _ => v,
+                };
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    /// All three kernels equal their reference float sequences bit for
+    /// bit, over empty, one-row, few-row and wide shapes, strip widths
+    /// on and around 32, and inputs with signed zeros. Depth index 1 of
+    /// the right operand is infinite, so a kernel that multiplied a
+    /// zero left term instead of skipping it would produce NaN.
+    #[test]
+    fn kernels_match_their_float_sequences_bitwise() {
+        for m in [0usize, 1, 3, 183] {
+            for k in [0usize, 1, 16, 256] {
+                for n in [1usize, 31, 32, 33, 257] {
+                    let a = awkward(m, k, (m * 1000 + k) as u64);
+                    let mut b = awkward(k, n, (k * 1000 + n + 7) as u64);
+                    if k > 1 {
+                        b.row_mut(1).fill(f32::INFINITY);
+                    }
+                    let what = format!("{m}x{k}·{k}x{n}");
+                    assert_bits_eq(
+                        &a.matmul(&b),
+                        &ref_matmul(&a, &b),
+                        &format!("matmul {what}"),
+                    );
+                    let at = awkward(k, m, (m * 31 + k) as u64);
+                    assert_bits_eq(
+                        &at.t_matmul(&b),
+                        &ref_t_matmul(&at, &b),
+                        &format!("t_matmul {what}"),
+                    );
+                    let mut bt = awkward(n, k, (n * 31 + k + 3) as u64);
+                    if k > 1 {
+                        (0..n).for_each(|j| bt.set(j, 1, f32::INFINITY));
+                    }
+                    assert_bits_eq(
+                        &a.matmul_t(&bt),
+                        &ref_matmul_t(&a, &bt),
+                        &format!("matmul_t {what}"),
+                    );
                 }
             }
         }
+    }
+
+    /// With nothing to add, `matmul` and `t_matmul` give `+0.0` and
+    /// `matmul_t` gives `-0.0`, the neutral element of `Iterator::sum`.
+    #[test]
+    fn empty_depth_gives_the_initial_zero() {
+        for m in [1usize, 3, 5] {
+            let a = Matrix::zeros(m, 0);
+            assert!(a
+                .matmul(&Matrix::zeros(0, 4))
+                .as_slice()
+                .iter()
+                .all(|v| v.to_bits() == 0));
+            assert!(Matrix::zeros(0, m)
+                .t_matmul(&Matrix::zeros(0, 4))
+                .as_slice()
+                .iter()
+                .all(|v| v.to_bits() == 0));
+            let t = a.matmul_t(&Matrix::zeros(4, 0));
+            assert!(t
+                .as_slice()
+                .iter()
+                .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        }
+    }
+
+    /// No element's float sequence depends on how rows are chunked, so
+    /// any thread count must match the single-thread result bit for bit
+    /// (the tango-par determinism contract).
+    #[test]
+    fn kernels_are_thread_count_invariant() {
+        let a = awkward(67, 130, 11);
+        let b = awkward(130, 41, 12);
+        let c = awkward(67, 41, 13);
+        let run = || (a.matmul(&b), a.t_matmul(&c), a.matmul_t(&b.transpose()));
+        let saved = tango_par::threads();
+        tango_par::set_threads(1);
+        let (m1, t1, u1) = run();
+        for t in [2usize, 4, 8] {
+            tango_par::set_threads(t);
+            let (mt, tt, ut) = run();
+            assert_bits_eq(&mt, &m1, &format!("matmul, threads = {t}"));
+            assert_bits_eq(&tt, &t1, &format!("t_matmul, threads = {t}"));
+            assert_bits_eq(&ut, &u1, &format!("matmul_t, threads = {t}"));
+        }
+        tango_par::set_threads(saved);
     }
 }

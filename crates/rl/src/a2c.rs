@@ -161,12 +161,11 @@ impl A2cAgent {
     }
 
     /// Policy probabilities for a state (inference; exposed for tests and
-    /// greedy evaluation).
+    /// greedy evaluation). The actor runs on the admitted rows only.
     pub fn policy(&mut self, graph: &FeatureGraph, mask: &[bool]) -> Option<Vec<f32>> {
         let emb = self.encoder.forward(graph);
-        let logits = self.actor.forward_inference(&emb);
-        let flat: Vec<f32> = (0..logits.rows).map(|r| logits.get(r, 0)).collect();
-        masked_softmax(&flat, mask)
+        let logits = self.actor.forward_inference(&admitted_rows(&emb, mask));
+        masked_softmax(&scatter(&logits, mask), mask)
     }
 
     /// State value estimate (inference).
@@ -174,6 +173,24 @@ impl A2cAgent {
         let emb = self.encoder.forward(graph);
         let pooled = emb.mean_rows();
         self.critic.forward_inference(&pooled).get(0, 0)
+    }
+
+    /// Report the reward for the previous `act`; trains every
+    /// `train_interval` samples. Unlike [`Agent::observe`] it takes no
+    /// next state, so callers need not build one.
+    pub fn reward(&mut self, reward: f32, done: bool) {
+        if let Some((graph, mask, action)) = self.pending.take() {
+            self.buffer.push(Transition {
+                graph,
+                mask,
+                action,
+                reward,
+                done,
+            });
+            if self.buffer.len() >= self.cfg.train_interval {
+                self.train();
+            }
+        }
     }
 
     fn train(&mut self) {
@@ -201,10 +218,11 @@ impl A2cAgent {
         for (t, &ret) in buffer.iter().zip(&returns) {
             let n = t.graph.len();
             // --- forward (training mode, caches everywhere) ---
+            // The encoder sees every node (its sampling draws must keep
+            // their order); the actor sees only the rows c_t admits.
             let emb = self.encoder.forward(&t.graph);
-            let logits_m = self.actor.forward(&emb);
-            let logits: Vec<f32> = (0..n).map(|r| logits_m.get(r, 0)).collect();
-            let Some(probs) = masked_softmax(&logits, &t.mask) else {
+            let logits = self.actor.forward(&admitted_rows(&emb, &t.mask));
+            let Some(probs) = masked_softmax(&scatter(&logits, &t.mask), &t.mask) else {
                 continue;
             };
             let pooled = emb.mean_rows();
@@ -219,7 +237,7 @@ impl A2cAgent {
                 .filter(|&&p| p > 0.0)
                 .map(|&p| -p * p.ln())
                 .sum();
-            let mut dlogits = Matrix::zeros(n, 1);
+            let mut dlogits = Vec::with_capacity(logits.rows);
             for (i, &p) in probs.iter().enumerate() {
                 if !t.mask[i] {
                     continue;
@@ -229,15 +247,24 @@ impl A2cAgent {
                 if p > 0.0 {
                     g += self.cfg.entropy_coef * p * (p.ln() + entropy);
                 }
-                dlogits.set(i, 0, g);
+                dlogits.push(g);
             }
-            let d_emb_actor = self.actor.backward(&dlogits);
+            let dlogits = Matrix::from_vec(logits.rows, 1, dlogits).expect("one per admitted row");
+            let d_admitted = self.actor.backward(&dlogits);
 
             // --- critic gradient: L = (V − R)² → dL/dV = 2(V − R) ---
             let dv = Matrix::from_vec(1, 1, vec![2.0 * (value - ret)]).expect("1x1");
             let d_pooled = self.critic.backward(&dv);
+            // Spread the actor's gradient back to full size. A masked
+            // node's logit is never read, so its row is zero; the full
+            // backward would give it ±0 entries instead, and every
+            // gradient sink starts at +0.0, where adding ±0 is a no-op.
+            let mut d_emb = Matrix::zeros(n, emb.cols);
+            let admitted = (0..n).filter(|&i| t.mask[i]);
+            for (i, g) in admitted.zip(d_admitted.as_slice().chunks_exact(emb.cols)) {
+                d_emb.row_mut(i).copy_from_slice(g);
+            }
             // distribute pooled gradient back to every node embedding
-            let mut d_emb = d_emb_actor;
             let inv_n = 1.0 / n as f32;
             for r in 0..n {
                 for c in 0..d_pooled.cols {
@@ -264,6 +291,8 @@ impl Agent for A2cAgent {
         Some(action)
     }
 
+    /// A2C bootstraps from its own buffer, so the next state is unused:
+    /// this is [`A2cAgent::reward`].
     fn observe(
         &mut self,
         reward: f32,
@@ -271,19 +300,30 @@ impl Agent for A2cAgent {
         _next_mask: &[bool],
         done: bool,
     ) {
-        if let Some((graph, mask, action)) = self.pending.take() {
-            self.buffer.push(Transition {
-                graph,
-                mask,
-                action,
-                reward,
-                done,
-            });
-            if self.buffer.len() >= self.cfg.train_interval {
-                self.train();
-            }
-        }
+        self.reward(reward, done);
     }
+}
+
+/// The rows of `emb` that `mask` admits, in order.
+fn admitted_rows(emb: &Matrix, mask: &[bool]) -> Matrix {
+    let rows: Vec<usize> = (0..emb.rows).filter(|&r| mask[r]).collect();
+    let data = rows.iter().flat_map(|&r| emb.row(r)).copied().collect();
+    Matrix::from_vec(rows.len(), emb.cols, data).expect("whole rows")
+}
+
+/// Per-node logits from the admitted rows' one-column output; masked
+/// entries hold 0.0 and are never read.
+fn scatter(logits: &Matrix, mask: &[bool]) -> Vec<f32> {
+    let mut admitted = logits.as_slice().iter();
+    mask.iter()
+        .map(|&m| {
+            if m {
+                *admitted.next().expect("one logit per admitted row")
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

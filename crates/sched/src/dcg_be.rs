@@ -212,14 +212,10 @@ impl BeScheduler for DcgBe {
         Some((nodes[idx].node, *demand))
     }
 
-    fn feedback(&mut self, reward: f32, next_demand: &Resources, next_nodes: &[CandidateNode]) {
-        let graph = build_graph(next_demand, next_nodes);
-        let mask = if self.context_filter {
-            context_mask(next_demand, next_nodes)
-        } else {
-            next_nodes.iter().map(|c| c.alive).collect()
-        };
-        self.agent.observe(reward, &graph, &mask, false);
+    /// A2C bootstraps from its own buffer, so the next state is not
+    /// built.
+    fn feedback(&mut self, reward: f32, _: &Resources, _: &[CandidateNode]) {
+        self.agent.reward(reward, false);
     }
 
     fn name(&self) -> &'static str {
