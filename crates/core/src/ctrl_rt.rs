@@ -22,7 +22,7 @@
 
 use crate::config::TangoConfig;
 use crate::ctx::SystemCtx;
-use crate::lifecycle;
+use crate::fault_rt;
 use crate::system::EdgeCloudSystem;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use tango_ctrl::{
     DecisionSource, HealthDetector, MirrorHandle, MirrorNode, ProxyBackend, ProxyStats,
 };
 use tango_metrics::TraceEvent;
-use tango_types::{ClusterId, NodeId, RequestId, ServiceClass, SimTime};
+use tango_types::{ClusterId, NodeId, SimTime};
 
 /// Control-plane state owned by the system: the optional keep-alive
 /// detector, the optional state mirror, and proxy fallback bookkeeping.
@@ -88,8 +88,8 @@ pub(crate) fn keepalive_tick(ctx: &mut SystemCtx<'_>, now: SimTime) {
     ctx.ctrl.detector = Some(det);
 }
 
-/// The detector tripped on `node`: the control plane now knows about the
-/// crash, so everything the oracle path does at crash time happens here.
+/// The detector tripped on `node`: record the detection lag, then run
+/// the crash reaction the oracle fault model runs at crash time.
 fn on_detected(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
     let lag = ctx.fault.down_duration(node, now);
     ctx.counters.on_detection(now, lag);
@@ -97,24 +97,7 @@ fn on_detected(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
         kind: "detected",
         node: Some(node),
     });
-    // Work interrupted by the physical crash was parked in limbo; it is
-    // only now, at detection, that the schedulers get it back.
-    for (class, rid) in ctx.fault.take_limbo(node) {
-        match class {
-            ServiceClass::Lc => ctx.fault.summary.lc_interrupted += 1,
-            ServiceClass::Be => ctx.fault.summary.be_interrupted += 1,
-        }
-        ctx.fault.summary.rescheduled += 1;
-        lifecycle::requeue_or_abandon(ctx, rid, now);
-    }
-    // Requests waiting *at* the node drain back to their origin queues.
-    let waiting: Vec<RequestId> = ctx.lifecycle.node_wait[node.index()].drain(..).collect();
-    ctx.fault.summary.wait_drained += waiting.len() as u64;
-    ctx.fault.summary.rescheduled += waiting.len() as u64;
-    for rid in waiting {
-        lifecycle::requeue_or_abandon(ctx, rid, now);
-    }
-    ctx.lifecycle.reserved.clear_node(node);
+    fault_rt::on_crash_detected(ctx, node, now);
     // The detected-down flag is a structural view input.
     ctx.dispatch.views.invalidate_structure();
 }

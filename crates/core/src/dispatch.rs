@@ -371,7 +371,6 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
             };
             let service = req.service;
             let demand = req.demand;
-            let payload = ctx.catalog.get(service).payload_kib;
             let local: Vec<CandidateNode> = {
                 let views = &mut ctx.dispatch.views;
                 let inp = view_inputs!(ctx);
@@ -389,25 +388,7 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
                     ctx.clusters[ci].be_q.push_back(rid);
                 }
                 Some((node, granted)) => {
-                    if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
-                        r.mark_dispatched(node);
-                        // continuous-action policies may grant less than
-                        // the nominal demand; the grant is what the node
-                        // reserves and the pod gets
-                        r.demand = granted;
-                        ctx.lifecycle.reserved.add(node, granted);
-                    }
-                    ctx.dispatch.be_pending_feedback = Some(node);
-                    ctx.emit(now, || TraceEvent::DispatchDecision {
-                        request: rid,
-                        target: node,
-                        lane: TraceLane::Be,
-                    });
-                    let delay = failover_delay
-                        + ctx
-                            .topology
-                            .transfer_time(cluster, cluster_of_node(ctx, node), payload);
-                    sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
+                    commit_be_placement(ctx, rid, node, granted, cluster, failover_delay, sched);
                 }
                 None => ctx.clusters[ci].be_q.push_back(rid),
             }
@@ -425,6 +406,44 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
     // locally until the partition heals)
 
     sched.schedule_in(ctx.cfg.dispatch_interval, Event::Dispatch(cluster));
+}
+
+/// Commit one BE placement decided at cluster `from`: the request is
+/// dispatched with the scheduler's grant — continuous-action policies may
+/// grant less than the nominal demand, and the grant is what the node
+/// reserves and the pod gets — the decision awaits its reward, and the
+/// payload is delivered after the failover hop plus its transfer time. A
+/// placement on the cloud tier ships its payload across the metered
+/// edge→cloud boundary.
+fn commit_be_placement(
+    ctx: &mut SystemCtx<'_>,
+    rid: RequestId,
+    node: NodeId,
+    granted: Resources,
+    from: ClusterId,
+    failover_delay: SimTime,
+    sched: &mut Sched<'_>,
+) {
+    let now = sched.now();
+    let Some(r) = ctx.lifecycle.requests.get_mut(&rid) else {
+        return;
+    };
+    r.mark_dispatched(node);
+    r.demand = granted;
+    ctx.lifecycle.reserved.add(node, granted);
+    let payload = ctx.catalog.get(r.service).payload_kib;
+    ctx.dispatch.be_pending_feedback = Some(node);
+    ctx.emit(now, || TraceEvent::DispatchDecision {
+        request: rid,
+        target: node,
+        lane: TraceLane::Be,
+    });
+    let target_cluster = cluster_of_node(ctx, node);
+    if Some(target_cluster) == ctx.migration.cloud {
+        crate::migration::charge_egress(ctx, now, payload);
+    }
+    let delay = failover_delay + ctx.topology.transfer_time(from, target_cluster, payload);
+    sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
 }
 
 /// Pay the §5.3.1 reward for the previous BE decision.
@@ -491,7 +510,6 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
         };
         let service = req.service;
         let demand = req.demand;
-        let payload = ctx.catalog.get(service).payload_kib;
         let candidates: Arc<Vec<CandidateNode>> = {
             let views = &mut ctx.dispatch.views;
             let inp = view_inputs!(ctx);
@@ -504,28 +522,7 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
                 deferred.push_back(rid);
             }
             Some((node, granted)) => {
-                if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
-                    r.mark_dispatched(node);
-                    // sized grant from a continuous-action policy (equals
-                    // the nominal demand for discrete policies)
-                    r.demand = granted;
-                    ctx.lifecycle.reserved.add(node, granted);
-                }
-                ctx.dispatch.be_pending_feedback = Some(node);
-                ctx.emit(now, || TraceEvent::DispatchDecision {
-                    request: rid,
-                    target: node,
-                    lane: TraceLane::Be,
-                });
-                let target_cluster = cluster_of_node(ctx, node);
-                // A BE placement on the cloud tier ships its payload
-                // across the metered edge→cloud boundary.
-                if Some(target_cluster) == ctx.migration.cloud {
-                    crate::migration::charge_egress(ctx, now, payload);
-                }
-                let delay =
-                    failover_delay + ctx.topology.transfer_time(central, target_cluster, payload);
-                sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
+                commit_be_placement(ctx, rid, node, granted, central, failover_delay, sched);
             }
             None => {
                 // nothing feasible system-wide right now: try again

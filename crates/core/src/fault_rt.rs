@@ -12,7 +12,9 @@ use crate::report::RunAudit;
 use crate::system::Event;
 use tango_faults::{FaultEvent, FaultState};
 use tango_metrics::TraceEvent;
-use tango_types::{ClusterId, RequestId, RequestOutcome, RequestState, ServiceClass, SimTime};
+use tango_types::{
+    ClusterId, NodeId, RequestId, RequestOutcome, RequestState, ServiceClass, SimTime,
+};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
 
@@ -74,61 +76,34 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
     match fault {
         FaultEvent::NodeCrash { node } => {
             let is_master = ctx.nodes[node.index()].is_master;
-            if ctx.cfg.detection.is_some() {
-                // Detection-driven fault model: the crash is physical
-                // only. Nothing the control plane owns may react yet —
-                // interrupted work parks in limbo, wait queues and
-                // reservations stay, candidate views are NOT
-                // invalidated (the *believed* state did not change, and
-                // an attached mirror must not telegraph the crash). The
-                // keep-alive detector trips later in
-                // `ctrl_rt::keepalive_tick` and runs the reaction.
-                if !ctx.fault.on_phys_crash(node, now, is_master) {
-                    return; // already physically down
-                }
-                ctx.emit(now, || TraceEvent::Fault {
-                    kind: "crash",
-                    node: Some(node),
-                });
-                let limbo: Vec<(ServiceClass, RequestId)> = ctx.nodes[node.index()]
-                    .crash(now)
-                    .into_iter()
-                    .map(|(class, rr)| (class, rr.request))
-                    .collect();
-                ctx.fault.push_limbo(node, limbo);
-                return;
-            }
-            if !ctx.fault.on_crash(node, now, is_master) {
+            if !ctx.fault.on_phys_crash(node, now, is_master) {
                 return; // already down (overlapping churn draw)
             }
             ctx.emit(now, || TraceEvent::Fault {
                 kind: "crash",
                 node: Some(node),
             });
-            // Everything running on the node dies; interrupted work
-            // is re-queued at its origin master (LC) or the central
-            // dispatcher (BE).
-            let interrupted = ctx.nodes[node.index()].crash(now);
-            for (class, rr) in interrupted {
-                match class {
-                    ServiceClass::Lc => ctx.fault.summary.lc_interrupted += 1,
-                    ServiceClass::Be => ctx.fault.summary.be_interrupted += 1,
-                }
-                ctx.fault.summary.rescheduled += 1;
-                lifecycle::requeue_or_abandon(ctx, rr.request, now);
+            // Everything running on the node dies and parks in limbo
+            // until the control plane learns of the crash.
+            let limbo: Vec<(ServiceClass, RequestId)> = ctx.nodes[node.index()]
+                .crash(now)
+                .into_iter()
+                .map(|(class, rr)| (class, rr.request))
+                .collect();
+            ctx.fault.push_limbo(node, limbo);
+            if ctx.cfg.detection.is_some() {
+                // Detection-driven fault model: the crash is physical
+                // only. Nothing the control plane owns may react yet —
+                // wait queues and reservations stay, candidate views are
+                // NOT invalidated (the *believed* state did not change,
+                // and an attached mirror must not telegraph the crash).
+                // The keep-alive detector trips later in
+                // `ctrl_rt::keepalive_tick` and runs the reaction.
+                return;
             }
-            // Requests waiting *at* the node (§5.2.2 R′_k) drain back
-            // to their origin queues.
-            let waiting: Vec<RequestId> = ctx.lifecycle.node_wait[node.index()].drain(..).collect();
-            ctx.fault.summary.wait_drained += waiting.len() as u64;
-            ctx.fault.summary.rescheduled += waiting.len() as u64;
-            for rid in waiting {
-                lifecycle::requeue_or_abandon(ctx, rid, now);
-            }
-            // Wipe the in-flight reservation entry wholesale;
-            // deliveries still in the air bounce on the epoch check
-            // instead of decrementing a table that no longer exists.
-            ctx.lifecycle.reserved.clear_node(node);
+            // Oracle fault model: the crash is detected in the same event.
+            ctx.fault.mark_detected(node);
+            on_crash_detected(ctx, node, now);
         }
         FaultEvent::NodeRecover { node } => {
             // A recovery can land before the keep-alive detector ever
@@ -144,14 +119,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 node: Some(node),
             });
             if undetected {
-                for (class, rid) in ctx.fault.take_limbo(node) {
-                    match class {
-                        ServiceClass::Lc => ctx.fault.summary.lc_interrupted += 1,
-                        ServiceClass::Be => ctx.fault.summary.be_interrupted += 1,
-                    }
-                    ctx.fault.summary.rescheduled += 1;
-                    lifecycle::requeue_or_abandon(ctx, rid, now);
-                }
+                requeue_limbo(ctx, node, now);
             }
             // Accumulated keep-alive suspicion no longer describes the
             // restarted node.
@@ -210,6 +178,38 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
     // flags or topology); arms that found nothing to do returned early
     // above. Cached candidate views rebuild on their next use.
     ctx.dispatch.views.invalidate_structure();
+}
+
+/// The control plane has learned that `node` crashed — in the crash
+/// event itself under the oracle fault model, at the keep-alive trip
+/// under detection. The interrupted work goes back to the schedulers,
+/// requests waiting *at* the node (§5.2.2 R′_k) drain back to their
+/// origin queues, and the node's in-flight reservation entry is wiped
+/// wholesale: deliveries still in the air bounce on the epoch check
+/// instead of decrementing a table that no longer exists. The caller
+/// invalidates the candidate views.
+pub(crate) fn on_crash_detected(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
+    requeue_limbo(ctx, node, now);
+    let waiting: Vec<RequestId> = ctx.lifecycle.node_wait[node.index()].drain(..).collect();
+    ctx.fault.summary.wait_drained += waiting.len() as u64;
+    ctx.fault.summary.rescheduled += waiting.len() as u64;
+    for rid in waiting {
+        lifecycle::requeue_or_abandon(ctx, rid, now);
+    }
+    ctx.lifecycle.reserved.clear_node(node);
+}
+
+/// Hand the work a crash interrupted on `node` back to the schedulers:
+/// LC at its origin master, BE at the central dispatcher.
+fn requeue_limbo(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
+    for (class, rid) in ctx.fault.take_limbo(node) {
+        match class {
+            ServiceClass::Lc => ctx.fault.summary.lc_interrupted += 1,
+            ServiceClass::Be => ctx.fault.summary.be_interrupted += 1,
+        }
+        ctx.fault.summary.rescheduled += 1;
+        lifecycle::requeue_or_abandon(ctx, rid, now);
+    }
 }
 
 /// Bucket every injected request by its terminal state — the fault tests

@@ -63,5 +63,5 @@ pub use runtime::run_parallel;
 pub use snapshot::{config_fingerprint, Checkpoint, CheckpointPolicy, Resumed};
 pub use system::{EdgeCloudSystem, Event};
 pub use tango_faults::{FaultEvent, FaultPlan, FaultSummary, NodeChurn, NodeRef};
-pub use tango_metrics::{NoopTrace, TraceEvent, TraceLane, TraceRecorder, TraceSink};
+pub use tango_metrics::{TraceEvent, TraceLane, TraceRecorder, TraceSink};
 pub use tango_snap::SnapError;

@@ -13,6 +13,7 @@ use crate::ctx::SystemCtx;
 use crate::system::Event;
 use std::collections::VecDeque;
 use tango_metrics::TraceEvent;
+use tango_snap::SnapError;
 use tango_types::{
     ClusterId, FxHashMap, NodeId, Request, RequestId, RequestOutcome, Resources, ServiceClass,
     ServiceId, SimTime,
@@ -140,15 +141,16 @@ impl ReservationTable {
     }
 
     /// Replace the table's contents with decoded entries (restore path).
-    pub(crate) fn load(&mut self, entries: &[(NodeId, Resources)]) {
+    /// An entry naming a node outside the table is
+    /// [`SnapError::Corrupt`]: the table covers exactly the rebuilt
+    /// system's nodes and is never sized from the bytes.
+    pub(crate) fn load(&mut self, entries: &[(NodeId, Resources)]) -> Result<(), SnapError> {
         self.held.fill(Resources::ZERO);
         for &(node, r) in entries {
-            let i = node.index();
-            if i >= self.held.len() {
-                self.held.resize(i + 1, Resources::ZERO);
-                self.stamps.resize(i + 1, 0);
-            }
-            self.held[i] = r;
+            *self
+                .held
+                .get_mut(node.index())
+                .ok_or(SnapError::Corrupt("reservation node id"))? = r;
         }
         // one bump marks every row newer than any pre-restore view; the
         // bulk change is not journaled, so force readers to a full scan
@@ -156,6 +158,7 @@ impl ReservationTable {
         self.stamps.fill(self.clock);
         self.journal.clear();
         self.journal_base = self.clock;
+        Ok(())
     }
 }
 
@@ -348,7 +351,7 @@ pub(crate) fn try_admit_at(
     admit_req.demand = eff_demand;
 
     let node = &mut ctx.nodes[node_id.index()];
-    let result = ctx.allocator.try_admit(node, &admit_req, work, now);
+    let result = ctx.allocator.admit(node, &admit_req, work as f64, now);
     let admitted = result.is_ok();
     ctx.emit(now, || TraceEvent::Admission {
         request: rid,
@@ -594,6 +597,21 @@ mod tests {
         let expired = expire_queue(&catalog, &mut queue, &requests, SimTime::from_secs(60), now);
         assert_eq!(expired, vec![RequestId(0)]);
         assert_eq!(queue, VecDeque::from(vec![RequestId(1)]));
+    }
+
+    #[test]
+    fn reservation_load_rejects_node_ids_outside_the_table() {
+        let mut table = ReservationTable::new(4);
+        let r = Resources::cpu_mem(100, 64);
+        table.load(&[(NodeId(3), r)]).unwrap();
+        assert_eq!(table.get(NodeId(3)), r);
+        for hostile in [4, 4_000_000_000] {
+            assert!(matches!(
+                table.load(&[(NodeId(hostile), r)]),
+                Err(SnapError::Corrupt("reservation node id"))
+            ));
+            assert_eq!(table.held.len(), 4, "table never grows toward {hostile}");
+        }
     }
 
     #[test]

@@ -105,40 +105,19 @@ impl Allocator {
         }
     }
 
-    /// Try to admit `req` on `node` (the §4.1 regulations under HRM;
-    /// clamp-into-fixed-limits under static allocation).
-    pub(crate) fn try_admit(
+    /// Admit `req` on `node` with `work` left to run — a fresh request's
+    /// nominal work or a migrated pod's residual (the §4.1 regulations
+    /// under HRM; clamp-into-fixed-limits under static allocation).
+    pub(crate) fn admit(
         &mut self,
         node: &mut Node,
         req: &Request,
-        work_milli_ms: u64,
+        work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
         match self {
-            Allocator::Hrm(h) => h.try_admit(node, req, work_milli_ms, now),
-            Allocator::Static(s) => s.try_admit(node, req, work_milli_ms, now),
-        }
-    }
-
-    /// Admit a migrated BE pod resuming from residual work (the §4.1
-    /// regulations with D-VPA growth under HRM; clamp-into-fixed-limits
-    /// under static allocation).
-    pub(crate) fn try_admit_migrated(
-        &mut self,
-        node: &mut Node,
-        request: tango_types::RequestId,
-        service: tango_types::ServiceId,
-        demand: tango_types::Resources,
-        remaining_work: f64,
-        now: SimTime,
-    ) -> Result<(), tango_types::TangoError> {
-        match self {
-            Allocator::Hrm(h) => {
-                h.try_admit_migrated(node, request, service, demand, remaining_work, now)
-            }
-            Allocator::Static(s) => {
-                s.try_admit_migrated(node, request, service, demand, remaining_work, now)
-            }
+            Allocator::Hrm(h) => h.admit(node, req, work, now),
+            Allocator::Static(s) => s.admit(node, req, work, now),
         }
     }
 

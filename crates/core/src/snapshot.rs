@@ -26,7 +26,7 @@ use crate::runtime::Allocator;
 use crate::system::{EdgeCloudSystem, Event};
 use std::collections::VecDeque;
 use tango_faults::FaultEvent;
-use tango_metrics::{ExperimentCounters, QosDetector};
+use tango_metrics::ExperimentCounters;
 use tango_simcore::{Engine, EventQueue};
 use tango_snap::{
     fnv1a, SnapDecode, SnapEncode, SnapError, SnapFile, SnapFileBuilder, SnapReader, SnapWriter,
@@ -411,7 +411,7 @@ impl EdgeCloudSystem {
         sys.lifecycle.requests = decode_requests(&mut r)?;
         sys.lifecycle.next_request_id = r.u64()?;
         let reservations = decode_reservations(&mut r)?;
-        sys.lifecycle.reserved.load(&reservations);
+        sys.lifecycle.reserved.load(&reservations)?;
         let node_wait = Vec::<VecDeque<RequestId>>::decode(&mut r)?;
         if node_wait.len() != sys.nodes.len() {
             return Err(SnapError::Corrupt("node wait-queue count"));
@@ -459,10 +459,7 @@ impl EdgeCloudSystem {
         sys.counters = ExperimentCounters::decode(&mut r)?;
 
         let mut r = file.section(SEC_DETECTOR, "detector section")?;
-        sys.detector = QosDetector::decode(&mut r)?;
-        // the snapshot only carries nodes with recorded windows; size the
-        // row table back up so sharded sync can zip rows with nodes
-        sys.detector.ensure_nodes(sys.nodes.len());
+        sys.detector.restore(&mut r, sys.nodes.len())?;
 
         let mut r = file.section(SEC_REASSURER, "reassurer section")?;
         match (r.u8()?, sys.reassurer.as_mut()) {
@@ -488,7 +485,7 @@ impl EdgeCloudSystem {
         sys.topology.restore_dynamic(&mut r)?;
 
         let mut r = file.section(SEC_STORE, "store section")?;
-        sys.store.restore(&mut r)?;
+        sys.store.restore(&mut r, sys.nodes.len())?;
 
         let mut r = file.section(SEC_ENGINE, "engine section")?;
         let now = SimTime::decode(&mut r)?;
@@ -549,6 +546,18 @@ impl EdgeCloudSystem {
         label: &str,
         policy: CheckpointPolicy,
     ) -> Result<(RunReport, Vec<Checkpoint>), SnapError> {
+        let checkpoints = self.run_inner_checkpointed(duration, policy)?;
+        Ok((self.finish(label), checkpoints))
+    }
+
+    /// The checkpoint loop behind [`run_checkpointed`](Self::run_checkpointed):
+    /// run to `duration`, sealing a snapshot at each checkpoint boundary,
+    /// and return the retained checkpoints without finishing the run.
+    pub(crate) fn run_inner_checkpointed(
+        &mut self,
+        duration: SimTime,
+        policy: CheckpointPolicy,
+    ) -> Result<Vec<Checkpoint>, SnapError> {
         let mut engine: Engine<Event> = Engine::new();
         self.prime(&mut engine, duration);
         let step = SimTime::from_micros(
@@ -557,17 +566,17 @@ impl EdgeCloudSystem {
         let mut checkpoints: VecDeque<Checkpoint> = VecDeque::new();
         let mut at = step;
         while at < duration {
-            engine.run_until(&mut self, at);
+            engine.run_until(self, at);
             checkpoints.push_back(Checkpoint {
                 at,
-                bytes: encode(&self, &engine)?,
+                bytes: encode(self, &engine)?,
             });
             if policy.keep_last_k > 0 && checkpoints.len() > policy.keep_last_k {
                 checkpoints.pop_front();
             }
             at += step;
         }
-        engine.run_until(&mut self, duration);
-        Ok((self.finish(label), checkpoints.into()))
+        engine.run_until(self, duration);
+        Ok(checkpoints.into())
     }
 }

@@ -145,21 +145,15 @@ impl EdgeCloudSystem {
         let mut clusters: Vec<ClusterRt> = Vec::new();
         let mut lc_scheds = Vec::new();
 
+        // Append cluster `cid`: its master, one worker per capacity with
+        // every catalog service deployed, and the cluster's LC scheduler.
         let limits = static_limits(&cfg, &catalog);
-        for c in 0..cfg.clusters {
-            let cid = ClusterId(c as u32);
+        let mut push_cluster = |cid: ClusterId, capacities: Vec<Resources>| {
             let master_id = NodeId(nodes.len() as u32);
             nodes.push(Node::new(master_id, cid, true, cfg.master_capacity));
-            let n_workers = rng.range_u64(
-                cfg.workers_per_cluster.0 as u64,
-                cfg.workers_per_cluster.1 as u64,
-            ) as usize;
-            let mut workers = Vec::with_capacity(n_workers);
-            for _ in 0..n_workers {
+            let mut workers = Vec::with_capacity(capacities.len());
+            for capacity in capacities {
                 let wid = NodeId(nodes.len() as u32);
-                // heterogeneity: ±25% capacity jitter
-                let jitter = rng.range_f64(0.75, 1.25);
-                let capacity = cfg.worker_capacity.scale_f64(jitter);
                 let mut node = Node::new(wid, cid, false, capacity);
                 for spec in catalog.specs() {
                     let initial = match cfg.allocator {
@@ -178,9 +172,20 @@ impl EdgeCloudSystem {
             clusters.push(ClusterRt::new(cid, master_id, workers));
             lc_scheds.push(make_lc_scheduler(
                 cfg.lc_policy,
-                cfg.seed ^ (c as u64) << 8,
+                cfg.seed ^ (cid.index() as u64) << 8,
                 &cfg.ablations,
             ));
+        };
+        for c in 0..cfg.clusters {
+            let n_workers = rng.range_u64(
+                cfg.workers_per_cluster.0 as u64,
+                cfg.workers_per_cluster.1 as u64,
+            );
+            // heterogeneity: ±25% capacity jitter
+            let capacities = (0..n_workers)
+                .map(|_| cfg.worker_capacity.scale_f64(rng.range_f64(0.75, 1.25)))
+                .collect();
+            push_cluster(ClusterId(c as u32), capacities);
         }
 
         let be_sched = make_be_scheduler(cfg.be_policy, cfg.seed ^ 0xbe, &cfg.ablations);
@@ -193,45 +198,17 @@ impl EdgeCloudSystem {
 
         // Elastic cloud tier: one extra cluster appended after every edge
         // cluster, built with zero draws from the shared RNG so the edge
-        // layout is bit-identical whether the tier is on or off.
-        let mut cloud_cluster = None;
-        if let Some(cloud) = &cfg.cloud {
+        // layout is bit-identical whether the tier is on or off. It gets
+        // an LC scheduler for index/snapshot-shape consistency, though
+        // `prime` never schedules a dispatch round for it. Workers are
+        // uniform datacenter-grade machines: no capacity jitter.
+        let cloud_cluster = cfg.cloud.as_ref().map(|cloud| {
             let cid =
                 topology.attach_cloud(cloud.one_way_base, cloud.us_per_km, cloud.bandwidth_mbps);
             debug_assert_eq!(cid.index(), cfg.clusters);
-            let master_id = NodeId(nodes.len() as u32);
-            nodes.push(Node::new(master_id, cid, true, cfg.master_capacity));
-            let mut workers = Vec::with_capacity(cloud.workers);
-            for _ in 0..cloud.workers {
-                let wid = NodeId(nodes.len() as u32);
-                // uniform datacenter-grade machines: no capacity jitter
-                let capacity = cloud.worker_capacity;
-                let mut node = Node::new(wid, cid, false, capacity);
-                for spec in catalog.specs() {
-                    let initial = match cfg.allocator {
-                        AllocatorKind::Hrm => spec.min_request,
-                        AllocatorKind::Static => limits[spec.id.index()]
-                            .min(&capacity)
-                            .max(&spec.min_request)
-                            .min(&capacity),
-                    };
-                    node.deploy_service(spec, initial, SimTime::ZERO)
-                        .expect("fresh node accepts deployments");
-                }
-                nodes.push(node);
-                workers.push(wid);
-            }
-            clusters.push(ClusterRt::new(cid, master_id, workers));
-            // Index/snapshot-shape consistency: one LC scheduler per
-            // cluster, even though the cloud master never runs a
-            // dispatch round (`prime` only schedules edge clusters).
-            lc_scheds.push(make_lc_scheduler(
-                cfg.lc_policy,
-                cfg.seed ^ (cfg.clusters as u64) << 8,
-                &cfg.ablations,
-            ));
-            cloud_cluster = Some(cid);
-        }
+            push_cluster(cid, vec![cloud.worker_capacity; cloud.workers]);
+            cid
+        });
         let migration = MigrationState::from_config(&cfg, cloud_cluster);
 
         let lifecycle = LifecycleState::new(nodes.len());
@@ -354,7 +331,7 @@ impl EdgeCloudSystem {
         (self.finish(label), audit)
     }
 
-    fn run_inner(&mut self, duration: SimTime) {
+    pub(crate) fn run_inner(&mut self, duration: SimTime) {
         let mut engine: Engine<Event> = Engine::new();
         self.prime(&mut engine, duration);
         engine.run_until(self, duration);
@@ -362,7 +339,7 @@ impl EdgeCloudSystem {
 
     /// Seed a fresh engine with everything a run needs — trace arrivals,
     /// the compiled fault plan, the periodic drivers — and set the
-    /// horizon. `run_inner` and the checkpointing driver both start here.
+    /// horizon. `run_inner` and the checkpoint loop both start here.
     pub(crate) fn prime(&mut self, engine: &mut Engine<Event>, duration: SimTime) {
         self.horizon = duration;
         // trace
@@ -417,6 +394,7 @@ impl EdgeCloudSystem {
     pub(crate) fn finish(mut self, label: &str) -> RunReport {
         self.fault.settle(self.horizon);
         self.fault.summary.fault_qos_violations = self.counters.total_fault_qos_violations();
+        let periods = self.counters.periods();
         RunReport {
             label: label.to_string(),
             qos_satisfaction: self.counters.qos_satisfaction_rate().unwrap_or(0.0),
@@ -424,9 +402,9 @@ impl EdgeCloudSystem {
             abandoned: self.counters.total_abandoned(),
             mean_utilization: self.counters.mean_utilization(),
             lc_p95_ms: self.counters.overall_lc_p95_ms(),
-            lc_arrived: self.counters.periods().iter().map(|p| p.lc_arrived).sum(),
-            lc_completed: self.counters.periods().iter().map(|p| p.lc_completed).sum(),
-            periods: self.counters.periods(),
+            lc_arrived: periods.iter().map(|p| p.lc_arrived).sum(),
+            lc_completed: periods.iter().map(|p| p.lc_completed).sum(),
+            periods,
             dvpa_ops: self.allocator.dvpa_ops(),
             be_evictions: self.lifecycle.be_evictions,
             faults: self.fault.summary.clone(),

@@ -12,9 +12,7 @@
 
 use crate::report::RunReport;
 use crate::snapshot::{Checkpoint, CheckpointPolicy, Resumed};
-use crate::system::{EdgeCloudSystem, Event};
-use std::collections::VecDeque;
-use tango_simcore::Engine;
+use crate::system::EdgeCloudSystem;
 use tango_snap::SnapError;
 use tango_types::SimTime;
 
@@ -45,9 +43,7 @@ impl EdgeCloudSystem {
         duration: SimTime,
         label: &str,
     ) -> Result<(RunReport, Vec<u8>), SnapError> {
-        let mut engine: Engine<Event> = Engine::new();
-        self.prime(&mut engine, duration);
-        engine.run_until(&mut self, duration);
+        self.run_inner(duration);
         let blob = self.snapshot_be_policy()?;
         Ok((self.finish(label), blob))
     }
@@ -64,27 +60,9 @@ impl EdgeCloudSystem {
         label: &str,
         policy: CheckpointPolicy,
     ) -> Result<(RunReport, Vec<u8>, Vec<Checkpoint>), SnapError> {
-        let mut engine: Engine<Event> = Engine::new();
-        self.prime(&mut engine, duration);
-        let step = SimTime::from_micros(
-            self.cfg.sync_interval.as_micros() * policy.every_n_ticks.max(1) as u64,
-        );
-        let mut checkpoints: VecDeque<Checkpoint> = VecDeque::new();
-        let mut at = step;
-        while at < duration {
-            engine.run_until(&mut self, at);
-            checkpoints.push_back(Checkpoint {
-                at,
-                bytes: self.snapshot(&engine)?,
-            });
-            if policy.keep_last_k > 0 && checkpoints.len() > policy.keep_last_k {
-                checkpoints.pop_front();
-            }
-            at += step;
-        }
-        engine.run_until(&mut self, duration);
+        let checkpoints = self.run_inner_checkpointed(duration, policy)?;
         let blob = self.snapshot_be_policy()?;
-        Ok((self.finish(label), blob, checkpoints.into()))
+        Ok((self.finish(label), blob, checkpoints))
     }
 }
 
@@ -93,10 +71,9 @@ impl Resumed {
     /// with the report — the resume path of
     /// [`EdgeCloudSystem::run_episode_checkpointed`].
     pub fn finish_episode(mut self, label: &str) -> Result<(RunReport, Vec<u8>), SnapError> {
-        let horizon = self.sys.horizon;
-        self.engine.run_until(&mut self.sys, horizon);
+        self.run_to(self.horizon());
         let blob = self.sys.snapshot_be_policy()?;
-        Ok((self.sys.finish(label), blob))
+        Ok((self.finish(label), blob))
     }
 }
 

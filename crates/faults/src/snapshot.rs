@@ -161,8 +161,10 @@ mod tests {
     #[test]
     fn fault_state_round_trips_mid_incident() {
         let mut s = FaultState::new(4);
-        s.on_crash(NodeId(1), SimTime::from_secs(2), false);
-        s.on_crash(NodeId(2), SimTime::from_secs(3), true);
+        s.on_phys_crash(NodeId(1), SimTime::from_secs(2), false);
+        s.mark_detected(NodeId(1));
+        s.on_phys_crash(NodeId(2), SimTime::from_secs(3), true);
+        s.mark_detected(NodeId(2));
         s.on_recover(NodeId(1), SimTime::from_secs(4));
         s.on_link_degrade();
         s.on_partition();
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn fault_state_restore_rejects_node_count_mismatch() {
         let mut s = FaultState::new(4);
-        s.on_crash(NodeId(0), SimTime::from_secs(1), false);
+        s.on_phys_crash(NodeId(0), SimTime::from_secs(1), false);
         let mut w = SnapWriter::new();
         s.snapshot(&mut w);
         let bytes = w.into_bytes();

@@ -3,13 +3,13 @@
 //!
 //! Since the delegated-orchestration work the state distinguishes a
 //! node being **physically down** (its containers died) from being
-//! **detected down** (the control plane knows). Under the oracle fault
-//! model the two flags move together ([`FaultState::on_crash`]); under
-//! keep-alive detection the runtime registers the physical crash first
-//! ([`FaultState::on_phys_crash`]) and promotes it to detected only when
-//! the health detector trips ([`FaultState::mark_detected`]). Work that
-//! was running on the node at crash time parks in a per-node *limbo*
-//! until detection or recovery decides its fate.
+//! **detected down** (the control plane knows). Every crash registers
+//! physically first ([`FaultState::on_phys_crash`]) and is promoted to
+//! detected by [`FaultState::mark_detected`]: in the same event under
+//! the oracle fault model, when the health detector trips under
+//! keep-alive detection. Work that was running on the node at crash
+//! time parks in a per-node *limbo* until detection or recovery decides
+//! its fate.
 
 use tango_types::{NodeId, RequestId, ServiceClass, SimTime};
 
@@ -127,21 +127,10 @@ impl FaultState {
         self.down_count > 0 || self.active_link_faults > 0 || self.partition_active
     }
 
-    /// Register a crash the control plane learns about instantly (the
-    /// oracle model): physical and detected flags move together. Returns
-    /// `false` (no-op) if the node is already down — churn and timed
-    /// events may race benignly.
-    pub fn on_crash(&mut self, node: NodeId, now: SimTime, is_master: bool) -> bool {
-        if !self.on_phys_crash(node, now, is_master) {
-            return false;
-        }
-        self.down[node.index()] = true;
-        true
-    }
-
     /// Register a physical crash that the control plane has *not* yet
     /// detected: the node's containers die and its epoch bumps, but
-    /// `is_down` stays `false` until [`FaultState::mark_detected`].
+    /// `is_down` stays `false` until [`FaultState::mark_detected`] (which
+    /// the oracle fault model calls in the same event).
     /// Returns `false` if the node is already physically down.
     pub fn on_phys_crash(&mut self, node: NodeId, now: SimTime, is_master: bool) -> bool {
         let i = node.index();
@@ -318,12 +307,13 @@ mod tests {
     fn crash_recover_tracks_downtime_and_epochs() {
         let mut s = FaultState::new(4);
         assert!(!s.any_fault_active());
-        assert!(s.on_crash(NodeId(2), SimTime::from_secs(1), false));
+        assert!(s.on_phys_crash(NodeId(2), SimTime::from_secs(1), false));
+        assert!(s.mark_detected(NodeId(2)));
         assert!(s.is_down(NodeId(2)));
         assert_eq!(s.epoch(NodeId(2)), 1);
         assert!(s.any_fault_active());
         // duplicate crash is a no-op
-        assert!(!s.on_crash(NodeId(2), SimTime::from_secs(2), false));
+        assert!(!s.on_phys_crash(NodeId(2), SimTime::from_secs(2), false));
         assert_eq!(s.summary.node_crashes, 1);
         assert!(s.on_recover(NodeId(2), SimTime::from_secs(4)));
         assert!(!s.is_down(NodeId(2)));
@@ -332,7 +322,7 @@ mod tests {
         // recover of an up node is a no-op
         assert!(!s.on_recover(NodeId(2), SimTime::from_secs(5)));
         // a second crash bumps the epoch again
-        assert!(s.on_crash(NodeId(2), SimTime::from_secs(6), true));
+        assert!(s.on_phys_crash(NodeId(2), SimTime::from_secs(6), true));
         assert_eq!(s.epoch(NodeId(2)), 2);
         assert_eq!(s.summary.master_failovers, 1);
     }
@@ -377,7 +367,7 @@ mod tests {
     #[test]
     fn settle_accounts_open_downtime() {
         let mut s = FaultState::new(2);
-        s.on_crash(NodeId(0), SimTime::from_secs(7), false);
+        s.on_phys_crash(NodeId(0), SimTime::from_secs(7), false);
         s.settle(SimTime::from_secs(10));
         assert_eq!(s.summary.total_downtime, SimTime::from_secs(3));
     }

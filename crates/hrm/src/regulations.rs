@@ -78,13 +78,30 @@ impl HrmAllocator {
         }
     }
 
-    /// Admit `req` onto `node` under the regulations, evicting/throttling
-    /// BE as needed, growing limits through D-VPA, and rebalancing.
+    /// Admit a fresh request with its service's nominal work: [`admit`]
+    /// with `work_milli_ms` as the work left to run.
+    ///
+    /// [`admit`]: Self::admit
     pub fn try_admit(
         &mut self,
         node: &mut Node,
         req: &Request,
         work_milli_ms: u64,
+        now: SimTime,
+    ) -> Result<AdmitOutcome, TangoError> {
+        self.admit(node, req, work_milli_ms as f64, now)
+    }
+
+    /// Admit `req` onto `node` under the regulations, evicting/throttling
+    /// BE as needed, growing limits through D-VPA, and rebalancing. `work`
+    /// is what is left to run: a fresh request's nominal work, or the
+    /// residue of a migrated pod (migrating pods are BE, so they never
+    /// evict).
+    pub fn admit(
+        &mut self,
+        node: &mut Node,
+        req: &Request,
+        work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
         node.advance(now);
@@ -110,44 +127,8 @@ impl HrmAllocator {
             outcome.evicted = self.evict_for_incompressible(node, &req.demand, now)?;
         }
         self.rebalance_with_extra(node, Some((req.service, req.demand)), now);
-        node.admit(req.id, req.service, req.demand, work_milli_ms, now)?;
+        node.admit(req.id, req.service, req.demand, work, now)?;
         Ok(outcome)
-    }
-
-    /// Admit a migrated BE pod carrying residual work: the same BE-side
-    /// regulations as [`try_admit`](Self::try_admit) (feasibility over
-    /// everything-held, D-VPA limit growth), but the pod resumes from the
-    /// fractional work the migration shipped rather than the service's
-    /// nominal work. Migrating pods are BE by policy, so the LC eviction
-    /// path never applies.
-    pub fn try_admit_migrated(
-        &mut self,
-        node: &mut Node,
-        request: tango_types::RequestId,
-        service: ServiceId,
-        demand: Resources,
-        remaining_work: f64,
-        now: SimTime,
-    ) -> Result<(), TangoError> {
-        node.advance(now);
-        let ctr = node.container_for(service).ok_or_else(|| {
-            TangoError::Unschedulable(format!("{service} not deployed on {}", node.id))
-        })?;
-        if !node.is_available(ctr, now) {
-            return Err(TangoError::Unschedulable(format!(
-                "container for {service} on {} is restarting",
-                node.id
-            )));
-        }
-        if !Self::feasible(node, ServiceClass::Be, &demand) {
-            let (lc, be) = node.demand_usage();
-            return Err(TangoError::InsufficientResources {
-                requested: demand,
-                available: node.capacity().saturating_sub(&lc).saturating_sub(&be),
-            });
-        }
-        self.rebalance_with_extra(node, Some((service, demand)), now);
-        node.admit_migrated(request, service, demand, remaining_work, now)
     }
 
     /// Evict BE containers (cheapest remaining work first) until the LC
@@ -311,11 +292,12 @@ impl StaticAllocator {
     /// reject a request for being hungry; the kernel squeezes it inside
     /// the cgroup (the "unordered competition" of Fig. 9(c)). Fails only
     /// when the container's memory limit cannot take another resident.
-    pub fn try_admit(
+    /// `work` is what is left to run, as in [`HrmAllocator::admit`].
+    pub fn admit(
         &mut self,
         node: &mut Node,
         req: &Request,
-        work_milli_ms: u64,
+        work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
         let clamped = match node
@@ -325,30 +307,8 @@ impl StaticAllocator {
             Some(limit) => req.demand.min(&limit).max(&Resources::new(1, 1, 0, 0)),
             None => req.demand,
         };
-        node.admit(req.id, req.service, clamped, work_milli_ms, now)?;
+        node.admit(req.id, req.service, clamped, work, now)?;
         Ok(AdmitOutcome::default())
-    }
-
-    /// Migrated-pod admission under static limits: clamp into the fixed
-    /// container limit like [`try_admit`](Self::try_admit), resume from
-    /// the shipped residual work.
-    pub fn try_admit_migrated(
-        &mut self,
-        node: &mut Node,
-        request: tango_types::RequestId,
-        service: ServiceId,
-        demand: Resources,
-        remaining_work: f64,
-        now: SimTime,
-    ) -> Result<(), TangoError> {
-        let clamped = match node
-            .scaling_cgroups(service)
-            .map(|(_, ctr_cg)| node.cgroups.limit(ctr_cg))
-        {
-            Some(limit) => demand.min(&limit).max(&Resources::new(1, 1, 0, 0)),
-            None => demand,
-        };
-        node.admit_migrated(request, service, clamped, remaining_work, now)
     }
 }
 
@@ -563,7 +523,7 @@ mod tests {
         let before = n.effective_cpu(lc_ctr);
         for i in 0..2 {
             let r = lc_req(i, &lc);
-            stat.try_admit(&mut n, &r, lc.work_milli_ms, SimTime::ZERO)
+            stat.admit(&mut n, &r, lc.work_milli_ms as f64, SimTime::ZERO)
                 .unwrap();
         }
         assert_eq!(n.effective_cpu(lc_ctr), before);

@@ -19,18 +19,22 @@
 //!   delete-and-rebuild scaling (§4.2 "Pain Points"): interrupts running
 //!   requests and leaves the pod unavailable for the container start-up
 //!   time. D-VPA (in `tango-hrm`) is the paper's replacement.
-//! * [`cluster::Cluster`] — master + workers with LC/BE scheduling queues.
 //!
-//! Dispatch policies, including the K8s-native round-robin baseline, live
-//! in `tango-sched`.
+//! Admission has one entry, [`Node::admit`]: it takes the CPU work left
+//! to run, so a fresh request (its service's nominal work) and a migrated
+//! pod (the residue shipped from its source, see
+//! [`Node::detach_request`]) go through the same container checks and
+//! cgroup charge.
+//!
+//! Clusters (a master, its workers and their dispatch queues) are the
+//! core runtime's `ClusterRt`; dispatch policies, including the
+//! K8s-native round-robin baseline, live in `tango-sched`.
 
-pub mod cluster;
 pub mod node;
 pub mod pod;
 pub mod snapshot;
 pub mod vpa;
 
-pub use cluster::Cluster;
 pub use node::{CompletedRequest, Node, RunningRequest};
 pub use pod::{Container, Pod};
 pub use vpa::NativeVpa;

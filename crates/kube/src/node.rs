@@ -359,16 +359,18 @@ impl Node {
         std::mem::take(&mut self.finished)
     }
 
-    /// Admit a request into its service container. Charges the
-    /// incompressible part of the demand to the container cgroup; fails if
-    /// the service is not deployed, the container is rebuilding, or the
-    /// memory/disk charge does not fit.
+    /// Admit a request into its service container with `work` millicore-
+    /// milliseconds left to run: a fresh request's nominal work, or the
+    /// residue a migration carried over from the node it detached from.
+    /// Charges the incompressible part of the demand to the container
+    /// cgroup; fails if the service is not deployed, the container is
+    /// rebuilding, or the memory/disk charge does not fit.
     pub fn admit(
         &mut self,
         request: RequestId,
         service: ServiceId,
         demand: Resources,
-        work_milli_ms: u64,
+        work: f64,
         now: SimTime,
     ) -> Result<(), TangoError> {
         self.advance(now);
@@ -387,44 +389,7 @@ impl Node {
         self.containers[slot].running.push(RunningRequest {
             request,
             demand,
-            remaining_work: work_milli_ms as f64,
-            admitted_at: now,
-        });
-        self.running_total += 1;
-        self.generation += 1;
-        Ok(())
-    }
-
-    /// Admit a request that already ran elsewhere: same admission rules
-    /// as [`Node::admit`], but the remaining work is the fractional
-    /// residue carried over by a migration rather than the service's
-    /// nominal work. The caller must have advanced the source node and
-    /// detached the request there first.
-    pub fn admit_migrated(
-        &mut self,
-        request: RequestId,
-        service: ServiceId,
-        demand: Resources,
-        remaining_work: f64,
-        now: SimTime,
-    ) -> Result<(), TangoError> {
-        self.advance(now);
-        let slot = self.by_service.get(&service).copied().ok_or_else(|| {
-            TangoError::Unschedulable(format!("{service} not deployed on {}", self.id))
-        })?;
-        let state = &self.containers[slot];
-        if state.unavailable_until > now {
-            return Err(TangoError::Unschedulable(format!(
-                "container {} rebuilding until {}",
-                state.meta.id, state.unavailable_until
-            )));
-        }
-        let (_, incompressible) = demand.split_compressible();
-        self.cgroups.charge(state.meta.cgroup, incompressible)?;
-        self.containers[slot].running.push(RunningRequest {
-            request,
-            demand,
-            remaining_work: remaining_work.max(WORK_EPSILON),
+            remaining_work: work.max(WORK_EPSILON),
             admitted_at: now,
         });
         self.running_total += 1;
@@ -754,7 +719,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -781,7 +746,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -805,7 +770,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -813,7 +778,7 @@ mod tests {
             RequestId(2),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -833,7 +798,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -854,7 +819,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -862,7 +827,7 @@ mod tests {
             RequestId(2),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -896,7 +861,7 @@ mod tests {
                 RequestId(i),
                 s.id,
                 s.min_request,
-                s.work_milli_ms,
+                s.work_milli_ms as f64,
                 SimTime::ZERO,
             )
             .unwrap();
@@ -906,7 +871,7 @@ mod tests {
                 RequestId(9),
                 s.id,
                 s.min_request,
-                s.work_milli_ms,
+                s.work_milli_ms as f64,
                 SimTime::ZERO,
             )
             .unwrap_err();
@@ -920,7 +885,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -936,14 +901,20 @@ mod tests {
                 RequestId(2),
                 s.id,
                 s.min_request,
-                s.work_milli_ms,
+                s.work_milli_ms as f64,
                 SimTime::from_millis(100)
             )
             .is_err());
         // after rebuild completes, admission works again
         assert!(n.is_available(ctr, ready));
-        n.admit(RequestId(3), s.id, s.min_request, s.work_milli_ms, ready)
-            .unwrap();
+        n.admit(
+            RequestId(3),
+            s.id,
+            s.min_request,
+            s.work_milli_ms as f64,
+            ready,
+        )
+        .unwrap();
         assert_eq!(n.container(ctr).unwrap().restarts, 1);
         // memory was uncharged on kill: still admissible to the limit
         assert_eq!(n.running_count(), 1);
@@ -963,7 +934,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -971,7 +942,7 @@ mod tests {
             RequestId(2),
             be.id,
             be.min_request,
-            be.work_milli_ms,
+            be.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -983,13 +954,13 @@ mod tests {
     }
 
     #[test]
-    fn detach_carries_residual_work_and_admit_migrated_resumes_it() {
+    fn detach_carries_residual_work_and_admit_resumes_it() {
         let (mut n, ctr, s) = node_with_service();
         n.admit(
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -1011,7 +982,7 @@ mod tests {
                 RequestId(10 + i),
                 s.id,
                 s.min_request,
-                s.work_milli_ms,
+                s.work_milli_ms as f64,
                 SimTime::from_millis(50),
             )
             .unwrap();
@@ -1023,7 +994,7 @@ mod tests {
 
         // the destination resumes from the residue, not the nominal work
         let (mut dst, _ctr2, s2) = node_with_service();
-        dst.admit_migrated(
+        dst.admit(
             r.request,
             s2.id,
             r.demand,
@@ -1046,7 +1017,7 @@ mod tests {
                 RequestId(1),
                 ServiceId(42),
                 Resources::cpu_mem(1, 1),
-                10,
+                10.0,
                 SimTime::ZERO
             ),
             Err(TangoError::Unschedulable(_))
@@ -1061,7 +1032,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();
@@ -1079,7 +1050,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();

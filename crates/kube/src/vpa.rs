@@ -106,7 +106,7 @@ mod tests {
             RequestId(1),
             s.id,
             s.min_request,
-            s.work_milli_ms,
+            s.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();

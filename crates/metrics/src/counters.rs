@@ -7,6 +7,7 @@
 //! cumulative objectives of Eq. 1: the QoS-guarantee satisfaction rate φ
 //! for LC and the long-term throughput φ′ for BE.
 
+use crate::percentile::percentile;
 use tango_types::SimTime;
 
 /// Aggregates for one reporting period.
@@ -53,6 +54,11 @@ pub struct PeriodRecord {
     pub cloud_egress_kib: u64,
 }
 
+/// Nearest-rank p95 of `latencies` in ms (0 when empty).
+fn p95_ms(latencies: &[SimTime]) -> f64 {
+    percentile(latencies, 95.0).map_or(0.0, |t| t.as_micros() as f64 / 1_000.0)
+}
+
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Accum {
     pub(crate) lc_arrived: u64,
@@ -62,7 +68,7 @@ pub(crate) struct Accum {
     pub(crate) abandoned: u64,
     pub(crate) util_sum: (f64, f64, f64),
     pub(crate) util_samples: u64,
-    pub(crate) lc_latencies_us: Vec<u64>,
+    pub(crate) lc_latencies: Vec<SimTime>,
     pub(crate) fault_qos_violations: u64,
     pub(crate) detection_lag_us_sum: u64,
     pub(crate) detections: u64,
@@ -114,7 +120,7 @@ impl ExperimentCounters {
         if within_qos {
             b.lc_satisfied += 1;
         }
-        b.lc_latencies_us.push(latency.as_micros());
+        b.lc_latencies.push(latency);
     }
 
     /// A BE request completed.
@@ -252,18 +258,12 @@ impl ExperimentCounters {
 
     /// p95 of all LC completion latencies, in ms.
     pub fn overall_lc_p95_ms(&self) -> f64 {
-        let mut all: Vec<u64> = self
+        let all: Vec<SimTime> = self
             .buckets
             .iter()
-            .flat_map(|b| b.lc_latencies_us.iter().copied())
+            .flat_map(|b| b.lc_latencies.iter().copied())
             .collect();
-        if all.is_empty() {
-            return 0.0;
-        }
-        let n = all.len();
-        let idx = ((0.95 * n as f64).ceil() as usize).clamp(1, n) - 1;
-        all.select_nth_unstable(idx);
-        all[idx] as f64 / 1_000.0
+        p95_ms(&all)
     }
 
     /// Materialize the per-period rows.
@@ -273,15 +273,6 @@ impl ExperimentCounters {
             .enumerate()
             .map(|(i, b)| {
                 let n = b.util_samples.max(1) as f64;
-                let p95 = if b.lc_latencies_us.is_empty() {
-                    0.0
-                } else {
-                    let mut v = b.lc_latencies_us.clone();
-                    let len = v.len();
-                    let idx = ((0.95 * len as f64).ceil() as usize).clamp(1, len) - 1;
-                    v.select_nth_unstable(idx);
-                    v[idx] as f64 / 1_000.0
-                };
                 PeriodRecord {
                     index: i as u64,
                     lc_arrived: b.lc_arrived,
@@ -292,7 +283,7 @@ impl ExperimentCounters {
                     util_overall: b.util_sum.0 / n,
                     util_lc: b.util_sum.1 / n,
                     util_be: b.util_sum.2 / n,
-                    lc_p95_ms: p95,
+                    lc_p95_ms: p95_ms(&b.lc_latencies),
                     fault_qos_violations: b.fault_qos_violations,
                     detection_lag_ms: if b.detections == 0 {
                         0.0

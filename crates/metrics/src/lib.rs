@@ -12,8 +12,8 @@
 //!   QoS-guarantee satisfaction rate and BE throughput, i.e. the y-axes of
 //!   every figure in §7;
 //! * [`trace`] — zero-cost stage-boundary trace hooks: the [`TraceSink`]
-//!   interface the core runtime emits into, the no-op default, and a
-//!   ring-buffer recorder for per-request timelines.
+//!   interface the core runtime emits into and a ring-buffer recorder for
+//!   per-request timelines.
 
 pub mod counters;
 pub mod percentile;
@@ -26,8 +26,6 @@ pub mod window;
 pub use counters::{ExperimentCounters, PeriodRecord};
 pub use percentile::percentile;
 pub use qos::{slack_score, NodeWindows, QosDetector};
-pub use store::{NodeRole, NodeSnapshot, StateStorage, StoreRow};
-pub use trace::{
-    NoopTrace, TraceEvent, TraceLane, TraceRecorder, TraceSink, DEFAULT_TRACE_CAPACITY,
-};
+pub use store::{NodeRole, StateStorage, StoreRow};
+pub use trace::{TraceEvent, TraceLane, TraceRecorder, TraceSink, DEFAULT_TRACE_CAPACITY};
 pub use window::LatencyWindow;

@@ -158,9 +158,9 @@ impl QosDetector {
         out
     }
 
-    /// Insert one decoded window (snapshot restore path).
+    /// Insert one decoded window (snapshot restore path; the rows must
+    /// already cover `node`).
     pub(crate) fn insert_window(&mut self, node: NodeId, service: ServiceId, w: LatencyWindow) {
-        self.ensure_nodes(node.index() + 1);
         self.nodes[node.index()].windows.insert(service, w);
     }
 

@@ -4,15 +4,17 @@
 //! windows feed the re-assurer's slack decisions, the experiment counters
 //! are the final report, and the state storage is read by dispatch rounds
 //! between Sync ticks — none of it can be rebuilt from the config. Hash
-//! maps are encoded sorted by key so snapshots are byte-stable.
+//! maps are encoded sorted by key so snapshots are byte-stable. The state
+//! storage's own row codec lives beside its columns in the `store`
+//! module.
 
 use crate::counters::{Accum, ExperimentCounters};
 use crate::qos::QosDetector;
-use crate::store::{NodeRole, NodeSnapshot, StateStorage};
+use crate::store::NodeRole;
 use crate::window::LatencyWindow;
 use std::collections::VecDeque;
 use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
-use tango_types::{ClusterId, FxHashMap, NodeId, Resources, ServiceId, SimTime};
+use tango_types::{NodeId, ServiceId, SimTime};
 
 impl SnapEncode for LatencyWindow {
     fn encode(&self, w: &mut SnapWriter) {
@@ -39,19 +41,28 @@ impl SnapEncode for QosDetector {
         }
     }
 }
-impl SnapDecode for QosDetector {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+impl QosDetector {
+    /// Replace this detector with one decoded from its [`SnapEncode`]
+    /// payload, for a system of `nodes` nodes: one row per node, and a
+    /// window naming a node outside `0..nodes` is [`SnapError::Corrupt`]
+    /// — nothing is sized from the bytes alone.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>, nodes: usize) -> Result<(), SnapError> {
         let width = SimTime::decode(r)?;
         let n = r.u64()? as usize;
         if n > r.remaining() {
             return Err(SnapError::Truncated);
         }
         let mut d = QosDetector::new(width);
+        d.ensure_nodes(nodes);
         for _ in 0..n {
             let (node, service) = <(NodeId, ServiceId)>::decode(r)?;
+            if node.index() >= nodes {
+                return Err(SnapError::Corrupt("detector window node id"));
+            }
             d.insert_window(node, service, LatencyWindow::decode(r)?);
         }
-        Ok(d)
+        *self = d;
+        Ok(())
     }
 }
 
@@ -66,7 +77,7 @@ impl SnapEncode for Accum {
         w.put_f64(self.util_sum.1);
         w.put_f64(self.util_sum.2);
         w.put_u64(self.util_samples);
-        self.lc_latencies_us.encode(w);
+        self.lc_latencies.encode(w);
         w.put_u64(self.fault_qos_violations);
         w.put_u64(self.detection_lag_us_sum);
         w.put_u64(self.detections);
@@ -86,7 +97,7 @@ impl SnapDecode for Accum {
             abandoned: r.u64()?,
             util_sum: (r.f64()?, r.f64()?, r.f64()?),
             util_samples: r.u64()?,
-            lc_latencies_us: Vec::<u64>::decode(r)?,
+            lc_latencies: Vec::<SimTime>::decode(r)?,
             fault_qos_violations: r.u64()?,
             detection_lag_us_sum: r.u64()?,
             detections: r.u64()?,
@@ -135,85 +146,11 @@ impl SnapDecode for NodeRole {
     }
 }
 
-fn encode_sorted_map<K, V, F>(w: &mut SnapWriter, map: &FxHashMap<K, V>, put_v: F)
-where
-    K: Copy + Ord + std::hash::Hash + Eq + SnapEncode,
-    F: Fn(&mut SnapWriter, &V),
-{
-    let mut keys: Vec<K> = map.keys().copied().collect();
-    keys.sort_unstable();
-    w.put_u64(keys.len() as u64);
-    for k in keys {
-        k.encode(w);
-        put_v(w, &map[&k]);
-    }
-}
-
-fn decode_map<K, V, F>(r: &mut SnapReader<'_>, get_v: F) -> Result<FxHashMap<K, V>, SnapError>
-where
-    K: Copy + Ord + std::hash::Hash + Eq + SnapDecode,
-    F: Fn(&mut SnapReader<'_>) -> Result<V, SnapError>,
-{
-    let n = r.u64()? as usize;
-    if n > r.remaining() {
-        return Err(SnapError::Truncated);
-    }
-    let mut map = FxHashMap::default();
-    for _ in 0..n {
-        let k = K::decode(r)?;
-        map.insert(k, get_v(r)?);
-    }
-    Ok(map)
-}
-
-impl SnapEncode for NodeSnapshot {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.node.encode(w);
-        self.cluster.encode(w);
-        self.role.encode(w);
-        self.total.encode(w);
-        self.available.encode(w);
-        self.be_held.encode(w);
-        encode_sorted_map(w, &self.slack, |w, v| w.put_f64(*v));
-        encode_sorted_map(w, &self.pending, |w, v| w.put_u32(*v));
-        self.updated_at.encode(w);
-    }
-}
-impl SnapDecode for NodeSnapshot {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeSnapshot {
-            node: NodeId::decode(r)?,
-            cluster: ClusterId::decode(r)?,
-            role: NodeRole::decode(r)?,
-            total: Resources::decode(r)?,
-            available: Resources::decode(r)?,
-            be_held: Resources::decode(r)?,
-            slack: decode_map(r, |r| r.f64())?,
-            pending: decode_map(r, |r| r.u32())?,
-            updated_at: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl StateStorage {
-    /// Encode every pushed node snapshot (sorted by node id).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.all().encode(w);
-    }
-
-    /// Overlay a [`StateStorage::snapshot`] payload: every decoded entry
-    /// is pushed, replacing whatever the fresh store held for that node.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for snap in Vec::<NodeSnapshot>::decode(r)? {
-            self.push(snap);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StateStorage;
+    use tango_types::{ClusterId, Resources};
 
     fn round_trip_bytes<T: SnapEncode>(v: &T) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -238,7 +175,8 @@ mod tests {
         );
         let bytes = round_trip_bytes(&d);
         let mut r = SnapReader::new(&bytes);
-        let mut back = QosDetector::decode(&mut r).unwrap();
+        let mut back = QosDetector::paper_default();
+        back.restore(&mut r, 3).unwrap();
         assert!(r.is_empty());
         assert_eq!(
             back.tail(NodeId(1), ServiceId(0), SimTime::from_millis(50)),
@@ -269,36 +207,118 @@ mod tests {
         assert_eq!(back.be_throughput(), c.be_throughput());
     }
 
-    #[test]
-    fn state_storage_round_trips_sorted() {
+    fn store_with_rows(nodes: &[u32]) -> StateStorage {
         let mut store = StateStorage::new();
-        for node in [3u32, 1, 2] {
-            let mut slack = FxHashMap::default();
-            slack.insert(ServiceId(0), 0.25);
-            store.push(NodeSnapshot {
-                node: NodeId(node),
-                cluster: ClusterId(0),
-                role: NodeRole::Worker,
-                total: Resources::cpu_mem(4_000, 8_192),
-                available: Resources::cpu_mem(1_000 * node as u64, 1_024),
-                be_held: Resources::ZERO,
-                slack,
-                pending: FxHashMap::default(),
-                updated_at: SimTime::from_millis(7),
-            });
+        for &node in nodes {
+            store.write_row(
+                NodeId(node),
+                ClusterId(node / 2),
+                NodeRole::Worker,
+                Resources::cpu_mem(4_000, 8_192),
+                Resources::cpu_mem(1_000 * node as u64, 1_024),
+                Resources::ZERO,
+                &[(ServiceId(0), 0.25), (ServiceId(3), -0.5)],
+                &[(ServiceId(1), node)],
+                SimTime::from_millis(7),
+            );
         }
+        store
+    }
+
+    fn store_bytes(store: &StateStorage) -> Vec<u8> {
         let mut w = SnapWriter::new();
         store.snapshot(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn state_storage_round_trips_rows_in_node_order() {
+        let store = store_with_rows(&[3, 1, 2]);
+        let bytes = store_bytes(&store);
         let mut fresh = StateStorage::new();
         let mut r = SnapReader::new(&bytes);
-        fresh.restore(&mut r).unwrap();
+        fresh.restore(&mut r, 4).unwrap();
         assert!(r.is_empty());
-        assert_eq!(fresh.len(), 3);
-        assert_eq!(
-            fresh.get(NodeId(2)).unwrap().available.cpu_milli,
-            store.get(NodeId(2)).unwrap().available.cpu_milli
+        let nodes: Vec<NodeId> = (0..fresh.rows())
+            .filter_map(|i| fresh.row(i))
+            .map(|row| row.node)
+            .collect();
+        assert_eq!(nodes, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let (a, b) = (fresh.row(2).unwrap(), store.row(2).unwrap());
+        assert_eq!(a.available, b.available);
+        assert_eq!(a.slack, b.slack);
+        assert_eq!(a.pending, b.pending);
+        assert_eq!(store_bytes(&fresh), bytes);
+    }
+
+    #[test]
+    fn store_restore_rejects_node_ids_past_the_node_count() {
+        let bytes = store_bytes(&store_with_rows(&[1, 2]));
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            StateStorage::new().restore(&mut r, 2),
+            Err(SnapError::Corrupt("store row node id"))
+        ));
+        // a hostile id is rejected before any column grows toward it
+        let mut w = SnapWriter::new();
+        w.put_u64(1);
+        NodeId(4_000_000_000).encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut store = StateStorage::new();
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            store.restore(&mut r, 16),
+            Err(SnapError::Corrupt("store row node id"))
+        ));
+        assert_eq!(store.rows(), 0);
+    }
+
+    #[test]
+    fn store_restore_rejects_unordered_or_repeated_service_pairs() {
+        for services in [[3u16, 1], [2, 2]] {
+            let mut w = SnapWriter::new();
+            w.put_u64(1);
+            NodeId(0).encode(&mut w);
+            ClusterId(0).encode(&mut w);
+            NodeRole::Worker.encode(&mut w);
+            for _ in 0..3 {
+                Resources::ZERO.encode(&mut w);
+            }
+            w.put_u64(2);
+            for s in services {
+                ServiceId(s).encode(&mut w);
+                w.put_f64(0.5);
+            }
+            w.put_u64(0);
+            SimTime::ZERO.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            assert!(
+                matches!(
+                    StateStorage::new().restore(&mut r, 1),
+                    Err(SnapError::Corrupt("store row service order"))
+                ),
+                "{services:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn detector_restore_rejects_node_ids_past_the_node_count() {
+        let mut d = QosDetector::paper_default();
+        d.record(
+            NodeId(5),
+            ServiceId(1),
+            SimTime::from_millis(10),
+            SimTime::from_millis(40),
         );
+        let bytes = round_trip_bytes(&d);
+        let mut back = QosDetector::paper_default();
+        assert!(back.restore(&mut SnapReader::new(&bytes), 6).is_ok());
+        assert!(matches!(
+            back.restore(&mut SnapReader::new(&bytes), 5),
+            Err(SnapError::Corrupt("detector window node id"))
+        ));
     }
 
     #[test]

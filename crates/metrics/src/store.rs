@@ -10,12 +10,12 @@
 //! vector), so the store keeps structure-of-arrays columns indexed by node
 //! instead of a map of owned snapshots. The sync loop overwrites rows in
 //! place each round ([`StateStorage::write_row`], zero steady-state
-//! allocations) and the candidate-view builder iterates borrowed rows
-//! ([`StateStorage::row`]) without cloning. The map-shaped
-//! [`NodeSnapshot`] remains the exchange/serialization type; accessors
-//! materialize it on demand.
+//! allocations), the candidate-view builder iterates borrowed rows
+//! ([`StateStorage::row`]) without cloning, and the checkpoint codec
+//! (`StateStorage::snapshot` / `StateStorage::restore`) writes and reads
+//! the rows directly.
 
-use tango_types::FxHashMap;
+use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use tango_types::{ClusterId, NodeId, Resources, ServiceId, SimTime};
 
 /// Master or worker (§5.1.1).
@@ -27,49 +27,9 @@ pub enum NodeRole {
     Worker,
 }
 
-/// Point-in-time status of one node.
-#[derive(Debug, Clone)]
-pub struct NodeSnapshot {
-    /// Which node this describes.
-    pub node: NodeId,
-    /// The cluster it belongs to.
-    pub cluster: ClusterId,
-    /// Master or worker.
-    pub role: NodeRole,
-    /// Total allocatable resources (r_total).
-    pub total: Resources,
-    /// Currently idle resources (r_ava, before counting preemptible BE).
-    pub available: Resources,
-    /// Resources currently held by BE services — preemptible by LC under
-    /// the §4.1 regulations.
-    pub be_held: Resources,
-    /// Per-service QoS slack δ at the last detector push.
-    pub slack: FxHashMap<ServiceId, f64>,
-    /// Per-service pending request counts (masters only: the t_i^k > 0
-    /// side of Eq. 2).
-    pub pending: FxHashMap<ServiceId, u32>,
-    /// When this snapshot was pushed.
-    pub updated_at: SimTime,
-}
-
-impl NodeSnapshot {
-    /// Resources an LC request may draw on: idle plus preemptible BE
-    /// holdings (§4.1 — "resources available for scheduling and processing
-    /// LC service requests include both idle resources and resources
-    /// currently being used by BE services").
-    pub fn lc_available(&self) -> Resources {
-        self.available + self.be_held
-    }
-
-    /// Resources a BE request may draw on: idle only.
-    pub fn be_available(&self) -> Resources {
-        self.available
-    }
-}
-
-/// A borrowed view of one store row — what [`NodeSnapshot`] carries, minus
-/// the owned maps. The hot read path (candidate-view rebuilds) iterates
-/// these instead of cloning snapshots.
+/// A borrowed view of one node's row: its point-in-time status at the
+/// last sync push. The hot read path (candidate-view rebuilds) iterates
+/// these instead of cloning.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreRow<'a> {
     /// Which node this describes.
@@ -84,16 +44,21 @@ pub struct StoreRow<'a> {
     pub available: Resources,
     /// Resources held by (preemptible) BE services.
     pub be_held: Resources,
-    /// Per-service QoS slack, sparse pairs.
+    /// Per-service QoS slack δ at the last detector push, sparse pairs
+    /// in ascending service order.
     pub slack: &'a [(ServiceId, f64)],
-    /// Per-service pending counts (masters only), sparse pairs.
+    /// Per-service pending request counts (masters only: the t_i^k > 0
+    /// side of Eq. 2), sparse pairs in ascending service order.
     pub pending: &'a [(ServiceId, u32)],
     /// When this row was written.
     pub updated_at: SimTime,
 }
 
 impl StoreRow<'_> {
-    /// Resources an LC request may draw on (idle + preemptible BE).
+    /// Resources an LC request may draw on: idle plus preemptible BE
+    /// holdings (§4.1 — "resources available for scheduling and processing
+    /// LC service requests include both idle resources and resources
+    /// currently being used by BE services").
     pub fn lc_available(&self) -> Resources {
         self.available + self.be_held
     }
@@ -112,14 +77,9 @@ impl StoreRow<'_> {
     }
 }
 
-fn pairs_to_map<V: Copy>(pairs: &[(ServiceId, V)]) -> FxHashMap<ServiceId, V> {
-    pairs.iter().copied().collect()
-}
-
-fn map_to_pairs<V: Copy>(map: &FxHashMap<ServiceId, V>) -> Vec<(ServiceId, V)> {
-    let mut v: Vec<(ServiceId, V)> = map.iter().map(|(&k, &x)| (k, x)).collect();
-    v.sort_unstable_by_key(|&(k, _)| k);
-    v
+/// Whether sparse per-service pairs are in strictly ascending service order.
+fn ascending<V>(pairs: &[(ServiceId, V)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 /// Dense structure-of-arrays snapshot store, indexed by node id.
@@ -158,8 +118,9 @@ impl StateStorage {
     }
 
     /// Overwrite one node's row in place — the sync loop's hot write path.
-    /// `slack` / `pending` are sparse per-service pairs; they replace the
-    /// previous row's wholesale.
+    /// `slack` / `pending` are sparse per-service pairs in strictly
+    /// ascending service order (the order the checkpoint codec writes and
+    /// requires); they replace the previous row's wholesale.
     #[allow(clippy::too_many_arguments)]
     pub fn write_row(
         &mut self,
@@ -173,6 +134,7 @@ impl StateStorage {
         pending: &[(ServiceId, u32)],
         updated_at: SimTime,
     ) {
+        debug_assert!(ascending(slack) && ascending(pending));
         let i = node.index();
         self.ensure(i + 1);
         self.present[i] = true;
@@ -186,23 +148,6 @@ impl StateStorage {
         self.slack[i].extend_from_slice(slack);
         self.pending[i].clear();
         self.pending[i].extend_from_slice(pending);
-    }
-
-    /// Insert or replace a node's snapshot.
-    pub fn push(&mut self, snap: NodeSnapshot) {
-        let slack = map_to_pairs(&snap.slack);
-        let pending = map_to_pairs(&snap.pending);
-        self.write_row(
-            snap.node,
-            snap.cluster,
-            snap.role,
-            snap.total,
-            snap.available,
-            snap.be_held,
-            &slack,
-            &pending,
-            snap.updated_at,
-        );
     }
 
     /// Upper bound on row indices (not all slots need be present).
@@ -228,56 +173,6 @@ impl StateStorage {
         })
     }
 
-    fn materialize(&self, i: usize) -> NodeSnapshot {
-        NodeSnapshot {
-            node: NodeId(i as u32),
-            cluster: self.clusters[i],
-            role: self.roles[i],
-            total: self.totals[i],
-            available: self.available[i],
-            be_held: self.be_held[i],
-            slack: pairs_to_map(&self.slack[i]),
-            pending: pairs_to_map(&self.pending[i]),
-            updated_at: self.updated_at[i],
-        }
-    }
-
-    /// Copy of one node's snapshot.
-    pub fn get(&self, node: NodeId) -> Option<NodeSnapshot> {
-        let i = node.index();
-        self.present
-            .get(i)
-            .copied()
-            .unwrap_or(false)
-            .then(|| self.materialize(i))
-    }
-
-    /// Copies of all snapshots, sorted by node id (deterministic order for
-    /// the schedulers).
-    pub fn all(&self) -> Vec<NodeSnapshot> {
-        (0..self.present.len())
-            .filter(|&i| self.present[i])
-            .map(|i| self.materialize(i))
-            .collect()
-    }
-
-    /// Snapshots of the nodes in one cluster, sorted by node id.
-    pub fn in_cluster(&self, cluster: ClusterId) -> Vec<NodeSnapshot> {
-        (0..self.present.len())
-            .filter(|&i| self.present[i] && self.clusters[i] == cluster)
-            .map(|i| self.materialize(i))
-            .collect()
-    }
-
-    /// Snapshots of the nodes in any of `clusters` (the geo-nearby set for
-    /// LC dispatch), sorted by node id.
-    pub fn in_clusters(&self, clusters: &[ClusterId]) -> Vec<NodeSnapshot> {
-        (0..self.present.len())
-            .filter(|&i| self.present[i] && clusters.contains(&self.clusters[i]))
-            .map(|i| self.materialize(i))
-            .collect()
-    }
-
     /// Number of nodes known.
     pub fn len(&self) -> usize {
         self.present.iter().filter(|&&p| p).count()
@@ -289,60 +184,112 @@ impl StateStorage {
     }
 }
 
+impl StateStorage {
+    /// Encode every present row, in node-id order: the count, then per
+    /// row its node, cluster, role, the three resource vectors, the slack
+    /// and pending pairs (each count-prefixed) and the push time.
+    pub fn snapshot(&self, w: &mut SnapWriter) {
+        w.put_u64(self.len() as u64);
+        for row in (0..self.rows()).filter_map(|i| self.row(i)) {
+            row.node.encode(w);
+            row.cluster.encode(w);
+            row.role.encode(w);
+            row.total.encode(w);
+            row.available.encode(w);
+            row.be_held.encode(w);
+            w.put_u64(row.slack.len() as u64);
+            for &(s, v) in row.slack {
+                s.encode(w);
+                w.put_f64(v);
+            }
+            w.put_u64(row.pending.len() as u64);
+            for &(s, v) in row.pending {
+                s.encode(w);
+                w.put_u32(v);
+            }
+            row.updated_at.encode(w);
+        }
+    }
+
+    /// Overlay a [`snapshot`](Self::snapshot) payload onto a store for a
+    /// system of `nodes` nodes: each decoded row replaces whatever the
+    /// store held for that node. A row naming a node id outside `0..nodes`,
+    /// or service pairs out of ascending order or repeated, is
+    /// [`SnapError::Corrupt`] — nothing is sized from the bytes alone.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>, nodes: usize) -> Result<(), SnapError> {
+        for _ in 0..r.len_prefix(1)? {
+            let i = NodeId::decode(r)?.index();
+            if i >= nodes {
+                return Err(SnapError::Corrupt("store row node id"));
+            }
+            self.ensure(i + 1);
+            self.present[i] = true;
+            self.clusters[i] = ClusterId::decode(r)?;
+            self.roles[i] = NodeRole::decode(r)?;
+            self.totals[i] = Resources::decode(r)?;
+            self.available[i] = Resources::decode(r)?;
+            self.be_held[i] = Resources::decode(r)?;
+            decode_pairs(r, &mut self.slack[i], |r| r.f64())?;
+            decode_pairs(r, &mut self.pending[i], |r| r.u32())?;
+            self.updated_at[i] = SimTime::decode(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// Decode count-prefixed `(service, value)` pairs into `out`, rejecting
+/// pairs out of ascending service order or repeated.
+fn decode_pairs<V>(
+    r: &mut SnapReader<'_>,
+    out: &mut Vec<(ServiceId, V)>,
+    value: impl Fn(&mut SnapReader<'_>) -> Result<V, SnapError>,
+) -> Result<(), SnapError> {
+    out.clear();
+    for _ in 0..r.len_prefix(1)? {
+        out.push((ServiceId::decode(r)?, value(r)?));
+    }
+    if !ascending(out) {
+        return Err(SnapError::Corrupt("store row service order"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap(node: u32, cluster: u32, avail_cpu: u64, be_cpu: u64) -> NodeSnapshot {
-        NodeSnapshot {
-            node: NodeId(node),
-            cluster: ClusterId(cluster),
-            role: NodeRole::Worker,
-            total: Resources::cpu_mem(4_000, 8_192),
-            available: Resources::cpu_mem(avail_cpu, 1_024),
-            be_held: Resources::cpu_mem(be_cpu, 512),
-            slack: FxHashMap::default(),
-            pending: FxHashMap::default(),
-            updated_at: SimTime::ZERO,
-        }
+    fn worker_row(store: &mut StateStorage, node: u32, cluster: u32, avail_cpu: u64) {
+        store.write_row(
+            NodeId(node),
+            ClusterId(cluster),
+            NodeRole::Worker,
+            Resources::cpu_mem(4_000, 8_192),
+            Resources::cpu_mem(avail_cpu, 1_024),
+            Resources::cpu_mem(500, 512),
+            &[],
+            &[],
+            SimTime::ZERO,
+        );
     }
 
     #[test]
     fn lc_sees_idle_plus_preemptible_be() {
-        let s = snap(1, 0, 1_000, 500);
-        assert_eq!(s.lc_available().cpu_milli, 1_500);
-        assert_eq!(s.be_available().cpu_milli, 1_000);
+        let mut store = StateStorage::new();
+        worker_row(&mut store, 1, 0, 1_000);
+        let row = store.row(1).unwrap();
+        assert_eq!(row.lc_available().cpu_milli, 1_500);
+        assert_eq!(row.be_available().cpu_milli, 1_000);
     }
 
     #[test]
-    fn push_get_replace() {
+    fn write_row_replaces_in_place() {
         let mut store = StateStorage::new();
         assert!(store.is_empty());
-        store.push(snap(1, 0, 100, 0));
-        store.push(snap(1, 0, 200, 0));
+        worker_row(&mut store, 1, 0, 100);
+        worker_row(&mut store, 1, 0, 200);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(NodeId(1)).unwrap().available.cpu_milli, 200);
-        assert!(store.get(NodeId(9)).is_none());
-    }
-
-    #[test]
-    fn cluster_queries_filter_and_sort() {
-        let mut store = StateStorage::new();
-        store.push(snap(3, 1, 1, 0));
-        store.push(snap(1, 0, 1, 0));
-        store.push(snap(2, 1, 1, 0));
-        let c1 = store.in_cluster(ClusterId(1));
-        assert_eq!(
-            c1.iter().map(|s| s.node).collect::<Vec<_>>(),
-            vec![NodeId(2), NodeId(3)]
-        );
-        let all = store.all();
-        assert_eq!(
-            all.iter().map(|s| s.node).collect::<Vec<_>>(),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
-        let multi = store.in_clusters(&[ClusterId(0), ClusterId(1)]);
-        assert_eq!(multi.len(), 3);
+        assert_eq!(store.row(1).unwrap().available.cpu_milli, 200);
+        assert!(store.row(9).is_none());
     }
 
     #[test]
@@ -369,10 +316,7 @@ mod tests {
         assert_eq!(row.slack_for(ServiceId(2)), Some(-0.25));
         assert_eq!(row.slack_for(ServiceId(9)), None);
         assert_eq!(row.lc_available().cpu_milli, 5_000);
-        // the materialized snapshot agrees with the row view
-        let snap = store.get(NodeId(2)).unwrap();
-        assert_eq!(snap.slack.get(&ServiceId(1)), Some(&0.5));
-        assert_eq!(snap.pending.get(&ServiceId(1)), Some(&3));
+        assert_eq!(row.pending, &pending);
         assert_eq!(store.len(), 1);
     }
 }

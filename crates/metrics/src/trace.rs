@@ -2,9 +2,9 @@
 //!
 //! The core runtime's stage boundaries (arrival → dispatch decision →
 //! delivery → admission → completion, plus fault events) each emit a
-//! [`TraceEvent`] into a [`TraceSink`]. The default sink is [`NoopTrace`]
-//! and the emission sites are guarded by a single branch with the event
-//! built lazily, so an untraced run pays nothing measurable. The
+//! [`TraceEvent`] into a [`TraceSink`]. A run has no sink by default, and
+//! each emission site is a single branch on the sink's presence with the
+//! event built lazily, so an untraced run pays nothing measurable. The
 //! [`TraceRecorder`] ring buffer keeps the last N events for post-run
 //! inspection (see `examples/trace_tap.rs` in the workspace root).
 //!
@@ -97,15 +97,6 @@ pub enum TraceEvent {
 pub trait TraceSink: Send {
     /// Consume one event stamped with its simulation time.
     fn record(&mut self, at: SimTime, event: TraceEvent);
-}
-
-/// The default sink: drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTrace;
-
-impl TraceSink for NoopTrace {
-    #[inline]
-    fn record(&mut self, _at: SimTime, _event: TraceEvent) {}
 }
 
 /// A bounded ring-buffer recorder with a cloneable read handle.

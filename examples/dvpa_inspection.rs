@@ -41,7 +41,7 @@ fn main() {
         RequestId(1),
         svc.id,
         svc.min_request,
-        svc.work_milli_ms,
+        svc.work_milli_ms as f64,
         SimTime::ZERO,
     )
     .unwrap();
@@ -102,7 +102,7 @@ fn main() {
             RequestId(2),
             svc.id,
             svc.min_request,
-            svc.work_milli_ms,
+            svc.work_milli_ms as f64,
             SimTime::ZERO,
         )
         .unwrap();

@@ -138,7 +138,7 @@ fn node_conserves_work_across_limit_changes() {
                 RequestId(i as u64),
                 spec.id,
                 Resources::cpu_mem(cpu, 64),
-                spec.work_milli_ms,
+                spec.work_milli_ms as f64,
                 SimTime::ZERO,
             )
             .unwrap();

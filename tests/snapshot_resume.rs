@@ -204,6 +204,63 @@ fn garbage_bytes_are_rejected() {
     ));
 }
 
+/// Overwrite the `u32` node id at `offset` into section `tag`'s payload
+/// of a sealed snapshot and re-seal the checksum, so the edited file gets
+/// past every framing check and reaches the section decoders.
+fn with_node_id(sealed: &[u8], tag: u32, offset: usize, id: u32) -> Vec<u8> {
+    let mut bytes = sealed.to_vec();
+    // magic (8) + format version (2) + fingerprint (8) + section count (4)
+    let mut pos = 22;
+    loop {
+        let t = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        if t == tag {
+            let at = pos + 12 + offset;
+            bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+            break;
+        }
+        pos += 12 + len;
+    }
+    let body = bytes.len() - 8;
+    let checksum = tango_snap::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn hostile_node_ids_are_rejected_without_over_allocating() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/calm_mid.snap");
+    let bytes = std::fs::read(fixture).expect("committed calm_mid.snap fixture");
+    // (section, offset of its first node id, what the decoder reports):
+    // the detector's first window follows its width and count, the
+    // store's first row follows its count
+    let cases = [
+        (7, 16, "detector window node id"),
+        (12, 8, "store row node id"),
+    ];
+    for (tag, offset, what) in cases {
+        // re-sealing the id already there leaves a valid snapshot, so the
+        // offset really points at a node id
+        let original = {
+            let file = tango_snap::SnapFile::parse(&bytes).unwrap();
+            let mut r = file.section(tag, "section").unwrap();
+            r.u64().unwrap();
+            if tag == 7 {
+                assert!(r.u64().unwrap() > 0, "fixture has detector windows");
+            }
+            r.u32().unwrap()
+        };
+        assert_eq!(with_node_id(&bytes, tag, offset, original), bytes);
+        let crafted = with_node_id(&bytes, tag, offset, 4_000_000_000);
+        match EdgeCloudSystem::restore(calm_cfg(), &crafted) {
+            Err(SnapError::Corrupt(found)) => assert_eq!(found, what),
+            Err(e) => panic!("section {tag}: expected Corrupt({what}), got {e:?}"),
+            Ok(_) => panic!("section {tag}: hostile node id restored"),
+        }
+    }
+}
+
 #[test]
 fn rl_policies_round_trip_through_checkpoints() {
     // Learned policies (network weights, optimizer moments, RNG streams,
