@@ -1,8 +1,7 @@
 //! The cgroup filesystem model.
 
-use crate::journal::{Journal, JournalEntry, WriteKind};
 use tango_types::FxHashMap;
-use tango_types::{ResourceKind, Resources, SimTime, TangoError};
+use tango_types::{ResourceKind, Resources, TangoError};
 
 /// Index of a cgroup within a [`CgroupFs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +59,6 @@ pub(crate) struct Group {
 pub struct CgroupFs {
     groups: Vec<Group>,
     by_path: FxHashMap<String, usize>,
-    journal: Journal,
     /// Bumped on every create/remove/limit write — anything that can move
     /// an effective limit. Lets callers cache `effective_limit` results
     /// and revalidate with one integer compare.
@@ -79,7 +77,6 @@ impl CgroupFs {
         let mut fs = CgroupFs {
             groups: Vec::with_capacity(8),
             by_path: FxHashMap::default(),
-            journal: Journal::new(),
             limit_epoch: 1,
         };
         let root = fs.insert(ROOT.to_string(), None, capacity);
@@ -100,9 +97,7 @@ impl CgroupFs {
             usage: Resources::ZERO,
             alive: true,
         });
-        self.by_path.insert(path.clone(), idx);
-        self.journal
-            .record(SimTime::ZERO, WriteKind::Create, path, limit);
+        self.by_path.insert(path, idx);
         self.limit_epoch += 1;
         idx
     }
@@ -143,7 +138,6 @@ impl CgroupFs {
     /// exceeds the parent's.
     pub fn create(
         &mut self,
-        at: SimTime,
         parent: CgroupId,
         name: &str,
         limit: Resources,
@@ -165,25 +159,12 @@ impl CgroupFs {
                 "initial limit for {path} exceeds parent limit"
             )));
         }
-        let idx = self.groups.len();
-        self.groups.push(Group {
-            path: path.clone(),
-            parent: Some(parent.0),
-            children: Vec::new(),
-            limit,
-            usage: Resources::ZERO,
-            alive: true,
-        });
-        self.groups[parent.0].children.push(idx);
-        self.by_path.insert(path.clone(), idx);
-        self.journal.record(at, WriteKind::Create, path, limit);
-        self.limit_epoch += 1;
-        Ok(CgroupId(idx))
+        Ok(CgroupId(self.insert_child(path, parent.0, limit)))
     }
 
     /// Remove a cgroup. Fails if it still has live children or charged
     /// usage (`rmdir` on a busy cgroup returns `EBUSY`).
-    pub fn remove(&mut self, at: SimTime, id: CgroupId) -> Result<(), TangoError> {
+    pub fn remove(&mut self, id: CgroupId) -> Result<(), TangoError> {
         let g = &self.groups[id.0];
         if !g.alive {
             return Err(TangoError::CgroupViolation(format!(
@@ -203,14 +184,11 @@ impl CgroupFs {
                 g.path
             )));
         }
-        let path = g.path.clone();
+        self.by_path.remove(&g.path);
         self.groups[id.0].alive = false;
-        self.by_path.remove(&path);
         if let Some(p) = self.groups[id.0].parent {
             self.groups[p].children.retain(|&c| c != id.0);
         }
-        self.journal
-            .record(at, WriteKind::Remove, path, Resources::ZERO);
         self.limit_epoch += 1;
         Ok(())
     }
@@ -224,12 +202,7 @@ impl CgroupFs {
     /// 3. incompressible dimensions (memory, disk) may not shrink below
     ///    current usage — compressible ones (CPU, bandwidth) may (that is
     ///    throttling).
-    pub fn set_limit(
-        &mut self,
-        at: SimTime,
-        id: CgroupId,
-        new_limit: Resources,
-    ) -> Result<(), TangoError> {
+    pub fn set_limit(&mut self, id: CgroupId, new_limit: Resources) -> Result<(), TangoError> {
         let g = &self.groups[id.0];
         if !g.alive {
             return Err(TangoError::CgroupViolation(format!(
@@ -262,10 +235,7 @@ impl CgroupFs {
                 )));
             }
         }
-        let path = g.path.clone();
         self.groups[id.0].limit = new_limit;
-        self.journal
-            .record(at, WriteKind::SetLimit, path, new_limit);
         self.limit_epoch += 1;
         Ok(())
     }
@@ -338,36 +308,15 @@ impl CgroupFs {
         }
     }
 
-    /// The write journal.
-    pub fn journal(&self) -> &[JournalEntry] {
-        self.journal.entries()
-    }
-
-    /// Number of limit writes since construction or the last clear.
-    pub fn journal_limit_writes(&self) -> usize {
-        self.journal.limit_writes()
-    }
-
-    /// Clear the journal (between experiment phases).
-    pub fn clear_journal(&mut self) {
-        self.journal.clear();
-    }
-
     /// The raw group table, for checkpoint encoding.
     pub(crate) fn raw_groups(&self) -> &[Group] {
         &self.groups
     }
 
     /// Swap in a restored group table (see `snapshot` module).
-    pub(crate) fn replace_table(
-        &mut self,
-        groups: Vec<Group>,
-        by_path: FxHashMap<String, usize>,
-        journal: Journal,
-    ) {
+    pub(crate) fn replace_table(&mut self, groups: Vec<Group>, by_path: FxHashMap<String, usize>) {
         self.groups = groups;
         self.by_path = by_path;
-        self.journal = journal;
     }
 
     /// Live children of a group.
@@ -393,20 +342,10 @@ mod tests {
         let mut fs = CgroupFs::new(cap());
         let burst = fs.qos_group(QosLevel::Burstable);
         let pod = fs
-            .create(
-                SimTime::ZERO,
-                burst,
-                "pod67f7df",
-                Resources::new(1_000, 1_024, 100, 1_000),
-            )
+            .create(burst, "pod67f7df", Resources::new(1_000, 1_024, 100, 1_000))
             .unwrap();
         let ctr = fs
-            .create(
-                SimTime::ZERO,
-                pod,
-                "cc13fc77c",
-                Resources::new(500, 512, 50, 500),
-            )
+            .create(pod, "cc13fc77c", Resources::new(500, 512, 50, 500))
             .unwrap();
         (fs, pod, ctr)
     }
@@ -426,12 +365,12 @@ mod tests {
         let bigger = Resources::new(2_000, 2_048, 200, 2_000);
 
         // Wrong order: container first — exceeds the pod limit -> rejected.
-        let err = fs.set_limit(SimTime::ZERO, ctr, bigger).unwrap_err();
+        let err = fs.set_limit(ctr, bigger).unwrap_err();
         assert!(matches!(err, TangoError::CgroupViolation(_)));
 
         // Right order (Fig. 5): pod level first, then container level.
-        fs.set_limit(SimTime::ZERO, pod, bigger).unwrap();
-        fs.set_limit(SimTime::ZERO, ctr, bigger).unwrap();
+        fs.set_limit(pod, bigger).unwrap();
+        fs.set_limit(ctr, bigger).unwrap();
         assert_eq!(fs.limit(ctr), bigger);
     }
 
@@ -441,12 +380,12 @@ mod tests {
         let smaller = Resources::new(250, 256, 25, 250);
 
         // Wrong order: pod first would fall below the container's limit.
-        let err = fs.set_limit(SimTime::ZERO, pod, smaller).unwrap_err();
+        let err = fs.set_limit(pod, smaller).unwrap_err();
         assert!(matches!(err, TangoError::CgroupViolation(_)));
 
         // Right order: container level first, then pod level.
-        fs.set_limit(SimTime::ZERO, ctr, smaller).unwrap();
-        fs.set_limit(SimTime::ZERO, pod, smaller).unwrap();
+        fs.set_limit(ctr, smaller).unwrap();
+        fs.set_limit(pod, smaller).unwrap();
         assert_eq!(fs.effective_limit(ctr), smaller);
     }
 
@@ -456,12 +395,12 @@ mod tests {
         fs.charge(ctr, Resources::cpu_mem(400, 400)).unwrap();
 
         // CPU (compressible) may shrink below usage: that's throttling.
-        fs.set_limit(SimTime::ZERO, ctr, Resources::new(100, 512, 50, 500))
+        fs.set_limit(ctr, Resources::new(100, 512, 50, 500))
             .unwrap();
 
         // Memory (incompressible) may not.
         let err = fs
-            .set_limit(SimTime::ZERO, ctr, Resources::new(100, 100, 50, 500))
+            .set_limit(ctr, Resources::new(100, 100, 50, 500))
             .unwrap_err();
         assert!(matches!(err, TangoError::CgroupViolation(_)));
     }
@@ -490,13 +429,13 @@ mod tests {
     fn effective_limit_is_min_over_path() {
         let (mut fs, pod, ctr) = fs_with_pod();
         // Shrink only the pod's CPU (allowed: child cpu 500 <= 600).
-        fs.set_limit(SimTime::ZERO, pod, Resources::new(600, 1_024, 100, 1_000))
+        fs.set_limit(pod, Resources::new(600, 1_024, 100, 1_000))
             .unwrap();
         // Container keeps its own 500m limit; effective min(500, 600) = 500.
         assert_eq!(fs.effective_limit(ctr).cpu_milli, 500);
         // Now raise the container... rejected above parent.
         assert!(fs
-            .set_limit(SimTime::ZERO, ctr, Resources::new(700, 512, 50, 500))
+            .set_limit(ctr, Resources::new(700, 512, 50, 500))
             .is_err());
     }
 
@@ -505,28 +444,23 @@ mod tests {
         let (mut fs, pod, ctr) = fs_with_pod();
         // busy child
         fs.charge(ctr, Resources::cpu_mem(10, 10)).unwrap();
-        assert!(fs.remove(SimTime::ZERO, ctr).is_err());
+        assert!(fs.remove(ctr).is_err());
         fs.uncharge(ctr, Resources::cpu_mem(10, 10));
         // parent with live child
-        assert!(fs.remove(SimTime::ZERO, pod).is_err());
-        fs.remove(SimTime::ZERO, ctr).unwrap();
-        fs.remove(SimTime::ZERO, pod).unwrap();
+        assert!(fs.remove(pod).is_err());
+        fs.remove(ctr).unwrap();
+        fs.remove(pod).unwrap();
         assert!(fs.lookup("kubepods/burstable/pod67f7df").is_none());
     }
 
     #[test]
     fn recreate_after_remove_is_allowed() {
         let (mut fs, pod, ctr) = fs_with_pod();
-        fs.remove(SimTime::ZERO, ctr).unwrap();
-        fs.remove(SimTime::ZERO, pod).unwrap();
+        fs.remove(ctr).unwrap();
+        fs.remove(pod).unwrap();
         let burst = fs.qos_group(QosLevel::Burstable);
         let pod2 = fs
-            .create(
-                SimTime::ZERO,
-                burst,
-                "pod67f7df",
-                Resources::cpu_mem(100, 100),
-            )
+            .create(burst, "pod67f7df", Resources::cpu_mem(100, 100))
             .unwrap();
         assert_eq!(fs.path(pod2), "kubepods/burstable/pod67f7df");
     }
@@ -535,9 +469,7 @@ mod tests {
     fn duplicate_create_rejected() {
         let (mut fs, _pod, _ctr) = fs_with_pod();
         let burst = fs.qos_group(QosLevel::Burstable);
-        assert!(fs
-            .create(SimTime::ZERO, burst, "pod67f7df", Resources::ZERO)
-            .is_err());
+        assert!(fs.create(burst, "pod67f7df", Resources::ZERO).is_err());
     }
 
     #[test]
@@ -545,22 +477,7 @@ mod tests {
         let mut fs = CgroupFs::new(cap());
         let burst = fs.qos_group(QosLevel::Burstable);
         let huge = Resources::new(100_000, 1, 1, 1);
-        assert!(fs.create(SimTime::ZERO, burst, "p", huge).is_err());
-    }
-
-    #[test]
-    fn journal_records_ordered_writes() {
-        let (mut fs, pod, ctr) = fs_with_pod();
-        fs.clear_journal();
-        let bigger = Resources::new(2_000, 2_048, 200, 2_000);
-        fs.set_limit(SimTime::from_millis(1), pod, bigger).unwrap();
-        fs.set_limit(SimTime::from_millis(2), ctr, bigger).unwrap();
-        let j = fs.journal();
-        assert_eq!(j.len(), 2);
-        assert!(j[0].path.ends_with("pod67f7df"));
-        assert!(j[1].path.ends_with("cc13fc77c"));
-        assert!(j[0].at < j[1].at);
-        assert_eq!(fs.journal_limit_writes(), 2);
+        assert!(fs.create(burst, "p", huge).is_err());
     }
 
     #[test]
@@ -576,7 +493,7 @@ mod tests {
     fn children_lists_only_live() {
         let (mut fs, pod, ctr) = fs_with_pod();
         assert_eq!(fs.children(pod), vec![ctr]);
-        fs.remove(SimTime::ZERO, ctr).unwrap();
+        fs.remove(ctr).unwrap();
         assert!(fs.children(pod).is_empty());
     }
 }

@@ -17,12 +17,12 @@
 //! * usage is charged against every ancestor, so "effective capacity" is
 //!   the minimum over the path to the root.
 //!
-//! Every mutation is recorded in a write journal so tests — and the D-VPA
-//! latency model — can inspect exactly which control files were touched.
+//! The model keeps only the tree's current state; it records no history
+//! of writes. D-VPA counts its own control-file writes
+//! (`ScaleOutcome::writes`), and the rejection rules above are what pin
+//! its write order.
 
 pub mod fs;
-pub mod journal;
 pub mod snapshot;
 
 pub use fs::{CgroupFs, CgroupId, QosLevel};
-pub use journal::{Journal, JournalEntry, WriteKind};

@@ -3,12 +3,8 @@
 //! The group table is snapshotted *structurally* (paths, parent links,
 //! limits, usage, liveness) because pods and containers can be created or
 //! removed mid-run — the tree at tick T is not derivable from the config.
-//! The write journal is deliberately **not** part of a snapshot: it is an
-//! observability log consumed by tests, never read back by the simulation,
-//! so a restored tree starts with an empty journal.
 
 use crate::fs::CgroupFs;
-use crate::journal::Journal;
 use tango_snap::{SnapError, SnapReader, SnapWriter};
 use tango_types::FxHashMap;
 
@@ -38,14 +34,14 @@ impl CgroupFs {
     }
 
     /// Rebuild a tree from [`CgroupFs::snapshot`] bytes. Replaces the whole
-    /// group table; the journal starts empty.
+    /// group table.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         use tango_snap::SnapDecode;
         let count = r.u64()? as usize;
         if count > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut groups = Vec::with_capacity(count);
+        let mut groups = r.capped_vec(count);
         let mut by_path = FxHashMap::default();
         for idx in 0..count {
             let path = r.str()?.to_string();
@@ -64,7 +60,7 @@ impl CgroupFs {
             if n_children > r.remaining() {
                 return Err(SnapError::Truncated);
             }
-            let mut children = Vec::with_capacity(n_children);
+            let mut children = r.capped_vec(n_children);
             for _ in 0..n_children {
                 let c = r.u64()? as usize;
                 if c >= count {
@@ -87,7 +83,7 @@ impl CgroupFs {
                 alive,
             });
         }
-        self.replace_table(groups, by_path, Journal::new());
+        self.replace_table(groups, by_path);
         Ok(())
     }
 }

@@ -29,11 +29,11 @@ use std::sync::Arc;
 use tango_ctrl::{
     DecisionSource, HealthDetector, MirrorHandle, MirrorNode, ProxyBackend, ProxyStats,
 };
-use tango_metrics::TraceEvent;
+use tango_metrics::{Counter, TraceEvent};
 use tango_types::{ClusterId, NodeId, SimTime};
 
 /// Control-plane state owned by the system: the optional keep-alive
-/// detector, the optional state mirror, and proxy fallback bookkeeping.
+/// detector, the optional state mirror, and the attached proxies' stats.
 #[derive(Default)]
 pub struct CtrlState {
     /// Attached state mirror, if any (`EdgeCloudSystem::attach_mirror`).
@@ -42,8 +42,6 @@ pub struct CtrlState {
     pub(crate) detector: Option<HealthDetector>,
     /// Stats handles of every attached [`ProxyBackend`], in attach order.
     pub(crate) proxy_stats: Vec<Arc<ProxyStats>>,
-    /// Fallback total already folded into the period counters.
-    pub(crate) fallbacks_seen: u64,
 }
 
 impl CtrlState {
@@ -57,7 +55,6 @@ impl CtrlState {
                 .clone()
                 .map(|kc| HealthDetector::new(kc, n_nodes)),
             proxy_stats: Vec::new(),
-            fallbacks_seen: 0,
         }
     }
 }
@@ -92,7 +89,9 @@ pub(crate) fn keepalive_tick(ctx: &mut SystemCtx<'_>, now: SimTime) {
 /// the crash reaction the oracle fault model runs at crash time.
 fn on_detected(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
     let lag = ctx.fault.down_duration(node, now);
-    ctx.counters.on_detection(now, lag);
+    ctx.counters
+        .add(now, Counter::DetectionLagUs, lag.as_micros());
+    ctx.counters.add(now, Counter::Detections, 1);
     ctx.emit(now, || TraceEvent::Fault {
         kind: "detected",
         node: Some(node),
@@ -111,10 +110,13 @@ pub(crate) fn after_sync(ctx: &mut SystemCtx<'_>, now: SimTime) {
         .iter()
         .map(|s| s.fallbacks.load(Ordering::Relaxed))
         .sum();
-    let fresh = total.saturating_sub(ctx.ctrl.fallbacks_seen);
-    if fresh > 0 {
-        ctx.counters.on_proxy_fallbacks(now, fresh);
-        ctx.ctrl.fallbacks_seen = total;
+    // the counters already hold every fallback folded so far; with no
+    // proxy attached there is nothing to fold
+    if total > 0 {
+        let fresh = total.saturating_sub(ctx.counters.total(Counter::ProxyFallbacks));
+        if fresh > 0 {
+            ctx.counters.add(now, Counter::ProxyFallbacks, fresh);
+        }
     }
     let Some(mirror) = ctx.ctrl.mirror.clone() else {
         return;

@@ -12,7 +12,7 @@
 use crate::ctx::SystemCtx;
 use crate::system::Event;
 use std::collections::VecDeque;
-use tango_metrics::TraceEvent;
+use tango_metrics::{Counter, TraceEvent};
 use tango_snap::SnapError;
 use tango_types::{
     ClusterId, FxHashMap, NodeId, Request, RequestId, RequestOutcome, Resources, ServiceClass,
@@ -216,7 +216,7 @@ pub(crate) fn on_arrival(
     let id = ctx.lifecycle.alloc_request_id();
     let req = Request::new(id, service, class, origin, now, demand);
     if class.is_lc() {
-        ctx.counters.on_lc_arrival(now);
+        ctx.counters.add(now, Counter::LcArrived, 1);
         ctx.clusters[origin.index()].lc_q.push_back(id);
     } else {
         ctx.clusters[origin.index()].be_q.push_back(id);
@@ -233,7 +233,7 @@ pub(crate) fn on_arrival(
 pub(crate) fn abandon(ctx: &mut SystemCtx<'_>, rid: RequestId, now: SimTime) {
     if let Some(req) = ctx.lifecycle.requests.get_mut(&rid) {
         req.mark_done(RequestOutcome::Abandoned, now);
-        ctx.counters.on_abandon(now);
+        ctx.counters.add(now, Counter::Abandoned, 1);
         ctx.emit(now, || TraceEvent::Abandoned { request: rid });
     }
 }
@@ -288,7 +288,7 @@ pub(crate) fn requeue_or_abandon(ctx: &mut SystemCtx<'_>, rid: RequestId, now: S
     req.mark_requeued();
     if req.class.is_lc() && req.requeues > ctx.cfg.max_requeues {
         req.mark_done(RequestOutcome::Failed, now);
-        ctx.counters.on_abandon(now);
+        ctx.counters.add(now, Counter::Abandoned, 1);
         ctx.emit(now, || TraceEvent::Abandoned { request: rid });
         return;
     }
@@ -512,13 +512,13 @@ pub(crate) fn on_node_check(
                     let within = ctx.catalog.get(done.service).meets_qos(latency);
                     if !within && ctx.fault.any_fault_active() {
                         // attribute the miss to the open fault window
-                        ctx.counters.on_fault_qos_violation(now);
+                        ctx.counters.add(now, Counter::FaultQosViolations, 1);
                     }
                     ctx.counters.on_lc_complete(now, latency, within);
                     ctx.detector.record(node_id, done.service, now, latency);
                 }
                 ServiceClass::Be => {
-                    ctx.counters.on_be_complete(now);
+                    ctx.counters.add(now, Counter::BeCompleted, 1);
                     let d = req.demand;
                     ctx.dispatch.be_completed_frac += d.cpu_milli as f64
                         / node_cap.cpu_milli.max(1) as f64

@@ -32,6 +32,7 @@ use crate::config::TangoConfig;
 use crate::ctx::SystemCtx;
 use crate::lifecycle;
 use crate::system::Event;
+use tango_metrics::Counter;
 use tango_sched::{
     KubeDsm, MigratablePod, MigrationCandidate, MigrationDecision, MigrationPlanner,
 };
@@ -129,7 +130,7 @@ impl MigrationState {
 pub(crate) fn charge_egress(ctx: &mut SystemCtx<'_>, now: SimTime, kib: u64) {
     let was_open = ctx.migration.cloud_open();
     ctx.migration.egress_kib += kib;
-    ctx.counters.on_cloud_egress(now, kib);
+    ctx.counters.add(now, Counter::CloudEgressKib, kib);
     if was_open && !ctx.migration.cloud_open() {
         ctx.dispatch.views.invalidate_structure();
     }
@@ -240,7 +241,7 @@ fn execute_migration(
     if let Some(r) = ctx.lifecycle.requests.get_mut(&d.request) {
         r.mark_migrating(d.src, d.dst, done_at);
     }
-    ctx.counters.on_migration_started(now);
+    ctx.counters.add(now, Counter::MigrationsStarted, 1);
     if Some(dst_cluster) == ctx.migration.cloud && Some(src_cluster) != ctx.migration.cloud {
         charge_egress(ctx, now, payload_kib);
     }
@@ -305,7 +306,7 @@ pub(crate) fn on_migrate_arrive(
             if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
                 r.mark_running(dst, now);
             }
-            ctx.counters.on_migration_completed(now);
+            ctx.counters.add(now, Counter::MigrationsCompleted, 1);
             lifecycle::schedule_node_check(ctx, dst, sched);
             // A committed migration moved placement structure out from
             // under every cached candidate view.

@@ -2,6 +2,7 @@
 
 use tango_faults::FaultSummary;
 use tango_metrics::PeriodRecord;
+use tango_snap::{fnv1a_extend, FNV_OFFSET};
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone)]
@@ -73,29 +74,20 @@ impl RunAudit {
 }
 
 impl RunReport {
-    /// Deterministic 64-bit digest over the report's behavioral fields
-    /// (floats folded in bitwise, periods and fault ledger included).
-    /// Two reports digest equal iff those fields are bit-identical — the
-    /// refactor-equivalence golden test pins this value for a seeded run
-    /// so any behavioral drift in the staged runtime is caught exactly.
-    /// Purely observational additions (`detection_lag_ms`,
-    /// `proxy_fallbacks`, the migration counters and egress totals) are
-    /// deliberately *excluded* so pinned goldens survive control-plane
-    /// and migration instrumentation; they get their own assertions in
-    /// the ctrl-plane and migration tests.
+    /// Deterministic 64-bit FNV-1a digest over the report's behavioral
+    /// fields: the headline numbers, the fault ledger, and every period
+    /// column flagged `in_digest` in [`PeriodRecord::COLUMNS`], floats
+    /// folded bitwise. Two reports digest equal iff those fields are
+    /// bit-identical; the refactor-equivalence golden tests pin this
+    /// value for seeded runs, so any behavioral drift is caught exactly.
+    /// Left out: the label (the digest pins behavior, not naming), the
+    /// run's migration and egress totals, and the observational period
+    /// columns, so pinned goldens survive control-plane and migration
+    /// instrumentation; the ctrl-plane and migration tests assert those
+    /// on their own.
     pub fn digest(&self) -> u64 {
-        // FNV-1a, the same deterministic fold the bench harness stamps
-        // its JSON with. No dependence on label text: the digest pins
-        // behavior, not naming.
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut put = |v: u64| h = fnv1a_extend(h, &v.to_le_bytes());
         put(self.qos_satisfaction.to_bits());
         put(self.be_throughput);
         put(self.abandoned);
@@ -127,17 +119,9 @@ impl RunReport {
         }
         put(self.periods.len() as u64);
         for p in &self.periods {
-            put(p.index);
-            put(p.lc_arrived);
-            put(p.lc_completed);
-            put(p.lc_satisfied);
-            put(p.be_completed);
-            put(p.abandoned);
-            put(p.util_overall.to_bits());
-            put(p.util_lc.to_bits());
-            put(p.util_be.to_bits());
-            put(p.lc_p95_ms.to_bits());
-            put(p.fault_qos_violations);
+            for col in PeriodRecord::COLUMNS.iter().filter(|c| c.in_digest) {
+                put(col.bits(p));
+            }
         }
         h
     }
@@ -145,29 +129,17 @@ impl RunReport {
     /// Per-period series as CSV (header + one row per 800 ms period),
     /// ready for external plotting.
     pub fn periods_csv(&self) -> String {
-        let mut out = String::from(
-            "period,lc_arrived,lc_completed,lc_satisfied,be_completed,abandoned,util_overall,util_lc,util_be,lc_p95_ms,fault_qos_violations,detection_lag_ms,proxy_fallbacks,migrations_started,migrations_completed,cloud_egress_kib\n",
-        );
+        let cols = &PeriodRecord::COLUMNS;
+        let mut out = cols.map(|c| c.name).join(",");
+        out.push('\n');
         for p in &self.periods {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.4},{:.4},{:.4},{:.2},{},{:.2},{},{},{},{}\n",
-                p.index,
-                p.lc_arrived,
-                p.lc_completed,
-                p.lc_satisfied,
-                p.be_completed,
-                p.abandoned,
-                p.util_overall,
-                p.util_lc,
-                p.util_be,
-                p.lc_p95_ms,
-                p.fault_qos_violations,
-                p.detection_lag_ms,
-                p.proxy_fallbacks,
-                p.migrations_started,
-                p.migrations_completed,
-                p.cloud_egress_kib
-            ));
+            for (i, col) in cols.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                col.write_cell(p, &mut out);
+            }
+            out.push('\n');
         }
         out
     }
@@ -307,6 +279,53 @@ mod tests {
             .ends_with("proxy_fallbacks,migrations_started,migrations_completed,cloud_egress_kib"));
         assert!(lines[1].starts_with("0,10,9,8,3,1,0.5000"));
         assert!(lines[1].ends_with(",2,150.00,4,2,1,64"));
+    }
+
+    #[test]
+    fn digest_moves_iff_the_changed_column_is_in_digest() {
+        // one change per PeriodRecord field, named by its CSV column
+        type Change = fn(&mut PeriodRecord);
+        let changes: [(&str, Change); 16] = [
+            ("period", |p| p.index += 1),
+            ("lc_arrived", |p| p.lc_arrived += 1),
+            ("lc_completed", |p| p.lc_completed += 1),
+            ("lc_satisfied", |p| p.lc_satisfied += 1),
+            ("be_completed", |p| p.be_completed += 1),
+            ("abandoned", |p| p.abandoned += 1),
+            ("util_overall", |p| p.util_overall += 0.5),
+            ("util_lc", |p| p.util_lc += 0.5),
+            ("util_be", |p| p.util_be += 0.5),
+            ("lc_p95_ms", |p| p.lc_p95_ms += 0.5),
+            ("fault_qos_violations", |p| p.fault_qos_violations += 1),
+            ("detection_lag_ms", |p| p.detection_lag_ms += 0.5),
+            ("proxy_fallbacks", |p| p.proxy_fallbacks += 1),
+            ("migrations_started", |p| p.migrations_started += 1),
+            ("migrations_completed", |p| p.migrations_completed += 1),
+            ("cloud_egress_kib", |p| p.cloud_egress_kib += 1),
+        ];
+        assert_eq!(
+            changes.map(|(name, _)| name),
+            PeriodRecord::COLUMNS.map(|c| c.name)
+        );
+        let mut base = base_report();
+        base.periods = vec![PeriodRecord::default()];
+        let row = |r: &RunReport| r.periods_csv().lines().nth(1).unwrap().to_string();
+        for (i, ((name, change), col)) in changes.iter().zip(PeriodRecord::COLUMNS).enumerate() {
+            let mut r = base.clone();
+            change(&mut r.periods[0]);
+            assert_eq!(r.digest() != base.digest(), col.in_digest, "{name}");
+            // the change shows in this column's CSV cell and no other
+            let cells = row(&r);
+            let base_cells = row(&base);
+            let moved: Vec<usize> = cells
+                .split(',')
+                .zip(base_cells.split(','))
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+                .map(|(j, _)| j)
+                .collect();
+            assert_eq!(moved, vec![i], "{name}");
+        }
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn decode_reservations(r: &mut SnapReader<'_>) -> Result<Vec<(NodeId, Resources)
     if n > r.remaining() {
         return Err(SnapError::Truncated);
     }
-    let mut entries = Vec::with_capacity(n);
+    let mut entries = r.capped_vec(n);
     for _ in 0..n {
         let k = NodeId::decode(r)?;
         entries.push((k, Resources::decode(r)?));
@@ -495,7 +495,7 @@ impl EdgeCloudSystem {
         if n > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = r.capped_vec(n);
         for _ in 0..n {
             let at = SimTime::decode(&mut r)?;
             let seq = r.u64()?;

@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 use tango_faults::{FaultEvent, FaultState, SystemLayout};
 use tango_hrm::Reassurer;
 use tango_kube::Node;
-use tango_metrics::{ExperimentCounters, QosDetector, StateStorage, TraceSink};
+use tango_metrics::{Counter, ExperimentCounters, QosDetector, StateStorage, TraceSink};
 use tango_net::NetworkTopology;
 use tango_simcore::{Engine, EventHandler, SimRng};
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
@@ -393,24 +393,24 @@ impl EdgeCloudSystem {
 
     pub(crate) fn finish(mut self, label: &str) -> RunReport {
         self.fault.settle(self.horizon);
-        self.fault.summary.fault_qos_violations = self.counters.total_fault_qos_violations();
-        let periods = self.counters.periods();
+        let c = &self.counters;
+        self.fault.summary.fault_qos_violations = c.total(Counter::FaultQosViolations);
         RunReport {
             label: label.to_string(),
-            qos_satisfaction: self.counters.qos_satisfaction_rate().unwrap_or(0.0),
-            be_throughput: self.counters.be_throughput(),
-            abandoned: self.counters.total_abandoned(),
-            mean_utilization: self.counters.mean_utilization(),
-            lc_p95_ms: self.counters.overall_lc_p95_ms(),
-            lc_arrived: periods.iter().map(|p| p.lc_arrived).sum(),
-            lc_completed: periods.iter().map(|p| p.lc_completed).sum(),
-            periods,
+            periods: c.periods(),
+            qos_satisfaction: c.qos_satisfaction_rate().unwrap_or(0.0),
+            be_throughput: c.total(Counter::BeCompleted),
+            abandoned: c.total(Counter::Abandoned),
+            mean_utilization: c.mean_utilization(),
+            lc_p95_ms: c.overall_lc_p95_ms(),
+            lc_arrived: c.total(Counter::LcArrived),
+            lc_completed: c.total(Counter::LcCompleted),
             dvpa_ops: self.allocator.dvpa_ops(),
             be_evictions: self.lifecycle.be_evictions,
             faults: self.fault.summary.clone(),
-            migrations_started: self.counters.migration_totals().0,
-            migrations_completed: self.counters.migration_totals().1,
-            cloud_egress_kib: self.counters.total_cloud_egress_kib(),
+            migrations_started: c.total(Counter::MigrationsStarted),
+            migrations_completed: c.total(Counter::MigrationsCompleted),
+            cloud_egress_kib: c.total(Counter::CloudEgressKib),
         }
     }
 }

@@ -28,6 +28,7 @@
 //! deadline is judged against the decision source's *claimed* sim-time
 //! compute latency.
 
+mod frame;
 #[deny(missing_docs)]
 pub mod health;
 #[deny(missing_docs)]

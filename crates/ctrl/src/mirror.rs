@@ -23,6 +23,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use crate::frame;
 use tango_snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use tango_types::{ClusterId, NodeId, Resources, ServiceId, SimTime};
 
@@ -101,13 +102,13 @@ impl SnapDecode for MirrorNode {
         let be_held = Resources::decode(r)?;
         let reserved = Resources::decode(r)?;
         let n = r.len_prefix(10)?;
-        let mut slack = Vec::with_capacity(n);
+        let mut slack = r.capped_vec(n);
         for _ in 0..n {
             let sid = ServiceId::decode(r)?;
             slack.push((sid, r.f64()?));
         }
         let n = r.len_prefix(6)?;
-        let mut pending = Vec::with_capacity(n);
+        let mut pending = r.capped_vec(n);
         for _ in 0..n {
             let sid = ServiceId::decode(r)?;
             pending.push((sid, r.u32()?));
@@ -190,12 +191,9 @@ pub enum MirrorFrame {
 
 /// Encode a frame: magic, format version, body, FNV-1a checksum trailer.
 pub fn encode_frame(frame: &MirrorFrame) -> Vec<u8> {
-    let mut w = SnapWriter::new();
     match frame {
         MirrorFrame::Full(snap) => {
-            w.put_u32(MIRROR_FULL_MAGIC);
-            w.put_u16(MIRROR_FORMAT_VERSION);
-            snap.encode(&mut w);
+            frame::seal(MIRROR_FULL_MAGIC, MIRROR_FORMAT_VERSION, |w| snap.encode(w))
         }
         MirrorFrame::Delta {
             base_version,
@@ -203,50 +201,28 @@ pub fn encode_frame(frame: &MirrorFrame) -> Vec<u8> {
             at,
             value_clock,
             rows,
-        } => {
-            w.put_u32(MIRROR_DELTA_MAGIC);
-            w.put_u16(MIRROR_FORMAT_VERSION);
+        } => frame::seal(MIRROR_DELTA_MAGIC, MIRROR_FORMAT_VERSION, |w| {
             w.put_u64(*base_version);
             w.put_u64(*version);
-            at.encode(&mut w);
+            at.encode(w);
             w.put_u64(*value_clock);
             w.put_u64(rows.len() as u64);
             for (idx, row) in rows {
                 w.put_u32(*idx);
-                row.encode(&mut w);
+                row.encode(w);
             }
-        }
+        }),
     }
-    let mut bytes = w.into_bytes();
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
 }
 
 /// Decode and validate one frame. Every malformed input maps onto the
 /// snapshot error taxonomy; decoding never panics.
 pub fn decode_frame(bytes: &[u8]) -> Result<MirrorFrame, SnapError> {
-    if bytes.len() < 4 + 2 + 8 {
-        return Err(SnapError::Truncated);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let found = u64::from_le_bytes(trailer.try_into().unwrap());
-    let computed = fnv1a(body);
-    if found != computed {
-        return Err(SnapError::BadChecksum { found, computed });
-    }
-    let mut r = SnapReader::new(body);
-    let magic = r.u32()?;
-    if magic != MIRROR_FULL_MAGIC && magic != MIRROR_DELTA_MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != MIRROR_FORMAT_VERSION {
-        return Err(SnapError::VersionMismatch {
-            found: version,
-            expected: MIRROR_FORMAT_VERSION,
-        });
-    }
+    let (magic, mut r) = frame::open(
+        bytes,
+        &[MIRROR_FULL_MAGIC, MIRROR_DELTA_MAGIC],
+        MIRROR_FORMAT_VERSION,
+    )?;
     let frame = if magic == MIRROR_FULL_MAGIC {
         MirrorFrame::Full(MirrorSnapshot::decode(&mut r)?)
     } else {
@@ -255,7 +231,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<MirrorFrame, SnapError> {
         let at = SimTime::decode(&mut r)?;
         let value_clock = r.u64()?;
         let n = r.len_prefix(4)?;
-        let mut rows = Vec::with_capacity(n);
+        let mut rows = r.capped_vec(n);
         for _ in 0..n {
             let idx = r.u32()?;
             rows.push((idx, MirrorNode::decode(&mut r)?));

@@ -20,9 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
+use crate::frame;
 use tango_par::Pool;
 use tango_sched::{CandidateNode, LcScheduler, TypeBatch};
-use tango_snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{SnapDecode, SnapEncode, SnapError};
 use tango_types::{ClusterId, NodeId, RequestId, ServiceId, SimTime};
 
 /// Wire magic for a decision request frame.
@@ -72,29 +73,27 @@ pub struct DecisionReply {
 
 /// Encode a decision request frame.
 pub fn encode_request(req: &DecisionRequest) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_u32(DECISION_REQUEST_MAGIC);
-    w.put_u16(DECISION_FORMAT_VERSION);
-    w.put_u64(req.round);
-    req.cluster.encode(&mut w);
-    req.deadline.encode(&mut w);
-    w.put_u64(req.batches.len() as u64);
-    for b in &req.batches {
-        b.service.encode(&mut w);
-        b.requests.encode(&mut w);
-        b.candidates.encode(&mut w);
-    }
-    seal(w)
+    frame::seal(DECISION_REQUEST_MAGIC, DECISION_FORMAT_VERSION, |w| {
+        w.put_u64(req.round);
+        req.cluster.encode(w);
+        req.deadline.encode(w);
+        w.put_u64(req.batches.len() as u64);
+        for b in &req.batches {
+            b.service.encode(w);
+            b.requests.encode(w);
+            b.candidates.encode(w);
+        }
+    })
 }
 
 /// Decode and validate a decision request frame.
 pub fn decode_request(bytes: &[u8]) -> Result<DecisionRequest, SnapError> {
-    let mut r = open(bytes, DECISION_REQUEST_MAGIC)?;
+    let (_, mut r) = frame::open(bytes, &[DECISION_REQUEST_MAGIC], DECISION_FORMAT_VERSION)?;
     let round = r.u64()?;
     let cluster = ClusterId::decode(&mut r)?;
     let deadline = SimTime::decode(&mut r)?;
     let n = r.len_prefix(4)?;
-    let mut batches = Vec::with_capacity(n);
+    let mut batches = r.capped_vec(n);
     for _ in 0..n {
         batches.push(RequestBatch {
             service: ServiceId::decode(&mut r)?,
@@ -113,32 +112,30 @@ pub fn decode_request(bytes: &[u8]) -> Result<DecisionRequest, SnapError> {
 
 /// Encode a decision reply frame.
 pub fn encode_reply(reply: &DecisionReply) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_u32(DECISION_REPLY_MAGIC);
-    w.put_u16(DECISION_FORMAT_VERSION);
-    w.put_u64(reply.round);
-    reply.compute_latency.encode(&mut w);
-    w.put_u64(reply.placements.len() as u64);
-    for batch in &reply.placements {
-        w.put_u64(batch.len() as u64);
-        for (rid, node) in batch {
-            rid.encode(&mut w);
-            node.encode(&mut w);
+    frame::seal(DECISION_REPLY_MAGIC, DECISION_FORMAT_VERSION, |w| {
+        w.put_u64(reply.round);
+        reply.compute_latency.encode(w);
+        w.put_u64(reply.placements.len() as u64);
+        for batch in &reply.placements {
+            w.put_u64(batch.len() as u64);
+            for (rid, node) in batch {
+                rid.encode(w);
+                node.encode(w);
+            }
         }
-    }
-    seal(w)
+    })
 }
 
 /// Decode and validate a decision reply frame.
 pub fn decode_reply(bytes: &[u8]) -> Result<DecisionReply, SnapError> {
-    let mut r = open(bytes, DECISION_REPLY_MAGIC)?;
+    let (_, mut r) = frame::open(bytes, &[DECISION_REPLY_MAGIC], DECISION_FORMAT_VERSION)?;
     let round = r.u64()?;
     let compute_latency = SimTime::decode(&mut r)?;
     let n = r.len_prefix(4)?;
-    let mut placements = Vec::with_capacity(n);
+    let mut placements = r.capped_vec(n);
     for _ in 0..n {
         let m = r.len_prefix(12)?;
-        let mut batch = Vec::with_capacity(m);
+        let mut batch = r.capped_vec(m);
         for _ in 0..m {
             let rid = RequestId::decode(&mut r)?;
             batch.push((rid, NodeId::decode(&mut r)?));
@@ -151,37 +148,6 @@ pub fn decode_reply(bytes: &[u8]) -> Result<DecisionReply, SnapError> {
         compute_latency,
         placements,
     })
-}
-
-fn seal(w: SnapWriter) -> Vec<u8> {
-    let mut bytes = w.into_bytes();
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
-}
-
-fn open(bytes: &[u8], want_magic: u32) -> Result<SnapReader<'_>, SnapError> {
-    if bytes.len() < 4 + 2 + 8 {
-        return Err(SnapError::Truncated);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let found = u64::from_le_bytes(trailer.try_into().unwrap());
-    let computed = fnv1a(body);
-    if found != computed {
-        return Err(SnapError::BadChecksum { found, computed });
-    }
-    let mut r = SnapReader::new(body);
-    if r.u32()? != want_magic {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != DECISION_FORMAT_VERSION {
-        return Err(SnapError::VersionMismatch {
-            found: version,
-            expected: DECISION_FORMAT_VERSION,
-        });
-    }
-    Ok(r)
 }
 
 /// An external decision authority as the proxy sees it: give it encoded

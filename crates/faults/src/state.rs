@@ -273,10 +273,10 @@ impl FaultState {
         if n != self.down.len() {
             return Err(SnapError::Corrupt("fault state node count"));
         }
-        let mut limbo_run = Vec::with_capacity(n);
+        let mut limbo_run = r.capped_vec(n);
         for _ in 0..n {
             let m = r.len_prefix(9)?;
-            let mut items = Vec::with_capacity(m);
+            let mut items = r.capped_vec(m);
             for _ in 0..m {
                 let class = ServiceClass::decode(r)?;
                 items.push((class, RequestId::decode(r)?));

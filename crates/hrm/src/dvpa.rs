@@ -87,17 +87,17 @@ impl Dvpa {
         // Phase 1: make room at the pod level (expand-dims first).
         let pod_tmp = cur_pod.max(&target);
         if pod_tmp != cur_pod {
-            node.cgroups.set_limit(now, pod_cg, pod_tmp)?;
+            node.cgroups.set_limit(pod_cg, pod_tmp)?;
             writes += 1;
         }
         // Phase 2: the container target is now always legal.
         if cur_ctr != target {
-            node.cgroups.set_limit(now, ctr_cg, target)?;
+            node.cgroups.set_limit(ctr_cg, target)?;
             writes += 1;
         }
         // Phase 3: settle the pod on the target (shrink-dims last).
         if pod_tmp != target {
-            node.cgroups.set_limit(now, pod_cg, target)?;
+            node.cgroups.set_limit(pod_cg, target)?;
             writes += 1;
         }
 
@@ -138,43 +138,33 @@ mod tests {
         (n, s)
     }
 
+    /// The (pod, container) limits of `service` on `n`.
+    fn limits(n: &Node, service: ServiceId) -> (Resources, Resources) {
+        let (pod_cg, ctr_cg) = n.scaling_cgroups(service).unwrap();
+        (n.cgroups.limit(pod_cg), n.cgroups.limit(ctr_cg))
+    }
+
     #[test]
     fn pure_expand_is_two_writes_pod_first() {
         let (mut n, s) = setup();
         let mut dvpa = Dvpa::default();
-        n.cgroups.clear_journal();
-        let out = dvpa
-            .scale(
-                &mut n,
-                s.id,
-                Resources::new(2_000, 2_048, 200, 2_000),
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let target = Resources::new(2_000, 2_048, 200, 2_000);
+        let out = dvpa.scale(&mut n, s.id, target, SimTime::ZERO).unwrap();
         assert_eq!(out.writes, 2);
         assert_eq!(out.completed_at, SimTime::from_millis(23));
-        let j = n.cgroups.journal();
-        assert!(j[0].path.contains("/pod") && !j[0].path.contains("/ctr"));
-        assert!(j[1].path.contains("/ctr"));
+        // the container write only lands under an already-grown pod
+        assert_eq!(limits(&n, s.id), (target, target));
     }
 
     #[test]
     fn pure_shrink_is_two_writes_container_first() {
         let (mut n, s) = setup();
         let mut dvpa = Dvpa::default();
-        n.cgroups.clear_journal();
-        let out = dvpa
-            .scale(
-                &mut n,
-                s.id,
-                Resources::new(400, 512, 50, 500),
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let target = Resources::new(400, 512, 50, 500);
+        let out = dvpa.scale(&mut n, s.id, target, SimTime::ZERO).unwrap();
         assert_eq!(out.writes, 2);
-        let j = n.cgroups.journal();
-        assert!(j[0].path.contains("/ctr"), "container written first");
-        assert!(!j[1].path.contains("/ctr"), "pod written second");
+        // the pod write only lands over an already-shrunk container
+        assert_eq!(limits(&n, s.id), (target, target));
     }
 
     #[test]

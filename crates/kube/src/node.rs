@@ -167,12 +167,13 @@ impl Node {
 
     /// Deploy a continuously-running service pod with an initial resource
     /// limit. LC services land in the Burstable QoS group, BE in
-    /// BestEffort.
+    /// BestEffort. The deployment time is not recorded: the cgroup model
+    /// keeps no history.
     pub fn deploy_service(
         &mut self,
         spec: &ServiceSpec,
         initial_limit: Resources,
-        now: SimTime,
+        _now: SimTime,
     ) -> Result<ContainerId, TangoError> {
         if self.by_service.contains_key(&spec.id) {
             return Err(TangoError::Config(format!(
@@ -183,18 +184,12 @@ impl Node {
         let qos = qos_level_for(spec.class);
         let (pod_id, ctr_id) = self.alloc_ids();
         let qos_group = self.cgroups.qos_group(qos);
-        let pod_cg = self.cgroups.create(
-            now,
-            qos_group,
-            &format!("pod{:x}", pod_id.raw()),
-            initial_limit,
-        )?;
-        let ctr_cg = self.cgroups.create(
-            now,
-            pod_cg,
-            &format!("ctr{:x}", ctr_id.raw()),
-            initial_limit,
-        )?;
+        let pod_cg =
+            self.cgroups
+                .create(qos_group, &format!("pod{:x}", pod_id.raw()), initial_limit)?;
+        let ctr_cg =
+            self.cgroups
+                .create(pod_cg, &format!("ctr{:x}", ctr_id.raw()), initial_limit)?;
         let pod = Pod {
             id: pod_id,
             service: spec.id,
@@ -764,8 +759,8 @@ mod tests {
         // shrink container (and pod) to 500m so two requests contend:
         let (pod_cg, ctr_cg) = n.scaling_cgroups(s.id).unwrap();
         let lim = Resources::new(500, 1_024, 100, 1_000);
-        n.cgroups.set_limit(SimTime::ZERO, ctr_cg, lim).unwrap();
-        n.cgroups.set_limit(SimTime::ZERO, pod_cg, lim).unwrap();
+        n.cgroups.set_limit(ctr_cg, lim).unwrap();
+        n.cgroups.set_limit(pod_cg, lim).unwrap();
         n.admit(
             RequestId(1),
             s.id,
@@ -813,8 +808,8 @@ mod tests {
         let (mut n, _ctr, s) = node_with_service();
         let lim = Resources::new(500, 1_024, 100, 1_000);
         let (pod_cg, ctr_cg) = n.scaling_cgroups(s.id).unwrap();
-        n.cgroups.set_limit(SimTime::ZERO, ctr_cg, lim).unwrap();
-        n.cgroups.set_limit(SimTime::ZERO, pod_cg, lim).unwrap();
+        n.cgroups.set_limit(ctr_cg, lim).unwrap();
+        n.cgroups.set_limit(pod_cg, lim).unwrap();
         n.admit(
             RequestId(1),
             s.id,
@@ -836,12 +831,8 @@ mod tests {
         assert!(n.take_completions().is_empty());
         // expand pod then container to 1000m (ordered like D-VPA)
         let big = Resources::new(1_000, 1_024, 100, 1_000);
-        n.cgroups
-            .set_limit(SimTime::from_millis(100), pod_cg, big)
-            .unwrap();
-        n.cgroups
-            .set_limit(SimTime::from_millis(100), ctr_cg, big)
-            .unwrap();
+        n.cgroups.set_limit(pod_cg, big).unwrap();
+        n.cgroups.set_limit(ctr_cg, big).unwrap();
         n.touch();
         // each now runs at 500m: remaining 25_000 mcore·ms -> 50ms
         assert_eq!(
@@ -1055,8 +1046,8 @@ mod tests {
         )
         .unwrap();
         let zero = Resources::new(0, 1_024, 100, 1_000);
-        n.cgroups.set_limit(SimTime::ZERO, ctr_cg, zero).unwrap();
-        n.cgroups.set_limit(SimTime::ZERO, pod_cg, zero).unwrap();
+        n.cgroups.set_limit(ctr_cg, zero).unwrap();
+        n.cgroups.set_limit(pod_cg, zero).unwrap();
         assert_eq!(n.next_completion(SimTime::ZERO), None);
         n.advance(SimTime::from_secs(10));
         assert!(n.take_completions().is_empty());

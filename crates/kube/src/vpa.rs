@@ -59,11 +59,11 @@ impl NativeVpa {
             .ok_or(TangoError::UnknownContainer(ctr))?;
         let cur_pod = node.cgroups.limit(pod_cg);
         if new_limit.fits_within(&cur_pod) {
-            node.cgroups.set_limit(now, ctr_cg, new_limit)?;
-            node.cgroups.set_limit(now, pod_cg, new_limit)?;
+            node.cgroups.set_limit(ctr_cg, new_limit)?;
+            node.cgroups.set_limit(pod_cg, new_limit)?;
         } else {
-            node.cgroups.set_limit(now, pod_cg, new_limit)?;
-            node.cgroups.set_limit(now, ctr_cg, new_limit)?;
+            node.cgroups.set_limit(pod_cg, new_limit)?;
+            node.cgroups.set_limit(ctr_cg, new_limit)?;
         }
         node.touch();
         Ok(RebuildOutcome {

@@ -8,7 +8,51 @@
 //! for LC and the long-term throughput φ′ for BE.
 
 use crate::percentile::percentile;
+use std::fmt::Write;
 use tango_types::SimTime;
+
+/// A per-period count: code bumps it with [`ExperimentCounters::add`]
+/// and reads the run total back with [`ExperimentCounters::total`].
+/// Declaration order is the checkpoint codec's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// LC requests that arrived (Q_{b,t} summed over b).
+    LcArrived,
+    /// LC requests completed.
+    LcCompleted,
+    /// LC requests completed within their QoS target (q_{b,t}).
+    LcSatisfied,
+    /// BE requests completed (q'_{b,t}).
+    BeCompleted,
+    /// Requests abandoned.
+    Abandoned,
+    /// LC completions that missed their QoS target while a fault was
+    /// active.
+    FaultQosViolations,
+    /// Summed keep-alive detection lag (fault injection → detector
+    /// trip), in µs.
+    DetectionLagUs,
+    /// Crashes the keep-alive detector tripped on.
+    Detections,
+    /// Dispatch rounds that fell back from a delegated decision to the
+    /// local policy.
+    ProxyFallbacks,
+    /// Migrations initiated (pod detached, transfer in flight).
+    MigrationsStarted,
+    /// Migrations that landed (pod resumed on its destination).
+    MigrationsCompleted,
+    /// KiB sent across the edge→cloud boundary: BE placement payloads
+    /// plus migration state transfers.
+    CloudEgressKib,
+}
+
+impl Counter {
+    /// Number of counters.
+    pub const COUNT: usize = Counter::CloudEgressKib as usize + 1;
+    /// Counters the codec writes before the utilization sums and
+    /// latencies; the rest follow them.
+    pub(crate) const LEADING: usize = Counter::Abandoned as usize + 1;
+}
 
 /// Aggregates for one reporting period.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -54,6 +98,88 @@ pub struct PeriodRecord {
     pub cloud_egress_kib: u64,
 }
 
+/// How one period column reads its value out of a [`PeriodRecord`].
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// A count, printed in full.
+    Count(fn(&PeriodRecord) -> u64),
+    /// A real, printed with the given number of decimals.
+    Real(fn(&PeriodRecord) -> f64, usize),
+}
+
+/// One column of the per-period series.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// CSV header name.
+    pub name: &'static str,
+    /// The value and its CSV format.
+    field: Field,
+    /// Whether the run digest folds this column. Observational columns
+    /// stay out, so instrumentation never moves a pinned digest.
+    pub in_digest: bool,
+}
+
+impl Column {
+    const fn count(name: &'static str, get: fn(&PeriodRecord) -> u64, in_digest: bool) -> Self {
+        Column {
+            name,
+            field: Field::Count(get),
+            in_digest,
+        }
+    }
+
+    const fn real(
+        name: &'static str,
+        get: fn(&PeriodRecord) -> f64,
+        decimals: usize,
+        in_digest: bool,
+    ) -> Self {
+        Column {
+            name,
+            field: Field::Real(get, decimals),
+            in_digest,
+        }
+    }
+
+    /// The column's value as the digest folds it (reals bitwise).
+    pub fn bits(&self, p: &PeriodRecord) -> u64 {
+        match self.field {
+            Field::Count(get) => get(p),
+            Field::Real(get, _) => get(p).to_bits(),
+        }
+    }
+
+    /// Append the column's CSV cell for `p` to `out`.
+    pub fn write_cell(&self, p: &PeriodRecord, out: &mut String) {
+        let _ = match self.field {
+            Field::Count(get) => write!(out, "{}", get(p)),
+            Field::Real(get, decimals) => write!(out, "{:.*}", decimals, get(p)),
+        };
+    }
+}
+
+impl PeriodRecord {
+    /// Every column of the period series, in CSV order.
+    pub const COLUMNS: [Column; 16] = [
+        Column::count("period", |p| p.index, true),
+        Column::count("lc_arrived", |p| p.lc_arrived, true),
+        Column::count("lc_completed", |p| p.lc_completed, true),
+        Column::count("lc_satisfied", |p| p.lc_satisfied, true),
+        Column::count("be_completed", |p| p.be_completed, true),
+        Column::count("abandoned", |p| p.abandoned, true),
+        Column::real("util_overall", |p| p.util_overall, 4, true),
+        Column::real("util_lc", |p| p.util_lc, 4, true),
+        Column::real("util_be", |p| p.util_be, 4, true),
+        Column::real("lc_p95_ms", |p| p.lc_p95_ms, 2, true),
+        Column::count("fault_qos_violations", |p| p.fault_qos_violations, true),
+        Column::real("detection_lag_ms", |p| p.detection_lag_ms, 2, false),
+        Column::count("proxy_fallbacks", |p| p.proxy_fallbacks, false),
+        Column::count("migrations_started", |p| p.migrations_started, false),
+        Column::count("migrations_completed", |p| p.migrations_completed, false),
+        Column::count("cloud_egress_kib", |p| p.cloud_egress_kib, false),
+    ];
+}
+
 /// Nearest-rank p95 of `latencies` in ms (0 when empty).
 fn p95_ms(latencies: &[SimTime]) -> f64 {
     percentile(latencies, 95.0).map_or(0.0, |t| t.as_micros() as f64 / 1_000.0)
@@ -61,21 +187,10 @@ fn p95_ms(latencies: &[SimTime]) -> f64 {
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Accum {
-    pub(crate) lc_arrived: u64,
-    pub(crate) lc_completed: u64,
-    pub(crate) lc_satisfied: u64,
-    pub(crate) be_completed: u64,
-    pub(crate) abandoned: u64,
+    pub(crate) counts: [u64; Counter::COUNT],
     pub(crate) util_sum: (f64, f64, f64),
     pub(crate) util_samples: u64,
     pub(crate) lc_latencies: Vec<SimTime>,
-    pub(crate) fault_qos_violations: u64,
-    pub(crate) detection_lag_us_sum: u64,
-    pub(crate) detections: u64,
-    pub(crate) proxy_fallbacks: u64,
-    pub(crate) migrations_started: u64,
-    pub(crate) migrations_completed: u64,
-    pub(crate) cloud_egress_kib: u64,
 }
 
 /// Period-bucketed experiment counters.
@@ -108,98 +223,25 @@ impl ExperimentCounters {
         &mut self.buckets[idx]
     }
 
-    /// An LC request arrived.
-    pub fn on_lc_arrival(&mut self, at: SimTime) {
-        self.bucket(at).lc_arrived += 1;
+    /// Add `n` to `counter` in the period containing `at`.
+    pub fn add(&mut self, at: SimTime, counter: Counter, n: u64) {
+        self.bucket(at).counts[counter as usize] += n;
+    }
+
+    /// `counter` summed over the whole run.
+    pub fn total(&self, counter: Counter) -> u64 {
+        self.buckets
+            .iter()
+            .map(|b| b.counts[counter as usize])
+            .sum()
     }
 
     /// An LC request completed; `within_qos` per its service target.
     pub fn on_lc_complete(&mut self, at: SimTime, latency: SimTime, within_qos: bool) {
         let b = self.bucket(at);
-        b.lc_completed += 1;
-        if within_qos {
-            b.lc_satisfied += 1;
-        }
+        b.counts[Counter::LcCompleted as usize] += 1;
+        b.counts[Counter::LcSatisfied as usize] += u64::from(within_qos);
         b.lc_latencies.push(latency);
-    }
-
-    /// A BE request completed.
-    pub fn on_be_complete(&mut self, at: SimTime) {
-        self.bucket(at).be_completed += 1;
-    }
-
-    /// A request was abandoned.
-    pub fn on_abandon(&mut self, at: SimTime) {
-        self.bucket(at).abandoned += 1;
-    }
-
-    /// An LC completion missed its QoS target inside a fault window.
-    pub fn on_fault_qos_violation(&mut self, at: SimTime) {
-        self.bucket(at).fault_qos_violations += 1;
-    }
-
-    /// Total QoS violations attributable to fault windows.
-    pub fn total_fault_qos_violations(&self) -> u64 {
-        self.buckets.iter().map(|b| b.fault_qos_violations).sum()
-    }
-
-    /// The keep-alive detector tripped on a crash: record the lag from
-    /// physical fault injection to detection, in sim time.
-    pub fn on_detection(&mut self, at: SimTime, lag: SimTime) {
-        let b = self.bucket(at);
-        b.detection_lag_us_sum += lag.as_micros();
-        b.detections += 1;
-    }
-
-    /// `n` dispatch rounds fell back from a delegated decision to the
-    /// local policy since the last sample.
-    pub fn on_proxy_fallbacks(&mut self, at: SimTime, n: u64) {
-        self.bucket(at).proxy_fallbacks += n;
-    }
-
-    /// A migration was initiated (pod detached, transfer in flight).
-    pub fn on_migration_started(&mut self, at: SimTime) {
-        self.bucket(at).migrations_started += 1;
-    }
-
-    /// A migration landed (pod resumed on its destination).
-    pub fn on_migration_completed(&mut self, at: SimTime) {
-        self.bucket(at).migrations_completed += 1;
-    }
-
-    /// `kib` KiB crossed the edge→cloud boundary (placement payload or
-    /// migration state transfer).
-    pub fn on_cloud_egress(&mut self, at: SimTime, kib: u64) {
-        self.bucket(at).cloud_egress_kib += kib;
-    }
-
-    /// (started, completed) migrations over the whole run.
-    pub fn migration_totals(&self) -> (u64, u64) {
-        self.buckets.iter().fold((0, 0), |(s, c), b| {
-            (s + b.migrations_started, c + b.migrations_completed)
-        })
-    }
-
-    /// Total KiB of cloud egress over the whole run.
-    pub fn total_cloud_egress_kib(&self) -> u64 {
-        self.buckets.iter().map(|b| b.cloud_egress_kib).sum()
-    }
-
-    /// (detected crashes, mean detection lag in ms) over the whole run.
-    pub fn detection_lag_summary(&self) -> (u64, f64) {
-        let (sum, n) = self.buckets.iter().fold((0u64, 0u64), |(s, n), b| {
-            (s + b.detection_lag_us_sum, n + b.detections)
-        });
-        if n == 0 {
-            (0, 0.0)
-        } else {
-            (n, sum as f64 / n as f64 / 1_000.0)
-        }
-    }
-
-    /// Total proxy fallbacks over the whole run.
-    pub fn total_proxy_fallbacks(&self) -> u64 {
-        self.buckets.iter().map(|b| b.proxy_fallbacks).sum()
     }
 
     /// Record a utilization sample (overall, LC share, BE share), each in
@@ -215,33 +257,11 @@ impl ExperimentCounters {
     /// Cumulative QoS-guarantee satisfaction rate φ = Σq / ΣQ over all
     /// periods. `None` when no LC requests arrived.
     pub fn qos_satisfaction_rate(&self) -> Option<f64> {
-        let arrived: u64 = self.buckets.iter().map(|b| b.lc_arrived).sum();
+        let arrived = self.total(Counter::LcArrived);
         if arrived == 0 {
             return None;
         }
-        let sat: u64 = self.buckets.iter().map(|b| b.lc_satisfied).sum();
-        Some(sat as f64 / arrived as f64)
-    }
-
-    /// Satisfaction rate against *completed* LC requests (used when a run
-    /// is truncated and late arrivals never finished).
-    pub fn qos_satisfaction_of_completed(&self) -> Option<f64> {
-        let done: u64 = self.buckets.iter().map(|b| b.lc_completed).sum();
-        if done == 0 {
-            return None;
-        }
-        let sat: u64 = self.buckets.iter().map(|b| b.lc_satisfied).sum();
-        Some(sat as f64 / done as f64)
-    }
-
-    /// Cumulative BE throughput φ′ = Σ q′.
-    pub fn be_throughput(&self) -> u64 {
-        self.buckets.iter().map(|b| b.be_completed).sum()
-    }
-
-    /// Total abandoned requests.
-    pub fn total_abandoned(&self) -> u64 {
-        self.buckets.iter().map(|b| b.abandoned).sum()
+        Some(self.total(Counter::LcSatisfied) as f64 / arrived as f64)
     }
 
     /// Mean overall utilization across all samples.
@@ -272,28 +292,30 @@ impl ExperimentCounters {
             .iter()
             .enumerate()
             .map(|(i, b)| {
+                let count = |c: Counter| b.counts[c as usize];
                 let n = b.util_samples.max(1) as f64;
+                let detections = count(Counter::Detections);
                 PeriodRecord {
                     index: i as u64,
-                    lc_arrived: b.lc_arrived,
-                    lc_completed: b.lc_completed,
-                    lc_satisfied: b.lc_satisfied,
-                    be_completed: b.be_completed,
-                    abandoned: b.abandoned,
+                    lc_arrived: count(Counter::LcArrived),
+                    lc_completed: count(Counter::LcCompleted),
+                    lc_satisfied: count(Counter::LcSatisfied),
+                    be_completed: count(Counter::BeCompleted),
+                    abandoned: count(Counter::Abandoned),
                     util_overall: b.util_sum.0 / n,
                     util_lc: b.util_sum.1 / n,
                     util_be: b.util_sum.2 / n,
                     lc_p95_ms: p95_ms(&b.lc_latencies),
-                    fault_qos_violations: b.fault_qos_violations,
-                    detection_lag_ms: if b.detections == 0 {
+                    fault_qos_violations: count(Counter::FaultQosViolations),
+                    detection_lag_ms: if detections == 0 {
                         0.0
                     } else {
-                        b.detection_lag_us_sum as f64 / b.detections as f64 / 1_000.0
+                        count(Counter::DetectionLagUs) as f64 / detections as f64 / 1_000.0
                     },
-                    proxy_fallbacks: b.proxy_fallbacks,
-                    migrations_started: b.migrations_started,
-                    migrations_completed: b.migrations_completed,
-                    cloud_egress_kib: b.cloud_egress_kib,
+                    proxy_fallbacks: count(Counter::ProxyFallbacks),
+                    migrations_started: count(Counter::MigrationsStarted),
+                    migrations_completed: count(Counter::MigrationsCompleted),
+                    cloud_egress_kib: count(Counter::CloudEgressKib),
                 }
             })
             .collect()
@@ -311,12 +333,12 @@ mod tests {
     #[test]
     fn events_land_in_the_right_period() {
         let mut c = ExperimentCounters::paper_default();
-        c.on_lc_arrival(ms(100)); // period 0
-        c.on_lc_arrival(ms(799)); // period 0
-        c.on_lc_arrival(ms(800)); // period 1
+        c.add(ms(100), Counter::LcArrived, 1); // period 0
+        c.add(ms(799), Counter::LcArrived, 1); // period 0
+        c.add(ms(800), Counter::LcArrived, 1); // period 1
         c.on_lc_complete(ms(900), ms(50), true); // period 1
-        c.on_be_complete(ms(1_700)); // period 2
-        c.on_abandon(ms(2_500)); // period 3
+        c.add(ms(1_700), Counter::BeCompleted, 1); // period 2
+        c.add(ms(2_500), Counter::Abandoned, 1); // period 3
         let p = c.periods();
         assert_eq!(p.len(), 4);
         assert_eq!(p[0].lc_arrived, 2);
@@ -332,25 +354,26 @@ mod tests {
         let mut c = ExperimentCounters::paper_default();
         assert_eq!(c.qos_satisfaction_rate(), None);
         for i in 0..10 {
-            c.on_lc_arrival(ms(i * 10));
+            c.add(ms(i * 10), Counter::LcArrived, 1);
         }
         for i in 0..8 {
             c.on_lc_complete(ms(500 + i), ms(100), i < 6);
         }
         assert!((c.qos_satisfaction_rate().unwrap() - 0.6).abs() < 1e-12);
-        assert!((c.qos_satisfaction_of_completed().unwrap() - 0.75).abs() < 1e-12);
+        assert_eq!(c.total(Counter::LcCompleted), 8);
+        assert_eq!(c.total(Counter::LcSatisfied), 6);
     }
 
     #[test]
     fn throughput_and_abandoned_accumulate() {
         let mut c = ExperimentCounters::paper_default();
         for i in 0..25 {
-            c.on_be_complete(ms(i * 100));
+            c.add(ms(i * 100), Counter::BeCompleted, 1);
         }
-        c.on_abandon(ms(5));
-        c.on_abandon(ms(5_000));
-        assert_eq!(c.be_throughput(), 25);
-        assert_eq!(c.total_abandoned(), 2);
+        c.add(ms(5), Counter::Abandoned, 1);
+        c.add(ms(5_000), Counter::Abandoned, 1);
+        assert_eq!(c.total(Counter::BeCompleted), 25);
+        assert_eq!(c.total(Counter::Abandoned), 2);
     }
 
     #[test]
@@ -378,42 +401,43 @@ mod tests {
     #[test]
     fn fault_qos_violations_bucket_and_sum() {
         let mut c = ExperimentCounters::paper_default();
-        c.on_fault_qos_violation(ms(100)); // period 0
-        c.on_fault_qos_violation(ms(900)); // period 1
-        c.on_fault_qos_violation(ms(950)); // period 1
+        c.add(ms(100), Counter::FaultQosViolations, 1); // period 0
+        c.add(ms(900), Counter::FaultQosViolations, 1); // period 1
+        c.add(ms(950), Counter::FaultQosViolations, 1); // period 1
         let p = c.periods();
         assert_eq!(p[0].fault_qos_violations, 1);
         assert_eq!(p[1].fault_qos_violations, 2);
-        assert_eq!(c.total_fault_qos_violations(), 3);
+        assert_eq!(c.total(Counter::FaultQosViolations), 3);
     }
 
     #[test]
     fn detection_lag_and_proxy_fallbacks_bucket_and_summarize() {
         let mut c = ExperimentCounters::paper_default();
-        c.on_detection(ms(300), ms(200)); // period 0
-        c.on_detection(ms(900), ms(100)); // period 1
-        c.on_detection(ms(1_000), ms(300)); // period 1
-        c.on_proxy_fallbacks(ms(100), 2); // period 0
-        c.on_proxy_fallbacks(ms(900), 1); // period 1
+        // (at, lag): one detection in period 0, two in period 1
+        for (at, lag) in [(300, 200), (900, 100), (1_000, 300)] {
+            c.add(ms(at), Counter::DetectionLagUs, ms(lag).as_micros());
+            c.add(ms(at), Counter::Detections, 1);
+        }
+        c.add(ms(100), Counter::ProxyFallbacks, 2); // period 0
+        c.add(ms(900), Counter::ProxyFallbacks, 1); // period 1
         let p = c.periods();
         assert!((p[0].detection_lag_ms - 200.0).abs() < 1e-9);
         assert!((p[1].detection_lag_ms - 200.0).abs() < 1e-9);
         assert_eq!(p[0].proxy_fallbacks, 2);
         assert_eq!(p[1].proxy_fallbacks, 1);
-        let (n, mean) = c.detection_lag_summary();
-        assert_eq!(n, 3);
-        assert!((mean - 200.0).abs() < 1e-9);
-        assert_eq!(c.total_proxy_fallbacks(), 3);
+        assert_eq!(c.total(Counter::Detections), 3);
+        assert_eq!(c.total(Counter::DetectionLagUs), ms(600).as_micros());
+        assert_eq!(c.total(Counter::ProxyFallbacks), 3);
     }
 
     #[test]
     fn migration_counters_bucket_and_total() {
         let mut c = ExperimentCounters::paper_default();
-        c.on_migration_started(ms(100)); // period 0
-        c.on_cloud_egress(ms(100), 64); // period 0
-        c.on_migration_started(ms(900)); // period 1
-        c.on_cloud_egress(ms(900), 128); // period 1
-        c.on_migration_completed(ms(1_000)); // period 1
+        c.add(ms(100), Counter::MigrationsStarted, 1); // period 0
+        c.add(ms(100), Counter::CloudEgressKib, 64); // period 0
+        c.add(ms(900), Counter::MigrationsStarted, 1); // period 1
+        c.add(ms(900), Counter::CloudEgressKib, 128); // period 1
+        c.add(ms(1_000), Counter::MigrationsCompleted, 1); // period 1
         let p = c.periods();
         assert_eq!(p[0].migrations_started, 1);
         assert_eq!(p[0].migrations_completed, 0);
@@ -421,8 +445,9 @@ mod tests {
         assert_eq!(p[1].migrations_started, 1);
         assert_eq!(p[1].migrations_completed, 1);
         assert_eq!(p[1].cloud_egress_kib, 128);
-        assert_eq!(c.migration_totals(), (2, 1));
-        assert_eq!(c.total_cloud_egress_kib(), 192);
+        assert_eq!(c.total(Counter::MigrationsStarted), 2);
+        assert_eq!(c.total(Counter::MigrationsCompleted), 1);
+        assert_eq!(c.total(Counter::CloudEgressKib), 192);
     }
 
     #[test]

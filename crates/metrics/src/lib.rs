@@ -10,7 +10,10 @@
 //!   control threads;
 //! * [`counters`] — experiment accounting: per-period utilization,
 //!   QoS-guarantee satisfaction rate and BE throughput, i.e. the y-axes of
-//!   every figure in §7;
+//!   every figure in §7. Every period metric is declared there alone: a
+//!   [`PeriodRecord`] field, an entry in [`PeriodRecord::COLUMNS`] (its
+//!   CSV name, CSV format and whether the run digest folds it) and, for
+//!   a plain count, a [`Counter`] variant;
 //! * [`trace`] — zero-cost stage-boundary trace hooks: the [`TraceSink`]
 //!   interface the core runtime emits into and a ring-buffer recorder for
 //!   per-request timelines.
@@ -23,7 +26,7 @@ pub mod store;
 pub mod trace;
 pub mod window;
 
-pub use counters::{ExperimentCounters, PeriodRecord};
+pub use counters::{Column, Counter, ExperimentCounters, PeriodRecord};
 pub use percentile::percentile;
 pub use qos::{slack_score, NodeWindows, QosDetector};
 pub use store::{NodeRole, StateStorage, StoreRow};

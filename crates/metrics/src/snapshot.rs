@@ -8,7 +8,7 @@
 //! storage's own row codec lives beside its columns in the `store`
 //! module.
 
-use crate::counters::{Accum, ExperimentCounters};
+use crate::counters::{Accum, Counter, ExperimentCounters};
 use crate::qos::QosDetector;
 use crate::store::NodeRole;
 use crate::window::LatencyWindow;
@@ -68,43 +68,38 @@ impl QosDetector {
 
 impl SnapEncode for Accum {
     fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.lc_arrived);
-        w.put_u64(self.lc_completed);
-        w.put_u64(self.lc_satisfied);
-        w.put_u64(self.be_completed);
-        w.put_u64(self.abandoned);
+        let (leading, rest) = self.counts.split_at(Counter::LEADING);
+        for &n in leading {
+            w.put_u64(n);
+        }
         w.put_f64(self.util_sum.0);
         w.put_f64(self.util_sum.1);
         w.put_f64(self.util_sum.2);
         w.put_u64(self.util_samples);
         self.lc_latencies.encode(w);
-        w.put_u64(self.fault_qos_violations);
-        w.put_u64(self.detection_lag_us_sum);
-        w.put_u64(self.detections);
-        w.put_u64(self.proxy_fallbacks);
-        w.put_u64(self.migrations_started);
-        w.put_u64(self.migrations_completed);
-        w.put_u64(self.cloud_egress_kib);
+        for &n in rest {
+            w.put_u64(n);
+        }
     }
 }
 impl SnapDecode for Accum {
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut counts = [0; Counter::COUNT];
+        let (leading, rest) = counts.split_at_mut(Counter::LEADING);
+        for n in leading {
+            *n = r.u64()?;
+        }
+        let util_sum = (r.f64()?, r.f64()?, r.f64()?);
+        let util_samples = r.u64()?;
+        let lc_latencies = Vec::<SimTime>::decode(r)?;
+        for n in rest {
+            *n = r.u64()?;
+        }
         Ok(Accum {
-            lc_arrived: r.u64()?,
-            lc_completed: r.u64()?,
-            lc_satisfied: r.u64()?,
-            be_completed: r.u64()?,
-            abandoned: r.u64()?,
-            util_sum: (r.f64()?, r.f64()?, r.f64()?),
-            util_samples: r.u64()?,
-            lc_latencies: Vec::<SimTime>::decode(r)?,
-            fault_qos_violations: r.u64()?,
-            detection_lag_us_sum: r.u64()?,
-            detections: r.u64()?,
-            proxy_fallbacks: r.u64()?,
-            migrations_started: r.u64()?,
-            migrations_completed: r.u64()?,
-            cloud_egress_kib: r.u64()?,
+            counts,
+            util_sum,
+            util_samples,
+            lc_latencies,
         })
     }
 }
@@ -191,20 +186,23 @@ mod tests {
     #[test]
     fn counters_round_trip_preserves_report() {
         let mut c = ExperimentCounters::paper_default();
-        c.on_lc_arrival(SimTime::from_millis(100));
+        c.add(SimTime::from_millis(100), Counter::LcArrived, 1);
         c.on_lc_complete(SimTime::from_millis(200), SimTime::from_millis(42), true);
-        c.on_be_complete(SimTime::from_millis(900));
+        c.add(SimTime::from_millis(900), Counter::BeCompleted, 1);
         c.sample_utilization(SimTime::from_millis(400), 0.5, 0.3, 0.2);
-        c.on_fault_qos_violation(SimTime::from_millis(850));
-        c.on_migration_started(SimTime::from_millis(860));
-        c.on_migration_completed(SimTime::from_millis(910));
-        c.on_cloud_egress(SimTime::from_millis(860), 832);
+        c.add(SimTime::from_millis(850), Counter::FaultQosViolations, 1);
+        c.add(SimTime::from_millis(860), Counter::MigrationsStarted, 1);
+        c.add(SimTime::from_millis(910), Counter::MigrationsCompleted, 1);
+        c.add(SimTime::from_millis(860), Counter::CloudEgressKib, 832);
         let bytes = round_trip_bytes(&c);
         let mut r = SnapReader::new(&bytes);
         let back = ExperimentCounters::decode(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.periods(), c.periods());
-        assert_eq!(back.be_throughput(), c.be_throughput());
+        assert_eq!(
+            back.total(Counter::BeCompleted),
+            c.total(Counter::BeCompleted)
+        );
     }
 
     fn store_with_rows(nodes: &[u32]) -> StateStorage {

@@ -296,7 +296,7 @@ impl NetworkTopology {
         if n_deg > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut degraded = Vec::with_capacity(n_deg);
+        let mut degraded = r.capped_vec(n_deg);
         for _ in 0..n_deg {
             let a = r.u32()?;
             let b = r.u32()?;

@@ -189,6 +189,14 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
+    /// An empty `Vec` to decode `n` elements into. The up-front
+    /// reservation is capped at `remaining() / size_of::<T>()` elements,
+    /// so a forged count reserves no more memory than the input holds; a
+    /// genuine count past the cap only makes the `Vec` regrow.
+    pub fn capped_vec<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / std::mem::size_of::<T>().max(1)))
+    }
+
     /// Fail unless the reader is exactly exhausted — catches section
     /// payloads with trailing garbage.
     pub fn expect_end(&self, what: &'static str) -> Result<(), SnapError> {
@@ -270,7 +278,7 @@ impl<T: SnapEncode> SnapEncode for Vec<T> {
 impl<T: SnapDecode> SnapDecode for Vec<T> {
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len_prefix(1)?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = r.capped_vec(n);
         for _ in 0..n {
             out.push(T::decode(r)?);
         }
@@ -440,6 +448,33 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(Vec::<u64>::decode(&mut r), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn forged_count_of_large_elements_is_an_error_not_an_abort() {
+        // 65,536 elements of 1 MiB claimed over 64 KiB of payload: the
+        // count passes the one-byte-per-element check, so only the
+        // reservation cap stands between it and a 64 GiB allocation
+        #[allow(dead_code)] // only its size matters: no value is ever built
+        struct Huge([u8; 1 << 20]);
+        impl SnapDecode for Huge {
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.u8()?;
+                Err(SnapError::Corrupt("huge element"))
+            }
+        }
+        let mut w = SnapWriter::new();
+        w.put_u64(1 << 16);
+        w.put_raw(&[0; 1 << 16]);
+        let bytes = w.into_bytes();
+        // a 1 MiB value in flight needs more stack than a test thread has
+        let decoded = std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(move || Vec::<Huge>::decode(&mut SnapReader::new(&bytes)).map(|v| v.len()))
+            .expect("spawn decoder thread")
+            .join()
+            .expect("decoder thread");
+        assert_eq!(decoded, Err(SnapError::Corrupt("huge element")));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl ServiceCatalog {
         &self.specs
     }
 
-    /// Mutable access for calibration.
-    pub fn specs_mut(&mut self) -> &mut [ServiceSpec] {
-        &mut self.specs
-    }
-
     /// Ids of all LC services.
     pub fn lc_ids(&self) -> Vec<ServiceId> {
         self.specs

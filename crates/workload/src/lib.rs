@@ -4,25 +4,24 @@
 //! trace (§6.2): records with `<EventType, SCHEDULE>` and
 //! `<CollectionType, JOB>` are bucketed into **ten service categories** by
 //! the `LatencySensitivity` field, split between Latency-Critical and
-//! Best-Effort, and replayed by a request generator. QoS targets are set by
-//! PARTIES-style pressure measurement.
+//! Best-Effort, and replayed by a request generator. The paper sets QoS
+//! targets by PARTIES-style pressure measurement; here they are constants
+//! in the service catalog.
 //!
 //! We cannot ship the 8 GB proprietary trace, so this crate synthesizes a
 //! statistically equivalent stream (see DESIGN.md): the same ten-category
 //! catalog, heavy-tailed per-request demands, the diurnal load shape of
 //! Fig. 1, the three §7.1 request patterns (P1/P2/P3), and a Google-like
-//! bursty job-arrival process. Every generator is deterministic per seed.
+//! bursty job-arrival process. Every generator is deterministic per seed,
+//! and the system builds its trace from the config on every run; there is
+//! no trace file format.
 
-pub mod calibration;
 pub mod catalog;
 pub mod diurnal;
 pub mod patterns;
 pub mod trace;
-pub mod trace_io;
 
-pub use calibration::calibrate_qos_targets;
 pub use catalog::ServiceCatalog;
 pub use diurnal::DiurnalProfile;
 pub use patterns::{Pattern, PatternKind};
 pub use trace::{TraceEvent, TraceGenerator, TraceSpec};
-pub use trace_io::{load_trace, save_trace};

@@ -1,7 +1,7 @@
 //! A guided tour of D-VPA's CGroup control flow (Fig. 5): deploy a
 //! service pod, scale it up and down with D-VPA (ordered, non-disruptive
 //! writes) and with the stock K8s VPA (delete-and-rebuild), and print the
-//! CGroup write journal of both.
+//! pod- and container-level CGroup limits D-VPA leaves behind.
 //!
 //! ```sh
 //! cargo run --release --example dvpa_inspection
@@ -25,6 +25,18 @@ fn spec() -> ServiceSpec {
     }
 }
 
+/// Print the pod- and container-level CGroup limits of `service`.
+fn print_limits(node: &Node, service: ServiceId) {
+    let (pod_cg, ctr_cg) = node.scaling_cgroups(service).unwrap();
+    for cg in [pod_cg, ctr_cg] {
+        println!(
+            "  limit {} -> [{}]",
+            node.cgroups.path(cg),
+            node.cgroups.limit(cg)
+        );
+    }
+}
+
 fn main() {
     let capacity = Resources::new(8_000, 16_384, 1_000, 100_000);
     let svc = spec();
@@ -45,7 +57,6 @@ fn main() {
         SimTime::ZERO,
     )
     .unwrap();
-    node.cgroups.clear_journal();
 
     let mut dvpa = Dvpa::default();
     println!("== D-VPA: expand 1000m -> 2000m while a request is running ==");
@@ -57,9 +68,7 @@ fn main() {
             SimTime::from_millis(10),
         )
         .unwrap();
-    for e in node.cgroups.journal() {
-        println!("  write {:?} {} -> [{}]", e.kind, e.path, e.limit);
-    }
+    print_limits(&node, svc.id);
     println!(
         "  {} writes, finished at {} (op latency 23 ms), request still running: {}",
         out.writes,
@@ -67,18 +76,17 @@ fn main() {
         node.running_count() == 1
     );
 
-    node.cgroups.clear_journal();
     println!("\n== D-VPA: shrink back to 600m (container before pod) ==");
-    dvpa.scale(
-        &mut node,
-        svc.id,
-        Resources::new(600, 1_024, 100, 1_000),
-        SimTime::from_millis(40),
-    )
-    .unwrap();
-    for e in node.cgroups.journal() {
-        println!("  write {:?} {} -> [{}]", e.kind, e.path, e.limit);
-    }
+    let out = dvpa
+        .scale(
+            &mut node,
+            svc.id,
+            Resources::new(600, 1_024, 100, 1_000),
+            SimTime::from_millis(40),
+        )
+        .unwrap();
+    print_limits(&node, svc.id);
+    println!("  {} writes", out.writes);
 
     // the in-flight request survives everything and completes
     node.advance(SimTime::from_millis(200));

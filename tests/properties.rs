@@ -204,15 +204,10 @@ fn cgroup_child_never_exceeds_parent() {
         let mut fs = CgroupFs::new(cap);
         let burst = fs.qos_group(QosLevel::Burstable);
         let pod = fs
-            .create(
-                SimTime::ZERO,
-                burst,
-                "pod",
-                Resources::cpu_mem(1_000, 1_000),
-            )
+            .create(burst, "pod", Resources::cpu_mem(1_000, 1_000))
             .unwrap();
         let ctr = fs
-            .create(SimTime::ZERO, pod, "ctr", Resources::cpu_mem(1_000, 1_000))
+            .create(pod, "ctr", Resources::cpu_mem(1_000, 1_000))
             .unwrap();
         for _ in 0..n_targets {
             let cpu = 1 + rng.next_below(7_999);
@@ -222,11 +217,11 @@ fn cgroup_child_never_exceeds_parent() {
             let cur_pod = fs.limit(pod);
             let tmp = cur_pod.max(&target);
             if tmp != cur_pod {
-                fs.set_limit(SimTime::ZERO, pod, tmp).unwrap();
+                fs.set_limit(pod, tmp).unwrap();
             }
-            fs.set_limit(SimTime::ZERO, ctr, target).unwrap();
+            fs.set_limit(ctr, target).unwrap();
             if tmp != target {
-                fs.set_limit(SimTime::ZERO, pod, target).unwrap();
+                fs.set_limit(pod, target).unwrap();
             }
             let eff = fs.effective_limit(ctr);
             assert!(eff.fits_within(&fs.limit(pod)));

@@ -14,15 +14,21 @@
 //! below does the same in-process for hosts without the env var set.
 
 use tango::{BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport, TangoConfig};
+use tango_snap::fnv1a;
 use tango_types::{ClusterId, SimTime};
 
 /// Digest of `calm_cfg()` run for 5 s, captured from the pre-refactor
 /// `system.rs` monolith (commit d599896) and unchanged since.
 const CALM_DIGEST: u64 = 0x6338323c1d6cf929;
+/// FNV-1a of the same run's `periods_csv()`, captured while the CSV was
+/// still written by a hand-kept header, format string and argument list.
+const CALM_CSV_FNV: u64 = 0x7cb81137ef9499d2;
 
 /// Digest of `churn_cfg()` run for 5 s, captured from the pre-refactor
 /// `system.rs` monolith (commit d599896) and unchanged since.
 const CHURN_DIGEST: u64 = 0xee21677c6a08d16d;
+/// FNV-1a of the same run's `periods_csv()`, captured like `CALM_CSV_FNV`.
+const CHURN_CSV_FNV: u64 = 0xe424a07a6f3b4f93;
 
 fn calm_cfg() -> TangoConfig {
     let mut cfg = TangoConfig::physical_testbed();
@@ -71,6 +77,7 @@ fn calm_run_matches_pre_refactor_digest() {
          (report: {})",
         report.summary()
     );
+    assert_eq!(fnv1a(report.periods_csv().as_bytes()), CALM_CSV_FNV);
 }
 
 #[test]
@@ -83,6 +90,7 @@ fn churn_run_matches_pre_refactor_digest() {
          (report: {})",
         report.summary()
     );
+    assert_eq!(fnv1a(report.periods_csv().as_bytes()), CHURN_CSV_FNV);
 }
 
 #[test]

@@ -152,11 +152,11 @@ fn node_conserves_work_across_limit_changes() {
             let cur = node.cgroups.limit(pod_cg);
             let tmp = cur.max(&lim);
             if tmp != cur {
-                node.cgroups.set_limit(t, pod_cg, tmp).unwrap();
+                node.cgroups.set_limit(pod_cg, tmp).unwrap();
             }
-            node.cgroups.set_limit(t, ctr_cg, lim).unwrap();
+            node.cgroups.set_limit(ctr_cg, lim).unwrap();
             if tmp != lim {
-                node.cgroups.set_limit(t, pod_cg, lim).unwrap();
+                node.cgroups.set_limit(pod_cg, lim).unwrap();
             }
             node.touch();
             t += SimTime::from_millis(7);
