@@ -79,6 +79,12 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
             if !ctx.fault.on_phys_crash(node, now, is_master) {
                 return; // already down (overlapping churn draw)
             }
+            // Work that runs out by the crash instant finished: book it
+            // before the crash interrupts the rest.
+            let host = &mut ctx.nodes[node.index()];
+            host.advance(now);
+            let completions = host.take_completions();
+            lifecycle::book_completions(ctx, node, &completions, now);
             ctx.emit(now, || TraceEvent::Fault {
                 kind: "crash",
                 node: Some(node),

@@ -12,6 +12,7 @@
 use crate::ctx::SystemCtx;
 use crate::system::Event;
 use std::collections::VecDeque;
+use tango_kube::CompletedRequest;
 use tango_metrics::{Counter, TraceEvent};
 use tango_snap::SnapError;
 use tango_types::{
@@ -500,43 +501,55 @@ pub(crate) fn on_node_check(
     }
     let completions = ctx.nodes[node_id.index()].take_completions();
     if !completions.is_empty() {
-        let node_cap = ctx.nodes[node_id.index()].capacity();
-        for done in &completions {
-            let Some(req) = ctx.lifecycle.requests.get_mut(&done.request) else {
-                continue;
-            };
-            req.mark_done(RequestOutcome::Completed, now);
-            let latency = now.saturating_since(req.arrival);
-            match done.class {
-                ServiceClass::Lc => {
-                    let within = ctx.catalog.get(done.service).meets_qos(latency);
-                    if !within && ctx.fault.any_fault_active() {
-                        // attribute the miss to the open fault window
-                        ctx.counters.add(now, Counter::FaultQosViolations, 1);
-                    }
-                    ctx.counters.on_lc_complete(now, latency, within);
-                    ctx.detector.record(node_id, done.service, now, latency);
-                }
-                ServiceClass::Be => {
-                    ctx.counters.add(now, Counter::BeCompleted, 1);
-                    let d = req.demand;
-                    ctx.dispatch.be_completed_frac += d.cpu_milli as f64
-                        / node_cap.cpu_milli.max(1) as f64
-                        + d.memory_mib as f64 / node_cap.memory_mib.max(1) as f64;
-                }
-            }
-            ctx.emit(now, || TraceEvent::Completion {
-                request: done.request,
-                node: node_id,
-                latency,
-            });
-        }
+        book_completions(ctx, node_id, &completions, now);
         ctx.allocator
             .rebalance(&mut ctx.nodes[node_id.index()], now);
         // freed resources may unblock node-waiting LC requests
         drain_node_wait(ctx, node_id, sched);
     }
     schedule_node_check(ctx, node_id, sched);
+}
+
+/// Book the requests `node_id` finished by `now` (as drained by
+/// `Node::take_completions`): mark each done, count it, and feed LC
+/// latencies to the QoS detector. Node checks and crashes share it.
+pub(crate) fn book_completions(
+    ctx: &mut SystemCtx<'_>,
+    node_id: NodeId,
+    completions: &[CompletedRequest],
+    now: SimTime,
+) {
+    let node_cap = ctx.nodes[node_id.index()].capacity();
+    for done in completions {
+        let Some(req) = ctx.lifecycle.requests.get_mut(&done.request) else {
+            continue;
+        };
+        req.mark_done(RequestOutcome::Completed, now);
+        let latency = now.saturating_since(req.arrival);
+        match done.class {
+            ServiceClass::Lc => {
+                let within = ctx.catalog.get(done.service).meets_qos(latency);
+                if !within && ctx.fault.any_fault_active() {
+                    // attribute the miss to the open fault window
+                    ctx.counters.add(now, Counter::FaultQosViolations, 1);
+                }
+                ctx.counters.on_lc_complete(now, latency, within);
+                ctx.detector.record(node_id, done.service, now, latency);
+            }
+            ServiceClass::Be => {
+                ctx.counters.add(now, Counter::BeCompleted, 1);
+                let d = req.demand;
+                ctx.dispatch.be_completed_frac += d.cpu_milli as f64
+                    / node_cap.cpu_milli.max(1) as f64
+                    + d.memory_mib as f64 / node_cap.memory_mib.max(1) as f64;
+            }
+        }
+        ctx.emit(now, || TraceEvent::Completion {
+            request: done.request,
+            node: node_id,
+            latency,
+        });
+    }
 }
 
 #[cfg(test)]

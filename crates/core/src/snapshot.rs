@@ -21,90 +21,41 @@
 //! never a silently wrong resume.
 
 use crate::config::TangoConfig;
+use crate::migration::InFlight;
 use crate::report::RunReport;
 use crate::runtime::Allocator;
 use crate::system::{EdgeCloudSystem, Event};
 use std::collections::VecDeque;
-use tango_faults::FaultEvent;
 use tango_metrics::ExperimentCounters;
 use tango_simcore::{Engine, EventQueue};
 use tango_snap::{
-    fnv1a, SnapDecode, SnapEncode, SnapError, SnapFile, SnapFileBuilder, SnapReader, SnapWriter,
+    fnv1a, snap_enum, snap_record, SnapDecode, SnapEncode, SnapError, SnapFile, SnapFileBuilder,
 };
-use tango_types::{
-    ClusterId, FxHashMap, NodeId, Request, RequestId, Resources, ServiceId, SimTime,
-};
+use tango_types::{NodeId, Request, RequestId, Resources, SimTime};
 use tango_workload::ServiceCatalog;
 
-impl SnapEncode for Event {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Arrival {
-                service,
-                origin,
-                demand,
-            } => {
-                w.put_u8(0);
-                service.encode(w);
-                origin.encode(w);
-                demand.encode(w);
-            }
-            Event::Dispatch(c) => {
-                w.put_u8(1);
-                c.encode(w);
-            }
-            Event::CentralArrive(r) => {
-                w.put_u8(2);
-                r.encode(w);
-            }
-            Event::BeDispatch => w.put_u8(3),
-            Event::Deliver(r, n, epoch) => {
-                w.put_u8(4);
-                r.encode(w);
-                n.encode(w);
-                w.put_u64(*epoch);
-            }
-            Event::NodeCheck(n, generation) => {
-                w.put_u8(5);
-                n.encode(w);
-                w.put_u64(*generation);
-            }
-            Event::Reassure => w.put_u8(6),
-            Event::Sync => w.put_u8(7),
-            Event::Fault(f) => {
-                w.put_u8(8);
-                f.encode(w);
-            }
-            Event::MigrateArrive(r, n, epoch) => {
-                w.put_u8(9);
-                r.encode(w);
-                n.encode(w);
-                w.put_u64(*epoch);
-            }
-        }
-    }
-}
-impl SnapDecode for Event {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Event::Arrival {
-                service: ServiceId::decode(r)?,
-                origin: ClusterId::decode(r)?,
-                demand: Resources::decode(r)?,
-            },
-            1 => Event::Dispatch(ClusterId::decode(r)?),
-            2 => Event::CentralArrive(RequestId::decode(r)?),
-            3 => Event::BeDispatch,
-            4 => Event::Deliver(RequestId::decode(r)?, NodeId::decode(r)?, r.u64()?),
-            5 => Event::NodeCheck(NodeId::decode(r)?, r.u64()?),
-            6 => Event::Reassure,
-            7 => Event::Sync,
-            8 => Event::Fault(FaultEvent::decode(r)?),
-            9 => Event::MigrateArrive(RequestId::decode(r)?, NodeId::decode(r)?, r.u64()?),
-            _ => return Err(SnapError::Corrupt("event tag")),
-        })
-    }
-}
+snap_enum!(Event, "event tag" {
+    0 => Arrival { service, origin, demand },
+    1 => Dispatch(cluster),
+    2 => CentralArrive(request),
+    3 => BeDispatch,
+    4 => Deliver(request, node, epoch),
+    5 => NodeCheck(node, generation),
+    6 => Reassure,
+    7 => Sync,
+    8 => Fault(fault),
+    9 => MigrateArrive(request, node, epoch),
+});
+
+snap_record!(InFlight {
+    service,
+    demand,
+    remaining_work,
+    src,
+    dst,
+    payload_kib,
+    done_at,
+});
 
 /// Fingerprint of everything in the config that shapes results. The
 /// `parallelism` field is masked out first: thread count never changes
@@ -167,56 +118,11 @@ pub struct Checkpoint {
     pub bytes: Vec<u8>,
 }
 
-fn encode_sorted_requests(w: &mut SnapWriter, requests: &FxHashMap<RequestId, Request>) {
-    let mut ids: Vec<RequestId> = requests.keys().copied().collect();
-    ids.sort_unstable();
-    w.put_u64(ids.len() as u64);
-    for id in ids {
-        requests[&id].encode(w);
-    }
-}
-
-fn decode_requests(r: &mut SnapReader<'_>) -> Result<FxHashMap<RequestId, Request>, SnapError> {
-    let n = r.u64()? as usize;
-    if n > r.remaining() {
-        return Err(SnapError::Truncated);
-    }
-    let mut map = FxHashMap::default();
-    for _ in 0..n {
-        let req = Request::decode(r)?;
-        map.insert(req.id, req);
-    }
-    Ok(map)
-}
-
-fn encode_reservations(w: &mut SnapWriter, reserved: &crate::lifecycle::ReservationTable) {
-    // nonzero entries in node-id order — the dense table's natural order
-    // is already the canonical sorted form the old map codec produced
-    let entries: Vec<(NodeId, Resources)> = reserved.iter_nonzero().collect();
-    w.put_u64(entries.len() as u64);
-    for (k, v) in entries {
-        k.encode(w);
-        v.encode(w);
-    }
-}
-
-fn decode_reservations(r: &mut SnapReader<'_>) -> Result<Vec<(NodeId, Resources)>, SnapError> {
-    let n = r.u64()? as usize;
-    if n > r.remaining() {
-        return Err(SnapError::Truncated);
-    }
-    let mut entries = r.capped_vec(n);
-    for _ in 0..n {
-        let k = NodeId::decode(r)?;
-        entries.push((k, Resources::decode(r)?));
-    }
-    Ok(entries)
-}
-
 /// Encode the full system + engine state into a sealed snapshot file.
 /// Fails with [`SnapError::Unsupported`] when a configured scheduler
-/// cannot serialize its state (the RL agents — their network weights and
-/// replay buffers are out of scope).
+/// cannot serialize its state: an attached `ProxyBackend`, whose decision
+/// source lives outside the run. The learned policies checkpoint their
+/// weights, optimizer moments, RNG streams and buffers in their blobs.
 pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Vec<u8>, SnapError> {
     let mut b = SnapFileBuilder::new(config_fingerprint(&sys.cfg));
 
@@ -225,19 +131,20 @@ pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Ve
     });
 
     b.section(SEC_LIFECYCLE, |w| {
-        encode_sorted_requests(w, &sys.lifecycle.requests);
+        let mut requests: Vec<&Request> = sys.lifecycle.requests.values().collect();
+        requests.sort_unstable_by_key(|q| q.id);
+        requests.encode(w);
         w.put_u64(sys.lifecycle.next_request_id);
-        encode_reservations(w, &sys.lifecycle.reserved);
+        // nonzero entries in node-id order
+        let reserved: Vec<(NodeId, Resources)> = sys.lifecycle.reserved.iter_nonzero().collect();
+        reserved.encode(w);
         sys.lifecycle.node_wait.encode(w);
         w.put_u64(sys.lifecycle.be_evictions);
     });
 
     b.section(SEC_CLUSTERS, |w| {
-        w.put_u64(sys.clusters.len() as u64);
-        for c in &sys.clusters {
-            c.lc_q.encode(w);
-            c.be_q.encode(w);
-        }
+        let queues: Vec<_> = sys.clusters.iter().map(|c| (&c.lc_q, &c.be_q)).collect();
+        queues.encode(w);
     });
 
     // scheduler policy blobs: collected up front so a non-snapshottable
@@ -298,12 +205,7 @@ pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Ve
         w.put_u64(engine.queue().next_seq());
         let mut entries: Vec<(SimTime, u64, &Event)> = engine.queue().entries().collect();
         entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        w.put_u64(entries.len() as u64);
-        for (at, seq, ev) in entries {
-            at.encode(w);
-            w.put_u64(seq);
-            ev.encode(w);
-        }
+        entries.encode(w);
     });
 
     // Control plane: keep-alive suspicion levels. Mirror/proxy
@@ -323,20 +225,9 @@ pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Ve
     b.section(SEC_MIGRATION, |w| {
         w.put_u32(sys.migration.ticks);
         w.put_u64(sys.migration.egress_kib);
-        let mut ids: Vec<RequestId> = sys.migration.in_flight.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_u64(ids.len() as u64);
-        for id in ids {
-            let m = &sys.migration.in_flight[&id];
-            id.encode(w);
-            m.service.encode(w);
-            m.demand.encode(w);
-            w.put_f64(m.remaining_work);
-            m.src.encode(w);
-            m.dst.encode(w);
-            w.put_u64(m.payload_kib);
-            m.done_at.encode(w);
-        }
+        let mut in_flight: Vec<(&RequestId, &InFlight)> = sys.migration.in_flight.iter().collect();
+        in_flight.sort_unstable_by_key(|&(id, _)| *id);
+        in_flight.encode(w);
     });
 
     Ok(b.seal())
@@ -408,9 +299,10 @@ impl EdgeCloudSystem {
         sys.horizon = SimTime::decode(&mut r)?;
 
         let mut r = file.section(SEC_LIFECYCLE, "lifecycle section")?;
-        sys.lifecycle.requests = decode_requests(&mut r)?;
+        let requests = Vec::<Request>::decode(&mut r)?;
+        sys.lifecycle.requests = requests.into_iter().map(|q| (q.id, q)).collect();
         sys.lifecycle.next_request_id = r.u64()?;
-        let reservations = decode_reservations(&mut r)?;
+        let reservations = Vec::<(NodeId, Resources)>::decode(&mut r)?;
         sys.lifecycle.reserved.load(&reservations)?;
         let node_wait = Vec::<VecDeque<RequestId>>::decode(&mut r)?;
         if node_wait.len() != sys.nodes.len() {
@@ -420,12 +312,13 @@ impl EdgeCloudSystem {
         sys.lifecycle.be_evictions = r.u64()?;
 
         let mut r = file.section(SEC_CLUSTERS, "clusters section")?;
-        if r.u64()? as usize != sys.clusters.len() {
+        let queues = Vec::<(VecDeque<RequestId>, VecDeque<RequestId>)>::decode(&mut r)?;
+        if queues.len() != sys.clusters.len() {
             return Err(SnapError::Corrupt("cluster count"));
         }
-        for c in sys.clusters.iter_mut() {
-            c.lc_q = VecDeque::<RequestId>::decode(&mut r)?;
-            c.be_q = VecDeque::<RequestId>::decode(&mut r)?;
+        for (c, (lc_q, be_q)) in sys.clusters.iter_mut().zip(queues) {
+            c.lc_q = lc_q;
+            c.be_q = be_q;
         }
 
         let mut r = file.section(SEC_DISPATCH, "dispatch section")?;
@@ -491,16 +384,7 @@ impl EdgeCloudSystem {
         let now = SimTime::decode(&mut r)?;
         let processed = r.u64()?;
         let next_seq = r.u64()?;
-        let n = r.u64()? as usize;
-        if n > r.remaining() {
-            return Err(SnapError::Truncated);
-        }
-        let mut entries = r.capped_vec(n);
-        for _ in 0..n {
-            let at = SimTime::decode(&mut r)?;
-            let seq = r.u64()?;
-            entries.push((at, seq, Event::decode(&mut r)?));
-        }
+        let entries = Vec::<(SimTime, u64, Event)>::decode(&mut r)?;
         let engine =
             Engine::from_parts(now, processed, EventQueue::from_entries(entries, next_seq));
 
@@ -514,23 +398,8 @@ impl EdgeCloudSystem {
         let mut r = file.section(SEC_MIGRATION, "migration section")?;
         sys.migration.ticks = r.u32()?;
         sys.migration.egress_kib = r.u64()?;
-        let n = r.u64()? as usize;
-        if n > r.remaining() {
-            return Err(SnapError::Truncated);
-        }
-        for _ in 0..n {
-            let id = RequestId::decode(&mut r)?;
-            let m = crate::migration::InFlight {
-                service: ServiceId::decode(&mut r)?,
-                demand: Resources::decode(&mut r)?,
-                remaining_work: r.f64()?,
-                src: NodeId::decode(&mut r)?,
-                dst: NodeId::decode(&mut r)?,
-                payload_kib: r.u64()?,
-                done_at: SimTime::decode(&mut r)?,
-            };
-            sys.migration.in_flight.insert(id, m);
-        }
+        let in_flight = Vec::<(RequestId, InFlight)>::decode(&mut r)?;
+        sys.migration.in_flight.extend(in_flight);
 
         Ok(Resumed { sys, engine })
     }

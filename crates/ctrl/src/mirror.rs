@@ -24,7 +24,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::frame;
-use tango_snap::{fnv1a, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{fnv1a, snap_record, to_bytes, SnapDecode, SnapEncode, SnapError};
 use tango_types::{ClusterId, NodeId, Resources, ServiceId, SimTime};
 
 /// Wire magic for a full mirror frame.
@@ -67,68 +67,20 @@ pub struct MirrorNode {
     pub last_heartbeat: SimTime,
 }
 
-impl SnapEncode for MirrorNode {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.node.encode(w);
-        self.cluster.encode(w);
-        w.put_bool(self.is_master);
-        self.total.encode(w);
-        self.available.encode(w);
-        self.be_held.encode(w);
-        self.reserved.encode(w);
-        w.put_u64(self.slack.len() as u64);
-        for (sid, s) in &self.slack {
-            sid.encode(w);
-            w.put_f64(*s);
-        }
-        w.put_u64(self.pending.len() as u64);
-        for (sid, n) in &self.pending {
-            sid.encode(w);
-            w.put_u32(*n);
-        }
-        self.updated_at.encode(w);
-        w.put_bool(self.alive);
-        self.last_heartbeat.encode(w);
-    }
-}
-
-impl SnapDecode for MirrorNode {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let node = NodeId::decode(r)?;
-        let cluster = ClusterId::decode(r)?;
-        let is_master = r.bool()?;
-        let total = Resources::decode(r)?;
-        let available = Resources::decode(r)?;
-        let be_held = Resources::decode(r)?;
-        let reserved = Resources::decode(r)?;
-        let n = r.len_prefix(10)?;
-        let mut slack = r.capped_vec(n);
-        for _ in 0..n {
-            let sid = ServiceId::decode(r)?;
-            slack.push((sid, r.f64()?));
-        }
-        let n = r.len_prefix(6)?;
-        let mut pending = r.capped_vec(n);
-        for _ in 0..n {
-            let sid = ServiceId::decode(r)?;
-            pending.push((sid, r.u32()?));
-        }
-        Ok(MirrorNode {
-            node,
-            cluster,
-            is_master,
-            total,
-            available,
-            be_held,
-            reserved,
-            slack,
-            pending,
-            updated_at: SimTime::decode(r)?,
-            alive: r.bool()?,
-            last_heartbeat: SimTime::decode(r)?,
-        })
-    }
-}
+snap_record!(MirrorNode {
+    node,
+    cluster,
+    is_master,
+    total,
+    available,
+    be_held,
+    reserved,
+    slack,
+    pending,
+    updated_at,
+    alive,
+    last_heartbeat,
+});
 
 /// A complete versioned mirror state: what an external store holds after
 /// applying the frame stream.
@@ -147,27 +99,13 @@ pub struct MirrorSnapshot {
     pub nodes: Vec<MirrorNode>,
 }
 
-impl SnapEncode for MirrorSnapshot {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.version);
-        self.at.encode(w);
-        w.put_u64(self.structure_clock);
-        w.put_u64(self.value_clock);
-        self.nodes.encode(w);
-    }
-}
-
-impl SnapDecode for MirrorSnapshot {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MirrorSnapshot {
-            version: r.u64()?,
-            at: SimTime::decode(r)?,
-            structure_clock: r.u64()?,
-            value_clock: r.u64()?,
-            nodes: Vec::<MirrorNode>::decode(r)?,
-        })
-    }
-}
+snap_record!(MirrorSnapshot {
+    version,
+    at,
+    structure_clock,
+    value_clock,
+    nodes,
+});
 
 /// One published mirror update, as it travels on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,15 +140,8 @@ pub fn encode_frame(frame: &MirrorFrame) -> Vec<u8> {
             value_clock,
             rows,
         } => frame::seal(MIRROR_DELTA_MAGIC, MIRROR_FORMAT_VERSION, |w| {
-            w.put_u64(*base_version);
-            w.put_u64(*version);
-            at.encode(w);
-            w.put_u64(*value_clock);
-            w.put_u64(rows.len() as u64);
-            for (idx, row) in rows {
-                w.put_u32(*idx);
-                row.encode(w);
-            }
+            (base_version, version, at, value_clock).encode(w);
+            rows.encode(w);
         }),
     }
 }
@@ -226,16 +157,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<MirrorFrame, SnapError> {
     let frame = if magic == MIRROR_FULL_MAGIC {
         MirrorFrame::Full(MirrorSnapshot::decode(&mut r)?)
     } else {
-        let base_version = r.u64()?;
-        let version = r.u64()?;
-        let at = SimTime::decode(&mut r)?;
-        let value_clock = r.u64()?;
-        let n = r.len_prefix(4)?;
-        let mut rows = r.capped_vec(n);
-        for _ in 0..n {
-            let idx = r.u32()?;
-            rows.push((idx, MirrorNode::decode(&mut r)?));
-        }
+        let (base_version, version, at, value_clock) = SnapDecode::decode(&mut r)?;
+        let rows = Vec::<(u32, MirrorNode)>::decode(&mut r)?;
         MirrorFrame::Delta {
             base_version,
             version,
@@ -312,33 +235,19 @@ struct MirrorInner {
     stats: MirrorStats,
 }
 
-/// Change-detection hash of one row: everything *except* the pure
-/// observation timestamps (`updated_at`, `last_heartbeat`). Timestamps
-/// advance on every sync tick even when nothing else moved; hashing them
-/// would make every delta carry the whole cluster. A row publishes only
-/// when its substance changes, and keeps its last published timestamps
-/// in the meantime.
+/// Change-detection hash of one row: its encoding with the pure
+/// observation timestamps (`updated_at`, `last_heartbeat`) zeroed.
+/// Timestamps advance on every sync tick even when nothing else moved;
+/// hashing them would make every delta carry the whole cluster. A row
+/// publishes only when its substance changes, and keeps its last
+/// published timestamps in the meantime. The hash never leaves the
+/// process.
 fn change_hash(n: &MirrorNode) -> u64 {
-    let mut w = SnapWriter::new();
-    n.node.encode(&mut w);
-    n.cluster.encode(&mut w);
-    w.put_bool(n.is_master);
-    n.total.encode(&mut w);
-    n.available.encode(&mut w);
-    n.be_held.encode(&mut w);
-    n.reserved.encode(&mut w);
-    w.put_u64(n.slack.len() as u64);
-    for (sid, v) in &n.slack {
-        sid.encode(&mut w);
-        w.put_f64(*v);
-    }
-    w.put_u64(n.pending.len() as u64);
-    for (sid, c) in &n.pending {
-        sid.encode(&mut w);
-        w.put_u32(*c);
-    }
-    w.put_bool(n.alive);
-    fnv1a(&w.into_bytes())
+    fnv1a(&to_bytes(&MirrorNode {
+        updated_at: SimTime::ZERO,
+        last_heartbeat: SimTime::ZERO,
+        ..n.clone()
+    }))
 }
 
 /// Shared, cloneable handle to one published mirror — the runtime's

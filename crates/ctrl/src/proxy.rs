@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::frame;
 use tango_par::Pool;
 use tango_sched::{CandidateNode, LcScheduler, TypeBatch};
-use tango_snap::{SnapDecode, SnapEncode, SnapError};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError};
 use tango_types::{ClusterId, NodeId, RequestId, ServiceId, SimTime};
 
 /// Wire magic for a decision request frame.
@@ -71,83 +71,53 @@ pub struct DecisionReply {
     pub placements: Vec<Vec<(RequestId, NodeId)>>,
 }
 
+snap_record!(RequestBatch {
+    service,
+    requests,
+    candidates,
+});
+
+snap_record!(DecisionRequest {
+    round,
+    cluster,
+    deadline,
+    batches,
+});
+
+snap_record!(DecisionReply {
+    round,
+    compute_latency,
+    placements,
+});
+
 /// Encode a decision request frame.
 pub fn encode_request(req: &DecisionRequest) -> Vec<u8> {
     frame::seal(DECISION_REQUEST_MAGIC, DECISION_FORMAT_VERSION, |w| {
-        w.put_u64(req.round);
-        req.cluster.encode(w);
-        req.deadline.encode(w);
-        w.put_u64(req.batches.len() as u64);
-        for b in &req.batches {
-            b.service.encode(w);
-            b.requests.encode(w);
-            b.candidates.encode(w);
-        }
+        req.encode(w)
     })
 }
 
 /// Decode and validate a decision request frame.
 pub fn decode_request(bytes: &[u8]) -> Result<DecisionRequest, SnapError> {
     let (_, mut r) = frame::open(bytes, &[DECISION_REQUEST_MAGIC], DECISION_FORMAT_VERSION)?;
-    let round = r.u64()?;
-    let cluster = ClusterId::decode(&mut r)?;
-    let deadline = SimTime::decode(&mut r)?;
-    let n = r.len_prefix(4)?;
-    let mut batches = r.capped_vec(n);
-    for _ in 0..n {
-        batches.push(RequestBatch {
-            service: ServiceId::decode(&mut r)?,
-            requests: Vec::<RequestId>::decode(&mut r)?,
-            candidates: Vec::<CandidateNode>::decode(&mut r)?,
-        });
-    }
+    let req = DecisionRequest::decode(&mut r)?;
     r.expect_end("decision request")?;
-    Ok(DecisionRequest {
-        round,
-        cluster,
-        deadline,
-        batches,
-    })
+    Ok(req)
 }
 
 /// Encode a decision reply frame.
 pub fn encode_reply(reply: &DecisionReply) -> Vec<u8> {
     frame::seal(DECISION_REPLY_MAGIC, DECISION_FORMAT_VERSION, |w| {
-        w.put_u64(reply.round);
-        reply.compute_latency.encode(w);
-        w.put_u64(reply.placements.len() as u64);
-        for batch in &reply.placements {
-            w.put_u64(batch.len() as u64);
-            for (rid, node) in batch {
-                rid.encode(w);
-                node.encode(w);
-            }
-        }
+        reply.encode(w)
     })
 }
 
 /// Decode and validate a decision reply frame.
 pub fn decode_reply(bytes: &[u8]) -> Result<DecisionReply, SnapError> {
     let (_, mut r) = frame::open(bytes, &[DECISION_REPLY_MAGIC], DECISION_FORMAT_VERSION)?;
-    let round = r.u64()?;
-    let compute_latency = SimTime::decode(&mut r)?;
-    let n = r.len_prefix(4)?;
-    let mut placements = r.capped_vec(n);
-    for _ in 0..n {
-        let m = r.len_prefix(12)?;
-        let mut batch = r.capped_vec(m);
-        for _ in 0..m {
-            let rid = RequestId::decode(&mut r)?;
-            batch.push((rid, NodeId::decode(&mut r)?));
-        }
-        placements.push(batch);
-    }
+    let reply = DecisionReply::decode(&mut r)?;
     r.expect_end("decision reply")?;
-    Ok(DecisionReply {
-        round,
-        compute_latency,
-        placements,
-    })
+    Ok(reply)
 }
 
 /// An external decision authority as the proxy sees it: give it encoded

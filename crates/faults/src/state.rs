@@ -231,14 +231,7 @@ impl FaultState {
         w.put_bool(self.partition_active);
         self.summary.encode(w);
         self.phys_down.encode(w);
-        w.put_u64(self.limbo_run.len() as u64);
-        for items in &self.limbo_run {
-            w.put_u64(items.len() as u64);
-            for (class, rid) in items {
-                class.encode(w);
-                rid.encode(w);
-            }
-        }
+        self.limbo_run.encode(w);
     }
 
     /// Restore state captured by [`FaultState::snapshot`]. The node count
@@ -269,19 +262,9 @@ impl FaultState {
             return Err(SnapError::Corrupt("fault state node count"));
         }
         self.phys_down = phys_down;
-        let n = r.len_prefix(8)?;
-        if n != self.down.len() {
+        let limbo_run = Vec::<Vec<(ServiceClass, RequestId)>>::decode(r)?;
+        if limbo_run.len() != self.down.len() {
             return Err(SnapError::Corrupt("fault state node count"));
-        }
-        let mut limbo_run = r.capped_vec(n);
-        for _ in 0..n {
-            let m = r.len_prefix(9)?;
-            let mut items = r.capped_vec(m);
-            for _ in 0..m {
-                let class = ServiceClass::decode(r)?;
-                items.push((class, RequestId::decode(r)?));
-            }
-            limbo_run.push(items);
         }
         self.limbo_run = limbo_run;
         Ok(())

@@ -340,15 +340,9 @@ impl GnnEncoder {
     /// from it), so it round-trips exactly.
     pub fn snap_write(&self, w: &mut tango_snap::SnapWriter) {
         use tango_snap::SnapEncode;
-        w.put_u64(self.layers.len() as u64);
-        for layer in &self.layers {
-            layer.w.encode(w);
-            layer.b.encode(w);
-        }
+        tango_nn::snap_impls::write_layers(&self.layers, w);
         self.attn.encode(w);
-        for s in self.rng.state() {
-            w.put_u64(s);
-        }
+        self.rng.state().encode(w);
     }
 
     /// Overwrite weights, attention vectors and the RNG stream from a
@@ -360,20 +354,7 @@ impl GnnEncoder {
         r: &mut tango_snap::SnapReader<'_>,
     ) -> Result<(), tango_snap::SnapError> {
         use tango_snap::{SnapDecode, SnapError};
-        let n = r.len_prefix(1)?;
-        if n != self.layers.len() {
-            return Err(SnapError::Corrupt("encoder layer count mismatch"));
-        }
-        for layer in &mut self.layers {
-            let w = Matrix::decode(r)?;
-            let b = Vec::<f32>::decode(r)?;
-            if w.rows != layer.w.rows || w.cols != layer.w.cols || b.len() != layer.b.len() {
-                return Err(SnapError::Corrupt("encoder layer shape mismatch"));
-            }
-            layer.w = w;
-            layer.b = b;
-            layer.zero_grad();
-        }
+        tango_nn::snap_impls::read_layers(&mut self.layers, r)?;
         let attn = Vec::<(Vec<f32>, Vec<f32>)>::decode(r)?;
         let attn_ok = attn.len() == self.attn.len()
             && attn
@@ -384,11 +365,7 @@ impl GnnEncoder {
             return Err(SnapError::Corrupt("encoder attention shape mismatch"));
         }
         self.attn = attn;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
+        self.rng = SimRng::from_state(SnapDecode::decode(r)?);
         self.caches.clear();
         self.topo_cache = None;
         Ok(())

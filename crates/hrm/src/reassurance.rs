@@ -117,13 +117,9 @@ impl Reassurer {
     /// the bytes are stable; the config is rebuilt from `TangoConfig`).
     pub fn snapshot(&self, w: &mut tango_snap::SnapWriter) {
         use tango_snap::SnapEncode;
-        let mut keys: Vec<(NodeId, ServiceId)> = self.factors.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            k.encode(w);
-            w.put_f64(self.factors[&k]);
-        }
+        let mut factors: Vec<(&(NodeId, ServiceId), &f64)> = self.factors.iter().collect();
+        factors.sort_unstable_by_key(|&(k, _)| *k);
+        factors.encode(w);
     }
 
     /// Restore factors captured by [`Reassurer::snapshot`].
@@ -132,16 +128,8 @@ impl Reassurer {
         r: &mut tango_snap::SnapReader<'_>,
     ) -> Result<(), tango_snap::SnapError> {
         use tango_snap::SnapDecode;
-        let n = r.u64()? as usize;
-        if n > r.remaining() {
-            return Err(tango_snap::SnapError::Truncated);
-        }
-        let mut factors = FxHashMap::default();
-        for _ in 0..n {
-            let k = <(NodeId, ServiceId)>::decode(r)?;
-            factors.insert(k, r.f64()?);
-        }
-        self.factors = factors;
+        let factors = Vec::<((NodeId, ServiceId), f64)>::decode(r)?;
+        self.factors = factors.into_iter().collect();
         Ok(())
     }
 

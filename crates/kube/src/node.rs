@@ -754,6 +754,38 @@ mod tests {
     }
 
     #[test]
+    fn work_running_out_at_the_crash_instant_is_a_completion_not_an_interruption() {
+        let (mut n, _ctr, s) = node_with_service();
+        for (id, at) in [(1, SimTime::ZERO), (2, SimTime::from_millis(40))] {
+            n.admit(
+                RequestId(id),
+                s.id,
+                s.min_request,
+                s.work_milli_ms as f64,
+                at,
+            )
+            .unwrap();
+        }
+        // request 1's work runs out at exactly 100 ms, when the node dies
+        let crash_at = SimTime::from_millis(100);
+        n.advance(crash_at);
+        let done = n.take_completions();
+        assert_eq!(
+            done.iter().map(|c| c.request).collect::<Vec<_>>(),
+            vec![RequestId(1)]
+        );
+        let interrupted = n.crash(crash_at);
+        assert_eq!(
+            interrupted
+                .iter()
+                .map(|(_, r)| r.request)
+                .collect::<Vec<_>>(),
+            vec![RequestId(2)]
+        );
+        assert!(n.take_completions().is_empty());
+    }
+
+    #[test]
     fn two_requests_share_the_limit() {
         let (mut n, ctr, s) = node_with_service();
         // shrink container (and pod) to 500m so two requests contend:

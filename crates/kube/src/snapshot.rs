@@ -9,46 +9,26 @@
 //! tick T are not derivable from the config).
 
 use crate::node::{CompletedRequest, Node, RunningRequest};
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
-use tango_types::{ContainerId, RequestId, Resources, ServiceClass, ServiceId, SimTime};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_types::{ContainerId, SimTime};
 
-impl SnapEncode for RunningRequest {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.request.encode(w);
-        self.demand.encode(w);
-        w.put_f64(self.remaining_work);
-        self.admitted_at.encode(w);
-    }
-}
-impl SnapDecode for RunningRequest {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RunningRequest {
-            request: RequestId::decode(r)?,
-            demand: Resources::decode(r)?,
-            remaining_work: r.f64()?,
-            admitted_at: SimTime::decode(r)?,
-        })
-    }
-}
+snap_record!(RunningRequest {
+    request,
+    demand,
+    remaining_work,
+    admitted_at,
+});
 
-impl SnapEncode for CompletedRequest {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.request.encode(w);
-        self.service.encode(w);
-        self.class.encode(w);
-        self.admitted_at.encode(w);
-    }
-}
-impl SnapDecode for CompletedRequest {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CompletedRequest {
-            request: RequestId::decode(r)?,
-            service: ServiceId::decode(r)?,
-            class: ServiceClass::decode(r)?,
-            admitted_at: SimTime::decode(r)?,
-        })
-    }
-}
+snap_record!(CompletedRequest {
+    request,
+    service,
+    class,
+    admitted_at,
+});
+
+/// One container's overlay: its id, restart count, rebuild deadline and
+/// running requests.
+type ContainerOverlay<R> = (ContainerId, u32, SimTime, R);
 
 impl Node {
     /// Encode everything a run can have changed on this node.
@@ -56,16 +36,17 @@ impl Node {
         self.snap_last_advance().encode(w);
         w.put_u64(self.generation());
         w.put_u64(self.snap_next_local_id());
-        self.snap_finished().to_vec().encode(w);
-        let ids = self.container_ids();
-        w.put_u64(ids.len() as u64);
-        for ctr in ids {
-            ctr.encode(w);
-            let c = self.container(ctr).expect("listed container exists");
-            w.put_u32(c.restarts);
-            self.snap_unavailable_until(ctr).encode(w);
-            self.running_in(ctr).to_vec().encode(w);
-        }
+        self.snap_finished().encode(w);
+        let overlays: Vec<ContainerOverlay<&[RunningRequest]>> = self
+            .container_ids()
+            .into_iter()
+            .map(|ctr| {
+                let c = self.container(ctr).expect("listed container exists");
+                let until = self.snap_unavailable_until(ctr);
+                (ctr, c.restarts, until, self.running_in(ctr))
+            })
+            .collect();
+        overlays.encode(w);
         self.cgroups.snapshot(w);
     }
 
@@ -76,17 +57,9 @@ impl Node {
         let generation = r.u64()?;
         let next_local_id = r.u64()?;
         let finished = Vec::<CompletedRequest>::decode(r)?;
-        let n_ctrs = r.u64()? as usize;
-        if n_ctrs != self.container_ids().len() {
+        let overlays = Vec::<ContainerOverlay<Vec<RunningRequest>>>::decode(r)?;
+        if overlays.len() != self.container_ids().len() {
             return Err(SnapError::Corrupt("node container count"));
-        }
-        let mut overlays = Vec::with_capacity(n_ctrs);
-        for _ in 0..n_ctrs {
-            let ctr = ContainerId::decode(r)?;
-            let restarts = r.u32()?;
-            let until = SimTime::decode(r)?;
-            let running = Vec::<RunningRequest>::decode(r)?;
-            overlays.push((ctr, restarts, until, running));
         }
         self.snap_apply(last_advance, generation, next_local_id, finished);
         for (ctr, restarts, until, running) in overlays {

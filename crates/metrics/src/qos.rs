@@ -163,11 +163,6 @@ impl QosDetector {
     pub(crate) fn insert_window(&mut self, node: NodeId, service: ServiceId, w: LatencyWindow) {
         self.nodes[node.index()].windows.insert(service, w);
     }
-
-    /// Total number of windows (for the snapshot codec's length prefix).
-    pub(crate) fn window_count(&self) -> usize {
-        self.nodes.iter().map(|r| r.windows.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -12,33 +12,24 @@ use crate::counters::{Accum, Counter, ExperimentCounters};
 use crate::qos::QosDetector;
 use crate::store::NodeRole;
 use crate::window::LatencyWindow;
-use std::collections::VecDeque;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{
+    snap_enum, snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter,
+};
 use tango_types::{NodeId, ServiceId, SimTime};
 
-impl SnapEncode for LatencyWindow {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.width.encode(w);
-        self.samples.encode(w);
-    }
-}
-impl SnapDecode for LatencyWindow {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(LatencyWindow {
-            width: SimTime::decode(r)?,
-            samples: VecDeque::<(SimTime, SimTime)>::decode(r)?,
-        })
-    }
-}
+snap_record!(LatencyWindow { width, samples });
 
+snap_enum!(NodeRole, "node role tag" {
+    0 => Master,
+    1 => Worker,
+});
+
+/// The detector's window width, then its windows sorted by
+/// `(node, service)`; [`QosDetector::restore`] reads it back.
 impl SnapEncode for QosDetector {
     fn encode(&self, w: &mut SnapWriter) {
         self.width.encode(w);
-        w.put_u64(self.window_count() as u64);
-        for (k, window) in self.sorted_windows() {
-            k.encode(w);
-            window.encode(w);
-        }
+        self.sorted_windows().encode(w);
     }
 }
 impl QosDetector {
@@ -48,18 +39,14 @@ impl QosDetector {
     /// — nothing is sized from the bytes alone.
     pub fn restore(&mut self, r: &mut SnapReader<'_>, nodes: usize) -> Result<(), SnapError> {
         let width = SimTime::decode(r)?;
-        let n = r.u64()? as usize;
-        if n > r.remaining() {
-            return Err(SnapError::Truncated);
-        }
+        let windows = Vec::<((NodeId, ServiceId), LatencyWindow)>::decode(r)?;
         let mut d = QosDetector::new(width);
         d.ensure_nodes(nodes);
-        for _ in 0..n {
-            let (node, service) = <(NodeId, ServiceId)>::decode(r)?;
+        for ((node, service), window) in windows {
             if node.index() >= nodes {
                 return Err(SnapError::Corrupt("detector window node id"));
             }
-            d.insert_window(node, service, LatencyWindow::decode(r)?);
+            d.insert_window(node, service, window);
         }
         *self = d;
         Ok(())
@@ -72,9 +59,7 @@ impl SnapEncode for Accum {
         for &n in leading {
             w.put_u64(n);
         }
-        w.put_f64(self.util_sum.0);
-        w.put_f64(self.util_sum.1);
-        w.put_f64(self.util_sum.2);
+        self.util_sum.encode(w);
         w.put_u64(self.util_samples);
         self.lc_latencies.encode(w);
         for &n in rest {
@@ -89,7 +74,7 @@ impl SnapDecode for Accum {
         for n in leading {
             *n = r.u64()?;
         }
-        let util_sum = (r.f64()?, r.f64()?, r.f64()?);
+        let util_sum = SnapDecode::decode(r)?;
         let util_samples = r.u64()?;
         let lc_latencies = Vec::<SimTime>::decode(r)?;
         for n in rest {
@@ -120,24 +105,6 @@ impl SnapDecode for ExperimentCounters {
             period,
             buckets: Vec::<Accum>::decode(r)?,
         })
-    }
-}
-
-impl SnapEncode for NodeRole {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            NodeRole::Master => 0,
-            NodeRole::Worker => 1,
-        });
-    }
-}
-impl SnapDecode for NodeRole {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(NodeRole::Master),
-            1 => Ok(NodeRole::Worker),
-            _ => Err(SnapError::Corrupt("node role tag")),
-        }
     }
 }
 
@@ -316,15 +283,6 @@ mod tests {
         assert!(matches!(
             back.restore(&mut SnapReader::new(&bytes), 5),
             Err(SnapError::Corrupt("detector window node id"))
-        ));
-    }
-
-    #[test]
-    fn bad_role_tag_is_typed() {
-        let mut r = SnapReader::new(&[7]);
-        assert!(matches!(
-            NodeRole::decode(&mut r),
-            Err(SnapError::Corrupt(_))
         ));
     }
 }

@@ -197,16 +197,8 @@ impl StateStorage {
             row.total.encode(w);
             row.available.encode(w);
             row.be_held.encode(w);
-            w.put_u64(row.slack.len() as u64);
-            for &(s, v) in row.slack {
-                s.encode(w);
-                w.put_f64(v);
-            }
-            w.put_u64(row.pending.len() as u64);
-            for &(s, v) in row.pending {
-                s.encode(w);
-                w.put_u32(v);
-            }
+            row.slack.encode(w);
+            row.pending.encode(w);
             row.updated_at.encode(w);
         }
     }
@@ -217,7 +209,7 @@ impl StateStorage {
     /// or service pairs out of ascending order or repeated, is
     /// [`SnapError::Corrupt`] — nothing is sized from the bytes alone.
     pub fn restore(&mut self, r: &mut SnapReader<'_>, nodes: usize) -> Result<(), SnapError> {
-        for _ in 0..r.len_prefix(1)? {
+        for _ in 0..r.len_prefix()? {
             let i = NodeId::decode(r)?.index();
             if i >= nodes {
                 return Err(SnapError::Corrupt("store row node id"));
@@ -229,29 +221,22 @@ impl StateStorage {
             self.totals[i] = Resources::decode(r)?;
             self.available[i] = Resources::decode(r)?;
             self.be_held[i] = Resources::decode(r)?;
-            decode_pairs(r, &mut self.slack[i], |r| r.f64())?;
-            decode_pairs(r, &mut self.pending[i], |r| r.u32())?;
+            self.slack[i] = decode_pairs(r)?;
+            self.pending[i] = decode_pairs(r)?;
             self.updated_at[i] = SimTime::decode(r)?;
         }
         Ok(())
     }
 }
 
-/// Decode count-prefixed `(service, value)` pairs into `out`, rejecting
-/// pairs out of ascending service order or repeated.
-fn decode_pairs<V>(
-    r: &mut SnapReader<'_>,
-    out: &mut Vec<(ServiceId, V)>,
-    value: impl Fn(&mut SnapReader<'_>) -> Result<V, SnapError>,
-) -> Result<(), SnapError> {
-    out.clear();
-    for _ in 0..r.len_prefix(1)? {
-        out.push((ServiceId::decode(r)?, value(r)?));
-    }
-    if !ascending(out) {
+/// Decode count-prefixed `(service, value)` pairs, rejecting pairs out
+/// of ascending service order or repeated.
+fn decode_pairs<V: SnapDecode>(r: &mut SnapReader<'_>) -> Result<Vec<(ServiceId, V)>, SnapError> {
+    let pairs = Vec::decode(r)?;
+    if !ascending(&pairs) {
         return Err(SnapError::Corrupt("store row service order"));
     }
-    Ok(())
+    Ok(pairs)
 }
 
 #[cfg(test)]

@@ -265,23 +265,9 @@ impl NetworkTopology {
     /// rebuilt by [`NetworkTopology::generate`] on restore, so only the
     /// overlays are state.
     pub fn snapshot_dynamic(&self, w: &mut tango_snap::SnapWriter) {
-        w.put_u64(self.degraded.len() as u64);
-        for &((a, b), (lat, bw)) in &self.degraded {
-            w.put_u32(a);
-            w.put_u32(b);
-            w.put_f64(lat);
-            w.put_f64(bw);
-        }
-        match &self.partition {
-            None => w.put_u8(0),
-            Some(flags) => {
-                w.put_u8(1);
-                w.put_u64(flags.len() as u64);
-                for &f in flags {
-                    w.put_bool(f);
-                }
-            }
-        }
+        use tango_snap::SnapEncode;
+        self.degraded.encode(w);
+        self.partition.encode(w);
     }
 
     /// Restore the fault overlays captured by
@@ -291,34 +277,12 @@ impl NetworkTopology {
         &mut self,
         r: &mut tango_snap::SnapReader<'_>,
     ) -> Result<(), tango_snap::SnapError> {
-        use tango_snap::SnapError;
-        let n_deg = r.u64()? as usize;
-        if n_deg > r.remaining() {
-            return Err(SnapError::Truncated);
+        use tango_snap::{SnapDecode, SnapError};
+        let degraded = SnapDecode::decode(r)?;
+        let partition = Option::<Vec<bool>>::decode(r)?;
+        if partition.as_ref().is_some_and(|p| p.len() != self.len()) {
+            return Err(SnapError::Corrupt("partition mask length"));
         }
-        let mut degraded = r.capped_vec(n_deg);
-        for _ in 0..n_deg {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let lat = r.f64()?;
-            let bw = r.f64()?;
-            degraded.push(((a, b), (lat, bw)));
-        }
-        let partition = match r.u8()? {
-            0 => None,
-            1 => {
-                let len = r.u64()? as usize;
-                if len != self.len() {
-                    return Err(SnapError::Corrupt("partition mask length"));
-                }
-                let mut flags = Vec::with_capacity(len);
-                for _ in 0..len {
-                    flags.push(r.bool()?);
-                }
-                Some(flags)
-            }
-            _ => return Err(SnapError::Corrupt("partition tag")),
-        };
         self.degraded = degraded;
         self.partition = partition;
         Ok(())

@@ -138,12 +138,7 @@ impl Mlp {
     /// rebuilt on the next training pass at any snapshot boundary) and
     /// are excluded so re-encoding restored state is byte-stable.
     pub fn snap_write(&self, w: &mut tango_snap::SnapWriter) {
-        use tango_snap::SnapEncode;
-        w.put_u64(self.layers.len() as u64);
-        for layer in &self.layers {
-            layer.w.encode(w);
-            layer.b.encode(w);
-        }
+        crate::snap_impls::write_layers(&self.layers, w);
         self.adam.snap_write(w);
     }
 
@@ -155,23 +150,8 @@ impl Mlp {
         &mut self,
         r: &mut tango_snap::SnapReader<'_>,
     ) -> Result<(), tango_snap::SnapError> {
-        use tango_snap::{SnapDecode, SnapError};
-        let n = r.len_prefix(1)?;
-        if n != self.layers.len() {
-            return Err(SnapError::Corrupt("mlp layer count mismatch"));
-        }
-        for layer in &mut self.layers {
-            let w = Matrix::decode(r)?;
-            let b = Vec::<f32>::decode(r)?;
-            if w.rows != layer.w.rows || w.cols != layer.w.cols || b.len() != layer.b.len() {
-                return Err(SnapError::Corrupt("mlp layer shape mismatch"));
-            }
-            layer.w = w;
-            layer.b = b;
-        }
-        self.adam.snap_read(r)?;
-        self.zero_grad();
-        Ok(())
+        crate::snap_impls::read_layers(&mut self.layers, r)?;
+        self.adam.snap_read(r)
     }
 
     /// Soft-update parameters: θ ← τ·θ_src + (1−τ)·θ (Polyak averaging).

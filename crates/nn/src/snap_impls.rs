@@ -8,8 +8,39 @@
 //! re-encoding dimensions redundantly — a shape mismatch is a config
 //! error and surfaces as [`SnapError::Corrupt`].
 
+use crate::linear::Linear;
 use crate::tensor::Matrix;
 use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+
+/// Write each layer's weights and bias, count-prefixed: the parameter
+/// list an [`Mlp`](crate::Mlp) and a GNN encoder each checkpoint.
+pub fn write_layers(layers: &[Linear], w: &mut SnapWriter) {
+    let params: Vec<(&Matrix, &Vec<f32>)> = layers.iter().map(|l| (&l.w, &l.b)).collect();
+    params.encode(w);
+}
+
+/// Overwrite `layers`' weights and biases from a [`write_layers`]
+/// encoding and zero their gradients. The layer count and every shape
+/// must match `layers`; otherwise nothing is overwritten and the result
+/// is [`SnapError::Corrupt`].
+pub fn read_layers(layers: &mut [Linear], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    let params = Vec::<(Matrix, Vec<f32>)>::decode(r)?;
+    if params.len() != layers.len() {
+        return Err(SnapError::Corrupt("layer count mismatch"));
+    }
+    let same_shape = |l: &Linear, (w, b): &(Matrix, Vec<f32>)| {
+        (w.rows, w.cols, b.len()) == (l.w.rows, l.w.cols, l.b.len())
+    };
+    if !layers.iter().zip(&params).all(|(l, p)| same_shape(l, p)) {
+        return Err(SnapError::Corrupt("layer shape mismatch"));
+    }
+    for (layer, (w, b)) in layers.iter_mut().zip(params) {
+        layer.w = w;
+        layer.b = b;
+        layer.zero_grad();
+    }
+    Ok(())
+}
 
 impl SnapEncode for Matrix {
     fn encode(&self, w: &mut SnapWriter) {

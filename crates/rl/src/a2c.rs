@@ -13,7 +13,7 @@ use crate::Agent;
 use tango_gnn::{Encoder, EncoderKind, FeatureGraph, GnnEncoder};
 use tango_nn::{Matrix, Mlp};
 use tango_simcore::SimRng;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 
 /// Hyper-parameters for [`A2cAgent`].
 #[derive(Debug, Clone)]
@@ -62,27 +62,13 @@ struct Transition {
     done: bool,
 }
 
-impl SnapEncode for Transition {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.graph.encode(w);
-        self.mask.encode(w);
-        self.action.encode(w);
-        w.put_f32(self.reward);
-        w.put_bool(self.done);
-    }
-}
-
-impl SnapDecode for Transition {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Transition {
-            graph: FeatureGraph::decode(r)?,
-            mask: Vec::<bool>::decode(r)?,
-            action: usize::decode(r)?,
-            reward: r.f32()?,
-            done: r.bool()?,
-        })
-    }
-}
+snap_record!(Transition {
+    graph,
+    mask,
+    action,
+    reward,
+    done,
+});
 
 /// The A2C agent.
 pub struct A2cAgent {
@@ -133,9 +119,7 @@ impl A2cAgent {
         self.encoder.snap_write(&mut w);
         self.actor.snap_write(&mut w);
         self.critic.snap_write(&mut w);
-        for s in self.rng.state() {
-            w.put_u64(s);
-        }
+        self.rng.state().encode(&mut w);
         self.buffer.encode(&mut w);
         self.pending.encode(&mut w);
         self.train_rounds.encode(&mut w);
@@ -149,11 +133,7 @@ impl A2cAgent {
         self.encoder.snap_read(&mut r)?;
         self.actor.snap_read(&mut r)?;
         self.critic.snap_read(&mut r)?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
+        self.rng = SimRng::from_state(SnapDecode::decode(&mut r)?);
         self.buffer = Vec::decode(&mut r)?;
         self.pending = Option::decode(&mut r)?;
         self.train_rounds = usize::decode(&mut r)?;

@@ -2,7 +2,7 @@
 
 use tango_gnn::FeatureGraph;
 use tango_simcore::SimRng;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 
 /// One stored transition (discrete action).
 #[derive(Clone)]
@@ -23,31 +23,15 @@ pub struct Stored {
     pub done: bool,
 }
 
-impl SnapEncode for Stored {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.graph.encode(w);
-        self.mask.encode(w);
-        self.action.encode(w);
-        w.put_f32(self.reward);
-        self.next_graph.encode(w);
-        self.next_mask.encode(w);
-        w.put_bool(self.done);
-    }
-}
-
-impl SnapDecode for Stored {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Stored {
-            graph: FeatureGraph::decode(r)?,
-            mask: Vec::<bool>::decode(r)?,
-            action: usize::decode(r)?,
-            reward: r.f32()?,
-            next_graph: FeatureGraph::decode(r)?,
-            next_mask: Vec::<bool>::decode(r)?,
-            done: r.bool()?,
-        })
-    }
-}
+snap_record!(Stored {
+    graph,
+    mask,
+    action,
+    reward,
+    next_graph,
+    next_mask,
+    done,
+});
 
 /// Fixed-capacity ring buffer with uniform sampling.
 ///

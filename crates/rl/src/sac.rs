@@ -128,9 +128,7 @@ impl SacAgent {
         self.q2.snap_write(&mut w);
         self.q1_target.snap_write(&mut w);
         self.q2_target.snap_write(&mut w);
-        for s in self.rng.state() {
-            w.put_u64(s);
-        }
+        self.rng.state().encode(&mut w);
         self.replay.snap_write(&mut w);
         self.pending.encode(&mut w);
         self.observed.encode(&mut w);
@@ -149,11 +147,7 @@ impl SacAgent {
         self.q2.snap_read(&mut r)?;
         self.q1_target.snap_read(&mut r)?;
         self.q2_target.snap_read(&mut r)?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
+        self.rng = SimRng::from_state(SnapDecode::decode(&mut r)?);
         self.replay.snap_read(&mut r)?;
         self.pending = Option::decode(&mut r)?;
         self.observed = usize::decode(&mut r)?;

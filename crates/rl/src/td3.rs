@@ -26,7 +26,7 @@ use crate::replay::ReplayBuffer;
 use tango_gnn::{Encoder, EncoderKind, FeatureGraph, GnnEncoder};
 use tango_nn::{Matrix, Mlp};
 use tango_simcore::SimRng;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 
 /// Per-node action dimensionality: a CPU fraction and a memory fraction.
 pub const ACTION_DIM: usize = 2;
@@ -113,42 +113,16 @@ pub struct Td3Stored {
     pub done: bool,
 }
 
-impl SnapEncode for Td3Stored {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.graph.encode(w);
-        self.mask.encode(w);
-        self.node.encode(w);
-        for a in self.action {
-            w.put_f32(a);
-        }
-        w.put_f32(self.reward);
-        self.next_graph.encode(w);
-        self.next_mask.encode(w);
-        w.put_bool(self.done);
-    }
-}
-
-impl SnapDecode for Td3Stored {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let graph = FeatureGraph::decode(r)?;
-        let mask = Vec::<bool>::decode(r)?;
-        let node = usize::decode(r)?;
-        let mut action = [0.0f32; ACTION_DIM];
-        for a in &mut action {
-            *a = r.f32()?;
-        }
-        Ok(Td3Stored {
-            graph,
-            mask,
-            node,
-            action,
-            reward: r.f32()?,
-            next_graph: FeatureGraph::decode(r)?,
-            next_mask: Vec::<bool>::decode(r)?,
-            done: r.bool()?,
-        })
-    }
-}
+snap_record!(Td3Stored {
+    graph,
+    mask,
+    node,
+    action,
+    reward,
+    next_graph,
+    next_mask,
+    done,
+});
 
 /// The TD3 agent.
 pub struct Td3Agent {
@@ -422,22 +396,9 @@ impl Td3Agent {
         self.q2.snap_write(&mut w);
         self.q1_target.snap_write(&mut w);
         self.q2_target.snap_write(&mut w);
-        for s in self.rng.state() {
-            w.put_u64(s);
-        }
+        self.rng.state().encode(&mut w);
         self.replay.snap_write(&mut w);
-        match &self.pending {
-            None => w.put_u8(0),
-            Some((g, m, node, a)) => {
-                w.put_u8(1);
-                g.encode(&mut w);
-                m.encode(&mut w);
-                node.encode(&mut w);
-                for v in a {
-                    w.put_f32(*v);
-                }
-            }
-        }
+        self.pending.encode(&mut w);
         self.observed.encode(&mut w);
         self.critic_rounds.encode(&mut w);
         self.train_rounds.encode(&mut w);
@@ -455,26 +416,9 @@ impl Td3Agent {
         self.q2.snap_read(&mut r)?;
         self.q1_target.snap_read(&mut r)?;
         self.q2_target.snap_read(&mut r)?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        self.rng = SimRng::from_state(state);
+        self.rng = SimRng::from_state(SnapDecode::decode(&mut r)?);
         self.replay.snap_read(&mut r)?;
-        self.pending = match r.u8()? {
-            0 => None,
-            1 => {
-                let g = FeatureGraph::decode(&mut r)?;
-                let m = Vec::<bool>::decode(&mut r)?;
-                let node = usize::decode(&mut r)?;
-                let mut a = [0.0f32; ACTION_DIM];
-                for v in &mut a {
-                    *v = r.f32()?;
-                }
-                Some((g, m, node, a))
-            }
-            _ => return Err(SnapError::Corrupt("td3 pending tag")),
-        };
+        self.pending = Option::decode(&mut r)?;
         self.observed = usize::decode(&mut r)?;
         self.critic_rounds = usize::decode(&mut r)?;
         self.train_rounds = usize::decode(&mut r)?;

@@ -87,12 +87,11 @@ impl LcScheduler for KsNative {
     }
 
     fn snapshot_state(&self) -> Result<Vec<u8>, &'static str> {
-        Ok((self.cursor as u64).to_le_bytes().to_vec())
+        Ok(tango_snap::to_bytes(&self.cursor))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| "round-robin cursor blob")?;
-        self.cursor = u64::from_le_bytes(arr) as usize;
+        self.cursor = tango_snap::from_bytes(bytes).map_err(|_| "round-robin cursor blob")?;
         Ok(())
     }
 }

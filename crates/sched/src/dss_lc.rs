@@ -346,22 +346,12 @@ impl LcScheduler for DssLc {
     /// The ρ-shuffle RNG is the only mutable state; the scratch buffers
     /// are rebuilt per call and never affect results.
     fn snapshot_state(&self) -> Result<Vec<u8>, &'static str> {
-        let mut out = Vec::with_capacity(32);
-        for word in self.rng.state() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        Ok(out)
+        Ok(tango_snap::to_bytes(&self.rng.state()))
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        if bytes.len() != 32 {
-            return Err("dss-lc rng blob");
-        }
-        let mut s = [0u64; 4];
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            s[i] = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-        self.rng = SimRng::from_state(s);
+        let state = tango_snap::from_bytes(bytes).map_err(|_| "dss-lc rng blob")?;
+        self.rng = SimRng::from_state(state);
         Ok(())
     }
 }

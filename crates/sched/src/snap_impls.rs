@@ -2,69 +2,22 @@
 //! control plane can put candidate views on the wire (decision request
 //! frames) with the same codec discipline as checkpoints.
 //!
-//! Field order follows the struct declaration exactly; any change here
-//! is a wire-format change for the delegated-orchestration frames and
-//! must bump `tango_ctrl`'s decision format version.
+//! Fields encode in the order of the list below; any change here is a
+//! wire-format change for the delegated-orchestration frames and must
+//! bump `tango_ctrl`'s decision format version.
 
 use crate::view::CandidateNode;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
-use tango_types::{ClusterId, NodeId, Resources, SimTime};
+use tango_snap::snap_record;
 
-impl SnapEncode for CandidateNode {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.node.encode(w);
-        self.cluster.encode(w);
-        self.total.encode(w);
-        self.available_lc.encode(w);
-        self.available_be.encode(w);
-        self.min_request.encode(w);
-        self.delay.encode(w);
-        w.put_u32(self.link_capacity);
-        w.put_f64(self.slack);
-        w.put_bool(self.alive);
-    }
-}
-
-impl SnapDecode for CandidateNode {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CandidateNode {
-            node: NodeId::decode(r)?,
-            cluster: ClusterId::decode(r)?,
-            total: Resources::decode(r)?,
-            available_lc: Resources::decode(r)?,
-            available_be: Resources::decode(r)?,
-            min_request: Resources::decode(r)?,
-            delay: SimTime::decode(r)?,
-            link_capacity: r.u32()?,
-            slack: r.f64()?,
-            alive: r.bool()?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn candidate_node_round_trips() {
-        let c = CandidateNode {
-            node: NodeId(7),
-            cluster: ClusterId(2),
-            total: Resources::cpu_mem(4000, 8192),
-            available_lc: Resources::cpu_mem(1500, 3000),
-            available_be: Resources::cpu_mem(700, 1200),
-            min_request: Resources::cpu_mem(250, 256),
-            delay: SimTime::from_millis(3),
-            link_capacity: 12,
-            slack: 0.85,
-            alive: false,
-        };
-        let mut w = SnapWriter::new();
-        c.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(CandidateNode::decode(&mut r).unwrap(), c);
-        r.expect_end("candidate node").unwrap();
-    }
-}
+snap_record!(CandidateNode {
+    node,
+    cluster,
+    total,
+    available_lc,
+    available_be,
+    min_request,
+    delay,
+    link_capacity,
+    slack,
+    alive,
+});

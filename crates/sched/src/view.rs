@@ -166,9 +166,9 @@ pub trait LcScheduler {
 
     /// Serialize the policy's mutable state for a checkpoint. Stateless
     /// policies return an empty blob (the default). Policies whose state
-    /// cannot be captured (e.g. learned network weights mid-training)
-    /// return `Err` with a reason; checkpointing then fails loudly
-    /// instead of resuming with silently-reset state.
+    /// cannot be captured (e.g. a proxy whose decisions come from an
+    /// external source) return `Err` with a reason; checkpointing then
+    /// fails loudly instead of resuming with silently-reset state.
     fn snapshot_state(&self) -> Result<Vec<u8>, &'static str> {
         Ok(Vec::new())
     }

@@ -7,8 +7,14 @@
 //! * [`SnapWriter`] / [`SnapReader`] — little-endian primitive framing
 //!   with explicit bounds checks (no panics on malformed input);
 //! * [`SnapEncode`] / [`SnapDecode`] — the trait pair every snapshotted
-//!   type implements, with blanket impls for primitives, tuples,
-//!   `String`, `Vec`, `VecDeque` and `Option`;
+//!   type implements, with blanket impls for primitives, tuples of up to
+//!   four, arrays, `String`, `Vec`, `VecDeque`, `Option`, and (encode
+//!   only) references and slices, plus [`to_bytes`] / [`from_bytes`];
+//! * [`snap_record!`] / [`snap_enum!`] — declare a record's field list or
+//!   an enum's tag table once and generate both impls from it. Every
+//!   plain record and tag enum in the workspace is declared this way; a
+//!   codec stays hand-written only where its decoder validates against
+//!   the system it restores into (DESIGN.md §11);
 //! * [`SnapFileBuilder`] / [`SnapFile`] — whole-file framing: a magic
 //!   header, a format-version word, a caller-supplied config
 //!   fingerprint, tagged length-prefixed sections, and an FNV-1a
@@ -41,11 +47,12 @@
 
 mod error;
 mod file;
+mod macros;
 mod rw;
 
 pub use error::SnapError;
 pub use file::{SnapFile, SnapFileBuilder, FORMAT_VERSION, MAGIC};
-pub use rw::{SnapDecode, SnapEncode, SnapReader, SnapWriter};
+pub use rw::{from_bytes, to_bytes, SnapDecode, SnapEncode, SnapReader, SnapWriter};
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;

@@ -177,13 +177,13 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a length prefix that will gate a following loop, rejecting
-    /// lengths that could not possibly fit in the remaining bytes (each
-    /// element needs at least `min_elem_bytes`). This keeps a corrupted
-    /// length from turning into a giant allocation.
-    pub fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
+    /// lengths that could not possibly fit in the remaining bytes (every
+    /// element takes at least one). This keeps a corrupted length from
+    /// turning into a giant allocation.
+    pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
         let n = self.u64()?;
         let n = usize::try_from(n).map_err(|_| SnapError::Truncated)?;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
+        if n > self.remaining() {
             return Err(SnapError::Truncated);
         }
         Ok(n)
@@ -267,7 +267,30 @@ impl SnapDecode for String {
     }
 }
 
-impl<T: SnapEncode> SnapEncode for Vec<T> {
+/// The bytes of `v`'s encoding.
+pub fn to_bytes<T: SnapEncode + ?Sized>(v: &T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    v.encode(&mut w);
+    w.into_bytes()
+}
+
+/// Decode one `T` that must span all of `bytes`: trailing bytes are
+/// [`SnapError::Corrupt`].
+pub fn from_bytes<T: SnapDecode>(bytes: &[u8]) -> Result<T, SnapError> {
+    let mut r = SnapReader::new(bytes);
+    let v = T::decode(&mut r)?;
+    r.expect_end("trailing bytes")?;
+    Ok(v)
+}
+
+impl<T: SnapEncode + ?Sized> SnapEncode for &T {
+    fn encode(&self, w: &mut SnapWriter) {
+        (**self).encode(w);
+    }
+}
+
+/// A slice encodes as the `Vec` holding the same elements.
+impl<T: SnapEncode> SnapEncode for [T] {
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u64(self.len() as u64);
         for v in self {
@@ -275,9 +298,15 @@ impl<T: SnapEncode> SnapEncode for Vec<T> {
         }
     }
 }
+
+impl<T: SnapEncode> SnapEncode for Vec<T> {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.as_slice().encode(w);
+    }
+}
 impl<T: SnapDecode> SnapDecode for Vec<T> {
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len_prefix(1)?;
+        let n = r.len_prefix()?;
         let mut out = r.capped_vec(n);
         for _ in 0..n {
             out.push(T::decode(r)?);
@@ -343,6 +372,20 @@ impl<A: SnapEncode, B: SnapEncode, C: SnapEncode> SnapEncode for (A, B, C) {
 impl<A: SnapDecode, B: SnapDecode, C: SnapDecode> SnapDecode for (A, B, C) {
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
+    }
+}
+
+impl<A: SnapEncode, B: SnapEncode, C: SnapEncode, D: SnapEncode> SnapEncode for (A, B, C, D) {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+        self.2.encode(w);
+        self.3.encode(w);
+    }
+}
+impl<A: SnapDecode, B: SnapDecode, C: SnapDecode, D: SnapDecode> SnapDecode for (A, B, C, D) {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
     }
 }
 
@@ -421,6 +464,7 @@ mod tests {
         let o: Option<String> = Some("x".into());
         let none: Option<u8> = None;
         let pair = (5u64, true);
+        let quad = (1u8, -2i64, 0.5f32, Some(9u16));
         let arr = [1u64, 2, 3, 4];
         let mut w = SnapWriter::new();
         v.encode(&mut w);
@@ -428,6 +472,7 @@ mod tests {
         o.encode(&mut w);
         none.encode(&mut w);
         pair.encode(&mut w);
+        quad.encode(&mut w);
         arr.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
@@ -436,8 +481,24 @@ mod tests {
         assert_eq!(Option::<String>::decode(&mut r).unwrap(), o);
         assert_eq!(Option::<u8>::decode(&mut r).unwrap(), none);
         assert_eq!(<(u64, bool)>::decode(&mut r).unwrap(), pair);
+        assert_eq!(<(u8, i64, f32, Option<u16>)>::decode(&mut r).unwrap(), quad);
         assert_eq!(<[u64; 4]>::decode(&mut r).unwrap(), arr);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn references_and_slices_encode_as_what_they_point_at() {
+        let v = vec![(3u32, 1.5f64), (4, -0.0)];
+        let refs: Vec<(&u32, &f64)> = v.iter().map(|(a, b)| (a, b)).collect();
+        assert_eq!(to_bytes(v.as_slice()), to_bytes(&v));
+        assert_eq!(to_bytes(&refs), to_bytes(&v));
+        assert_eq!(from_bytes::<Vec<(u32, f64)>>(&to_bytes(&refs)), Ok(v));
+        let mut trailing = to_bytes(&7u32);
+        trailing.push(0);
+        assert_eq!(
+            from_bytes::<u32>(&trailing),
+            Err(SnapError::Corrupt("trailing bytes"))
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use tango::{
 };
 use tango_simcore::SimRng;
 use tango_snap::{
-    fnv1a, fnv1a_extend, SnapDecode, SnapEncode, SnapFile, SnapFileBuilder, SnapReader, SnapWriter,
+    fnv1a, fnv1a_extend, snap_record, SnapDecode, SnapEncode, SnapFile, SnapFileBuilder,
 };
 use tango_types::SimTime;
 
@@ -97,27 +97,13 @@ pub struct EpisodeRecord {
     pub utilization: f64,
 }
 
-impl SnapEncode for EpisodeRecord {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.episode);
-        w.put_u64(self.digest);
-        w.put_f64(self.qos);
-        w.put_u64(self.be_throughput);
-        w.put_f64(self.utilization);
-    }
-}
-
-impl SnapDecode for EpisodeRecord {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EpisodeRecord {
-            episode: r.u64()?,
-            digest: r.u64()?,
-            qos: r.f64()?,
-            be_throughput: r.u64()?,
-            utilization: r.f64()?,
-        })
-    }
-}
+snap_record!(EpisodeRecord {
+    episode,
+    digest,
+    qos,
+    be_throughput,
+    utilization,
+});
 
 /// Final result of a training run.
 #[derive(Debug, Clone)]
@@ -314,19 +300,9 @@ impl TrainHarness {
             w.put_u64(self.eval_digest);
             self.records.encode(w);
         });
-        b.section(SEC_T_RNG, |w| {
-            for s in rng_state {
-                w.put_u64(s);
-            }
-        });
+        b.section(SEC_T_RNG, |w| rng_state.encode(w));
         b.section(SEC_T_AGENT, |w| self.agent_blob.encode(w));
-        b.section(SEC_T_WORLD, |w| match world {
-            None => w.put_u8(0),
-            Some(bytes) => {
-                w.put_u8(1);
-                w.put_bytes(bytes);
-            }
-        });
+        b.section(SEC_T_WORLD, |w| world.encode(w));
         b.seal()
     }
 
@@ -353,20 +329,13 @@ impl TrainHarness {
         }
 
         let mut r = file.section(SEC_T_RNG, "train rng section")?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
+        let state = SnapDecode::decode(&mut r)?;
 
         let mut r = file.section(SEC_T_AGENT, "train agent section")?;
         let agent_blob = Option::<Vec<u8>>::decode(&mut r)?;
 
         let mut r = file.section(SEC_T_WORLD, "train world section")?;
-        let world = match r.u8()? {
-            0 => None,
-            1 => Some(r.bytes()?.to_vec()),
-            _ => return Err(SnapError::Corrupt("train world tag")),
-        };
+        let world = Option::<Vec<u8>>::decode(&mut r)?;
 
         let mut harness = TrainHarness {
             cfg,

@@ -1,239 +1,62 @@
-//! `SnapEncode`/`SnapDecode` implementations for the shared domain
-//! types, so every state-bearing crate can serialize them into
-//! checkpoints without re-deriving the framing.
+//! `SnapEncode`/`SnapDecode` for the shared domain types, so every
+//! state-bearing crate can serialize them into checkpoints without
+//! re-deriving the framing.
 //!
-//! Encodings are little-endian and field-ordered exactly as declared;
-//! enum discriminants are explicit single bytes. Any change here is a
-//! snapshot format change and must bump `tango_snap::FORMAT_VERSION`.
+//! Each codec is generated from the one list below: a record's fields
+//! encode little-endian in the listed order, and an enum writes its
+//! listed tag byte, then its fields. Any change here is a snapshot
+//! format change and must bump `tango_snap::FORMAT_VERSION`.
 
 use crate::ids::{ClusterId, ContainerId, NodeId, PodId, RequestId};
 use crate::request::{Request, RequestOutcome, RequestState};
 use crate::resources::Resources;
 use crate::service::{ServiceClass, ServiceId};
 use crate::time::SimTime;
-use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
+use tango_snap::{snap_enum, snap_record};
 
-macro_rules! newtype_codec {
-    ($name:ident, $put:ident, $get:ident, $inner:ty) => {
-        impl SnapEncode for $name {
-            fn encode(&self, w: &mut SnapWriter) {
-                w.$put(self.0);
-            }
-        }
-        impl SnapDecode for $name {
-            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                Ok($name(r.$get()?))
-            }
-        }
-    };
-}
+snap_record!(ClusterId(_));
+snap_record!(NodeId(_));
+snap_record!(PodId(_));
+snap_record!(ContainerId(_));
+snap_record!(RequestId(_));
+snap_record!(ServiceId(_));
+snap_record!(SimTime(_));
 
-newtype_codec!(ClusterId, put_u32, u32, u32);
-newtype_codec!(NodeId, put_u32, u32, u32);
-newtype_codec!(PodId, put_u64, u64, u64);
-newtype_codec!(ContainerId, put_u64, u64, u64);
-newtype_codec!(RequestId, put_u64, u64, u64);
-newtype_codec!(ServiceId, put_u16, u16, u16);
-newtype_codec!(SimTime, put_u64, u64, u64);
+snap_record!(Resources {
+    cpu_milli,
+    memory_mib,
+    bandwidth_mbps,
+    disk_mib,
+});
 
-impl SnapEncode for Resources {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cpu_milli);
-        w.put_u64(self.memory_mib);
-        w.put_u64(self.bandwidth_mbps);
-        w.put_u64(self.disk_mib);
-    }
-}
-impl SnapDecode for Resources {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Resources {
-            cpu_milli: r.u64()?,
-            memory_mib: r.u64()?,
-            bandwidth_mbps: r.u64()?,
-            disk_mib: r.u64()?,
-        })
-    }
-}
+snap_enum!(ServiceClass, "service class tag" {
+    0 => Lc,
+    1 => Be,
+});
 
-impl SnapEncode for ServiceClass {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            ServiceClass::Lc => 0,
-            ServiceClass::Be => 1,
-        });
-    }
-}
-impl SnapDecode for ServiceClass {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(ServiceClass::Lc),
-            1 => Ok(ServiceClass::Be),
-            _ => Err(SnapError::Corrupt("service class tag")),
-        }
-    }
-}
+snap_enum!(RequestOutcome, "request outcome tag" {
+    0 => Completed,
+    1 => Abandoned,
+    2 => Failed,
+});
 
-impl SnapEncode for RequestOutcome {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            RequestOutcome::Completed => 0,
-            RequestOutcome::Abandoned => 1,
-            RequestOutcome::Failed => 2,
-        });
-    }
-}
-impl SnapDecode for RequestOutcome {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(RequestOutcome::Completed),
-            1 => Ok(RequestOutcome::Abandoned),
-            2 => Ok(RequestOutcome::Failed),
-            _ => Err(SnapError::Corrupt("request outcome tag")),
-        }
-    }
-}
+snap_enum!(RequestState, "request state tag" {
+    0 => Queued,
+    1 => Dispatched { target },
+    2 => Running { target },
+    3 => Done(outcome),
+    4 => Migrating { src, dst, done_at },
+});
 
-impl SnapEncode for RequestState {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            RequestState::Queued => w.put_u8(0),
-            RequestState::Dispatched { target } => {
-                w.put_u8(1);
-                target.encode(w);
-            }
-            RequestState::Running { target } => {
-                w.put_u8(2);
-                target.encode(w);
-            }
-            RequestState::Done(outcome) => {
-                w.put_u8(3);
-                outcome.encode(w);
-            }
-            RequestState::Migrating { src, dst, done_at } => {
-                w.put_u8(4);
-                src.encode(w);
-                dst.encode(w);
-                done_at.encode(w);
-            }
-        }
-    }
-}
-impl SnapDecode for RequestState {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(RequestState::Queued),
-            1 => Ok(RequestState::Dispatched {
-                target: NodeId::decode(r)?,
-            }),
-            2 => Ok(RequestState::Running {
-                target: NodeId::decode(r)?,
-            }),
-            3 => Ok(RequestState::Done(RequestOutcome::decode(r)?)),
-            4 => Ok(RequestState::Migrating {
-                src: NodeId::decode(r)?,
-                dst: NodeId::decode(r)?,
-                done_at: SimTime::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("request state tag")),
-        }
-    }
-}
-
-impl SnapEncode for Request {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.id.encode(w);
-        self.service.encode(w);
-        self.class.encode(w);
-        self.origin.encode(w);
-        self.arrival.encode(w);
-        self.demand.encode(w);
-        self.state.encode(w);
-        self.started.encode(w);
-        self.finished.encode(w);
-        w.put_u32(self.requeues);
-    }
-}
-impl SnapDecode for Request {
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Request {
-            id: RequestId::decode(r)?,
-            service: ServiceId::decode(r)?,
-            class: ServiceClass::decode(r)?,
-            origin: ClusterId::decode(r)?,
-            arrival: SimTime::decode(r)?,
-            demand: Resources::decode(r)?,
-            state: RequestState::decode(r)?,
-            started: Option::<SimTime>::decode(r)?,
-            finished: Option::<SimTime>::decode(r)?,
-            requeues: r.u32()?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip<T: SnapEncode + SnapDecode + PartialEq + std::fmt::Debug>(v: T) {
-        let mut w = SnapWriter::new();
-        v.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(T::decode(&mut r).unwrap(), v);
-        assert!(r.is_empty(), "{v:?} left trailing bytes");
-    }
-
-    #[test]
-    fn ids_and_time_round_trip() {
-        round_trip(ClusterId(3));
-        round_trip(NodeId(u32::MAX));
-        round_trip(PodId(12));
-        round_trip(ContainerId(999));
-        round_trip(RequestId(u64::MAX - 1));
-        round_trip(ServiceId(65_000));
-        round_trip(SimTime::from_micros(123_456_789));
-    }
-
-    #[test]
-    fn resources_round_trip() {
-        round_trip(Resources::new(4_000, 8_192, 1_000, 100_000));
-    }
-
-    #[test]
-    fn request_round_trips_in_every_state() {
-        let base = Request::new(
-            RequestId(7),
-            ServiceId(3),
-            ServiceClass::Be,
-            ClusterId(1),
-            SimTime::from_millis(55),
-            Resources::cpu_mem(500, 256),
-        );
-        round_trip(base.clone());
-        let mut r = base.clone();
-        r.mark_dispatched(NodeId(9));
-        round_trip(r.clone());
-        r.mark_running(NodeId(9), SimTime::from_millis(60));
-        round_trip(r.clone());
-        r.mark_requeued();
-        round_trip(r.clone());
-        r.mark_migrating(NodeId(9), NodeId(11), SimTime::from_millis(80));
-        round_trip(r.clone());
-        r.mark_done(RequestOutcome::Failed, SimTime::from_millis(99));
-        round_trip(r);
-    }
-
-    #[test]
-    fn bad_discriminants_are_typed_errors() {
-        let mut r = SnapReader::new(&[9]);
-        assert!(matches!(
-            ServiceClass::decode(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-        let mut r = SnapReader::new(&[5]);
-        assert!(matches!(
-            RequestState::decode(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-}
+snap_record!(Request {
+    id,
+    service,
+    class,
+    origin,
+    arrival,
+    demand,
+    state,
+    started,
+    finished,
+    requeues,
+});

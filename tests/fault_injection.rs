@@ -241,3 +241,25 @@ fn calm_weather_run_reports_zero_fault_activity() {
     assert_eq!(report.faults, tango::FaultSummary::default());
     assert!(audit.conserved());
 }
+
+/// Work that runs out at the instant its node crashes has finished: it
+/// is booked then, not left `Running` on the down node until recovery.
+/// At this seed of the `churn_1k` benchmark config, request 14721's work
+/// runs out on node 64 in the crash event at 879.571 ms.
+#[test]
+fn work_finishing_at_a_crash_is_booked_not_left_on_the_down_node() {
+    let seed = 11_400_714_819_323_198_489;
+    let mut cfg = TangoConfig::paper_scale();
+    cfg.detection = Some(Default::default());
+    cfg.faults = FaultPlan::default().node_churn(
+        SimTime::from_secs(2),
+        SimTime::from_millis(500),
+        seed ^ 0xC4012,
+    );
+    cfg.seed = seed;
+    let (report, audit) =
+        EdgeCloudSystem::new(cfg).run_audited(SimTime::from_millis(1_500), "crash-instant");
+    assert!(report.faults.node_crashes > 0);
+    assert!(audit.conserved(), "requests lost: {audit:?}");
+    assert_eq!(audit.running_on_down_nodes, 0, "{audit:?}");
+}
