@@ -17,10 +17,10 @@
 //! the baseline machine.
 
 use std::time::Instant;
-use tango::{BePolicy, EdgeCloudSystem, LcPolicy, TangoConfig};
+use tango::{BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, RunReport, TangoConfig};
 use tango_types::SimTime;
 
-fn run_scenario(name: &str, cfg: TangoConfig, horizon: SimTime) {
+fn run_scenario(name: &str, cfg: TangoConfig, horizon: SimTime) -> RunReport {
     let t = Instant::now();
     let sys = EdgeCloudSystem::new(cfg);
     let nodes = sys.node_count();
@@ -37,6 +37,7 @@ fn run_scenario(name: &str, cfg: TangoConfig, horizon: SimTime) {
         report.lc_completed,
         wall.as_secs_f64() * 1e3
     );
+    report
 }
 
 fn main() {
@@ -76,6 +77,37 @@ fn main() {
         "104-cluster digest differs across thread counts: {d1:#x} vs {d4:#x}"
     );
     println!("smoke/digest/104             0x{d1:016x} at 1 and 4 threads");
+
+    // ~1000-node preset under keep-alive detection and node churn, the
+    // perfbench `churn_1k` shape: detections and recoveries re-derive
+    // single clusters' candidate-view segments at full scale. Liveness,
+    // then the same digest at 1 and 4 workers.
+    let churn = |threads: usize| {
+        let mut cfg = TangoConfig::paper_scale();
+        cfg.detection = Some(Default::default());
+        cfg.faults = FaultPlan::default().node_churn(
+            SimTime::from_secs(2),
+            SimTime::from_millis(500),
+            cfg.seed ^ 0xC4012,
+        );
+        cfg.parallelism = Some(threads);
+        cfg
+    };
+    const CHURN_MS: u64 = 500;
+    let d1 = run_scenario(
+        "smoke/churn/1000node",
+        churn(1),
+        SimTime::from_millis(CHURN_MS),
+    )
+    .digest();
+    let d4 = EdgeCloudSystem::new(churn(4))
+        .run(SimTime::from_millis(CHURN_MS), "smoke/churn/1000node")
+        .digest();
+    assert_eq!(
+        d1, d4,
+        "1000-node churn digest differs across thread counts: {d1:#x} vs {d4:#x}"
+    );
+    println!("smoke/churn/1000node         0x{d1:016x} at 1 and 4 threads");
 
     // Dispatch-heavy smoke: high arrival rate over a metro region keeps
     // every master's queue non-empty, so the coalesced two-phase

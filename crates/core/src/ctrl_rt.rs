@@ -9,9 +9,10 @@
 //!   physically-down-but-undetected nodes miss, and when the miss count
 //!   trips the threshold the crash becomes *detected*: limbo work and
 //!   node-waiting requests go back to the schedulers, reservations are
-//!   wiped, candidate views rebuild, and the detection lag (sim-time from
-//!   physical crash to trip) is recorded. With `cfg.detection = None`
-//!   this is a no-op and faults stay oracle-driven.
+//!   wiped, candidate views re-derive the node's cluster, and the
+//!   detection lag (sim-time from physical crash to trip) is recorded.
+//!   With `cfg.detection = None` this is a no-op and faults stay
+//!   oracle-driven.
 //! * `after_sync` runs at the **end** of every sync tick. It folds new
 //!   proxy fallbacks into the period counters and, when a mirror is
 //!   attached, publishes a full-or-delta frame keyed on the candidate
@@ -97,8 +98,10 @@ fn on_detected(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
         node: Some(node),
     });
     fault_rt::on_crash_detected(ctx, node, now);
-    // The detected-down flag is a structural view input.
-    ctx.dispatch.views.invalidate_structure();
+    // The detected-down flag is a structural input of the node's cluster
+    // rows.
+    let cluster = ctx.nodes[node.index()].cluster;
+    ctx.dispatch.views.invalidate_cluster(cluster);
 }
 
 /// End-of-sync control-plane bookkeeping: proxy fallback deltas into the

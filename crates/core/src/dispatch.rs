@@ -39,7 +39,8 @@ pub struct DispatchState {
     /// (the §5.3.1 long-term reward basis).
     pub(crate) be_completed_frac: f64,
     /// Incremental candidate views, invalidated by the sync loop, the
-    /// re-assurer and the fault runtime.
+    /// re-assurer, the fault runtime, keep-alive detection and the
+    /// migration stage.
     pub(crate) views: CandidateViewCache,
 }
 
@@ -59,6 +60,7 @@ macro_rules! view_inputs {
             reserved: &$ctx.lifecycle.reserved,
             central: $ctx.dispatch.central,
             cloud_gate: $ctx.migration.cloud_gate(),
+            clusters: &*$ctx.clusters,
         }
     };
 }

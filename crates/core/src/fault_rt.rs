@@ -73,7 +73,9 @@ pub(crate) fn acting_master_for(
 /// forgotten so the control loops re-learn it.
 pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut Sched<'_>) {
     let now = sched.now();
-    match fault {
+    // The cluster whose rows the event changed, or `None` when it may
+    // have changed any row.
+    let touched = match fault {
         FaultEvent::NodeCrash { node } => {
             let is_master = ctx.nodes[node.index()].is_master;
             if !ctx.fault.on_phys_crash(node, now, is_master) {
@@ -110,6 +112,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
             // Oracle fault model: the crash is detected in the same event.
             ctx.fault.mark_detected(node);
             on_crash_detected(ctx, node, now);
+            Some(ctx.nodes[node.index()].cluster)
         }
         FaultEvent::NodeRecover { node } => {
             // A recovery can land before the keep-alive detector ever
@@ -140,6 +143,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 r.reset_node(node);
             }
             lifecycle::schedule_node_check(ctx, node, sched);
+            Some(ctx.nodes[node.index()].cluster)
         }
         FaultEvent::LinkDegrade {
             a,
@@ -154,6 +158,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 kind: "degrade",
                 node: None,
             });
+            None
         }
         FaultEvent::LinkRestore { a, b } => {
             ctx.topology.restore_link(a, b);
@@ -162,6 +167,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 kind: "restore",
                 node: None,
             });
+            None
         }
         FaultEvent::Partition { side } => {
             ctx.topology.set_partition(&side);
@@ -170,6 +176,7 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 kind: "partition",
                 node: None,
             });
+            None
         }
         FaultEvent::Heal => {
             ctx.topology.heal_partition();
@@ -178,12 +185,18 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
                 kind: "heal",
                 node: None,
             });
+            None
         }
+    };
+    // Every arm that falls through changed structural view inputs: a
+    // node's down flag and re-assurance factors, which only its own
+    // cluster's rows read, or the topology, which any row may. Arms that
+    // found nothing to do returned early above. Cached candidate views
+    // re-derive the affected segments on their next use.
+    match touched {
+        Some(cluster) => ctx.dispatch.views.invalidate_cluster(cluster),
+        None => ctx.dispatch.views.invalidate_structure(),
     }
-    // Every arm that falls through changed structural view inputs (down
-    // flags or topology); arms that found nothing to do returned early
-    // above. Cached candidate views rebuild on their next use.
-    ctx.dispatch.views.invalidate_structure();
 }
 
 /// The control plane has learned that `node` crashed — in the crash

@@ -132,7 +132,11 @@ pub(crate) fn charge_egress(ctx: &mut SystemCtx<'_>, now: SimTime, kib: u64) {
     ctx.migration.egress_kib += kib;
     ctx.counters.add(now, Counter::CloudEgressKib, kib);
     if was_open && !ctx.migration.cloud_open() {
-        ctx.dispatch.views.invalidate_structure();
+        let cloud = ctx
+            .migration
+            .cloud
+            .expect("only an attached cloud tier carries an egress budget");
+        ctx.dispatch.views.invalidate_cluster(cloud);
     }
 }
 

@@ -71,6 +71,15 @@ impl ClusterRt {
     pub fn workers(&self) -> &[NodeId] {
         &self.workers
     }
+
+    /// The cluster's contiguous node-id range: the master, then its
+    /// workers. Clusters are built one after another, so the ranges tile
+    /// `0..node_count` in cluster order; the sync shard plan and the
+    /// candidate-view segments rely on that layout.
+    pub(crate) fn node_range(&self) -> std::ops::Range<usize> {
+        let start = self.master.index();
+        start..start + 1 + self.workers.len()
+    }
 }
 
 /// The node-level admission/allocation mode, fixed per run.
@@ -273,6 +282,38 @@ mod tests {
         assert_eq!(par[0].lc_arrived, seq.lc_arrived);
         assert_eq!(par[0].be_throughput, par[1].be_throughput);
         assert_eq!(par[0].lc_completed, seq.lc_completed);
+    }
+
+    /// The layout the sync shard plan and the candidate-view segments
+    /// walk: each cluster's master, then its workers, one cluster after
+    /// another, tiling every node id — the cloud tier included.
+    #[test]
+    fn cluster_node_ranges_tile_the_nodes_in_cluster_order() {
+        let mut cloud = small_cfg();
+        cloud.cloud = Some(crate::config::CloudConfig::default());
+        for cfg in [TangoConfig::paper_scale(), cloud] {
+            let edge_clusters = cfg.clusters;
+            let has_cloud = cfg.cloud.is_some();
+            let sys = EdgeCloudSystem::new(cfg);
+            assert_eq!(sys.cluster_count(), edge_clusters + usize::from(has_cloud));
+            let mut next = 0;
+            for (i, c) in sys.clusters.iter().enumerate() {
+                let range = c.node_range();
+                assert_eq!(c.id.index(), i);
+                assert_eq!(range.start, next, "cluster {i} leaves a gap or overlaps");
+                assert_eq!(c.master.index(), range.start, "cluster {i}: master first");
+                assert!(
+                    c.workers
+                        .iter()
+                        .map(|w| w.index())
+                        .eq(range.start + 1..range.end),
+                    "cluster {i}: workers follow the master in id order"
+                );
+                assert!(sys.nodes[range.clone()].iter().all(|n| n.cluster == c.id));
+                next = range.end;
+            }
+            assert_eq!(next, sys.node_count());
+        }
     }
 
     #[test]

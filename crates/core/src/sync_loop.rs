@@ -94,11 +94,7 @@ pub(crate) fn on_sync(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
         sync.drafts.resize_with(n, SyncDraft::default);
     }
     if sync.cluster_bounds.len() != ctx.clusters.len() {
-        sync.cluster_bounds = ctx
-            .clusters
-            .iter()
-            .map(|c| c.master.index() + 1 + c.workers.len())
-            .collect();
+        sync.cluster_bounds = ctx.clusters.iter().map(|c| c.node_range().end).collect();
         debug_assert_eq!(sync.cluster_bounds.last().copied().unwrap_or(0), n);
     }
     if sync.lc_targets.is_empty() {
