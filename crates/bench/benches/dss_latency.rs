@@ -1,5 +1,10 @@
-//! DSS-LC decision-time bench (§7.2 text: "1.99 ms for a node size of 500
+//! DSS-LC planning bench (§7.2 text: "1.99 ms for a node size of 500
 //! and 3.98 ms for a node size of 1000").
+//!
+//! It times `plan` over a batch whose delay order is already built, as a
+//! dispatch round's batch arrives from the candidate-view cache. The
+//! paper's figure prices a decision from a fresh candidate set, which
+//! also sorts that order: `figures dss_scaling` times that one.
 
 use std::hint::black_box;
 use tango_bench::microbench;

@@ -24,9 +24,11 @@ use tango_types::SimTime;
 fn scenarios() -> Vec<Sample> {
     let mut out = Vec::new();
 
-    // 1. DSS-LC decision at the paper's 500-node scale, overloaded 2×
+    // 1. DSS-LC planning at the paper's 500-node scale, overloaded 2×
     //    so both the G_k and λ-augmented Ĝ′_k phases run (closed-form
-    //    routing; no flow solver on this path).
+    //    routing; no flow solver on this path). It plans over a ready
+    //    delay order, as dispatch rounds do; `figures dss_scaling` adds
+    //    the sort for a decision from a fresh candidate set.
     let batch = make_batch(500, 1000);
     let mut sched = DssLc::new(7);
     out.push(microbench::run("dss_lc_decision/500", 300, || {

@@ -31,11 +31,11 @@ pub fn make_batch(n_nodes: usize, n_requests: u64) -> TypeBatch {
             alive: true,
         })
         .collect();
-    TypeBatch {
-        service: ServiceId(0),
-        requests: (0..n_requests).map(RequestId).collect(),
-        nodes: nodes.into(),
-    }
+    TypeBatch::new(
+        ServiceId(0),
+        (0..n_requests).map(RequestId).collect(),
+        nodes,
+    )
 }
 
 /// Star-cluster feature graph (same generator as the gnn_forward bench).

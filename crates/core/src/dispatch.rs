@@ -250,10 +250,15 @@ fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut S
             let inp = view_inputs!(ctx);
             round.batches = by_type
                 .into_iter()
-                .map(|(service, requests)| TypeBatch {
-                    service,
-                    requests,
-                    nodes: views.candidates(&inp, service, ViewScope::LcGeo(round.cluster)),
+                .map(|(service, requests)| {
+                    let (nodes, by_delay) =
+                        views.candidates(&inp, service, ViewScope::LcGeo(round.cluster));
+                    TypeBatch {
+                        service,
+                        requests,
+                        nodes,
+                        by_delay,
+                    }
                 })
                 .collect();
         }
@@ -376,7 +381,7 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
             let local: Vec<CandidateNode> = {
                 let views = &mut ctx.dispatch.views;
                 let inp = view_inputs!(ctx);
-                let global = views.candidates(&inp, service, ViewScope::BeGlobal);
+                let (global, _) = views.candidates(&inp, service, ViewScope::BeGlobal);
                 global
                     .iter()
                     .filter(|c| c.cluster == cluster)
@@ -515,7 +520,7 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
         let candidates: Arc<Vec<CandidateNode>> = {
             let views = &mut ctx.dispatch.views;
             let inp = view_inputs!(ctx);
-            views.candidates(&inp, service, ViewScope::BeGlobal)
+            views.candidates(&inp, service, ViewScope::BeGlobal).0
         };
         pay_be_feedback(ctx, &demand, &candidates, now);
         match ctx.dispatch.be.schedule(&demand, &candidates) {

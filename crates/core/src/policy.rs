@@ -174,11 +174,11 @@ mod tests {
     #[test]
     fn dsaco_respects_capacity() {
         let mut s = DsacoLc::new(3);
-        let batch = TypeBatch {
-            service: ServiceId(0),
-            requests: (0..10).map(RequestId).collect(),
-            nodes: vec![cand(1, 2), cand(2, 3)].into(),
-        };
+        let batch = TypeBatch::new(
+            ServiceId(0),
+            (0..10).map(RequestId).collect(),
+            vec![cand(1, 2), cand(2, 3)],
+        );
         let out = s.assign(&batch);
         assert_eq!(out.len(), 5, "5 slots total");
         let to1 = out.iter().filter(|&&(_, n)| n == NodeId(1)).count();
@@ -189,11 +189,7 @@ mod tests {
     #[test]
     fn dsaco_with_no_nodes_assigns_nothing() {
         let mut s = DsacoLc::new(3);
-        let batch = TypeBatch {
-            service: ServiceId(0),
-            requests: vec![RequestId(0)],
-            nodes: vec![].into(),
-        };
+        let batch = TypeBatch::new(ServiceId(0), vec![RequestId(0)], Vec::new());
         assert!(s.assign(&batch).is_empty());
     }
 }

@@ -44,6 +44,19 @@
 //! every segment: the from-scratch build is the all-stale case of the
 //! same path.
 //!
+//! **Delay order.** Beside its rows, their availability baselines and
+//! the membership cache, each view derives a fourth artefact: the rows'
+//! fill order for DSS-LC, row indices in ascending `(delay, node)` order
+//! ([`tango_sched::delay_order`]). Like membership it is structural, and
+//! only re-derivation (`rederive`, full or partial) rebuilds it. A
+//! segment's rows share their cluster's link, so its delay is one value.
+//! The order is therefore the non-empty segments sorted by
+//! `(delay, list position)`, rows ascending inside each; list position
+//! is node order because the node ranges ascend in cluster order. That
+//! sorts a view's ~20 segments instead of its ~200 rows. A value refresh
+//! or a reservation patch moves neither delay nor membership and leaves
+//! the order as it is.
+//!
 //! D-VPA resizes surface through node capacity, which dispatchers only
 //! ever observe via sync-pushed snapshots — so the sync push's value bump
 //! covers them by construction and no extra invalidation hook is needed.
@@ -58,7 +71,8 @@
 //! invariant guarantees a resumed run sees the same views an
 //! uninterrupted run would. [`CandidateViewCache::set_verify`] checks it
 //! on every query against a whole-store rebuild that filters rows by
-//! cluster membership instead of trusting the node ranges.
+//! cluster membership instead of trusting the node ranges, and checks
+//! the delay order against a plain sort of the rows.
 
 use crate::config::TangoConfig;
 use crate::lifecycle::ReservationTable;
@@ -69,8 +83,8 @@ use tango_faults::FaultState;
 use tango_hrm::Reassurer;
 use tango_metrics::{NodeRole, StateStorage, StoreRow};
 use tango_net::NetworkTopology;
-use tango_sched::{CandidateNode, LinkObservation, NodeObservation};
-use tango_types::{ClusterId, FxHashMap, NodeId, Resources, ServiceId};
+use tango_sched::{delay_order, CandidateNode, LinkObservation, NodeObservation};
+use tango_types::{ClusterId, FxHashMap, NodeId, Resources, ServiceId, SimTime};
 use tango_workload::ServiceCatalog;
 
 use crate::dispatch::{link_capacity, ViewScope};
@@ -122,6 +136,9 @@ struct View {
     /// End offset of each listed cluster's segment in the row arrays,
     /// parallel to the view's cluster list.
     seg_ends: Vec<u32>,
+    /// Row indices in ascending `(delay, node)` order, shared with
+    /// outstanding `TypeBatch`es; rebuilt after every re-derivation.
+    by_delay: Arc<Vec<u32>>,
     /// Scratch: row indices hit by the current reservation patch.
     patch_hits: Vec<u32>,
 }
@@ -146,6 +163,7 @@ impl View {
         self.be_base.shrink_to_fit();
         self.member_rows.shrink_to_fit();
         self.node_ids.shrink_to_fit();
+        Arc::make_mut(&mut self.by_delay).shrink_to_fit();
     }
 }
 
@@ -194,6 +212,9 @@ pub(crate) struct CandidateViewCache {
     all_clusters: Vec<ClusterId>,
     /// Scratch for the segment being re-derived.
     segment: Segment,
+    /// Scratch for sorting a view's segments into delay order:
+    /// `(delay, list position)` per non-empty segment.
+    seg_order: Vec<(SimTime, u32)>,
     /// When set, every query re-runs the whole-store build and asserts
     /// equality — the property-test hook for the delta ≡ rebuild
     /// invariant.
@@ -213,6 +234,7 @@ impl Default for CandidateViewCache {
             geo_sets: FxHashMap::default(),
             all_clusters: Vec::new(),
             segment: Segment::default(),
+            seg_order: Vec::new(),
             verify: false,
         }
     }
@@ -260,15 +282,15 @@ impl CandidateViewCache {
     }
 
     /// The candidate view for `(scope, service)`, current as of the
-    /// latest structural clock and reservation table. The returned `Arc`
-    /// is a shared handle; it stays valid (and frozen) even as later
-    /// queries patch the cache.
+    /// latest structural clock and reservation table, with its rows'
+    /// delay order. The returned `Arc`s are shared handles; they stay
+    /// valid (and frozen) even as later queries patch the cache.
     pub(crate) fn candidates(
         &mut self,
         inp: &ViewInputs<'_>,
         service: ServiceId,
         scope: ViewScope,
-    ) -> Arc<Vec<CandidateNode>> {
+    ) -> (Arc<Vec<CandidateNode>>, Arc<Vec<u32>>) {
         let Self {
             structure_clock,
             cluster_stamps,
@@ -278,6 +300,7 @@ impl CandidateViewCache {
             geo_sets,
             all_clusters,
             segment,
+            seg_order,
             verify,
         } = self;
         let list: &[ClusterId] = match scope {
@@ -302,6 +325,7 @@ impl CandidateViewCache {
                     .is_some_and(|&stamp| stamp > since)
             };
             rederive(view, inp, service, scope, list, stale, segment);
+            order_by_delay(view, seg_order);
             view.built_at = *structure_clock;
             if full {
                 view.shrink_to_fit();
@@ -318,7 +342,7 @@ impl CandidateViewCache {
         if *verify {
             check_view(view, inp, service, scope, list);
         }
-        Arc::clone(&view.rows)
+        (Arc::clone(&view.rows), Arc::clone(&view.by_delay))
     }
 
     /// OR `origin`'s geo-nearby cluster set — the read *and* write
@@ -491,6 +515,30 @@ fn rederive(
     debug_assert!(view.node_ids.windows(2).all(|w| w[0] < w[1]));
 }
 
+/// Rebuild `view.by_delay` from its segments: sort the non-empty ones
+/// by `(delay, list position)`, every row of a segment sharing its
+/// cluster's delay, and list each one's rows in order. The keys are
+/// unique, so the unstable sort is deterministic, and list position
+/// breaks delay ties in node order.
+fn order_by_delay(view: &mut View, seg_order: &mut Vec<(SimTime, u32)>) {
+    seg_order.clear();
+    let mut start = 0;
+    for (k, &end) in view.seg_ends.iter().enumerate() {
+        if end as usize > start {
+            seg_order.push((view.rows[start].delay, k as u32));
+        }
+        start = end as usize;
+    }
+    seg_order.sort_unstable();
+    let order = Arc::make_mut(&mut view.by_delay);
+    order.clear();
+    for &(_, k) in seg_order.iter() {
+        let k = k as usize;
+        let start = k.checked_sub(1).map_or(0, |p| view.seg_ends[p]);
+        order.extend(start..view.seg_ends[k]);
+    }
+}
+
 /// Move `src`'s elements into `dst` in place of the elements in `old`.
 fn splice<T>(dst: &mut Vec<T>, old: &Range<usize>, src: &mut Vec<T>) {
     dst.splice(old.clone(), src.drain(..));
@@ -569,6 +617,12 @@ fn check_view(
         start = end;
     }
     assert_eq!(start, view.rows.len(), "segments do not cover the view");
+    assert_eq!(
+        *view.by_delay,
+        delay_order(&view.rows),
+        "segment-derived delay order diverged from a sort of the rows \
+         (service {service:?}, scope {scope:?})"
+    );
 }
 
 /// The oracle's reference build: iterate every store row in node-id

@@ -396,7 +396,6 @@ impl LcScheduler for ProxyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc as StdArc;
     use tango_types::Resources;
 
     fn cand(node: u32, alive: bool) -> CandidateNode {
@@ -415,11 +414,11 @@ mod tests {
     }
 
     fn batch(reqs: &[u64], nodes: Vec<CandidateNode>) -> TypeBatch {
-        TypeBatch {
-            service: ServiceId(0),
-            requests: reqs.iter().map(|&r| RequestId(r)).collect(),
-            nodes: StdArc::new(nodes),
-        }
+        TypeBatch::new(
+            ServiceId(0),
+            reqs.iter().map(|&r| RequestId(r)).collect(),
+            nodes,
+        )
     }
 
     /// A local stand-in that places every request on a fixed node.

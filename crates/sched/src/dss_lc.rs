@@ -19,6 +19,18 @@
 //! backlog spreads across heterogeneous nodes proportionally to their
 //! size. Queued-set requests still get dispatched; they simply wait at
 //! their target node.
+//!
+//! The fill order is not sorted here: every [`TypeBatch`] carries it as
+//! `by_delay`, and the system's candidate-view cache derives it only
+//! when a structural change re-derives the view (delay is a link
+//! attribute). A plan is one walk down that order, which computes the
+//! Eq. 2 capacity of each row it reaches and stops once the demand is
+//! placed. The walk also settles which of Alg. 2's two cases holds: it
+//! stops early only after placing the demand, so Σcap ≥ demand; if it
+//! runs out of rows, its running sum is the whole Σcap. And when
+//! Σcap < demand, each row's take is min(capacity, link capacity) either
+//! way, so routing the demand places exactly what routing Σcap would:
+//! the one walk is the G_k phase of both cases.
 
 use crate::view::{LcScheduler, TypeBatch};
 use tango_flow::{EdgeRef, FlowGraph, MinCostMaxFlow};
@@ -26,22 +38,19 @@ use tango_par::Pool;
 use tango_simcore::SimRng;
 use tango_types::{NodeId, RequestId};
 
-/// Pooled buffers reused across `plan()` calls and across the G_k /
-/// λ-augmented Ĝ′_k phases within one call. A master dispatches every
-/// request type every tick, so in steady state planning performs no heap
-/// allocation beyond the placements handed back to the caller.
+/// Buffers shared by the G_k and λ-augmented Ĝ′_k phases of a plan.
+/// [`DssLc::plan`] reuses the scheduler's own across calls.
+/// [`DssLc::plan_many`], the dispatch rounds' path, makes one per worker
+/// per call, so each of its batches reuses the buffers of the batches
+/// before it on that worker.
 #[derive(Debug, Default)]
 struct DispatchScratch {
-    /// Eq. 2 instantaneous capacities (G_k phase).
-    caps: Vec<u64>,
-    /// Eq. 7 λ-augmented capacities (Ĝ′_k phase).
-    caps_aug: Vec<u64>,
-    /// Candidate order for the greedy closed form.
-    order_idx: Vec<usize>,
-    /// Per-node assignment counts from the last route.
-    counts: Vec<(usize, u64)>,
     /// ρ-shuffled request queue being consumed this call.
     order: Vec<RequestId>,
+    /// Per-row assignment counts from the last route, by row index.
+    counts: Vec<(usize, u64)>,
+    /// Eq. 7 λ-augmented capacities (Ĝ′_k phase), by row index.
+    caps_aug: Vec<u64>,
 }
 
 /// The DSS-LC scheduler.
@@ -104,38 +113,33 @@ impl DssLc {
     /// [`DssLc::route_mcmf`] solves the same graph with the general
     /// solver and the test suite pins their equality.
     pub fn route(batch: &TypeBatch, capacities: &[u64], demand: u64) -> Vec<(usize, u64)> {
-        let mut order_idx = Vec::new();
         let mut out = Vec::new();
-        Self::route_into(batch, capacities, demand, &mut order_idx, &mut out);
+        Self::route_into(batch, demand, |i| capacities[i], &mut out);
         out
     }
 
-    /// [`Self::route`] writing into caller-provided buffers (cleared
-    /// first), so the per-dispatch hot path can reuse its scratch.
+    /// [`Self::route`] writing into a caller-provided buffer (cleared
+    /// first). It walks the batch's delay order and asks `capacity` for
+    /// each row it reaches, stopping once `demand` is placed; the counts
+    /// come back sorted by row index, the order `materialize` hands out
+    /// requests in.
     fn route_into(
         batch: &TypeBatch,
-        capacities: &[u64],
         demand: u64,
-        order_idx: &mut Vec<usize>,
+        mut capacity: impl FnMut(usize) -> u64,
         out: &mut Vec<(usize, u64)>,
     ) {
+        debug_assert_eq!(batch.by_delay.len(), batch.nodes.len());
         out.clear();
-        if demand == 0 || batch.nodes.is_empty() {
-            return;
-        }
-        order_idx.clear();
-        order_idx.extend(0..batch.nodes.len());
-        // Unstable sort: keys are unique (one row per node), so the
-        // result is identical to a stable sort and skips its per-call
-        // buffer allocation.
-        order_idx.sort_unstable_by_key(|&i| (batch.nodes[i].delay, batch.nodes[i].node));
         let mut remaining = demand;
-        for &i in order_idx.iter() {
+        for &i in batch.by_delay.iter() {
             if remaining == 0 {
                 break;
             }
-            let cap = capacities[i].min(batch.nodes[i].link_capacity as u64);
-            let take = cap.min(remaining);
+            let i = i as usize;
+            let take = capacity(i)
+                .min(batch.nodes[i].link_capacity as u64)
+                .min(remaining);
             if take > 0 {
                 out.push((i, take));
                 remaining -= take;
@@ -222,9 +226,8 @@ impl DssLc {
     /// Every batch's ρ(·) stream is forked from this scheduler's RNG
     /// *sequentially, in batch order, before the fan-out*, and the plans
     /// are merged back in batch order, so the result is bit-identical
-    /// for every thread count. Each worker carries one
-    /// `DispatchScratch`, so a warm fan-out allocates only the forked
-    /// RNGs and the plans themselves.
+    /// for every thread count. Each worker makes one `DispatchScratch`
+    /// for the call and reuses it across its batches.
     pub fn plan_many(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<LcPlan> {
         let rngs: Vec<SimRng> = batches.iter().map(|_| self.rng.fork()).collect();
         let overflow_routing = self.overflow_routing;
@@ -247,11 +250,6 @@ impl DssLc {
         if batch.requests.is_empty() {
             return plan;
         }
-        scratch.caps.clear();
-        scratch
-            .caps
-            .extend(batch.nodes.iter().map(|n| n.capacity_now(true)));
-        let total_cap: u64 = scratch.caps.iter().sum();
         let demand = batch.requests.len() as u64;
 
         // ρ(·): random sorting function; LC requests share one priority.
@@ -260,41 +258,31 @@ impl DssLc {
         rng.shuffle(&mut scratch.order);
         let mut cursor = 0usize;
 
-        if demand <= total_cap {
-            // Case 1: capacity suffices — single graph G_k.
-            Self::route_into(
-                batch,
-                &scratch.caps,
-                demand,
-                &mut scratch.order_idx,
-                &mut scratch.counts,
-            );
-            Self::materialize(
-                batch,
-                &scratch.counts,
-                &scratch.order,
-                &mut cursor,
-                &mut plan.immediate,
-            );
-        } else {
-            // Case 2: overload — split into R_k (first total_cap after ρ)
-            // and R'_k.
-            Self::route_into(
-                batch,
-                &scratch.caps,
-                total_cap,
-                &mut scratch.order_idx,
-                &mut scratch.counts,
-            );
-            Self::materialize(
-                batch,
-                &scratch.counts,
-                &scratch.order,
-                &mut cursor,
-                &mut plan.immediate,
-            );
+        // G_k: one walk in delay order. `total_cap` sums the Eq. 2
+        // capacities it reached, which settles the case (module doc).
+        let mut total_cap = 0u64;
+        Self::route_into(
+            batch,
+            demand,
+            |i| {
+                let cap = batch.nodes[i].capacity_now(true);
+                total_cap += cap;
+                cap
+            },
+            &mut scratch.counts,
+        );
+        Self::materialize(
+            batch,
+            &scratch.counts,
+            &scratch.order,
+            &mut cursor,
+            &mut plan.immediate,
+        );
 
-            // Ĝ'_k: capacities from *total* resources × λ (Eq. 7–8).
+        if demand > total_cap {
+            // Case 2: overload. The walk placed R_k, the first Σcap of
+            // the ρ order; Ĝ′_k routes R′_k over capacities from *total*
+            // resources × λ (Eq. 7–8).
             let overflow = (scratch.order.len() - cursor) as u64;
             scratch.caps_aug.clear();
             scratch
@@ -306,13 +294,8 @@ impl DssLc {
                 for b in &mut scratch.caps_aug {
                     *b = ((*b as f64) * lambda).ceil() as u64;
                 }
-                Self::route_into(
-                    batch,
-                    &scratch.caps_aug,
-                    overflow,
-                    &mut scratch.order_idx,
-                    &mut scratch.counts,
-                );
+                let caps_aug = &scratch.caps_aug;
+                Self::route_into(batch, overflow, |i| caps_aug[i], &mut scratch.counts);
                 Self::materialize(
                     batch,
                     &scratch.counts,

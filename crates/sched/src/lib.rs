@@ -52,4 +52,6 @@ pub use dcg_be::{BeScheduler, DcgBe, DcgBeConfig, GnnSacBe, GreedyBe, RoundRobin
 pub use dss_lc::{DssLc, LcPlan};
 pub use migrate::{MigratablePod, MigrationCandidate, MigrationDecision, MigrationPlanner};
 pub use td3_be::{Td3Be, Td3BeConfig};
-pub use view::{CandidateNode, LcScheduler, LinkObservation, NodeObservation, TypeBatch};
+pub use view::{
+    delay_order, CandidateNode, LcScheduler, LinkObservation, NodeObservation, TypeBatch,
+};

@@ -6,6 +6,7 @@
 //! (X_i^k node attributes, Y_{i,j} edge attributes). The schedulers only
 //! ever see these views.
 
+use std::sync::Arc;
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 /// One candidate worker node as the dispatcher sees it.
@@ -127,9 +128,17 @@ impl CandidateNode {
 
 /// The pending requests of one type at one master, with their candidates.
 ///
-/// `nodes` is an `Arc`: the system's candidate-view cache hands every
-/// batch of a round the *same* frozen start-of-round snapshot for its
-/// type (a refcount bump, not a clone), and schedulers only ever read it.
+/// `nodes` and `by_delay` are `Arc`s: the system's candidate-view cache
+/// hands every batch of a round the *same* frozen start-of-round snapshot
+/// for its type (a refcount bump, not a clone), and schedulers only ever
+/// read it.
+///
+/// `by_delay` is DSS-LC's fill order. Delay is a link attribute, so the
+/// order is structural: the view cache derives it from its per-cluster
+/// segments whenever it re-derives a view, and keeps it through value
+/// refreshes and reservation patches, which move neither delay nor
+/// membership. [`TypeBatch::new`] sorts it for batches made outside the
+/// cache.
 #[derive(Debug, Clone)]
 pub struct TypeBatch {
     /// The request type k.
@@ -137,7 +146,39 @@ pub struct TypeBatch {
     /// Pending request ids (t_i^k at this master).
     pub requests: Vec<RequestId>,
     /// Candidate nodes (local + geo-nearby clusters' workers).
-    pub nodes: std::sync::Arc<Vec<CandidateNode>>,
+    pub nodes: Arc<Vec<CandidateNode>>,
+    /// Indices into `nodes` in ascending `(delay, node)` order
+    /// ([`delay_order`]).
+    pub by_delay: Arc<Vec<u32>>,
+}
+
+impl TypeBatch {
+    /// A batch over `nodes`, with its delay order sorted here.
+    pub fn new(
+        service: ServiceId,
+        requests: Vec<RequestId>,
+        nodes: impl Into<Arc<Vec<CandidateNode>>>,
+    ) -> TypeBatch {
+        let nodes = nodes.into();
+        let by_delay = Arc::new(delay_order(&nodes));
+        TypeBatch {
+            service,
+            requests,
+            nodes,
+            by_delay,
+        }
+    }
+}
+
+/// The indices of `nodes` in ascending `(delay, node)` order: the order
+/// in which DSS-LC fills candidates (Eq. 3's min-cost closed form), with
+/// equal delays broken by node id.
+pub fn delay_order(nodes: &[CandidateNode]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..nodes.len() as u32).collect();
+    // Unstable sort: keys are unique (one row per node), so the result
+    // is identical to a stable sort and skips its buffer allocation.
+    order.sort_unstable_by_key(|&i| (nodes[i as usize].delay, nodes[i as usize].node));
+    order
 }
 
 /// An LC scheduling policy: map a type batch to (request → node)
@@ -204,17 +245,30 @@ pub(crate) mod test_support {
     }
 
     pub fn batch(n_requests: u64, nodes: Vec<CandidateNode>) -> TypeBatch {
-        TypeBatch {
-            service: ServiceId(0),
-            requests: (0..n_requests).map(RequestId).collect(),
-            nodes: nodes.into(),
-        }
+        TypeBatch::new(
+            ServiceId(0),
+            (0..n_requests).map(RequestId).collect(),
+            nodes,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::test_support::cand;
+    use super::*;
+
+    #[test]
+    fn delay_order_sorts_by_delay_then_node() {
+        // rows 0 and 3 tie on delay; row 0 comes first by position and
+        // by cluster, row 3 by node id, which decides
+        let mut nodes = vec![cand(9, 1, 5), cand(2, 1, 1), cand(7, 1, 9), cand(4, 1, 5)];
+        nodes[0].cluster = ClusterId(0);
+        nodes[3].cluster = ClusterId(1);
+        assert_eq!(delay_order(&nodes), vec![1, 3, 0, 2]);
+        let batch = TypeBatch::new(ServiceId(0), Vec::new(), nodes);
+        assert_eq!(*batch.by_delay, vec![1, 3, 0, 2]);
+    }
 
     #[test]
     fn capacity_now_follows_eq2() {

@@ -30,11 +30,11 @@ fn batch(service: u16, n_requests: u64, n_nodes: usize) -> TypeBatch {
             alive: true,
         })
         .collect();
-    TypeBatch {
-        service: ServiceId(service),
-        requests: (0..n_requests).map(RequestId).collect(),
-        nodes: nodes.into(),
-    }
+    TypeBatch::new(
+        ServiceId(service),
+        (0..n_requests).map(RequestId).collect(),
+        nodes,
+    )
 }
 
 #[test]

@@ -49,11 +49,11 @@ fn lc_policies_respect_capacity_and_uniqueness() {
         let nodes = arb_candidates(&mut rng);
         let n_requests = rng.next_below(60);
         let seed = rng.next_u64();
-        let batch = TypeBatch {
-            service: ServiceId(0),
-            requests: (0..n_requests).map(RequestId).collect(),
-            nodes: nodes.into(),
-        };
+        let batch = TypeBatch::new(
+            ServiceId(0),
+            (0..n_requests).map(RequestId).collect(),
+            nodes,
+        );
         let caps: Vec<u64> = batch.nodes.iter().map(|n| n.capacity_now(true)).collect();
 
         // baselines: hard capacity bound

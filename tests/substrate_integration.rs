@@ -68,11 +68,11 @@ fn dss_lc_plan_executes_on_real_nodes() {
     let mut nodes = make_nodes(3, 4_000);
     let mut sched = DssLc::new(9);
     let n_requests = 20u64; // 3 nodes × 8 slots = 24 slots > 20
-    let batch = TypeBatch {
-        service: ServiceId(0),
-        requests: (0..n_requests).map(RequestId).collect(),
-        nodes: candidates(&nodes).into(),
-    };
+    let batch = TypeBatch::new(
+        ServiceId(0),
+        (0..n_requests).map(RequestId).collect(),
+        candidates(&nodes),
+    );
     let placements = sched.assign(&batch);
     assert_eq!(placements.len(), n_requests as usize);
 
@@ -118,11 +118,11 @@ fn dss_lc_overload_spreads_and_everything_completes() {
     let mut nodes = make_nodes(2, 2_000); // 4 slots per node by CPU
     let mut sched = DssLc::new(11);
     let n_requests = 20u64; // way over the 8 immediate slots
-    let batch = TypeBatch {
-        service: ServiceId(0),
-        requests: (0..n_requests).map(RequestId).collect(),
-        nodes: candidates(&nodes).into(),
-    };
+    let batch = TypeBatch::new(
+        ServiceId(0),
+        (0..n_requests).map(RequestId).collect(),
+        candidates(&nodes),
+    );
     let plan = sched.plan(&batch);
     assert!(plan.unrouted.is_empty(), "unrouted: {:?}", plan.unrouted);
     assert!(!plan.queued.is_empty());
