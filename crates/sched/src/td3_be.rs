@@ -173,7 +173,7 @@ mod tests {
         let mut tight = cand(1, 0, 1);
         tight.available_be = Resources::cpu_mem(200, 100);
         let mut s = Td3Be::new(Td3BeConfig::default());
-        let (node, granted) = s.schedule(&demand(), &[tight.clone()]).unwrap();
+        let (node, granted) = s.schedule(&demand(), &[tight]).unwrap();
         assert_eq!(node, NodeId(1));
         // grant is capped at what the node has free
         assert!(granted.fits_within(&tight.available_be));

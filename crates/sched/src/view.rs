@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 /// One candidate worker node as the dispatcher sees it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateNode {
     /// Node id.
     pub node: NodeId,
