@@ -108,11 +108,12 @@ impl AggOp {
 
     /// out = Aᵀ · g
     ///
-    /// Stays sequential: row i *scatters* into `out.row_mut(src)`, so
-    /// output rows are shared across input rows and a row-chunked
-    /// fan-out would race (and any atomics/accumulator merge would break
-    /// the bitwise-determinism contract). Backward is off the per-tick
-    /// hot path.
+    /// Stays sequential, although it runs in every A2C training round
+    /// (inside BE `feedback`): row i *scatters* into `out.row_mut(src)`,
+    /// so output rows are shared across input rows and a row-chunked
+    /// fan-out would race, while atomics or a per-worker accumulator
+    /// merge would change each element's float sequence and break the
+    /// bitwise-determinism contract.
     fn apply_transpose(&self, g: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.n_rows(), g.cols);
         for i in 0..self.n_rows() {

@@ -68,8 +68,12 @@ impl Adam {
         r: &mut tango_snap::SnapReader<'_>,
     ) -> Result<(), tango_snap::SnapError> {
         use tango_snap::{SnapDecode, SnapError};
-        let t = r.i64()?;
-        let t = i32::try_from(t).map_err(|_| SnapError::Corrupt("adam step counter"))?;
+        // `begin_step` must be able to advance the counter, and `update`
+        // needs it positive after that.
+        let t = i32::try_from(r.i64()?)
+            .ok()
+            .filter(|t| (0..i32::MAX).contains(t))
+            .ok_or(SnapError::Corrupt("adam step counter"))?;
         let m = Vec::<Vec<f32>>::decode(r)?;
         let v = Vec::<Vec<f32>>::decode(r)?;
         let shape_ok = m.len() == self.m.len()

@@ -16,6 +16,9 @@ pub struct Linear {
     /// ∂L/∂b accumulated by `backward`.
     pub grad_b: Vec<f32>,
     cached_input: Option<Matrix>,
+    /// One `backward`'s `xᵀ·dY`, before it is added to `grad_w`:
+    /// scratch that every call overwrites, never checkpointed.
+    step_grad_w: Matrix,
 }
 
 impl Linear {
@@ -27,6 +30,7 @@ impl Linear {
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
             cached_input: None,
+            step_grad_w: Matrix::zeros(0, 0),
         }
     }
 
@@ -59,10 +63,15 @@ impl Linear {
     /// Backward pass: given ∂L/∂y, accumulate ∂L/∂W and ∂L/∂b and return
     /// ∂L/∂x. Must follow a `forward` call.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input();
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
         assert_eq!(grad_out.rows, x.rows, "batch size mismatch in backward");
-        // dW = xᵀ · dY
-        self.grad_w.add_assign(&x.t_matmul(grad_out));
+        // dW = xᵀ · dY, summed whole in the scratch and then added, so
+        // each element of `grad_w` takes one add per call
+        x.t_matmul_into(grad_out, &mut self.step_grad_w);
+        self.grad_w.add_assign(&self.step_grad_w);
         // db = column sums of dY
         for r in 0..grad_out.rows {
             for (c, &g) in grad_out.row(r).iter().enumerate() {
@@ -200,6 +209,32 @@ mod tests {
         layer.zero_grad();
         assert!(layer.grad_w.as_slice().iter().all(|&v| v == 0.0));
         assert!(layer.grad_b.iter().all(|&v| v == 0.0));
+    }
+
+    /// `backward` adds each call's whole `xᵀ·dY` to `grad_w`, one add
+    /// per element per call, through a scratch that calls of any batch
+    /// size (the 1–3-row path and the blocked kernel) overwrite.
+    #[test]
+    fn backward_adds_each_calls_product_once() {
+        let mut rng = SimRng::new(5);
+        let mut layer = Linear::new(6, 4, &mut rng);
+        let mut want = Matrix::zeros(6, 4);
+        for (rows, seed) in [(5usize, 1u64), (1, 2), (9, 3)] {
+            let mut r = SimRng::new(seed);
+            let mut draw = |cols| {
+                let v = (0..rows * cols).map(|_| r.standard_normal() as f32);
+                Matrix::from_vec(rows, cols, v.collect()).unwrap()
+            };
+            let (x, g) = (draw(6), draw(4));
+            layer.forward(&x);
+            layer.backward(&g);
+            want.add_assign(&x.t_matmul(&g));
+            let (got, want) = (layer.grad_w.as_slice(), want.as_slice());
+            assert!(got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ impl SnapDecode for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::Adam;
     use crate::mlp::Mlp;
     use tango_simcore::SimRng;
 
@@ -136,6 +137,40 @@ mod tests {
             fewer.snap_read(&mut SnapReader::new(&snap)),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// Adam's step counter must leave room for `begin_step`'s increment
+    /// and be positive after it, as `update` asserts: a restore rejects
+    /// anything outside `0..i32::MAX` instead of admitting a state that
+    /// panics at the next training step.
+    #[test]
+    fn adam_step_counter_outside_its_range_is_rejected() {
+        let snapshot = |t: i64| {
+            let mut w = SnapWriter::new();
+            w.put_i64(t);
+            vec![vec![0.5f32; 2]].encode(&mut w);
+            vec![vec![0.25f32; 2]].encode(&mut w);
+            w.into_bytes()
+        };
+        let restored = |t: i64| {
+            let mut opt = Adam::new(0.1);
+            let slot = opt.register(2);
+            opt.snap_read(&mut SnapReader::new(&snapshot(t)))
+                .map(|()| (opt, slot))
+        };
+        for t in [-1, i64::from(i32::MIN), i64::from(i32::MAX), i64::MAX] {
+            assert!(
+                matches!(restored(t), Err(SnapError::Corrupt("adam step counter"))),
+                "t = {t}"
+            );
+        }
+        for t in [0, 1, i64::from(i32::MAX) - 1] {
+            let (mut opt, slot) = restored(t).expect("a step counter in range restores");
+            let mut x = [1.0f32, -1.0];
+            opt.begin_step();
+            opt.update(slot, &mut x, &[0.5, 0.5]);
+            assert!(x.iter().all(|v| v.is_finite()), "t = {t}: {x:?}");
+        }
     }
 
     #[test]

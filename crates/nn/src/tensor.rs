@@ -85,57 +85,95 @@ impl Matrix {
     /// Each output element starts at `+0.0` and adds `a[i][p]·b[p][j]`
     /// in ascending `p`, skipping terms whose `a[i][p] == 0.0`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_on(Kernel::detect(), other)
+    }
+
+    /// [`Matrix::matmul`] with its strips on `kernel`.
+    fn matmul_on(&self, kernel: Kernel, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        let mut out = Matrix::zeros(self.rows, other.cols);
         if self.rows <= 3 {
-            return axpy_rows(self.rows, self.entries(), other);
+            axpy_rows(&mut out, self.entries(), other);
+        } else {
+            let row = |i| self.row(i).iter().copied();
+            gemm::<true, _>(kernel, row, &pack(other), 0.0, &mut out.data);
         }
-        let row = |i| self.row(i).iter().copied();
-        gemm::<true, _>(self.rows, row, &pack(other), 0.0)
+        out
     }
 
     /// `selfᵀ · other`: the float sequence of [`Matrix::matmul`] on the
     /// transposed left operand (`+0.0`, ascending, zero terms skipped).
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.t_matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::t_matmul`] written over `out`, which takes the
+    /// product's shape and keeps its buffer: every element is
+    /// overwritten, whatever `out` held before.
+    pub(crate) fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.t_matmul_on(Kernel::detect(), other, out);
+    }
+
+    /// [`Matrix::t_matmul_into`] with its strips on `kernel`.
+    fn t_matmul_on(&self, kernel: Kernel, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul shape mismatch: {}x{} ᵀ· {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        (out.rows, out.cols) = (self.cols, other.cols);
+        out.data.resize(self.cols * other.cols, 0.0);
         if self.rows <= 3 {
-            return axpy_rows(self.cols, self.entries().map(|(r, i, x)| (i, r, x)), other);
+            out.data.fill(0.0);
+            axpy_rows(out, self.entries().map(|(r, i, x)| (i, r, x)), other);
+            return;
         }
         let column = |i| self.data.iter().skip(i).step_by(self.cols).copied();
-        gemm::<true, _>(self.cols, column, &pack(other), 0.0)
+        gemm::<true, _>(kernel, column, &pack(other), 0.0, &mut out.data);
     }
 
     /// `self · otherᵀ`. Each output element is the dot product of two
     /// rows as `Iterator::sum` folds it: it starts at `-0.0` and adds
     /// every term in ascending order, zero terms included.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        self.matmul_t_on(Kernel::detect(), other)
+    }
+
+    /// [`Matrix::matmul_t`] with its strips on `kernel`.
+    fn matmul_t_on(&self, kernel: Kernel, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t shape mismatch: {}x{} · {}x{}ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
+        let mut out = Matrix::zeros(self.rows, other.rows);
         if self.rows <= 3 {
             // A row or three (the critic's pooled row): packing `other`
-            // would cost as much as the product, so take the dots directly.
-            let mut out = Matrix::zeros(self.rows, other.rows);
+            // would cost as much as the product, so take the dots
+            // directly, eight at a time so that their chains overlap.
             for i in 0..self.rows {
-                for j in 0..other.rows {
-                    let terms = self.row(i).iter().zip(other.row(j));
-                    let dot = terms.fold(-0.0, |acc, (&a, &b)| acc + a * b);
-                    out.set(i, j, dot);
+                let a = self.row(i);
+                for (j0, dots) in (0..).step_by(8).zip(out.row_mut(i).chunks_mut(8)) {
+                    if let Ok(dots) = <&mut [f32; 8]>::try_from(&mut *dots) {
+                        *dots = interleaved_dots(a, other, j0);
+                    } else {
+                        for (j, d) in (j0..).zip(dots) {
+                            [*d] = interleaved_dots(a, other, j);
+                        }
+                    }
                 }
             }
-            return out;
+        } else {
+            let row = |i| self.row(i).iter().copied();
+            gemm::<false, _>(kernel, row, &pack_t(other), -0.0, &mut out.data);
         }
-        let row = |i| self.row(i).iter().copied();
-        gemm::<false, _>(self.rows, row, &pack_t(other), -0.0)
+        out
     }
 
     /// Every `(row, column, value)`, row-major.
@@ -268,18 +306,31 @@ impl Matrix {
 }
 
 /// `out[i] += x · b[p]` for every `(i, p, x)` with `x != 0.0`, into a
-/// zeroed `m×b.cols` output: the [`Matrix::matmul`] float sequence as
-/// long as each `i`'s terms come in ascending `p`. Serves left operands
-/// of 1–3 rows, where packing `b` or setting up a strip per output row
-/// would cost as much as the product (the critic's pooled row).
-fn axpy_rows(m: usize, terms: impl Iterator<Item = (usize, usize, f32)>, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m, b.cols);
+/// zeroed output of `b.cols` columns: the [`Matrix::matmul`] float
+/// sequence as long as each `i`'s terms come in ascending `p`. Serves
+/// left operands of 1–3 rows, where packing `b` or setting up a strip
+/// per output row would cost as much as the product (the critic's
+/// pooled row).
+fn axpy_rows(out: &mut Matrix, terms: impl Iterator<Item = (usize, usize, f32)>, b: &Matrix) {
     for (i, p, x) in terms.filter(|&(_, _, x)| x != 0.0) {
         for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(p)) {
             *o += x * y;
         }
     }
-    out
+}
+
+/// The dots of `a` with rows `j0..j0 + C` of `b`, each folded like
+/// `Iterator::sum`: `-0.0`, then every term in ascending order. The `C`
+/// chains advance together, so an add waits only on its own chain.
+fn interleaved_dots<const C: usize>(a: &[f32], b: &Matrix, j0: usize) -> [f32; C] {
+    let rows: [&[f32]; C] = std::array::from_fn(|c| &b.row(j0 + c)[..a.len()]);
+    let mut acc = [-0.0; C];
+    for (p, &x) in a.iter().enumerate() {
+        for (o, row) in acc.iter_mut().zip(rows) {
+            *o += x * row[p];
+        }
+    }
+    acc
 }
 
 /// A `k×n` right-hand operand in strip-major order: the columns of
@@ -340,68 +391,144 @@ fn strips_of(n: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// `init + Σ_p a[i][p]·b[p][j]` for every output element, `p`
-/// ascending; with `SKIP`, terms whose `a[i][p] == 0.0` are left out.
-/// `a(i)` yields row `i` of the `m×k` left operand.
+/// Output rows per block: [`gemm`] lists one block's terms at a time.
+const ROW_BLOCK: usize = 8;
+
+/// `init + Σ_p a[i][p]·b[p][j]` for every element of the row-major
+/// output `out` (row length `b.n`), `p` ascending; with `SKIP`, terms
+/// whose `a[i][p] == 0.0` are left out. `a(i)` yields row `i` of the
+/// left operand. Every element is overwritten.
 ///
-/// Each chunk of output rows first lists its rows' terms `(p, a[i][p])`
-/// (so the zero test is paid once per term, not once per strip). Then,
-/// one strip at a time, a strip of one output row stays in registers
-/// while its terms run, and every inner loop is a contiguous axpy over
-/// the strip's panel, which stays cache-hot while the chunk's rows
-/// stream past it. Output rows are independent, so they fan out over the
-/// global pool; no element's float sequence depends on the partition,
-/// hence bit-identical results at any thread count.
+/// Output rows go in blocks of [`ROW_BLOCK`]. A block first lists its
+/// rows' terms `(p, a[i][p])` into one buffer per worker, reused for
+/// every block and written without a branch: each term is stored, and
+/// the write position moves past it unless it is skipped, so the zero
+/// test is paid once per term, not once per strip. Then every strip
+/// (see [`strips_of`]) runs over the block while its terms sit in L1: a
+/// strip of one output row stays in registers while its terms run, and
+/// every inner loop is a contiguous axpy over the strip's panel. The
+/// strip loop runs on `kernel`, [`Kernel::detect`]'s choice outside the
+/// tests; both builds give each element the same float sequence. Output
+/// rows are independent, so they fan out over the global pool; no
+/// element's float sequence depends on the partition, hence
+/// bit-identical results at any thread count.
 fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
-    m: usize,
+    kernel: Kernel,
     a: impl Fn(usize) -> R + Sync,
     b: &Packed,
     init: f32,
-) -> Matrix {
+    out: &mut [f32],
+) {
     let n = b.n;
-    let mut out = Matrix::zeros(m, n);
-    let pool = tango_par::global().limit(m * b.k * n, 1 << 17);
-    pool.par_chunks_mut(&mut out.data, n, |first_row, out_rows| {
-        let mut ends = Vec::with_capacity(out_rows.len() / n);
-        let mut terms = Vec::new();
-        for i in first_row..first_row + out_rows.len() / n {
-            terms.extend(a(i).enumerate().filter(|&(_, x)| !(SKIP && x == 0.0)));
-            ends.push(terms.len());
-        }
-        for (j0, w) in strips_of(n) {
-            let panel = &b.data[j0 * b.k..(j0 + w) * b.k];
-            let strip: Strip = match w {
-                32 => strip::<32>,
-                16 => strip::<16>,
-                8 => strip::<8>,
-                4 => strip::<4>,
-                _ => strip::<1>,
-            };
-            strip(&terms, &ends, panel, init, out_rows, n, j0);
+    assert!(u32::try_from(b.k).is_ok(), "depth overflows the term index");
+    let pool = tango_par::global().limit(out.len() * b.k, 1 << 17);
+    pool.par_chunks_mut(out, n, |first_row, out_rows| {
+        let mut terms = vec![(0, 0.0); ROW_BLOCK * b.k];
+        let mut ends = [0; ROW_BLOCK];
+        for (block, i0) in out_rows
+            .chunks_mut(ROW_BLOCK * n)
+            .zip((first_row..).step_by(ROW_BLOCK))
+        {
+            let ends = &mut ends[..block.len() / n];
+            let mut l = 0;
+            for (i, end) in (i0..).zip(ends.iter_mut()) {
+                for (p, x) in a(i).enumerate() {
+                    terms[l] = (p as u32, x);
+                    l += usize::from(!(SKIP && x == 0.0));
+                }
+                *end = l;
+            }
+            kernel.strips(&terms, ends, b, init, block);
         }
     });
-    out
 }
 
-/// [`strip`] at one width.
-type Strip = fn(&[(usize, f32)], &[usize], &[f32], f32, &mut [f32], usize, usize);
+/// Which build of the strip loop a product runs. Both compile the one
+/// [`strips`] body and give every output element the same float
+/// sequence: AVX2 adds wider registers, and with no `fma` enabled (and
+/// no `mul_add` written) each lane still rounds its product and its sum
+/// apart, as the scalar loop does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// Built for the compilation target (SSE2 on a default x86_64 build).
+    Generic,
+    /// Built with AVX2 enabled (eight `f32` lanes per register).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
 
-/// Columns `j0..j0 + W` of every row of an output chunk (row stride
-/// `n`) from the strip's `k×W` panel. Row `r`'s terms are
+impl Kernel {
+    /// The widest build the running CPU supports.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Generic
+    }
+
+    /// Run every strip of one row block on this build.
+    fn strips(
+        self,
+        terms: &[(u32, f32)],
+        ends: &[usize],
+        b: &Packed,
+        init: f32,
+        block: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `strips_avx2` is `strips` compiled with the `avx2`
+            // target feature and nothing else, and the guard has just
+            // found that feature on the running CPU, so no instruction
+            // it may contain is unsupported.
+            return unsafe { strips_avx2(terms, ends, b, init, block) };
+        }
+        strips(terms, ends, b, init, block);
+    }
+}
+
+/// [`strips`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn strips_avx2(terms: &[(u32, f32)], ends: &[usize], b: &Packed, init: f32, block: &mut [f32]) {
+    strips(terms, ends, b, init, block);
+}
+
+/// Columns of every strip of a row block (row stride `b.n`): the one
+/// body behind both [`Kernel`] builds. Row `r`'s terms are
 /// `terms[ends[r - 1]..ends[r]]`.
+#[inline(always)]
+fn strips(terms: &[(u32, f32)], ends: &[usize], b: &Packed, init: f32, block: &mut [f32]) {
+    for (j0, w) in strips_of(b.n) {
+        let panel = &b.data[j0 * b.k..(j0 + w) * b.k];
+        match w {
+            32 => strip::<32>(terms, ends, panel, init, block, b.n, j0),
+            16 => strip::<16>(terms, ends, panel, init, block, b.n, j0),
+            8 => strip::<8>(terms, ends, panel, init, block, b.n, j0),
+            4 => strip::<4>(terms, ends, panel, init, block, b.n, j0),
+            _ => strip::<1>(terms, ends, panel, init, block, b.n, j0),
+        }
+    }
+}
+
+/// Columns `j0..j0 + W` of every row of a block (row stride `n`) from
+/// the strip's `k×W` panel.
+#[inline(always)]
 fn strip<const W: usize>(
-    terms: &[(usize, f32)],
+    terms: &[(u32, f32)],
     ends: &[usize],
     panel: &[f32],
     init: f32,
-    out_rows: &mut [f32],
+    block: &mut [f32],
     n: usize,
     j0: usize,
 ) {
     let mut start = 0;
-    for (out_row, &end) in out_rows.chunks_exact_mut(n).zip(ends) {
+    for (out_row, &end) in block.chunks_exact_mut(n).zip(ends) {
         let mut acc = [init; W];
         for &(p, x) in &terms[start..end] {
+            let p = p as usize;
             let bs: &[f32; W] = panel[p * W..(p + 1) * W].try_into().expect("W columns");
             for (o, &y) in acc.iter_mut().zip(bs) {
                 *o += x * y;
@@ -574,11 +701,14 @@ mod tests {
         }
     }
 
-    /// A seeded `rows×cols` matrix in the shapes the kernels meet: row
-    /// `r % 4 == 1` is ReLU-sparse (about half exact zeros), row
-    /// `r % 4 == 2` is all `-0.0` and `+0.0`, the rest are dense with
-    /// scattered `-0.0` entries.
-    fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+    /// A seeded `rows×cols` matrix: `shape(r, c, v)` gives element
+    /// `(r, c)` from a uniform draw `v` in `[-0.5, 0.5)`.
+    fn seeded(
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        shape: impl Fn(usize, usize, f32) -> f32,
+    ) -> Matrix {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -589,103 +719,157 @@ mod tests {
         let mut m = Matrix::zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
-                let v = next();
-                let v = match r % 4 {
-                    1 => v.max(0.0),
-                    2 if c % 2 == 0 => -0.0,
-                    2 => 0.0,
-                    _ if c % 7 == 3 => -0.0,
-                    _ => v,
-                };
-                m.set(r, c, v);
+                m.set(r, c, shape(r, c, next()));
             }
         }
         m
     }
 
+    /// A seeded `rows×cols` matrix in the shapes the kernels meet: row
+    /// `r % 4 == 1` is ReLU-sparse (about half exact zeros), row
+    /// `r % 4 == 2` is all `-0.0` and `+0.0`, the rest are dense with
+    /// scattered `-0.0` entries.
+    fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+        seeded(rows, cols, seed, |r, c, v| match r % 4 {
+            1 => v.max(0.0),
+            2 if c % 2 == 0 => -0.0,
+            2 => 0.0,
+            _ if c % 7 == 3 => -0.0,
+            _ => v,
+        })
+    }
+
+    /// A seeded dense `rows×cols` matrix whose rows `r % 8 == 5` are all
+    /// `-0.0` and `+0.0`: an all-zero row inside each row block of dense
+    /// ones.
+    fn zero_row_in_dense(rows: usize, cols: usize, seed: u64) -> Matrix {
+        seeded(rows, cols, seed, |r, c, v| match (r % 8, c % 2) {
+            (5, 0) => -0.0,
+            (5, _) => 0.0,
+            _ => v,
+        })
+    }
+
+    /// Every build of the strip loop this host runs: the generic one,
+    /// and AVX2 where the CPU has it. Prints which ones `test` runs.
+    fn kernels(test: &str) -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Generic];
+        if Kernel::detect() != Kernel::Generic {
+            kernels.push(Kernel::detect());
+        }
+        println!("{test}: kernel builds {kernels:?}");
+        kernels
+    }
+
     /// All three kernels equal their reference float sequences bit for
-    /// bit, over empty, one-row, few-row and wide shapes, strip widths
-    /// on and around 32, and inputs with signed zeros. Depth index 1 of
-    /// the right operand is infinite, so a kernel that multiplied a
-    /// zero left term instead of skipping it would produce NaN.
+    /// bit on every build, over empty, one-row, few-row and wide shapes,
+    /// row counts on both sides of the row block, strip widths on and
+    /// around 32, and inputs with signed zeros. Depth index 1 of the
+    /// right operand is infinite, so a kernel that multiplied a zero
+    /// left term instead of skipping it would produce NaN. The shapes
+    /// around the row block also run with all-zero output rows inside
+    /// blocks of dense ones, and `t_matmul_into` writes over a
+    /// NaN-filled buffer of the wrong shape.
     #[test]
     fn kernels_match_their_float_sequences_bitwise() {
-        for m in [0usize, 1, 3, 183] {
+        let kernels = kernels("kernels_match_their_float_sequences_bitwise");
+        for m in [0usize, 1, 3, 7, 8, 9, 17, 183] {
             for k in [0usize, 1, 16, 256] {
                 for n in [1usize, 31, 32, 33, 257] {
-                    let a = awkward(m, k, (m * 1000 + k) as u64);
                     let mut b = awkward(k, n, (k * 1000 + n + 7) as u64);
                     if k > 1 {
                         b.row_mut(1).fill(f32::INFINITY);
                     }
-                    let what = format!("{m}x{k}·{k}x{n}");
-                    assert_bits_eq(
-                        &a.matmul(&b),
-                        &ref_matmul(&a, &b),
-                        &format!("matmul {what}"),
-                    );
-                    let at = awkward(k, m, (m * 31 + k) as u64);
-                    assert_bits_eq(
-                        &at.t_matmul(&b),
-                        &ref_t_matmul(&at, &b),
-                        &format!("t_matmul {what}"),
-                    );
                     let mut bt = awkward(n, k, (n * 31 + k + 3) as u64);
                     if k > 1 {
                         (0..n).for_each(|j| bt.set(j, 1, f32::INFINITY));
                     }
-                    assert_bits_eq(
-                        &a.matmul_t(&bt),
-                        &ref_matmul_t(&a, &bt),
-                        &format!("matmul_t {what}"),
-                    );
+                    let mut lefts = vec![(
+                        awkward(m, k, (m * 1000 + k) as u64),
+                        awkward(k, m, (m * 31 + k) as u64),
+                    )];
+                    if (7..=17).contains(&m) {
+                        lefts.push((
+                            zero_row_in_dense(m, k, (m * 1000 + k) as u64),
+                            zero_row_in_dense(m, k, (m * 31 + k) as u64).transpose(),
+                        ));
+                    }
+                    for (a, at) in &lefts {
+                        let want_mm = ref_matmul(a, &b);
+                        let want_tm = ref_t_matmul(at, &b);
+                        let want_mt = ref_matmul_t(a, &bt);
+                        let what = format!("{m}x{k}·{k}x{n}");
+                        assert_bits_eq(&a.matmul(&b), &want_mm, &format!("matmul {what}"));
+                        assert_bits_eq(&at.t_matmul(&b), &want_tm, &format!("t_matmul {what}"));
+                        assert_bits_eq(&a.matmul_t(&bt), &want_mt, &format!("matmul_t {what}"));
+                        for &kernel in &kernels {
+                            let what = format!("{what} on {kernel:?}");
+                            let mm = a.matmul_on(kernel, &b);
+                            assert_bits_eq(&mm, &want_mm, &format!("matmul {what}"));
+                            let mut tm = Matrix::from_vec(2, 3, vec![f32::NAN; 6]).unwrap();
+                            at.t_matmul_on(kernel, &b, &mut tm);
+                            assert_bits_eq(&tm, &want_tm, &format!("t_matmul_into {what}"));
+                            let mt = a.matmul_t_on(kernel, &bt);
+                            assert_bits_eq(&mt, &want_mt, &format!("matmul_t {what}"));
+                        }
+                    }
                 }
             }
         }
     }
 
     /// With nothing to add, `matmul` and `t_matmul` give `+0.0` and
-    /// `matmul_t` gives `-0.0`, the neutral element of `Iterator::sum`.
+    /// `matmul_t` gives `-0.0`, the neutral element of `Iterator::sum`,
+    /// on every build.
     #[test]
     fn empty_depth_gives_the_initial_zero() {
-        for m in [1usize, 3, 5] {
-            let a = Matrix::zeros(m, 0);
-            assert!(a
-                .matmul(&Matrix::zeros(0, 4))
-                .as_slice()
-                .iter()
-                .all(|v| v.to_bits() == 0));
-            assert!(Matrix::zeros(0, m)
-                .t_matmul(&Matrix::zeros(0, 4))
-                .as_slice()
-                .iter()
-                .all(|v| v.to_bits() == 0));
-            let t = a.matmul_t(&Matrix::zeros(4, 0));
-            assert!(t
-                .as_slice()
-                .iter()
-                .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        for kernel in kernels("empty_depth_gives_the_initial_zero") {
+            for m in [1usize, 3, 5, 9] {
+                let a = Matrix::zeros(m, 0);
+                assert!(a
+                    .matmul_on(kernel, &Matrix::zeros(0, 4))
+                    .as_slice()
+                    .iter()
+                    .all(|v| v.to_bits() == 0));
+                let mut t = Matrix::from_vec(1, 1, vec![f32::NAN]).unwrap();
+                Matrix::zeros(0, m).t_matmul_on(kernel, &Matrix::zeros(0, 4), &mut t);
+                assert_eq!((t.rows, t.cols), (m, 4));
+                assert!(t.as_slice().iter().all(|v| v.to_bits() == 0));
+                let t = a.matmul_t_on(kernel, &Matrix::zeros(4, 0));
+                assert!(t
+                    .as_slice()
+                    .iter()
+                    .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            }
         }
     }
 
     /// No element's float sequence depends on how rows are chunked, so
     /// any thread count must match the single-thread result bit for bit
-    /// (the tango-par determinism contract).
+    /// (the tango-par determinism contract), on every build.
     #[test]
     fn kernels_are_thread_count_invariant() {
         let a = awkward(67, 130, 11);
         let b = awkward(130, 41, 12);
         let c = awkward(67, 41, 13);
-        let run = || (a.matmul(&b), a.t_matmul(&c), a.matmul_t(&b.transpose()));
+        let bt = b.transpose();
         let saved = tango_par::threads();
-        tango_par::set_threads(1);
-        let (m1, t1, u1) = run();
-        for t in [2usize, 4, 8] {
-            tango_par::set_threads(t);
-            let (mt, tt, ut) = run();
-            assert_bits_eq(&mt, &m1, &format!("matmul, threads = {t}"));
-            assert_bits_eq(&tt, &t1, &format!("t_matmul, threads = {t}"));
-            assert_bits_eq(&ut, &u1, &format!("matmul_t, threads = {t}"));
+        for kernel in kernels("kernels_are_thread_count_invariant") {
+            let run = || {
+                let mut tm = Matrix::zeros(0, 0);
+                a.t_matmul_on(kernel, &c, &mut tm);
+                (a.matmul_on(kernel, &b), tm, a.matmul_t_on(kernel, &bt))
+            };
+            tango_par::set_threads(1);
+            let (m1, t1, u1) = run();
+            for t in [2usize, 4, 8] {
+                tango_par::set_threads(t);
+                let (mt, tt, ut) = run();
+                let what = format!("threads = {t}, {kernel:?}");
+                assert_bits_eq(&mt, &m1, &format!("matmul, {what}"));
+                assert_bits_eq(&tt, &t1, &format!("t_matmul, {what}"));
+                assert_bits_eq(&ut, &u1, &format!("matmul_t, {what}"));
+            }
         }
         tango_par::set_threads(saved);
     }
