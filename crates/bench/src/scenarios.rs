@@ -1,5 +1,5 @@
 //! Shared fixed-seed scenario generators and the stamped JSON emitter
-//! used by the baseline and parallel-sweep bench binaries.
+//! used by the bench binaries.
 //!
 //! Every generator is deterministic (fixed xorshift seeds, fixed
 //! shapes), so two runs of any bench binary measure identical work and
@@ -235,34 +235,6 @@ pub fn to_json(samples: &[Sample], threads: usize) -> String {
     s
 }
 
-/// Render a stamped thread-count sweep: `git_rev` + `host_cores` + a
-/// free-form `note` + one sample row per thread count. Shared by the
-/// sweep binaries so the committed JSON schema has a single source.
-pub fn sweep_json(sweeps: &[(usize, Vec<Sample>)], note: &str) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = format!(
-        "{{\n  \"git_rev\": \"{}\",\n  \"host_cores\": {cores},\n  \"note\": \"{note}\",\n  \"sweeps\": [\n",
-        git_rev()
-    );
-    for (i, (threads, samples)) in sweeps.iter().enumerate() {
-        json.push_str(&format!("    {{\"threads\": {threads}, \"samples\": ["));
-        for (j, s) in samples.iter().enumerate() {
-            json.push_str(&sample_json(s));
-            if j + 1 < samples.len() {
-                json.push_str(", ");
-            }
-        }
-        json.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < sweeps.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}");
-    json
-}
-
 /// Write `json` to `out_path`, or print it when no path is given — the
 /// shared tail of every bench binary's `main`.
 pub fn emit(json: &str, out_path: Option<String>) {
@@ -299,12 +271,6 @@ mod tests {
         assert!(j.contains("\"git_rev\""));
         assert!(j.contains("\"scenario\": \"probe\""));
         assert!(j.contains("\"rate_per_sec\""));
-
-        let sw = sweep_json(&[(1, vec![s.clone()]), (4, vec![s])], "test note");
-        assert!(sw.contains("\"host_cores\""));
-        assert!(sw.contains("\"note\": \"test note\""));
-        assert!(sw.contains("{\"threads\": 1, \"samples\": ["));
-        assert!(sw.contains("{\"threads\": 4, \"samples\": ["));
     }
 
     #[test]

@@ -461,7 +461,7 @@ mod tests {
             for &w in &c.workers {
                 let node = &sys.nodes[w.index()];
                 for spec in sys.catalog.specs() {
-                    assert!(node.container_for(spec.id).is_some());
+                    assert!(node.container(spec.id).is_some());
                 }
             }
         }

@@ -138,15 +138,13 @@ struct View {
     seen_res: u64,
     /// The candidate rows, shared with outstanding `TypeBatch`es.
     rows: Arc<Vec<CandidateNode>>,
-    /// Store row index per view row — the membership cache, through
-    /// which a value refresh and the reservation patch read the value
-    /// table without re-running the filters.
+    /// Store row index per view row (ascending) — the membership cache,
+    /// through which a value refresh and the reservation patch read the
+    /// value table without re-running the filters. Store row `i` is node
+    /// `i`, so the reservation patch scans this slim array instead of the
+    /// ~100-byte candidate rows, touching `rows` (and `Arc::make_mut`'s
+    /// potential clone) only on hits.
     member_rows: Vec<u32>,
-    /// Node id per view row, parallel to `rows` (ascending). The
-    /// reservation patch scans this slim array instead of the ~100-byte
-    /// candidate rows, touching `rows` (and `Arc::make_mut`'s potential
-    /// clone) only on hits.
-    node_ids: Vec<NodeId>,
     /// End offset of each listed cluster's segment in the row arrays,
     /// parallel to the view's cluster list.
     seg_ends: Vec<u32>,
@@ -162,7 +160,6 @@ impl View {
     fn clear(&mut self) {
         Arc::make_mut(&mut self.rows).clear();
         self.member_rows.clear();
-        self.node_ids.clear();
         self.seg_ends.clear();
     }
 
@@ -171,7 +168,6 @@ impl View {
     fn shrink_to_fit(&mut self) {
         Arc::make_mut(&mut self.rows).shrink_to_fit();
         self.member_rows.shrink_to_fit();
-        self.node_ids.shrink_to_fit();
         Arc::make_mut(&mut self.by_delay).shrink_to_fit();
     }
 }
@@ -181,13 +177,12 @@ impl View {
 struct Columns<'v> {
     rows: &'v mut Vec<CandidateNode>,
     member_rows: &'v mut Vec<u32>,
-    node_ids: &'v mut Vec<NodeId>,
 }
 
 impl Columns<'_> {
     fn push(&mut self, store_row: u32, row: CandidateNode) {
+        debug_assert_eq!(row.node, NodeId(store_row));
         self.member_rows.push(store_row);
-        self.node_ids.push(row.node);
         self.rows.push(row);
     }
 }
@@ -199,21 +194,18 @@ impl Columns<'_> {
 struct Segment {
     rows: Vec<CandidateNode>,
     member_rows: Vec<u32>,
-    node_ids: Vec<NodeId>,
 }
 
 impl Segment {
     fn clear(&mut self) {
         self.rows.clear();
         self.member_rows.clear();
-        self.node_ids.clear();
     }
 
     fn columns(&mut self) -> Columns<'_> {
         Columns {
             rows: &mut self.rows,
             member_rows: &mut self.member_rows,
-            node_ids: &mut self.node_ids,
         }
     }
 }
@@ -655,22 +647,20 @@ fn build(view: &mut View, src: &RowSource<'_, '_>, list: &[ClusterId]) {
     let View {
         rows,
         member_rows,
-        node_ids,
         seg_ends,
         ..
     } = view;
     let mut out = Columns {
         rows: Arc::make_mut(rows),
         member_rows,
-        node_ids,
     };
     for &c in list {
         derive_segment(src, &src.inp.clusters[c.index()], &mut out);
-        seg_ends.push(out.node_ids.len() as u32);
+        seg_ends.push(out.member_rows.len() as u32);
     }
     // The reservation patch binary-searches rows by node id; segments
     // follow the node ranges in order, so this holds by construction.
-    debug_assert!(view.node_ids.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(view.member_rows.windows(2).all(|w| w[0] < w[1]));
 }
 
 /// Re-derive the segments of `view` whose cluster is `stale` in one pass:
@@ -694,11 +684,11 @@ fn rederive(
             parts.push(Part::Kept);
             continue;
         }
-        let start = seg.node_ids.len();
+        let start = seg.member_rows.len();
         derive_segment(src, &src.inp.clusters[c.index()], &mut seg.columns());
         parts.push(Part::Fresh {
             start: start as u32,
-            len: (seg.node_ids.len() - start) as u32,
+            len: (seg.member_rows.len() - start) as u32,
         });
         any = true;
     }
@@ -708,15 +698,13 @@ fn rederive(
     let View {
         rows,
         member_rows,
-        node_ids,
         seg_ends,
         ..
     } = view;
     relayout(Arc::make_mut(rows), seg_ends, parts, &seg.rows);
     relayout(member_rows, seg_ends, parts, &seg.member_rows);
-    relayout(node_ids, seg_ends, parts, &seg.node_ids);
     relayout_ends(seg_ends, parts);
-    debug_assert!(node_ids.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(member_rows.windows(2).all(|w| w[0] < w[1]));
     true
 }
 
@@ -954,22 +942,22 @@ fn patch_reservations(view: &mut View, src: &RowSource<'_, '_>) {
     view.patch_hits.clear();
     // Journal fast path: when the reservation table still remembers every
     // change since `seen` and the change list is small relative to the
-    // view, visit only the changed nodes (binary search by node id)
-    // instead of scanning every row. Otherwise scan the slim node-id
-    // array. Either way the fat candidate rows are only touched (and
-    // `Arc::make_mut` only pays a potential clone) when some row of this
-    // view actually changed.
+    // view, visit only the changed nodes (binary search by node id, which
+    // is the store row) instead of scanning every row. Otherwise scan the
+    // slim store-row array. Either way the fat candidate rows are only
+    // touched (and `Arc::make_mut` only pays a potential clone) when some
+    // row of this view actually changed.
     match reserved.changes_since(seen) {
         Some((n, probe)) if n * 4 <= view.rows.len() => {
             for node in probe {
-                if let Ok(k) = view.node_ids.binary_search(&node) {
+                if let Ok(k) = view.member_rows.binary_search(&node.raw()) {
                     view.patch_hits.push(k as u32);
                 }
             }
         }
         _ => {
-            for (i, &node) in view.node_ids.iter().enumerate() {
-                if reserved.stamp(node) > seen {
+            for (i, &ri) in view.member_rows.iter().enumerate() {
+                if reserved.stamp(NodeId(ri)) > seen {
                     view.patch_hits.push(i as u32);
                 }
             }
@@ -979,8 +967,9 @@ fn patch_reservations(view: &mut View, src: &RowSource<'_, '_>) {
         let rows = Arc::make_mut(&mut view.rows);
         for &k in &view.patch_hits {
             let k = k as usize;
-            let v = src.values(view.member_rows[k]);
-            let r = reserved.get(view.node_ids[k]);
+            let ri = view.member_rows[k];
+            let v = src.values(ri);
+            let r = reserved.get(NodeId(ri));
             rows[k].available_lc = v.lc.saturating_sub(&r);
             rows[k].available_be = v.be.saturating_sub(&r);
         }

@@ -181,8 +181,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.writes, 3);
-        let ctr = n.container_for(s.id).unwrap();
-        assert_eq!(n.effective_cpu(ctr), 2_000);
+        assert_eq!(n.effective_cpu(s.id), 2_000);
     }
 
     #[test]
@@ -206,8 +205,7 @@ mod tests {
         .unwrap();
         // request still running, container still available
         assert_eq!(n.running_count(), 1);
-        let ctr = n.container_for(s.id).unwrap();
-        assert!(n.is_available(ctr, SimTime::from_millis(10)));
+        assert!(n.is_available(s.id, SimTime::from_millis(10)));
         // and it completes on schedule (500m cap unchanged -> 100ms)
         n.advance(SimTime::from_millis(100));
         assert_eq!(n.take_completions().len(), 1);

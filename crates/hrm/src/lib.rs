@@ -13,7 +13,8 @@
 //!   additionally claim BE-held *compressible* resources by throttling
 //!   (CPU/bandwidth share transfer) and BE-held *incompressible* resources
 //!   by evicting BE containers. After every admission/completion the
-//!   allocator rebalances container limits through D-VPA.
+//!   allocator walks the node's container records and rebalances their
+//!   limits through D-VPA.
 //! * [`reassurance::Reassurer`] — the QoS re-assurance mechanism (§4.3,
 //!   Algorithm 1): watches per-(node, service) slack scores δ = 1 − ξ/γ
 //!   and nudges the service's minimum resource request up when δ < α

@@ -29,7 +29,7 @@ use crate::dvpa::Dvpa;
 use std::collections::HashMap;
 use tango_kube::node::RunningRequest;
 use tango_kube::Node;
-use tango_types::{ContainerId, Request, Resources, ServiceClass, ServiceId, SimTime, TangoError};
+use tango_types::{Request, Resources, ServiceClass, ServiceId, SimTime, TangoError};
 
 /// What an admission did to the node.
 #[derive(Debug, Default)]
@@ -46,24 +46,30 @@ pub struct HrmAllocator {
     pub dvpa: Dvpa,
     /// How long an evicted BE container takes to restart.
     pub be_restart_delay: SimTime,
-    /// Per-service floor limits (the service's base minimum request).
-    floors: HashMap<ServiceId, Resources>,
+    /// Floor limit per service index (the service's base minimum
+    /// request); zero for a service without one.
+    floors: Vec<Resources>,
 }
 
 impl HrmAllocator {
     /// Build an allocator with per-service floor limits (usually each
     /// service's `min_request`).
     pub fn new(floors: HashMap<ServiceId, Resources>) -> Self {
+        let len = floors.keys().map(|s| s.index() + 1).max().unwrap_or(0);
+        let mut dense = vec![Resources::ZERO; len];
+        for (service, floor) in floors {
+            dense[service.index()] = floor;
+        }
         HrmAllocator {
             dvpa: Dvpa::default(),
             be_restart_delay: SimTime::from_millis(2_300),
-            floors,
+            floors: dense,
         }
     }
 
     fn floor(&self, service: ServiceId) -> Resources {
         self.floors
-            .get(&service)
+            .get(service.index())
             .copied()
             .unwrap_or(Resources::ZERO)
     }
@@ -105,10 +111,10 @@ impl HrmAllocator {
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
         node.advance(now);
-        let ctr = node.container_for(req.service).ok_or_else(|| {
+        let c = node.container(req.service).ok_or_else(|| {
             TangoError::Unschedulable(format!("{} not deployed on {}", req.service, node.id))
         })?;
-        if !node.is_available(ctr, now) {
+        if !c.is_available(now) {
             return Err(TangoError::Unschedulable(format!(
                 "container for {} on {} is restarting",
                 req.service, node.id
@@ -150,25 +156,18 @@ impl HrmAllocator {
             return Ok(evicted);
         }
         // candidate BE containers ordered by least remaining work
-        let mut candidates: Vec<(ContainerId, ServiceId, f64)> = node
-            .container_ids()
-            .into_iter()
-            .filter_map(|c| {
-                let meta = node.container(c)?;
-                if meta.class.is_be() && !node.running_in(c).is_empty() {
-                    let work: f64 = node.running_in(c).iter().map(|r| r.remaining_work).sum();
-                    Some((c, meta.service, work))
-                } else {
-                    None
-                }
-            })
+        let mut candidates: Vec<(ServiceId, f64)> = node
+            .containers()
+            .iter()
+            .filter(|c| c.class.is_be() && !c.running.is_empty())
+            .map(|c| (c.service, c.running.iter().map(|r| r.remaining_work).sum()))
             .collect();
-        candidates.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-        for (ctr, service, _) in candidates {
+        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        for (service, _) in candidates {
             if fits(node) {
                 break;
             }
-            let interrupted = node.kill_container(ctr, now, now + self.be_restart_delay)?;
+            let interrupted = node.kill_container(service, now, now + self.be_restart_delay)?;
             evicted.extend(interrupted.into_iter().map(|r| (service, r)));
         }
         if fits(node) {
@@ -198,23 +197,20 @@ impl HrmAllocator {
             class: ServiceClass,
             active: Resources,
         }
-        let mut entries: Vec<Entry> = Vec::new();
-        for ctr in node.container_ids() {
-            let Some(meta) = node.container(ctr) else {
-                continue;
-            };
+        let mut entries: Vec<Entry> = Vec::with_capacity(node.containers().len());
+        for c in node.containers() {
             let mut active = Resources::ZERO;
-            for r in node.running_in(ctr) {
+            for r in &c.running {
                 active += r.demand;
             }
             if let Some((svc, d)) = extra {
-                if svc == meta.service {
+                if svc == c.service {
                     active += d;
                 }
             }
             entries.push(Entry {
-                service: meta.service,
-                class: meta.class,
+                service: c.service,
+                class: c.class,
                 active,
             });
         }
@@ -373,8 +369,7 @@ mod tests {
                 .unwrap();
         }
         // container limit grew to cover all three (3000m)
-        let ctr = n.container_for(be.id).unwrap();
-        assert_eq!(n.effective_cpu(ctr), 3_000);
+        assert_eq!(n.effective_cpu(be.id), 3_000);
         // a fourth BE (would be 4000m total + lc floor) still fits idle:
         let r = lc_req(9, &be);
         alloc
@@ -397,8 +392,7 @@ mod tests {
                 .try_admit(&mut n, &r, be.work_milli_ms, SimTime::ZERO)
                 .unwrap();
         }
-        let be_ctr = n.container_for(be.id).unwrap();
-        assert_eq!(n.effective_cpu(be_ctr), 4_000);
+        assert_eq!(n.effective_cpu(be.id), 4_000);
         // LC request arrives: feasible (lc_held + 500 <= 4000)
         let r = lc_req(100, &lc);
         let out = alloc
@@ -411,10 +405,9 @@ mod tests {
         let total_mem = lcu.memory_mib + beu.memory_mib;
         assert!(total_mem <= 4_096, "mem overcommitted: {total_mem}");
         // LC container runs at its demand; BE throttled below its demand
-        let lc_ctr = n.container_for(lc.id).unwrap();
-        assert_eq!(n.effective_cpu(lc_ctr), 500);
+        assert_eq!(n.effective_cpu(lc.id), 500);
         if out.evicted.is_empty() {
-            assert!(n.effective_cpu(be_ctr) < 4_000);
+            assert!(n.effective_cpu(be.id) < 4_000);
         }
     }
 
@@ -436,8 +429,7 @@ mod tests {
         assert_eq!(out.evicted.len(), 4, "whole BE container evicted");
         assert!(out.evicted.iter().all(|(s, _)| *s == be.id));
         // BE container is restarting; LC is running
-        let be_ctr = n.container_for(be.id).unwrap();
-        assert!(!n.is_available(be_ctr, SimTime::from_millis(100)));
+        assert!(!n.is_available(be.id, SimTime::from_millis(100)));
         assert_eq!(n.running_count(), 1);
     }
 
@@ -468,14 +460,13 @@ mod tests {
                 .try_admit(&mut n, &r, lc.work_milli_ms, SimTime::ZERO)
                 .unwrap();
         }
-        let lc_ctr = n.container_for(lc.id).unwrap();
-        assert_eq!(n.effective_cpu(lc_ctr), 2_000);
+        assert_eq!(n.effective_cpu(lc.id), 2_000);
         // all four complete at 100ms (each ran at its 500m demand)
         n.advance(SimTime::from_millis(100));
         assert_eq!(n.take_completions().len(), 4);
         alloc.rebalance(&mut n, SimTime::from_millis(100));
         // limit shrank back to the floor
-        assert_eq!(n.effective_cpu(lc_ctr), 500);
+        assert_eq!(n.effective_cpu(lc.id), 500);
     }
 
     #[test]
@@ -495,8 +486,7 @@ mod tests {
                 .try_admit(&mut n, &r, lc.work_milli_ms, SimTime::ZERO)
                 .unwrap();
         }
-        let be_ctr = n.container_for(be.id).unwrap();
-        let be_cpu = n.effective_cpu(be_ctr);
+        let be_cpu = n.effective_cpu(be.id);
         assert!(be_cpu < 1_000, "BE throttled to {be_cpu}");
         assert!(be_cpu >= 10, "BE keeps a survival sliver");
         // LC requests complete on time despite the BE presence
@@ -519,14 +509,13 @@ mod tests {
         n.deploy_service(&lc, Resources::new(500, 1_024, 100, 1_000), SimTime::ZERO)
             .unwrap();
         let mut stat = StaticAllocator;
-        let lc_ctr = n.container_for(lc.id).unwrap();
-        let before = n.effective_cpu(lc_ctr);
+        let before = n.effective_cpu(lc.id);
         for i in 0..2 {
             let r = lc_req(i, &lc);
             stat.admit(&mut n, &r, lc.work_milli_ms as f64, SimTime::ZERO)
                 .unwrap();
         }
-        assert_eq!(n.effective_cpu(lc_ctr), before);
+        assert_eq!(n.effective_cpu(lc.id), before);
         // two 500m requests in a 500m container -> 250m each -> 200ms
         assert_eq!(
             n.next_completion(SimTime::ZERO).unwrap(),

@@ -13,8 +13,15 @@
 //!   CPU limit equally, each capped at its own demand, so shrinking a
 //!   container's quota stretches its requests' latencies exactly the way
 //!   CFS throttling does.
-//! * [`pod`] — pods and containers with K8s QoS classes (LC → Burstable,
-//!   BE → BestEffort under the §4.1 regulations).
+//! * [`Container`] — one record per deployed service: the pod and its
+//!   single container (§6.2), with both cgroups, the K8s QoS class's
+//!   placement (LC → Burstable, BE → BestEffort under the §4.1
+//!   regulations), restarts, availability and running requests. A node
+//!   keeps its records in one `Vec` in deployment order; callers find one
+//!   by naming its service (a scan of about ten) or walk them all, as HRM
+//!   does on every admission and completion. A [`tango_types::ContainerId`]
+//!   is only a label: the cgroup names, the checkpoint overlay and
+//!   [`Node::deploy_service`]'s return value.
 //! * [`vpa::NativeVpa`] — the stock K8s Vertical Pod Autoscaler's
 //!   delete-and-rebuild scaling (§4.2 "Pain Points"): interrupts running
 //!   requests and leaves the pod unavailable for the container start-up
@@ -31,10 +38,8 @@
 //! K8s-native round-robin baseline, live in `tango-sched`.
 
 pub mod node;
-pub mod pod;
 pub mod snapshot;
 pub mod vpa;
 
-pub use node::{CompletedRequest, Node, RunningRequest};
-pub use pod::{Container, Pod};
+pub use node::{CompletedRequest, Container, Node, RunningRequest};
 pub use vpa::NativeVpa;

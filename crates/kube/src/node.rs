@@ -1,25 +1,23 @@
 //! Nodes and the processor-sharing execution model.
 //!
-//! A node owns a CGroup tree and a set of continuously-running service
-//! pods. Request execution follows the model the paper's twin space is
-//! calibrated with: a request of service k carries `work` millicore-
-//! milliseconds of CPU work; the requests inside a container share its
-//! *effective* CPU limit equally, each capped by its own CPU demand
-//! (a request cannot exploit more parallelism than it asked for). Memory
-//! and disk are charged to the container's cgroup for the request's whole
-//! residency — that is what makes them incompressible.
+//! A node owns a CGroup tree and one [`Container`] record per
+//! continuously-running service pod. Request execution follows the model
+//! the paper's twin space is calibrated with: a request of service k
+//! carries `work` millicore-milliseconds of CPU work; the requests inside
+//! a container share its *effective* CPU limit equally, each capped by its
+//! own CPU demand (a request cannot exploit more parallelism than it asked
+//! for). Memory and disk are charged to the container's cgroup for the
+//! request's whole residency — that is what makes them incompressible.
 //!
 //! The node is advanced lazily: [`Node::advance`] integrates progress
 //! since the last call at the *current* rates, so any limit change (D-VPA)
 //! or admission simply requires advancing first. A generation counter lets
 //! the event loop discard stale completion projections.
 
-use crate::pod::{qos_level_for, Container, Pod};
 use tango_cgroup::{CgroupFs, CgroupId, QosLevel};
-use tango_types::FxHashMap;
 use tango_types::{
-    ClusterId, ContainerId, NodeId, PodId, RequestId, Resources, ServiceClass, ServiceId,
-    ServiceSpec, SimTime, TangoError,
+    ClusterId, ContainerId, NodeId, RequestId, Resources, ServiceClass, ServiceId, ServiceSpec,
+    SimTime, TangoError,
 };
 
 /// A request currently executing in a container.
@@ -48,18 +46,56 @@ pub struct CompletedRequest {
     pub admitted_at: SimTime,
 }
 
+/// The K8s QoS class Tango assigns a service (§4.1: LC services get a
+/// higher priority class than BE).
+pub fn qos_level_for(class: ServiceClass) -> QosLevel {
+    match class {
+        // Burstable so D-VPA can stretch limits above requests.
+        ServiceClass::Lc => QosLevel::Burstable,
+        // Lowest priority: first to be evicted under memory pressure.
+        ServiceClass::Be => QosLevel::BestEffort,
+    }
+}
+
+/// One deployed service: its pod and the single container inside it.
+/// Each application runs in one container in a pod of its own (§6.2), and
+/// the pod serves requests of its service type continuously (footnote 3:
+/// "fixed types of containerized applications … run continuously on the
+/// edge-clouds"), so one record holds both.
 #[derive(Debug)]
-struct ContainerState {
-    meta: Container,
-    running: Vec<RunningRequest>,
-    /// Set while a native-VPA rebuild (or eviction restart) is in flight.
-    unavailable_until: SimTime,
+pub struct Container {
+    /// Container id: the label of its cgroups and its checkpoint overlay.
+    pub id: ContainerId,
+    /// The service it hosts.
+    pub service: ServiceId,
+    /// LC or BE.
+    pub class: ServiceClass,
+    /// Pod-level cgroup, under the QoS class's group.
+    pub(crate) pod_cgroup: CgroupId,
+    /// Container-level cgroup, under the pod's.
+    pub cgroup: CgroupId,
+    /// Times this container has been killed and restarted (evictions +
+    /// native-VPA rebuilds).
+    pub restarts: u32,
+    /// Until when a native-VPA rebuild (or eviction restart) keeps it from
+    /// accepting requests.
+    pub(crate) unavailable_until: SimTime,
+    /// The requests running in it.
+    pub running: Vec<RunningRequest>,
     /// Cached effective limit, valid while `eff_epoch` matches the cgroup
     /// tree's limit epoch. The execution integrator reads the effective
     /// limit on every advance/projection; limits only move on D-VPA or
     /// rebuild events, so this hits almost always.
     eff: Resources,
     eff_epoch: u64,
+}
+
+impl Container {
+    /// Whether the container can accept requests at `now` (not
+    /// mid-rebuild).
+    pub fn is_available(&self, now: SimTime) -> bool {
+        self.unavailable_until <= now
+    }
 }
 
 /// A master or worker node.
@@ -74,21 +110,18 @@ pub struct Node {
     capacity: Resources,
     /// The node's CGroup tree (public: D-VPA writes it directly).
     pub cgroups: CgroupFs,
-    pods: FxHashMap<PodId, Pod>,
-    /// Container states, dense in deployment order (== ascending id order,
-    /// since local ids are allocated sequentially). The execution
-    /// integrator walks this on every advance/projection, so it must be a
-    /// flat scan, not a hash-map iteration.
-    containers: Vec<ContainerState>,
-    index: FxHashMap<ContainerId, usize>,
-    by_service: FxHashMap<ServiceId, usize>,
+    /// The deployed containers in deployment order (== ascending id order,
+    /// since local ids are allocated sequentially). A node deploys about
+    /// ten services, so finding one by service is a short scan; the
+    /// execution integrator walks them all on every advance/projection.
+    pub(crate) containers: Vec<Container>,
     /// Requests currently running across all containers — the early-out
     /// for advance/projection on idle nodes.
-    running_total: usize,
-    last_advance: SimTime,
-    generation: u64,
-    next_local_id: u64,
-    finished: Vec<CompletedRequest>,
+    pub(crate) running_total: usize,
+    pub(crate) last_advance: SimTime,
+    pub(crate) generation: u64,
+    pub(crate) next_local_id: u64,
+    pub(crate) finished: Vec<CompletedRequest>,
     /// Last sync tick at which this node answered its keep-alive probe.
     /// Observational only (read by the control-plane mirror); it is not
     /// part of the node's snapshot codec, so a restored run re-learns
@@ -97,13 +130,13 @@ pub struct Node {
 }
 
 /// The container's effective limit through the per-container cache.
-fn cached_eff(cgroups: &CgroupFs, state: &mut ContainerState) -> Resources {
+fn cached_eff(cgroups: &CgroupFs, c: &mut Container) -> Resources {
     let epoch = cgroups.limit_epoch();
-    if state.eff_epoch != epoch {
-        state.eff = cgroups.effective_limit(state.meta.cgroup);
-        state.eff_epoch = epoch;
+    if c.eff_epoch != epoch {
+        c.eff = cgroups.effective_limit(c.cgroup);
+        c.eff_epoch = epoch;
     }
-    state.eff
+    c.eff
 }
 
 /// Remaining work below this is "done" (guards float dust).
@@ -118,10 +151,7 @@ impl Node {
             is_master,
             capacity,
             cgroups: CgroupFs::new(capacity),
-            pods: FxHashMap::default(),
             containers: Vec::new(),
-            index: FxHashMap::default(),
-            by_service: FxHashMap::default(),
             running_total: 0,
             last_advance: SimTime::ZERO,
             generation: 0,
@@ -158,13 +188,6 @@ impl Node {
         self.generation += 1;
     }
 
-    fn alloc_ids(&mut self) -> (PodId, ContainerId) {
-        let seq = self.next_local_id;
-        self.next_local_id += 1;
-        let base = (self.id.raw() as u64) << 32 | seq;
-        (PodId(base), ContainerId(base))
-    }
-
     /// Deploy a continuously-running service pod with an initial resource
     /// limit. LC services land in the Burstable QoS group, BE in
     /// BestEffort. The deployment time is not recorded: the cgroup model
@@ -175,107 +198,59 @@ impl Node {
         initial_limit: Resources,
         _now: SimTime,
     ) -> Result<ContainerId, TangoError> {
-        if self.by_service.contains_key(&spec.id) {
+        if self.container(spec.id).is_some() {
             return Err(TangoError::Config(format!(
                 "service {} already deployed on {}",
                 spec.id, self.id
             )));
         }
-        let qos = qos_level_for(spec.class);
-        let (pod_id, ctr_id) = self.alloc_ids();
-        let qos_group = self.cgroups.qos_group(qos);
-        let pod_cg =
+        // The pod and its container share the node-local sequence number.
+        let id = ContainerId((self.id.raw() as u64) << 32 | self.next_local_id);
+        self.next_local_id += 1;
+        let qos_group = self.cgroups.qos_group(qos_level_for(spec.class));
+        let pod_cgroup =
             self.cgroups
-                .create(qos_group, &format!("pod{:x}", pod_id.raw()), initial_limit)?;
-        let ctr_cg =
+                .create(qos_group, &format!("pod{:x}", id.raw()), initial_limit)?;
+        let cgroup =
             self.cgroups
-                .create(pod_cg, &format!("ctr{:x}", ctr_id.raw()), initial_limit)?;
-        let pod = Pod {
-            id: pod_id,
-            service: spec.id,
-            qos,
-            cgroup: pod_cg,
-            container: ctr_id,
-        };
-        let meta = Container {
-            id: ctr_id,
-            pod: pod_id,
+                .create(pod_cgroup, &format!("ctr{:x}", id.raw()), initial_limit)?;
+        self.containers.push(Container {
+            id,
             service: spec.id,
             class: spec.class,
-            cgroup: ctr_cg,
+            pod_cgroup,
+            cgroup,
             restarts: 0,
-        };
-        self.pods.insert(pod_id, pod);
-        let slot = self.containers.len();
-        self.containers.push(ContainerState {
-            meta,
-            running: Vec::new(),
             unavailable_until: SimTime::ZERO,
+            running: Vec::new(),
             eff: Resources::ZERO,
             eff_epoch: 0,
         });
-        self.index.insert(ctr_id, slot);
-        self.by_service.insert(spec.id, slot);
         self.touch();
-        Ok(ctr_id)
+        Ok(id)
     }
 
-    fn state(&self, id: ContainerId) -> Option<&ContainerState> {
-        self.index.get(&id).map(|&i| &self.containers[i])
+    /// The container hosting `service`, if deployed.
+    pub fn container(&self, service: ServiceId) -> Option<&Container> {
+        self.containers.iter().find(|c| c.service == service)
     }
 
-    fn state_mut(&mut self, id: ContainerId) -> Option<&mut ContainerState> {
-        self.index.get(&id).map(|&i| &mut self.containers[i])
+    /// Every deployed container, in deployment order.
+    pub fn containers(&self) -> &[Container] {
+        &self.containers
     }
 
-    /// Container hosting a service, if deployed.
-    pub fn container_for(&self, service: ServiceId) -> Option<ContainerId> {
-        self.by_service
-            .get(&service)
-            .map(|&i| self.containers[i].meta.id)
+    /// Whether `service` is deployed and its container can accept requests
+    /// at `now` (not mid-rebuild).
+    pub fn is_available(&self, service: ServiceId, now: SimTime) -> bool {
+        self.container(service).is_some_and(|c| c.is_available(now))
     }
 
-    /// Container metadata.
-    pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.state(id).map(|c| &c.meta)
-    }
-
-    /// The pod owning a container.
-    pub fn pod_of(&self, ctr: ContainerId) -> Option<&Pod> {
-        self.state(ctr).and_then(|c| self.pods.get(&c.meta.pod))
-    }
-
-    /// All deployed containers (deterministic order by id — local ids are
-    /// allocated sequentially, so deployment order is id order).
-    pub fn container_ids(&self) -> Vec<ContainerId> {
-        self.containers.iter().map(|c| c.meta.id).collect()
-    }
-
-    /// Requests running in a container.
-    pub fn running_in(&self, ctr: ContainerId) -> &[RunningRequest] {
-        self.state(ctr).map(|c| c.running.as_slice()).unwrap_or(&[])
-    }
-
-    /// Whether the container can accept requests at `now` (not mid-rebuild).
-    pub fn is_available(&self, ctr: ContainerId, now: SimTime) -> bool {
-        self.state(ctr)
-            .map(|c| c.unavailable_until <= now)
-            .unwrap_or(false)
-    }
-
-    /// Mark a container unavailable until `until` (rebuild in progress).
-    pub fn set_unavailable_until(&mut self, ctr: ContainerId, until: SimTime) {
-        if let Some(c) = self.state_mut(ctr) {
-            c.unavailable_until = until;
-            self.generation += 1;
-        }
-    }
-
-    /// Effective CPU limit of a container (min over its cgroup path).
-    pub fn effective_cpu(&self, ctr: ContainerId) -> u64 {
-        self.state(ctr)
-            .map(|c| self.cgroups.effective_limit(c.meta.cgroup).cpu_milli)
-            .unwrap_or(0)
+    /// Effective CPU limit of `service`'s container (min over its cgroup
+    /// path); 0 when it is not deployed.
+    pub fn effective_cpu(&self, service: ServiceId) -> u64 {
+        self.container(service)
+            .map_or(0, |c| self.cgroups.effective_limit(c.cgroup).cpu_milli)
     }
 
     /// Per-request execution rate (millicores) inside a container with `m`
@@ -302,13 +277,13 @@ impl Node {
         }
         let mut any_done = false;
         let cgroups = &self.cgroups;
-        for state in &mut self.containers {
-            let m = state.running.len();
+        for c in &mut self.containers {
+            let m = c.running.len();
             if m == 0 {
                 continue;
             }
-            let eff = cached_eff(cgroups, state).cpu_milli;
-            for r in &mut state.running {
+            let eff = cached_eff(cgroups, c).cpu_milli;
+            for r in &mut c.running {
                 let rate = Self::rate(eff, m, r.demand.cpu_milli);
                 r.remaining_work -= rate * dt_ms;
                 if r.remaining_work <= WORK_EPSILON {
@@ -325,18 +300,18 @@ impl Node {
                 running_total,
                 ..
             } = self;
-            for state in containers.iter_mut() {
+            for c in containers.iter_mut() {
                 let mut i = 0;
-                while i < state.running.len() {
-                    if state.running[i].remaining_work <= WORK_EPSILON {
-                        let r = state.running.swap_remove(i);
+                while i < c.running.len() {
+                    if c.running[i].remaining_work <= WORK_EPSILON {
+                        let r = c.running.swap_remove(i);
                         *running_total -= 1;
                         let (_, incompressible) = r.demand.split_compressible();
-                        cgroups.uncharge(state.meta.cgroup, incompressible);
+                        cgroups.uncharge(c.cgroup, incompressible);
                         finished.push(CompletedRequest {
                             request: r.request,
-                            service: state.meta.service,
-                            class: state.meta.class,
+                            service: c.service,
+                            class: c.class,
                             admitted_at: r.admitted_at,
                         });
                     } else {
@@ -369,19 +344,21 @@ impl Node {
         now: SimTime,
     ) -> Result<(), TangoError> {
         self.advance(now);
-        let slot = self.by_service.get(&service).copied().ok_or_else(|| {
-            TangoError::Unschedulable(format!("{service} not deployed on {}", self.id))
-        })?;
-        let state = &self.containers[slot];
-        if state.unavailable_until > now {
+        let Some(c) = self.containers.iter_mut().find(|c| c.service == service) else {
+            return Err(TangoError::Unschedulable(format!(
+                "{service} not deployed on {}",
+                self.id
+            )));
+        };
+        if c.unavailable_until > now {
             return Err(TangoError::Unschedulable(format!(
                 "container {} rebuilding until {}",
-                state.meta.id, state.unavailable_until
+                c.id, c.unavailable_until
             )));
         }
         let (_, incompressible) = demand.split_compressible();
-        self.cgroups.charge(state.meta.cgroup, incompressible)?;
-        self.containers[slot].running.push(RunningRequest {
+        self.cgroups.charge(c.cgroup, incompressible)?;
+        c.running.push(RunningRequest {
             request,
             demand,
             remaining_work: work.max(WORK_EPSILON),
@@ -400,12 +377,12 @@ impl Node {
     /// running here.
     pub fn detach_request(&mut self, request: RequestId, now: SimTime) -> Option<RunningRequest> {
         self.advance(now);
-        for state in &mut self.containers {
-            if let Some(i) = state.running.iter().position(|r| r.request == request) {
-                let r = state.running.remove(i);
+        for c in &mut self.containers {
+            if let Some(i) = c.running.iter().position(|r| r.request == request) {
+                let r = c.running.remove(i);
                 self.running_total -= 1;
                 let (_, incompressible) = r.demand.split_compressible();
-                self.cgroups.uncharge(state.meta.cgroup, incompressible);
+                self.cgroups.uncharge(c.cgroup, incompressible);
                 self.generation += 1;
                 return Some(r);
             }
@@ -422,13 +399,13 @@ impl Node {
         }
         let mut best: Option<SimTime> = None;
         let cgroups = &self.cgroups;
-        for state in &mut self.containers {
-            let m = state.running.len();
+        for c in &mut self.containers {
+            let m = c.running.len();
             if m == 0 {
                 continue;
             }
-            let eff = cached_eff(cgroups, state).cpu_milli;
-            for r in &state.running {
+            let eff = cached_eff(cgroups, c).cpu_milli;
+            for r in &c.running {
                 let rate = Self::rate(eff, m, r.demand.cpu_milli);
                 if rate <= 0.0 {
                     continue;
@@ -441,36 +418,42 @@ impl Node {
         best
     }
 
-    /// Kill a container: interrupt all running requests (uncharging them)
-    /// and mark the container unavailable until `ready_at`. Returns the
-    /// interrupted requests — the caller decides whether to requeue or
-    /// fail them. Used by the native VPA's delete-and-rebuild and by BE
-    /// eviction under the §4.1 regulations.
+    /// Kill `service`'s container: interrupt all running requests
+    /// (uncharging them) and mark the container unavailable until
+    /// `ready_at`. Returns the interrupted requests — the caller decides
+    /// whether to requeue or fail them. Used by the native VPA's
+    /// delete-and-rebuild and by BE eviction under the §4.1 regulations.
     pub fn kill_container(
         &mut self,
-        ctr: ContainerId,
+        service: ServiceId,
         now: SimTime,
         ready_at: SimTime,
     ) -> Result<Vec<RunningRequest>, TangoError> {
         self.advance(now);
         let slot = self
-            .index
-            .get(&ctr)
-            .copied()
-            .ok_or(TangoError::UnknownContainer(ctr))?;
-        let state = &mut self.containers[slot];
-        let interrupted = std::mem::take(&mut state.running);
+            .containers
+            .iter()
+            .position(|c| c.service == service)
+            .ok_or_else(|| {
+                TangoError::Unschedulable(format!("{service} not deployed on {}", self.id))
+            })?;
+        Ok(self.kill_slot(slot, ready_at))
+    }
+
+    /// Kill the container at `slot` (see [`Node::kill_container`]); the
+    /// caller has advanced the node.
+    fn kill_slot(&mut self, slot: usize, ready_at: SimTime) -> Vec<RunningRequest> {
+        let c = &mut self.containers[slot];
+        let interrupted = std::mem::take(&mut c.running);
         self.running_total -= interrupted.len();
-        let state = &mut self.containers[slot];
-        let cg = state.meta.cgroup;
-        state.meta.restarts += 1;
-        state.unavailable_until = ready_at;
+        c.restarts += 1;
+        c.unavailable_until = ready_at;
         for r in &interrupted {
             let (_, incompressible) = r.demand.split_compressible();
-            self.cgroups.uncharge(cg, incompressible);
+            self.cgroups.uncharge(c.cgroup, incompressible);
         }
         self.generation += 1;
-        Ok(interrupted)
+        interrupted
     }
 
     /// Crash the node: every container is killed (interrupting all
@@ -479,15 +462,12 @@ impl Node {
     /// Returns the interrupted requests with their service class — the
     /// system decides whether each one fails or is rescheduled.
     pub fn crash(&mut self, now: SimTime) -> Vec<(ServiceClass, RunningRequest)> {
+        self.advance(now);
         let mut out = Vec::new();
-        for ctr in self.container_ids() {
-            let class = self
-                .container(ctr)
-                .map(|c| c.class)
-                .unwrap_or(ServiceClass::Be);
-            if let Ok(interrupted) = self.kill_container(ctr, now, SimTime::MAX) {
-                out.extend(interrupted.into_iter().map(|r| (class, r)));
-            }
+        for slot in 0..self.containers.len() {
+            let class = self.containers[slot].class;
+            let interrupted = self.kill_slot(slot, SimTime::MAX);
+            out.extend(interrupted.into_iter().map(|r| (class, r)));
         }
         out
     }
@@ -499,20 +479,21 @@ impl Node {
     pub fn recover(&mut self, now: SimTime, restart_delay: SimTime) {
         self.advance(now);
         let ready = now + restart_delay;
-        for ctr in self.container_ids() {
-            self.set_unavailable_until(ctr, ready);
+        for c in &mut self.containers {
+            c.unavailable_until = ready;
+            self.generation += 1;
         }
     }
 
     /// Demand-based usage: (LC-held, BE-held) resources summed over
-    /// running requests. This is what the state storage reports and the
+    /// running requests. This is what the c storage reports and the
     /// §4.1 regulations reason over.
     pub fn demand_usage(&self) -> (Resources, Resources) {
         let mut lc = Resources::ZERO;
         let mut be = Resources::ZERO;
-        for state in &self.containers {
-            for r in &state.running {
-                match state.meta.class {
+        for c in &self.containers {
+            for r in &c.running {
+                match c.class {
                     ServiceClass::Lc => lc += r.demand,
                     ServiceClass::Be => be += r.demand,
                 }
@@ -531,26 +512,26 @@ impl Node {
     pub fn actual_usage(&self) -> (Resources, Resources) {
         let mut lc = Resources::ZERO;
         let mut be = Resources::ZERO;
-        for state in &self.containers {
-            let m = state.running.len();
+        for c in &self.containers {
+            let m = c.running.len();
             if m == 0 {
                 continue;
             }
-            let eff = self.cgroups.effective_limit(state.meta.cgroup);
-            let cpu_used: f64 = state
+            let eff = self.cgroups.effective_limit(c.cgroup);
+            let cpu_used: f64 = c
                 .running
                 .iter()
                 .map(|r| Self::rate(eff.cpu_milli, m, r.demand.cpu_milli))
                 .sum();
-            let bw_demand: u64 = state.running.iter().map(|r| r.demand.bandwidth_mbps).sum();
-            let charged = self.cgroups.usage(state.meta.cgroup);
+            let bw_demand: u64 = c.running.iter().map(|r| r.demand.bandwidth_mbps).sum();
+            let charged = self.cgroups.usage(c.cgroup);
             let used = Resources {
                 cpu_milli: (cpu_used.round() as u64).min(eff.cpu_milli),
                 memory_mib: charged.memory_mib,
                 bandwidth_mbps: bw_demand.min(eff.bandwidth_mbps),
                 disk_mib: charged.disk_mib,
             };
-            match state.meta.class {
+            match c.class {
                 ServiceClass::Lc => lc += used,
                 ServiceClass::Be => be += used,
             }
@@ -582,80 +563,14 @@ impl Node {
     pub fn running_be_pods(&self) -> impl Iterator<Item = (RequestId, ServiceId, Resources)> + '_ {
         self.containers
             .iter()
-            .filter(|s| s.meta.class == ServiceClass::Be)
-            .flat_map(|s| {
-                s.running
-                    .iter()
-                    .map(|r| (r.request, s.meta.service, r.demand))
-            })
-    }
-
-    /// QoS level of a container's pod.
-    pub fn qos_of(&self, ctr: ContainerId) -> Option<QosLevel> {
-        self.pod_of(ctr).map(|p| p.qos)
-    }
-
-    // --- checkpoint plumbing (see the `snapshot` module) ---
-
-    pub(crate) fn snap_last_advance(&self) -> SimTime {
-        self.last_advance
-    }
-
-    pub(crate) fn snap_next_local_id(&self) -> u64 {
-        self.next_local_id
-    }
-
-    pub(crate) fn snap_finished(&self) -> &[CompletedRequest] {
-        &self.finished
-    }
-
-    pub(crate) fn snap_unavailable_until(&self, ctr: ContainerId) -> SimTime {
-        self.state(ctr)
-            .map(|c| c.unavailable_until)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    pub(crate) fn snap_apply(
-        &mut self,
-        last_advance: SimTime,
-        generation: u64,
-        next_local_id: u64,
-        finished: Vec<CompletedRequest>,
-    ) {
-        self.last_advance = last_advance;
-        self.generation = generation;
-        self.next_local_id = next_local_id;
-        self.finished = finished;
-    }
-
-    pub(crate) fn snap_apply_container(
-        &mut self,
-        ctr: ContainerId,
-        restarts: u32,
-        unavailable_until: SimTime,
-        running: Vec<RunningRequest>,
-    ) -> Result<(), tango_snap::SnapError> {
-        let slot = self
-            .index
-            .get(&ctr)
-            .copied()
-            .ok_or(tango_snap::SnapError::Corrupt("unknown container id"))?;
-        let state = &mut self.containers[slot];
-        self.running_total -= state.running.len();
-        self.running_total += running.len();
-        state.meta.restarts = restarts;
-        state.unavailable_until = unavailable_until;
-        state.running = running;
-        Ok(())
+            .filter(|s| s.class == ServiceClass::Be)
+            .flat_map(|s| s.running.iter().map(|r| (r.request, s.service, r.demand)))
     }
 
     /// The pod-level and container-level cgroups for a service — the two
     /// write targets of a D-VPA scaling operation (Fig. 5).
     pub fn scaling_cgroups(&self, service: ServiceId) -> Option<(CgroupId, CgroupId)> {
-        let ctr = self.container_for(service)?;
-        let pod = self.pod_of(ctr)?;
-        let c = self.state(ctr)?;
-        Some((pod.cgroup, c.meta.cgroup))
+        self.container(service).map(|c| (c.pod_cgroup, c.cgroup))
     }
 }
 
@@ -690,13 +605,18 @@ mod tests {
     }
 
     #[test]
+    fn qos_mapping_matches_regulations() {
+        assert_eq!(qos_level_for(ServiceClass::Lc), QosLevel::Burstable);
+        assert_eq!(qos_level_for(ServiceClass::Be), QosLevel::BestEffort);
+    }
+
+    #[test]
     fn deploy_creates_pod_and_container_cgroups() {
         let (n, ctr, s) = node_with_service();
-        assert_eq!(n.container_for(s.id), Some(ctr));
+        assert_eq!(n.container(s.id).map(|c| c.id), Some(ctr));
         let (pod_cg, ctr_cg) = n.scaling_cgroups(s.id).unwrap();
         assert_ne!(pod_cg, ctr_cg);
         assert!(n.cgroups.path(ctr_cg).starts_with("kubepods/burstable/pod"));
-        assert_eq!(n.qos_of(ctr), Some(QosLevel::Burstable));
     }
 
     #[test]
@@ -709,7 +629,7 @@ mod tests {
 
     #[test]
     fn crash_interrupts_everything_and_recover_rearms_after_delay() {
-        let (mut n, ctr, s) = node_with_service();
+        let (mut n, _ctr, s) = node_with_service();
         n.admit(
             RequestId(1),
             s.id,
@@ -725,12 +645,12 @@ mod tests {
         assert_eq!(interrupted[0].1.request, RequestId(1));
         assert!(n.generation() > gen_before);
         // down: no container accepts work, nothing completes
-        assert!(!n.is_available(ctr, SimTime::from_secs(1_000)));
+        assert!(!n.is_available(s.id, SimTime::from_secs(1_000)));
         assert_eq!(n.next_completion(SimTime::from_secs(1)), None);
         // recover: cold restart, ready after the delay
         n.recover(SimTime::from_secs(2), SimTime::from_millis(200));
-        assert!(!n.is_available(ctr, SimTime::from_secs(2)));
-        assert!(n.is_available(ctr, SimTime::from_secs(2) + SimTime::from_millis(200)));
+        assert!(!n.is_available(s.id, SimTime::from_secs(2)));
+        assert!(n.is_available(s.id, SimTime::from_secs(2) + SimTime::from_millis(200)));
     }
 
     #[test]
@@ -787,7 +707,7 @@ mod tests {
 
     #[test]
     fn two_requests_share_the_limit() {
-        let (mut n, ctr, s) = node_with_service();
+        let (mut n, _ctr, s) = node_with_service();
         // shrink container (and pod) to 500m so two requests contend:
         let (pod_cg, ctr_cg) = n.scaling_cgroups(s.id).unwrap();
         let lim = Resources::new(500, 1_024, 100, 1_000);
@@ -814,7 +734,7 @@ mod tests {
             n.next_completion(SimTime::ZERO).unwrap(),
             SimTime::from_millis(200)
         );
-        assert_eq!(n.running_in(ctr).len(), 2);
+        assert_eq!(n.container(s.id).unwrap().running.len(), 2);
     }
 
     #[test]
@@ -903,7 +823,7 @@ mod tests {
 
     #[test]
     fn kill_container_interrupts_and_blocks_admission() {
-        let (mut n, ctr, s) = node_with_service();
+        let (mut n, _ctr, s) = node_with_service();
         n.admit(
             RequestId(1),
             s.id,
@@ -914,11 +834,11 @@ mod tests {
         .unwrap();
         let ready = SimTime::from_millis(2_300);
         let interrupted = n
-            .kill_container(ctr, SimTime::from_millis(10), ready)
+            .kill_container(s.id, SimTime::from_millis(10), ready)
             .unwrap();
         assert_eq!(interrupted.len(), 1);
         assert_eq!(n.running_count(), 0);
-        assert!(!n.is_available(ctr, SimTime::from_millis(100)));
+        assert!(!n.is_available(s.id, SimTime::from_millis(100)));
         assert!(n
             .admit(
                 RequestId(2),
@@ -929,7 +849,7 @@ mod tests {
             )
             .is_err());
         // after rebuild completes, admission works again
-        assert!(n.is_available(ctr, ready));
+        assert!(n.is_available(s.id, ready));
         n.admit(
             RequestId(3),
             s.id,
@@ -938,7 +858,7 @@ mod tests {
             ready,
         )
         .unwrap();
-        assert_eq!(n.container(ctr).unwrap().restarts, 1);
+        assert_eq!(n.container(s.id).unwrap().restarts, 1);
         // memory was uncharged on kill: still admissible to the limit
         assert_eq!(n.running_count(), 1);
     }
@@ -978,7 +898,7 @@ mod tests {
 
     #[test]
     fn detach_carries_residual_work_and_admit_resumes_it() {
-        let (mut n, ctr, s) = node_with_service();
+        let (mut n, _ctr, s) = node_with_service();
         n.admit(
             RequestId(1),
             s.id,
@@ -998,7 +918,7 @@ mod tests {
             r.remaining_work
         );
         assert_eq!(n.running_count(), 0);
-        assert_eq!(n.running_in(ctr).len(), 0);
+        assert_eq!(n.container(s.id).unwrap().running.len(), 0);
         // incompressibles were uncharged: the container can fill up again
         for i in 0..4 {
             n.admit(

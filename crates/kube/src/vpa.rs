@@ -46,17 +46,14 @@ impl NativeVpa {
         new_limit: Resources,
         now: SimTime,
     ) -> Result<RebuildOutcome, TangoError> {
-        let ctr = node
-            .container_for(service)
+        let (pod_cg, ctr_cg) = node
+            .scaling_cgroups(service)
             .ok_or_else(|| TangoError::Unschedulable(format!("{service} not on {}", node.id)))?;
         let ready_at = now + self.rebuild_delay;
-        let interrupted = node.kill_container(ctr, now, ready_at)?;
+        let interrupted = node.kill_container(service, now, ready_at)?;
         // With the container empty, limits can be written in any order;
         // shrink-safe order (container then pod) keeps the cgroup
         // invariants happy for both directions.
-        let (pod_cg, ctr_cg) = node
-            .scaling_cgroups(service)
-            .ok_or(TangoError::UnknownContainer(ctr))?;
         let cur_pod = node.cgroups.limit(pod_cg);
         if new_limit.fits_within(&cur_pod) {
             node.cgroups.set_limit(ctr_cg, new_limit)?;
@@ -122,11 +119,10 @@ mod tests {
         assert_eq!(out.interrupted.len(), 1);
         assert_eq!(out.ready_at, SimTime::from_millis(2_310));
         // new limit took effect
-        let ctr = n.container_for(s.id).unwrap();
-        assert_eq!(n.effective_cpu(ctr), 2_000);
+        assert_eq!(n.effective_cpu(s.id), 2_000);
         // unavailable until rebuild completes
-        assert!(!n.is_available(ctr, SimTime::from_millis(2_000)));
-        assert!(n.is_available(ctr, out.ready_at));
+        assert!(!n.is_available(s.id, SimTime::from_millis(2_000)));
+        assert!(n.is_available(s.id, out.ready_at));
     }
 
     #[test]
@@ -142,8 +138,7 @@ mod tests {
             )
             .unwrap();
         assert!(out.interrupted.is_empty());
-        let ctr = n.container_for(s.id).unwrap();
-        assert_eq!(n.effective_cpu(ctr), 250);
+        assert_eq!(n.effective_cpu(s.id), 250);
     }
 
     #[test]

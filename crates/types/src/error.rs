@@ -1,6 +1,6 @@
 //! Workspace-wide error type.
 
-use crate::ids::{ContainerId, NodeId, PodId};
+use crate::ids::NodeId;
 use crate::resources::Resources;
 use std::fmt;
 
@@ -19,10 +19,6 @@ pub enum TangoError {
     CgroupViolation(String),
     /// Referenced a node that does not exist.
     UnknownNode(NodeId),
-    /// Referenced a pod that does not exist.
-    UnknownPod(PodId),
-    /// Referenced a container that does not exist.
-    UnknownContainer(ContainerId),
     /// A scheduler could not produce a placement.
     Unschedulable(String),
     /// The flow solver was given an infeasible or malformed problem.
@@ -45,8 +41,6 @@ impl fmt::Display for TangoError {
             ),
             TangoError::CgroupViolation(msg) => write!(f, "cgroup violation: {msg}"),
             TangoError::UnknownNode(id) => write!(f, "unknown node {id}"),
-            TangoError::UnknownPod(id) => write!(f, "unknown pod {id}"),
-            TangoError::UnknownContainer(id) => write!(f, "unknown container {id}"),
             TangoError::Unschedulable(msg) => write!(f, "unschedulable: {msg}"),
             TangoError::FlowInfeasible(msg) => write!(f, "flow problem infeasible: {msg}"),
             TangoError::NnShape(msg) => write!(f, "nn shape error: {msg}"),

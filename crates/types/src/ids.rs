@@ -54,10 +54,6 @@ id_type!(
     NodeId, u32, "node-"
 );
 id_type!(
-    /// Identifies a pod within the whole system.
-    PodId, u64, "pod-"
-);
-id_type!(
     /// Identifies a container within the whole system.
     ContainerId, u64, "ctr-"
 );
@@ -75,7 +71,6 @@ mod tests {
     fn ids_display_with_prefix() {
         assert_eq!(ClusterId(3).to_string(), "cluster-3");
         assert_eq!(NodeId(17).to_string(), "node-17");
-        assert_eq!(PodId(5).to_string(), "pod-5");
         assert_eq!(ContainerId(9).to_string(), "ctr-9");
         assert_eq!(RequestId(101).to_string(), "req-101");
     }

@@ -21,7 +21,7 @@ pub mod time;
 
 pub use error::TangoError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use ids::{ClusterId, ContainerId, NodeId, PodId, RequestId};
+pub use ids::{ClusterId, ContainerId, NodeId, RequestId};
 pub use request::{Request, RequestOutcome, RequestState};
 pub use resources::{ResourceKind, Resources};
 pub use service::{ServiceClass, ServiceId, ServiceSpec};

@@ -7,7 +7,7 @@
 //! listed tag byte, then its fields. Any change here is a snapshot
 //! format change and must bump `tango_snap::FORMAT_VERSION`.
 
-use crate::ids::{ClusterId, ContainerId, NodeId, PodId, RequestId};
+use crate::ids::{ClusterId, ContainerId, NodeId, RequestId};
 use crate::request::{Request, RequestOutcome, RequestState};
 use crate::resources::Resources;
 use crate::service::{ServiceClass, ServiceId};
@@ -16,7 +16,6 @@ use tango_snap::{snap_enum, snap_record};
 
 snap_record!(ClusterId(_));
 snap_record!(NodeId(_));
-snap_record!(PodId(_));
 snap_record!(ContainerId(_));
 snap_record!(RequestId(_));
 snap_record!(ServiceId(_));

@@ -24,8 +24,8 @@ use tango_repro::sched::CandidateNode;
 use tango_repro::tango::Event;
 use tango_repro::train::EpisodeRecord;
 use tango_repro::types::{
-    ClusterId, ContainerId, NodeId, PodId, Request, RequestId, RequestOutcome, Resources,
-    ServiceClass, ServiceId, SimTime,
+    ClusterId, ContainerId, NodeId, Request, RequestId, RequestOutcome, Resources, ServiceClass,
+    ServiceId, SimTime,
 };
 use tango_snap::{from_bytes, to_bytes, SnapDecode, SnapEncode, SnapError};
 
@@ -131,7 +131,6 @@ fn mirror_node(i: u32) -> MirrorNode {
 fn ids_and_time() {
     check_eq(ClusterId(3));
     check_eq(NodeId(u32::MAX));
-    check_eq(PodId(12));
     check_eq(ContainerId(999));
     check_eq(RequestId(u64::MAX - 1));
     check_eq(ServiceId(65_000));

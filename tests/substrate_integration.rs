@@ -231,7 +231,6 @@ fn lc_burst_preempts_saturating_be() {
     let lc_done = done.iter().filter(|c| c.class.is_lc()).count();
     assert_eq!(lc_done, 6, "LC QoS preserved under BE saturation");
     // BE is throttled but alive
-    let be_ctr = node.container_for(be_spec.id).unwrap();
-    let be_cpu = node.effective_cpu(be_ctr);
+    let be_cpu = node.effective_cpu(be_spec.id);
     assert!((10..4_000).contains(&be_cpu), "BE throttled to {be_cpu}");
 }
