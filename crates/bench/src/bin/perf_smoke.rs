@@ -49,7 +49,7 @@ fn main() {
     microbench_guard(&baseline_json());
 
     // 104 clusters, short horizon: two sync ticks + a dozen dispatch
-    // rounds over the full cluster fan-out.
+    // rounds at every master.
     let mut cfg = TangoConfig::dual_space(104);
     cfg.be_policy = BePolicy::LoadGreedy;
     run_scenario("smoke/system_tick/104", cfg, SimTime::from_millis(250));
@@ -110,9 +110,8 @@ fn main() {
     println!("smoke/churn/1000node         0x{d1:016x} at 1 and 4 threads");
 
     // Dispatch-heavy smoke: high arrival rate over a metro region keeps
-    // every master's queue non-empty, so the coalesced two-phase
-    // dispatch plane (wave formation, parallel plan, sequential commit)
-    // runs at full width every round.
+    // every master's queue non-empty, so every dispatch round plans and
+    // commits LC work.
     let mut heavy = TangoConfig::physical_testbed();
     heavy.clusters = 6;
     heavy.topology.clusters = 6;

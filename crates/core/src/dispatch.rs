@@ -17,7 +17,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tango_metrics::{TraceEvent, TraceLane};
 use tango_net::NetworkTopology;
-use tango_par::Pool;
 use tango_sched::{BeScheduler, CandidateNode, LcScheduler, TypeBatch};
 use tango_types::{ClusterId, FxHashSet, NodeId, RequestId, Resources, ServiceId, SimTime};
 
@@ -94,276 +93,47 @@ fn cluster_of_node(ctx: &SystemCtx<'_>, node: NodeId) -> ClusterId {
     ctx.nodes[node.index()].cluster
 }
 
-/// One cluster's round within a coalesced dispatch batch.
-struct Round {
-    cluster: ClusterId,
-    /// Extra control hop when a remote master took the round over.
-    failover_delay: SimTime,
-    /// Whether any live master could take the round at all.
-    alive: bool,
-    /// LC requests drained from the queue, in queue order.
-    drained: Vec<RequestId>,
-    /// Per-service plan inputs, built against the wave's frozen views.
-    batches: Vec<TypeBatch>,
-    /// Per-batch placements produced by the plan phase.
-    plans: Vec<Vec<(RequestId, NodeId)>>,
-}
-
-/// `Dispatch(c)`: entry point for a master's dispatch round. All masters
-/// share the dispatch interval, so the rounds of one tick sit at the same
-/// instant as one consecutive run in the event queue; this handler absorbs
-/// that run via same-instant coalescing and hands the whole batch to the
-/// two-phase dispatcher. Coalescing stops at the first non-`Dispatch`
-/// event, so any event interleaved into the run (by sequence number) still
-/// fires exactly where it would have.
-pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, first: ClusterId, sched: &mut Sched<'_>) {
-    let mut clusters = vec![first];
-    while let Some(e) = sched.take_coalesced(|e| matches!(e, Event::Dispatch(_))) {
-        match e {
-            Event::Dispatch(c) => clusters.push(c),
-            _ => unreachable!("coalescing predicate admits only Dispatch"),
-        }
-    }
-    dispatch_batch(ctx, &clusters, sched);
-}
-
-/// The two-phase dispatch plane. Per batch (in event-pop order):
-///
-/// * **Phase 0 (sequential)** — queue expiry for both lanes and the
-///   master-failover check. Expiry touches only the cluster's own queues
-///   and request records, so hoisting it ahead of every round commutes
-///   with the rounds themselves; `acting_master_for` is a pure read of
-///   fault/topology state, which no commit in the batch can change.
-/// * **Wave formation** — consecutive rounds whose read/write footprints
-///   (the origin's geo cluster set) are pairwise disjoint form a wave.
-///   A conflicting round closes the wave and opens the next one, so
-///   conflicts are resolved by *ordering*, never by re-planning.
-/// * **Plan (parallel within a wave)** — candidate views are prefetched
-///   sequentially, then each round's `assign_many` runs on its own scheduler
-///   over `tango-par`. Disjoint footprints mean no plan can observe
-///   another wave member's writes, so the frozen views equal what strict
-///   sequential execution would have read.
-/// * **Commit (sequential)** — placements, reservations, BE forwarding
-///   and the round reschedule are applied in pop order, reproducing the
-///   exact event-push sequence of the pre-batched dispatcher. Golden
-///   digests pin this equivalence at every thread count.
-fn dispatch_batch(ctx: &mut SystemCtx<'_>, clusters: &[ClusterId], sched: &mut Sched<'_>) {
+/// `Dispatch(c)`: one master's dispatch round, handled completely before
+/// the next event pops. All masters share the dispatch interval, so the
+/// rounds of one tick pop one after another at the same instant, and
+/// each round plans against the reservations that every earlier round
+/// committed. The golden digests pin that order.
+pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, cluster: ClusterId, sched: &mut Sched<'_>) {
     let now = sched.now();
-
-    // Phase 0: expiry + failover check, sequential in pop order.
-    let mut rounds: Vec<Round> = Vec::with_capacity(clusters.len());
-    for &cluster in clusters {
-        let ci = cluster.index();
-        // Expire hopeless entries in both queues regardless of master
-        // health — waiting requests age even while the control plane is
-        // down.
-        let expired = lifecycle::expire_queue(
-            ctx.catalog,
-            &mut ctx.clusters[ci].lc_q,
-            &ctx.lifecycle.requests,
-            ctx.cfg.lc_patience,
-            now,
-        );
-        for rid in expired {
-            lifecycle::abandon(ctx, rid, now);
-        }
-        let expired = lifecycle::expire_queue(
-            ctx.catalog,
-            &mut ctx.clusters[ci].be_q,
-            &ctx.lifecycle.requests,
-            ctx.cfg.be_patience,
-            now,
-        );
-        for rid in expired {
-            lifecycle::abandon(ctx, rid, now);
-        }
-        // Master failover: a dead master's round is either taken over by
-        // the nearest live one (extra control hop on every delivery) or
-        // skipped entirely when none is reachable.
-        let (alive, failover_delay) = match crate::fault_rt::acting_master_for(ctx, cluster) {
-            Some((_acting, d)) => (true, d),
-            None => (false, SimTime::ZERO),
-        };
-        rounds.push(Round {
-            cluster,
-            failover_delay,
-            alive,
-            drained: Vec::new(),
-            batches: Vec::new(),
-            plans: Vec::new(),
-        });
-    }
-
-    let words = ctx.cfg.clusters.div_ceil(64).max(1);
-    let mut wave_mask = vec![0u64; words];
-    let mut fp_mask = vec![0u64; words];
-    let mut i = 0;
-    while i < rounds.len() {
-        // Wave formation: greedily extend while footprints stay disjoint.
-        // A round with no LC work (and no local-BE work) has an empty
-        // footprint — central-mode BE forwarding only pushes events — and
-        // joins any wave.
-        wave_mask.iter_mut().for_each(|w| *w = 0);
-        let mut j = i;
-        while j < rounds.len() {
-            let r = &rounds[j];
-            let ci = r.cluster.index();
-            let needs_views = r.alive
-                && (!ctx.clusters[ci].lc_q.is_empty()
-                    || (ctx.cfg.local_only && !ctx.clusters[ci].be_q.is_empty()));
-            if needs_views {
-                fp_mask.iter_mut().for_each(|w| *w = 0);
-                {
-                    let views = &mut ctx.dispatch.views;
-                    let inp = view_inputs!(ctx);
-                    views.or_geo_mask(&inp, r.cluster, &mut fp_mask);
-                }
-                if fp_mask.iter().zip(&wave_mask).any(|(f, w)| f & w != 0) && j > i {
-                    break;
-                }
-                wave_mask
-                    .iter_mut()
-                    .zip(&fp_mask)
-                    .for_each(|(w, f)| *w |= f);
-            }
-            j += 1;
-        }
-
-        // Prefetch: drain LC queues and build per-type batches against
-        // the current views, sequentially in pop order. All batches of a
-        // wave are built before any wave member commits, so they share
-        // one frozen reservation clock; disjointness makes that snapshot
-        // identical to the one sequential execution would read.
-        for round in &mut rounds[i..j] {
-            let ci = round.cluster.index();
-            if !round.alive || ctx.clusters[ci].lc_q.is_empty() {
-                continue;
-            }
-            round.drained = ctx.clusters[ci].lc_q.drain(..).collect();
-            let mut by_type: BTreeMap<ServiceId, Vec<RequestId>> = BTreeMap::new();
-            for rid in &round.drained {
-                if let Some(r) = ctx.lifecycle.requests.get(rid) {
-                    by_type.entry(r.service).or_default().push(*rid);
-                }
-            }
-            let views = &mut ctx.dispatch.views;
-            let inp = view_inputs!(ctx);
-            round.batches = by_type
-                .into_iter()
-                .map(|(service, requests)| {
-                    let (nodes, by_delay) =
-                        views.candidates(&inp, service, ViewScope::LcGeo(round.cluster));
-                    TypeBatch {
-                        service,
-                        requests,
-                        nodes,
-                        by_delay,
-                    }
-                })
-                .collect();
-        }
-
-        // Plan: one scheduler per round, disjoint `&mut` borrows, cluster-
-        // level fan-out. A single planning round keeps the shared pool so
-        // its per-type fan-out still parallelizes; with several, each
-        // planner runs single-threaded inside the cluster-level fan-out —
-        // the pool-size-invariance contract makes both choices
-        // bit-identical, so the branch is on workload shape only.
-        let planning: Vec<usize> = (i..j).filter(|&k| !rounds[k].batches.is_empty()).collect();
-        if let [k] = planning[..] {
-            let ci = rounds[k].cluster.index();
-            rounds[k].plans = ctx.dispatch.lc[ci].assign_many(&rounds[k].batches, ctx.pool);
-        } else if !planning.is_empty() {
-            let mut want: Vec<Option<usize>> = vec![None; ctx.dispatch.lc.len()];
-            for &k in &planning {
-                want[rounds[k].cluster.index()] = Some(k);
-            }
-            struct PlanJob<'b> {
-                round: usize,
-                batches: Vec<TypeBatch>,
-                plans: Vec<Vec<(RequestId, NodeId)>>,
-                sched: &'b mut Box<dyn LcScheduler + Send>,
-            }
-            let mut jobs: Vec<PlanJob<'_>> = Vec::with_capacity(planning.len());
-            for (ci, sched) in ctx.dispatch.lc.iter_mut().enumerate() {
-                if let Some(k) = want[ci] {
-                    jobs.push(PlanJob {
-                        round: k,
-                        batches: std::mem::take(&mut rounds[k].batches),
-                        plans: Vec::new(),
-                        sched,
-                    });
-                }
-            }
-            ctx.pool.par_chunks_mut(&mut jobs, 1, |_, chunk| {
-                for job in chunk {
-                    let inner = Pool::single();
-                    job.plans = job.sched.assign_many(&job.batches, &inner);
-                }
-            });
-            for job in jobs {
-                rounds[job.round].batches = job.batches;
-                rounds[job.round].plans = job.plans;
-            }
-        }
-
-        // Commit: apply every wave member in pop order, reproducing the
-        // exact per-round push sequence (LC deliveries, then BE, then the
-        // round reschedule) of strict sequential dispatch.
-        for round in &rounds[i..j] {
-            commit_round(ctx, round, now, sched);
-        }
-        i = j;
-    }
-}
-
-/// Apply one planned round: LC placements, the BE lane, and the round's
-/// reschedule — the writeback half of the two-phase dispatcher.
-fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mut Sched<'_>) {
-    let cluster = round.cluster;
     let ci = cluster.index();
-    if !round.alive {
+    // Expire hopeless entries in both queues regardless of master
+    // health — waiting requests age even while the control plane is
+    // down.
+    let expired = lifecycle::expire_queue(
+        ctx.catalog,
+        &mut ctx.clusters[ci].lc_q,
+        &ctx.lifecycle.requests,
+        ctx.cfg.lc_patience,
+        now,
+    );
+    for rid in expired {
+        lifecycle::abandon(ctx, rid, now);
+    }
+    let expired = lifecycle::expire_queue(
+        ctx.catalog,
+        &mut ctx.clusters[ci].be_q,
+        &ctx.lifecycle.requests,
+        ctx.cfg.be_patience,
+        now,
+    );
+    for rid in expired {
+        lifecycle::abandon(ctx, rid, now);
+    }
+    // Master failover: a dead master's round is either taken over by
+    // the nearest live one (extra control hop on every delivery) or
+    // skipped entirely when none is reachable.
+    let Some((_acting, failover_delay)) = crate::fault_rt::acting_master_for(ctx, cluster) else {
         sched.schedule_in(ctx.cfg.dispatch_interval, Event::Dispatch(cluster));
         return;
-    }
-    let failover_delay = round.failover_delay;
+    };
 
-    if !round.drained.is_empty() {
-        let mut assigned: FxHashSet<RequestId> = FxHashSet::default();
-        for (batch, placements) in round.batches.iter().zip(round.plans.iter()) {
-            let payload = ctx.catalog.get(batch.service).payload_kib;
-            for &(rid, node) in placements {
-                if ctx.fault.is_down(node) {
-                    // A dead node slipped through the masking layers;
-                    // count it (the invariant tests assert this stays
-                    // zero) and leave the request queued.
-                    ctx.fault.summary.down_node_dispatches += 1;
-                    continue;
-                }
-                assigned.insert(rid);
-                if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
-                    r.mark_dispatched(node);
-                    let demand = r.demand;
-                    ctx.lifecycle.reserved.add(node, demand);
-                }
-                ctx.emit(now, || TraceEvent::DispatchDecision {
-                    request: rid,
-                    target: node,
-                    lane: TraceLane::Lc,
-                });
-                let delay = failover_delay
-                    + ctx
-                        .topology
-                        .transfer_time(cluster, cluster_of_node(ctx, node), payload);
-                sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
-            }
-        }
-        // unplaced requests stay queued, original order
-        for &rid in &round.drained {
-            if !assigned.contains(&rid) {
-                ctx.clusters[ci].lc_q.push_back(rid);
-            }
-        }
+    if !ctx.clusters[ci].lc_q.is_empty() {
+        dispatch_lc(ctx, cluster, failover_delay, sched);
     }
 
     // BE queue: forward to the central dispatcher (or local round-
@@ -413,6 +183,79 @@ fn commit_round(ctx: &mut SystemCtx<'_>, round: &Round, now: SimTime, sched: &mu
     // locally until the partition heals)
 
     sched.schedule_in(ctx.cfg.dispatch_interval, Event::Dispatch(cluster));
+}
+
+/// A round's LC lane (Alg. 2): drain the master's queue into per-type
+/// batches over its candidate views, plan them with the cluster's
+/// scheduler, and commit every placement. Unplaced requests go back on
+/// the queue in their original order.
+fn dispatch_lc(
+    ctx: &mut SystemCtx<'_>,
+    cluster: ClusterId,
+    failover_delay: SimTime,
+    sched: &mut Sched<'_>,
+) {
+    let now = sched.now();
+    let ci = cluster.index();
+    let drained: Vec<RequestId> = ctx.clusters[ci].lc_q.drain(..).collect();
+    let mut by_type: BTreeMap<ServiceId, Vec<RequestId>> = BTreeMap::new();
+    for rid in &drained {
+        if let Some(r) = ctx.lifecycle.requests.get(rid) {
+            by_type.entry(r.service).or_default().push(*rid);
+        }
+    }
+    let batches: Vec<TypeBatch> = {
+        let views = &mut ctx.dispatch.views;
+        let inp = view_inputs!(ctx);
+        by_type
+            .into_iter()
+            .map(|(service, requests)| {
+                let (nodes, by_delay) = views.candidates(&inp, service, ViewScope::LcGeo(cluster));
+                TypeBatch {
+                    service,
+                    requests,
+                    nodes,
+                    by_delay,
+                }
+            })
+            .collect()
+    };
+    let plans = ctx.dispatch.lc[ci].assign_many(&batches);
+
+    let mut assigned: FxHashSet<RequestId> = FxHashSet::default();
+    for (batch, placements) in batches.iter().zip(&plans) {
+        let payload = ctx.catalog.get(batch.service).payload_kib;
+        for &(rid, node) in placements {
+            if ctx.fault.is_down(node) {
+                // A dead node slipped through the masking layers; count
+                // it (the invariant tests assert this stays zero) and
+                // leave the request queued.
+                ctx.fault.summary.down_node_dispatches += 1;
+                continue;
+            }
+            assigned.insert(rid);
+            if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
+                r.mark_dispatched(node);
+                let demand = r.demand;
+                ctx.lifecycle.reserved.add(node, demand);
+            }
+            ctx.emit(now, || TraceEvent::DispatchDecision {
+                request: rid,
+                target: node,
+                lane: TraceLane::Lc,
+            });
+            let delay = failover_delay
+                + ctx
+                    .topology
+                    .transfer_time(cluster, cluster_of_node(ctx, node), payload);
+            sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
+        }
+    }
+    for &rid in &drained {
+        if !assigned.contains(&rid) {
+            ctx.clusters[ci].lc_q.push_back(rid);
+        }
+    }
 }
 
 /// Commit one BE placement decided at cluster `from`: the request is

@@ -204,8 +204,9 @@ pub struct RunSpec {
     pub duration: SimTime,
 }
 
-/// Run every spec on its own thread (bounded by available parallelism);
-/// results come back in input order.
+/// Run every spec to its report, results in input order, fanned out
+/// over the process-wide pool ([`tango_par::global`], so `TANGO_THREADS`
+/// bounds it).
 ///
 /// Tango the system is heavily asynchronous (§6: multiprocessing, thread
 /// pools); the simulation keeps each *run's* event loop single-threaded
@@ -213,36 +214,9 @@ pub struct RunSpec {
 /// what the evaluation needs: Fig. 12 alone is a 4×4 grid of policy
 /// pairings.
 pub fn run_parallel(specs: Vec<RunSpec>) -> Vec<RunReport> {
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut reports: Vec<Option<RunReport>> = (0..specs.len()).map(|_| None).collect();
-    // chunked fan-out so we never oversubscribe wildly
-    for (chunk_idx, chunk) in specs.chunks(max_threads).enumerate() {
-        let offset = chunk_idx * max_threads;
-        let results: Vec<(usize, RunReport)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    let spec = spec.clone();
-                    scope.spawn(move || {
-                        let report =
-                            EdgeCloudSystem::new(spec.config).run(spec.duration, &spec.label);
-                        (offset + i, report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("run panicked"))
-                .collect()
-        });
-        for (i, r) in results {
-            reports[i] = Some(r);
-        }
-    }
-    reports.into_iter().map(|r| r.expect("filled")).collect()
+    tango_par::global().par_map_collect(&specs, |_, spec| {
+        EdgeCloudSystem::new(spec.config.clone()).run(spec.duration, &spec.label)
+    })
 }
 
 #[cfg(test)]

@@ -472,22 +472,6 @@ impl CandidateViewCache {
         table.values_at = self.value_clock;
         table.stamped_at = self.structure_clock;
     }
-
-    /// OR `origin`'s geo-nearby cluster set — the read *and* write
-    /// footprint of its LC dispatch round — into `mask`, one bit per
-    /// cluster index. The batched dispatcher uses these masks to form
-    /// waves of rounds with pairwise-disjoint footprints that can plan in
-    /// parallel against frozen views.
-    pub(crate) fn or_geo_mask(
-        &mut self,
-        inp: &ViewInputs<'_>,
-        origin: ClusterId,
-        mask: &mut [u64],
-    ) {
-        for &c in geo_set_entry(&mut self.geo_sets, inp, origin) {
-            mask[c.index() >> 6] |= 1 << (c.index() & 63);
-        }
-    }
 }
 
 /// The cached (static) geo-nearby cluster set for an LC origin: nearby

@@ -21,7 +21,6 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use crate::frame;
-use tango_par::Pool;
 use tango_sched::{CandidateNode, LcScheduler, TypeBatch};
 use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError};
 use tango_types::{ClusterId, NodeId, RequestId, ServiceId, SimTime};
@@ -338,14 +337,14 @@ impl ProxyBackend {
 impl LcScheduler for ProxyBackend {
     /// A lone batch is offered as a one-batch round.
     fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        self.assign_many(std::slice::from_ref(batch), &Pool::single())
+        self.assign_many(std::slice::from_ref(batch))
             .pop()
             .unwrap_or_default()
     }
 
-    fn assign_many(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<Vec<(RequestId, NodeId)>> {
+    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
         if batches.iter().all(|b| b.requests.is_empty()) {
-            return self.inner.assign_many(batches, pool);
+            return self.inner.assign_many(batches);
         }
         self.round += 1;
         let request = DecisionRequest {
@@ -363,7 +362,7 @@ impl LcScheduler for ProxyBackend {
         };
         let Some(reply_bytes) = self.source.decide(&encode_request(&request)) else {
             self.stats.declined.fetch_add(1, Ordering::Relaxed);
-            return self.inner.assign_many(batches, pool);
+            return self.inner.assign_many(batches);
         };
         let placements = decode_reply(&reply_bytes)
             .map_err(|_| "malformed reply frame")
@@ -375,7 +374,7 @@ impl LcScheduler for ProxyBackend {
             }
             Err(_) => {
                 self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.inner.assign_many(batches, pool)
+                self.inner.assign_many(batches)
             }
         }
     }
@@ -494,7 +493,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1, 2], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches);
         assert_eq!(
             out,
             vec![vec![(RequestId(1), NodeId(1)), (RequestId(2), NodeId(1))]]
@@ -522,7 +521,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -548,7 +547,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true), cand(1, false)])];
-        let out = proxy.assign_many(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -562,7 +561,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[1], vec![cand(0, true)])];
-        let out = proxy.assign_many(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 1, 0));
         // a lone batch is offered to the source as a one-batch round
@@ -594,7 +593,7 @@ mod tests {
             SimTime::from_millis(5),
         );
         let batches = [batch(&[9], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches, &Pool::single());
+        let out = proxy.assign_many(&batches);
         assert_eq!(out, vec![vec![(RequestId(9), NodeId(0))]]);
         drop(proxy); // hang up so the server thread exits
         t.join().unwrap();

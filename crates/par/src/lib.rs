@@ -1,19 +1,17 @@
 //! Deterministic data-parallel primitives over `std::thread::scope`.
 //!
-//! Tango's hot loops are data-parallel by construction: each master
-//! solves its own per-request-type dispatch graph (§5.2), the GNN
+//! Some of Tango's loops are data-parallel by construction: the GNN
 //! encoder's aggregation and linear maps are independent per row (§5.3),
-//! and the per-node tick phase touches each node in isolation. This
-//! crate gives those loops a shared runtime with one hard guarantee:
+//! the per-node tick phase touches each node in isolation, and separate
+//! experiment runs share nothing. This crate gives those loops a shared
+//! runtime with one hard guarantee:
 //!
 //! **Determinism contract.** Work is split into *statically chunked*
 //! contiguous ranges (`ceil(len / workers)` items each) and results are
 //! merged in *input order*. Every closure must be a pure function of
-//! `(index, item)` — worker-local scratch handed out by
-//! [`Pool::par_map_collect_with`] may only carry reusable buffers, never
-//! values that leak between items. Under that contract the output is
-//! bit-identical for every thread count, including `threads == 1`, which
-//! runs inline on the caller with zero synchronization overhead.
+//! `(index, item)`. Under that contract the output is bit-identical for
+//! every thread count, including `threads == 1`, which runs inline on
+//! the caller with zero synchronization overhead.
 //!
 //! There is deliberately **no work stealing**: dynamic scheduling would
 //! make which-worker-ran-what (and therefore any per-worker scratch
@@ -36,23 +34,12 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        global()
-    }
-}
-
 impl Pool {
     /// A pool using up to `threads` workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
         }
-    }
-
-    /// The single-threaded pool: every primitive runs inline.
-    pub fn single() -> Self {
-        Pool { threads: 1 }
     }
 
     /// Worker budget.
@@ -201,43 +188,18 @@ impl Pool {
         items: &[I],
         f: impl Fn(usize, &I) -> R + Sync,
     ) -> Vec<R> {
-        self.par_map_collect_with(items, || (), |(), i, it| f(i, it))
-    }
-
-    /// Map every item through `f`, giving each worker its own scratch
-    /// state from `init`, collecting results in input order.
-    ///
-    /// The scratch exists so workers can reuse allocations (graphs,
-    /// solver workspaces) across the items of their chunk. Per the crate
-    /// contract, `f` must produce a result that depends only on
-    /// `(index, item)` — it must reset whatever scratch state it reads.
-    pub fn par_map_collect_with<S, I: Sync, R: Send>(
-        &self,
-        items: &[I],
-        init: impl Fn() -> S + Sync,
-        f: impl Fn(&mut S, usize, &I) -> R + Sync,
-    ) -> Vec<R> {
-        if items.is_empty() {
-            return Vec::new();
-        }
         let workers = self.workers_for(items.len());
         if workers == 1 {
-            let mut scratch = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, it)| f(&mut scratch, i, it))
-                .collect();
+            return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
         }
         let per = items.len().div_ceil(workers);
         let mut chunks = items.chunks(per);
         let first = chunks.next().expect("nonempty items have a first chunk");
         let run_chunk = |base: usize, chunk: &[I]| -> Vec<R> {
-            let mut scratch = init();
             chunk
                 .iter()
                 .enumerate()
-                .map(|(j, it)| f(&mut scratch, base + j, it))
+                .map(|(j, it)| f(base + j, it))
                 .collect()
         };
         let mut parts: Vec<Vec<R>> = std::thread::scope(|scope| {
@@ -267,26 +229,12 @@ impl Pool {
 /// Global thread budget: 0 = not yet resolved.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("TANGO_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The process-wide thread budget: `TANGO_THREADS` if set, else
-/// [`std::thread::available_parallelism`], else 1. Resolution is lazy and
-/// idempotent; [`set_threads`] overrides it at any time.
+/// The process-wide thread budget: [`resolve`] with no config value,
+/// cached on first use. [`set_threads`] overrides it at any time.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::Relaxed) {
         0 => {
-            let t = default_threads();
+            let t = resolve(None);
             THREADS.store(t, Ordering::Relaxed);
             t
         }
@@ -302,7 +250,8 @@ pub fn set_threads(threads: usize) {
     THREADS.store(threads.max(1), Ordering::Relaxed);
 }
 
-/// The pool the compute kernels (matmul, CSR aggregation) share.
+/// The process-wide pool: the compute kernels (matmul, CSR aggregation)
+/// and `tango::run_parallel`'s experiment runs share it.
 pub fn global() -> Pool {
     Pool::new(threads())
 }
@@ -340,18 +289,6 @@ mod tests {
             let want: Vec<u64> = items.iter().map(|&x| x * x).collect();
             assert_eq!(got, want, "threads = {t}");
         }
-    }
-
-    #[test]
-    fn map_collect_with_reuses_worker_scratch() {
-        let items: Vec<usize> = (0..97).collect();
-        let got = Pool::new(4).par_map_collect_with(&items, Vec::<usize>::new, |scratch, i, &x| {
-            // scratch is reset per item, per the contract
-            scratch.clear();
-            scratch.extend(0..x);
-            scratch.len() + i - x // == i
-        });
-        assert_eq!(got, items);
     }
 
     #[test]
@@ -441,7 +378,6 @@ mod tests {
     #[test]
     fn pool_clamps_to_at_least_one_thread() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(Pool::single().threads(), 1);
     }
 
     /// The determinism contract, end to end: identical output at every
@@ -450,7 +386,7 @@ mod tests {
     #[test]
     fn thread_count_never_changes_results() {
         let items: Vec<f64> = (0..513).map(|i| (i as f64) * 0.123 + 1.0).collect();
-        let reference = Pool::single().par_map_collect(&items, |i, &x| {
+        let reference = Pool::new(1).par_map_collect(&items, |i, &x| {
             (0..64).fold(x, |acc, k| acc + (acc * 1e-3) + (i + k) as f64 * 1e-6)
         });
         for t in [2, 3, 4, 8, 32] {

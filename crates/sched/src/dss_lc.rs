@@ -34,15 +34,11 @@
 
 use crate::view::{LcScheduler, TypeBatch};
 use tango_flow::{EdgeRef, FlowGraph, MinCostMaxFlow};
-use tango_par::Pool;
 use tango_simcore::SimRng;
 use tango_types::{NodeId, RequestId};
 
-/// Buffers shared by the G_k and λ-augmented Ĝ′_k phases of a plan.
-/// [`DssLc::plan`] reuses the scheduler's own across calls.
-/// [`DssLc::plan_many`], the dispatch rounds' path, makes one per worker
-/// per call, so each of its batches reuses the buffers of the batches
-/// before it on that worker.
+/// Buffers shared by the G_k and λ-augmented Ĝ′_k phases of a plan;
+/// every plan the scheduler makes reuses its own.
 #[derive(Debug, Default)]
 struct DispatchScratch {
     /// ρ-shuffled request queue being consumed this call.
@@ -220,26 +216,22 @@ impl DssLc {
         )
     }
 
-    /// Run Alg. 2 on each of a master's per-type batches — "for each
-    /// type k do in parallel" (§5.2) — fanned out over `pool`.
-    ///
-    /// Every batch's ρ(·) stream is forked from this scheduler's RNG
-    /// *sequentially, in batch order, before the fan-out*, and the plans
-    /// are merged back in batch order, so the result is bit-identical
-    /// for every thread count. Each worker makes one `DispatchScratch`
-    /// for the call and reuses it across its batches.
-    pub fn plan_many(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<LcPlan> {
-        let rngs: Vec<SimRng> = batches.iter().map(|_| self.rng.fork()).collect();
-        let overflow_routing = self.overflow_routing;
-        pool.par_map_collect_with(batches, DispatchScratch::default, |scratch, i, batch| {
-            let mut rng = rngs[i].clone();
-            Self::plan_with(scratch, &mut rng, overflow_routing, batch)
-        })
+    /// Run Alg. 2 on each of a master's per-type batches, in batch
+    /// order. Each batch's ρ(·) shuffle draws from its own stream, forked
+    /// from this scheduler's RNG once per batch, so a batch's plan does
+    /// not depend on how many requests the batches before it shuffled.
+    pub fn plan_many(&mut self, batches: &[TypeBatch]) -> Vec<LcPlan> {
+        batches
+            .iter()
+            .map(|batch| {
+                let mut rng = self.rng.fork();
+                Self::plan_with(&mut self.scratch, &mut rng, self.overflow_routing, batch)
+            })
+            .collect()
     }
 
-    /// Alg. 2 with all state explicit, shared by the sequential
-    /// [`Self::plan`] and the parallel [`Self::plan_many`] paths so they
-    /// cannot drift.
+    /// Alg. 2 with its ρ(·) stream explicit, shared by [`Self::plan`]
+    /// and [`Self::plan_many`] so they cannot drift.
     fn plan_with(
         scratch: &mut DispatchScratch,
         rng: &mut SimRng,
@@ -315,8 +307,8 @@ impl LcScheduler for DssLc {
         self.plan(batch).all().collect()
     }
 
-    fn assign_many(&mut self, batches: &[TypeBatch], pool: &Pool) -> Vec<Vec<(RequestId, NodeId)>> {
-        self.plan_many(batches, pool)
+    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
+        self.plan_many(batches)
             .iter()
             .map(|p| p.all().collect())
             .collect()
@@ -529,8 +521,8 @@ mod tests {
         assert_eq!(p.unrouted, expected[consumed.len()..].to_vec());
     }
 
-    /// A mixed bag of per-type batches (under-capacity, overloaded, and
-    /// empty-candidate) for the fan-out tests.
+    /// A mixed bag of per-type batches: under-capacity, overloaded, and
+    /// empty-candidate.
     fn batch_bag(n: usize) -> Vec<TypeBatch> {
         (0..n)
             .map(|k| {
@@ -548,29 +540,22 @@ mod tests {
             .collect()
     }
 
-    /// `plan_many` is bit-identical across thread counts: same plans,
-    /// same order, for 1, 2, 4, and 8 workers — over several masters'
-    /// seeds and batch mixes, including a master with nothing to plan.
+    /// The ρ-stream contract a dispatch round relies on: `plan_many`
+    /// plans batch `i` exactly as `plan` does on a scheduler whose RNG is
+    /// the `i`-th fork, in batch order, of the scheduler's seed stream.
     #[test]
-    fn plan_many_is_thread_count_invariant() {
-        let per_master = [
-            batch_bag(17),
-            batch_bag(4),
-            batch_bag(9),
-            Vec::new(),
-            batch_bag(1),
-        ];
-        for (m, batches) in per_master.iter().enumerate() {
-            let seed = 99 + m as u64;
-            let reference = DssLc::new(seed).plan_many(batches, &Pool::single());
-            assert_eq!(reference.len(), batches.len());
-            if m == 0 {
-                assert!(reference.iter().any(|p| !p.immediate.is_empty()));
-                assert!(reference.iter().any(|p| !p.queued.is_empty()));
-            }
-            for t in [1usize, 2, 4, 8] {
-                let got = DssLc::new(seed).plan_many(batches, &Pool::new(t));
-                assert_eq!(got, reference, "master {m}, threads = {t}");
+    fn plan_many_plans_each_batch_on_its_own_forked_stream() {
+        let batches = batch_bag(17);
+        for seed in [3u64, 99, 1 << 40] {
+            let plans = DssLc::new(seed).plan_many(&batches);
+            assert_eq!(plans.len(), batches.len());
+            assert!(plans.iter().any(|p| !p.immediate.is_empty()));
+            assert!(plans.iter().any(|p| !p.queued.is_empty()));
+            let mut root = SimRng::new(seed);
+            for (i, (batch, plan)) in batches.iter().zip(&plans).enumerate() {
+                let mut one = DssLc::new(0);
+                one.rng = root.fork();
+                assert_eq!(one.plan(batch), *plan, "seed {seed}, batch {i}");
             }
         }
     }
@@ -582,7 +567,7 @@ mod tests {
     fn plan_many_advances_rng_like_sequential_forks() {
         let batches = batch_bag(5);
         let mut a = DssLc::new(3);
-        a.plan_many(&batches, &Pool::new(4));
+        a.plan_many(&batches);
         let mut b = DssLc::new(3);
         for _ in 0..batches.len() {
             b.rng.fork();

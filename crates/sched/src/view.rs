@@ -188,17 +188,10 @@ pub trait LcScheduler {
     fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)>;
 
     /// Decide placements for all of one dispatch round's per-type
-    /// batches, one result per batch in batch order. Per-commodity
-    /// graphs are independent (§5.2), so policies may fan out over
-    /// `pool`; the default runs [`LcScheduler::assign`] sequentially and
-    /// ignores it. Implementations must return identical results at any
-    /// thread count.
-    fn assign_many(
-        &mut self,
-        batches: &[TypeBatch],
-        pool: &tango_par::Pool,
-    ) -> Vec<Vec<(RequestId, NodeId)>> {
-        let _ = pool;
+    /// batches, one result per batch in batch order. The default runs
+    /// [`LcScheduler::assign`] on each batch in turn; a policy that sees
+    /// the round as a whole (the external proxy) overrides it.
+    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
         batches.iter().map(|b| self.assign(b)).collect()
     }
 

@@ -12,7 +12,6 @@ use tango_types::SimTime;
 pub struct Scheduler<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    coalesced: u64,
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -31,17 +30,6 @@ impl<'a, E> Scheduler<'a, E> {
     /// preserving causality).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.push(at.max(self.now), event);
-    }
-
-    /// Pop the next pending event if it fires at **this** instant and
-    /// `pred` accepts it — the same-instant coalescing hook. A handler
-    /// that batches events (e.g. all `Dispatch` rounds sharing a tick)
-    /// calls this in a loop to absorb the rest of the batch; consumed
-    /// events still count toward the engine's processed total.
-    pub fn take_coalesced(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        let e = self.queue.pop_at_if(self.now, pred)?;
-        self.coalesced += 1;
-        Some(e)
     }
 }
 
@@ -132,12 +120,10 @@ impl<E> Engine<E> {
             let mut sched = Scheduler {
                 now: self.now,
                 queue: &mut self.queue,
-                coalesced: 0,
             };
             handler.handle(event, &mut sched);
-            let consumed = 1 + sched.coalesced;
-            self.processed += consumed;
-            handled += consumed;
+            self.processed += 1;
+            handled += 1;
         }
         // Advance the clock to the horizon so periodic drivers observe
         // consistent window boundaries even when the tail was quiet. A MAX

@@ -196,20 +196,6 @@ impl<E> EventQueue<E> {
             .map(|e| e.at)
     }
 
-    /// Pop the earliest event only if it fires exactly at `at` and
-    /// satisfies `pred` — the engine's same-instant coalescing primitive.
-    pub fn pop_at_if(&mut self, at: SimTime, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        self.advance_to_next();
-        let bucket = &mut self.buckets[(self.cursor_day % NUM_BUCKETS as u64) as usize];
-        let head = bucket.last()?;
-        if head.at != at || !pred(&head.event) {
-            return None;
-        }
-        let e = bucket.pop().expect("checked non-empty");
-        self.ring_len -= 1;
-        Some(e.event)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.ring_len + self.overflow.len()
@@ -332,22 +318,6 @@ mod tests {
         for i in 0..50 {
             assert_eq!(q.pop(), Some((t, i)));
         }
-    }
-
-    #[test]
-    fn pop_at_if_takes_only_matching_same_instant_head() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(10);
-        q.push(t, 1);
-        q.push(t, 2);
-        q.push(SimTime::from_millis(20), 3);
-        assert_eq!(q.pop(), Some((t, 1)));
-        // head matches time + predicate
-        assert_eq!(q.pop_at_if(t, |&e| e == 2), Some(2));
-        // head is at 20ms now: same-instant filter refuses it
-        assert_eq!(q.pop_at_if(t, |_| true), None);
-        assert_eq!(q.pop_at_if(SimTime::from_millis(20), |_| false), None);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 3)));
     }
 
     #[test]

@@ -98,11 +98,7 @@ fn main() {
     if json {
         // One timed sample per system, emitted in the bench harness's
         // stamped shape (hand-rolled: serde is unavailable offline).
-        let threads = std::env::var("TANGO_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1);
+        let threads = tango_par::threads();
         let rev = git_rev();
         let mut samples = Vec::new();
         for spec in specs {

@@ -117,11 +117,7 @@ fn main() {
     }
 
     if json {
-        let threads = std::env::var("TANGO_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1);
+        let threads = tango_par::threads();
         let rev = git_rev();
         let mut samples = Vec::new();
         for a in &results {

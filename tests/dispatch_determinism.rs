@@ -1,37 +1,32 @@
-//! Determinism tests for the two-phase (plan ∥ / commit sequential)
-//! dispatch plane.
+//! Determinism tests for the dispatch path.
 //!
-//! The dispatcher coalesces every same-instant `Dispatch` event into one
-//! batch, forms waves of clusters with pairwise-disjoint candidate
-//! footprints, plans each wave's clusters in parallel over frozen views,
-//! and commits sequentially in pop order. Its contract is that none of
-//! this is observable: results are bit-identical to the sequential
-//! dispatcher at every thread count. These tests pin that with golden
-//! digests of a *dispatch-heavy* scenario (arrival rate high enough that
-//! every round carries work for every cluster) in calm weather and under
-//! fault churn, compared across 1/4/8 workers — plus a conflict-path
-//! scenario where two clusters plan onto the *same* nearly-full workers
-//! every round, so their footprints always collide and the wave loop is
-//! forced to serialize them (conflict resolution by cluster ordering,
-//! never by requeue).
+//! Each `Dispatch(c)` event is one master's round, planned and committed
+//! before the next event pops, so the rounds of a tick commit in pop
+//! order and each plans against the reservations of the rounds before
+//! it. These tests pin that with golden digests of a *dispatch-heavy*
+//! scenario (arrival rate high enough that every round carries work for
+//! every cluster) in calm weather and under fault churn, compared across
+//! 1/4/8 workers — plus a conflict-path scenario where two clusters plan
+//! onto the *same* nearly-full workers every round, so each round must
+//! see what the other just reserved (conflicts resolved by cluster
+//! ordering, never by requeue).
 
 use tango::{BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport, TangoConfig};
 use tango_types::{ClusterId, SimTime};
 
 /// Golden digest of `dispatch_heavy_calm()` run for 2 s, captured at
-/// `TANGO_THREADS=1` when the two-phase dispatcher landed.
+/// `TANGO_THREADS=1`.
 const HEAVY_CALM_DIGEST: u64 = 0xb7f3d61af8535834;
 
 /// Golden digest of `dispatch_heavy_churn()` run for 2 s, captured at
-/// `TANGO_THREADS=1` when the two-phase dispatcher landed.
+/// `TANGO_THREADS=1`.
 const HEAVY_CHURN_DIGEST: u64 = 0x3d287885ad1e8f2e;
 
 /// Golden digest of `shared_node_conflict()` run for 2 s.
 const CONFLICT_DIGEST: u64 = 0xa1f194c5b4869e27;
 
 /// Dispatch-heavy calm weather: every dispatch round at every master has
-/// pending work, so batches coalesce across all clusters each tick and
-/// the wave loop runs at full width.
+/// pending work, so every round of every tick plans and commits.
 fn dispatch_heavy_calm() -> TangoConfig {
     let mut cfg = TangoConfig::physical_testbed();
     cfg.clusters = 6;
@@ -46,7 +41,7 @@ fn dispatch_heavy_calm() -> TangoConfig {
 
 /// The same load with a mid-run worker crash and a degraded inter-cluster
 /// link: failover re-mastering and link-aware candidate views on the
-/// coalesced path.
+/// dispatch path.
 fn dispatch_heavy_churn() -> TangoConfig {
     let mut cfg = dispatch_heavy_calm();
     cfg.faults = FaultPlan::new()
@@ -71,10 +66,9 @@ fn dispatch_heavy_churn() -> TangoConfig {
 
 /// Conflict path: two clusters, one worker each, in the same metro
 /// region — every cluster's geo candidate set contains *both* workers,
-/// and the load keeps them nearly full. The clusters' footprints
-/// therefore overlap on every round: they can never share a wave, the
-/// wave loop must cut between them, and cluster 1's plan must observe
-/// cluster 0's freshly committed reservations.
+/// and the load keeps them nearly full. The clusters therefore contend
+/// on every round, and cluster 1's plan must observe cluster 0's
+/// freshly committed reservations.
 fn shared_node_conflict() -> TangoConfig {
     let mut cfg = TangoConfig::physical_testbed();
     cfg.clusters = 2;

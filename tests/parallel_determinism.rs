@@ -8,54 +8,10 @@ use std::sync::Mutex;
 use tango::{BePolicy, EdgeCloudSystem, LcPolicy, RunReport, TangoConfig};
 use tango_gnn::{Encoder, EncoderKind, FeatureGraph, GnnEncoder};
 use tango_nn::Matrix;
-use tango_par::Pool;
-use tango_sched::{CandidateNode, DssLc, TypeBatch};
-use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
+use tango_types::SimTime;
 
 /// Serializes tests that flip the process-global thread count.
 static GLOBAL_THREADS: Mutex<()> = Mutex::new(());
-
-fn batch(service: u16, n_requests: u64, n_nodes: usize) -> TypeBatch {
-    let nodes: Vec<CandidateNode> = (0..n_nodes)
-        .map(|i| CandidateNode {
-            node: NodeId(i as u32),
-            cluster: ClusterId((i / 5) as u32),
-            total: Resources::cpu_mem(8_000, 16_384),
-            available_lc: Resources::cpu_mem(1_500 + (i as u64 % 5) * 700, 4_096),
-            available_be: Resources::cpu_mem(2_000, 4_096),
-            min_request: Resources::cpu_mem(500, 256),
-            delay: SimTime::from_micros(200 + (i as u64 % 11) * 731),
-            link_capacity: 16,
-            slack: 1.0,
-            alive: true,
-        })
-        .collect();
-    TypeBatch::new(
-        ServiceId(service),
-        (0..n_requests).map(RequestId).collect(),
-        nodes,
-    )
-}
-
-#[test]
-fn dss_lc_plans_are_identical_across_thread_counts() {
-    // A mix of underloaded and overloaded commodities so both the
-    // greedy G_k phase and the λ-augmented overflow phase run.
-    let batches: Vec<TypeBatch> = vec![
-        batch(0, 10, 12),
-        batch(1, 400, 12), // overloaded: overflow routing kicks in
-        batch(2, 0, 12),
-        batch(3, 55, 7),
-        batch(4, 120, 20),
-    ];
-    let plans_1 = DssLc::new(99).plan_many(&batches, &Pool::new(1));
-    let plans_4 = DssLc::new(99).plan_many(&batches, &Pool::new(4));
-    assert_eq!(plans_1, plans_4);
-    // and the plans are non-trivial
-    assert!(plans_1
-        .iter()
-        .any(|p| !p.immediate.is_empty() || !p.queued.is_empty()));
-}
 
 #[test]
 fn gnn_forward_is_bitwise_identical_across_thread_counts() {
