@@ -7,14 +7,12 @@
 //! dispatch stage consults each round.
 
 use crate::ctx::SystemCtx;
-use crate::lifecycle::{self, LifecycleState};
+use crate::lifecycle;
 use crate::report::RunAudit;
-use crate::system::Event;
-use tango_faults::{FaultEvent, FaultState};
+use crate::system::{EdgeCloudSystem, Event};
+use tango_faults::FaultEvent;
 use tango_metrics::TraceEvent;
-use tango_types::{
-    ClusterId, NodeId, RequestId, RequestOutcome, RequestState, ServiceClass, SimTime,
-};
+use tango_types::{ClusterId, NodeId, RequestId, RequestState, ServiceClass, SimTime};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
 
@@ -231,33 +229,98 @@ fn requeue_limbo(ctx: &mut SystemCtx<'_>, node: NodeId, now: SimTime) {
     }
 }
 
-/// Bucket every injected request by its terminal state — the fault tests
-/// use this to prove that churn neither loses requests nor leaves them
-/// running on dead nodes.
-pub(crate) fn audit(lifecycle: &LifecycleState, fault: &FaultState) -> RunAudit {
+/// Bucket every injected request: terminal ones by their retired
+/// counts, live ones by their state. The fault tests use it to prove
+/// that churn neither loses requests nor leaves them running on dead
+/// nodes, and that no queue holds a retired id.
+pub(crate) fn audit(sys: &EdgeCloudSystem) -> RunAudit {
+    let lifecycle = &sys.lifecycle;
+    let [completed, abandoned, failed] = lifecycle.retired;
     let mut a = RunAudit {
-        total: lifecycle.requests.len() as u64,
+        total: lifecycle.next_request_id,
+        completed,
+        abandoned,
+        failed,
+        pending: lifecycle.requests.len() as u64,
+        dangling: dangling(sys).len() as u64,
         ..RunAudit::default()
     };
     for req in lifecycle.requests.values() {
-        match req.outcome() {
-            Some(RequestOutcome::Completed) => a.completed += 1,
-            Some(RequestOutcome::Abandoned) => a.abandoned += 1,
-            Some(RequestOutcome::Failed) => a.failed += 1,
-            None => {
-                a.pending += 1;
-                match req.state {
-                    RequestState::Running { target } if fault.is_down(target) => {
-                        a.running_on_down_nodes += 1;
-                    }
-                    // A mid-transfer pod is on neither endpoint: its
-                    // residual work rides the in-flight checkpoint, so a
-                    // crash on either side can't lose or duplicate it.
-                    RequestState::Migrating { .. } => a.in_migration += 1,
-                    _ => {}
-                }
+        match req.state {
+            RequestState::Running { target } if sys.fault.is_down(target) => {
+                a.running_on_down_nodes += 1;
             }
+            // A mid-transfer pod is on neither endpoint: its residual
+            // work rides the in-flight checkpoint, so a crash on either
+            // side can't lose or duplicate it.
+            RequestState::Migrating { .. } => a.in_migration += 1,
+            _ => {}
         }
     }
     a
+}
+
+/// Every id held by a cluster's LC or BE queue, the central BE queue, a
+/// node's wait queue, a fault limbo or an in-flight migration that names
+/// no live request. Retiring a request is safe only while this is empty:
+/// a retired id left in a queue would be shed as abandoned a second
+/// time. The audit counts them and a restore rejects them.
+pub(crate) fn dangling(sys: &EdgeCloudSystem) -> Vec<RequestId> {
+    let queues = sys
+        .clusters
+        .iter()
+        .flat_map(|c| c.lc_q.iter().chain(&c.be_q));
+    let waits = sys.lifecycle.node_wait.iter().flatten();
+    queues
+        .chain(&sys.dispatch.central_q)
+        .chain(waits)
+        .copied()
+        .chain(sys.fault.limbo())
+        .chain(sys.migration.in_flight.keys().copied())
+        .filter(|rid| !sys.lifecycle.requests.contains_key(rid))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::testutil::small_cfg;
+    use crate::migration::InFlight;
+    use tango_types::{Request, Resources};
+
+    #[test]
+    fn dangling_walks_every_holder_of_a_request_id() {
+        let mut sys = EdgeCloudSystem::new(small_cfg());
+        let rid = RequestId(0);
+        let service = sys.catalog.be_ids()[0];
+        let demand = Resources::cpu_mem(100, 64);
+        let req = Request::new(
+            rid,
+            service,
+            ServiceClass::Be,
+            ClusterId(0),
+            SimTime::ZERO,
+            demand,
+        );
+        sys.lifecycle.requests.insert(rid, req);
+        let (src, dst) = (sys.clusters[0].workers[0], sys.clusters[1].workers[0]);
+        sys.clusters[0].lc_q.push_back(rid);
+        sys.clusters[1].be_q.push_back(rid);
+        sys.dispatch.central_q.push_back(rid);
+        sys.lifecycle.node_wait[src.index()].push_back(rid);
+        sys.fault.push_limbo(src, vec![(ServiceClass::Be, rid)]);
+        let transfer = InFlight {
+            service,
+            demand,
+            remaining_work: 1.0,
+            src,
+            dst,
+            payload_kib: 1,
+            done_at: SimTime::from_millis(5),
+        };
+        sys.migration.in_flight.insert(rid, transfer);
+        assert_eq!(dangling(&sys), vec![]);
+        sys.lifecycle.requests.clear();
+        assert_eq!(dangling(&sys), vec![rid; 6]);
+    }
 }

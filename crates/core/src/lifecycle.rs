@@ -8,7 +8,13 @@
 //! (requeue, abandon, reservation release), which keeps the single-home
 //! invariant — a request id sits in at most one queue system-wide — in
 //! one file.
+//!
+//! The stage holds only live work. The trace is a [`TraceCursor`] that
+//! queues one arrival at a time, and a request that reaches a terminal
+//! state is retired: it leaves the table, and only its count by outcome
+//! remains. Every lookup treats an absent id as finished.
 
+use crate::config::TangoConfig;
 use crate::ctx::SystemCtx;
 use crate::system::Event;
 use std::collections::VecDeque;
@@ -19,7 +25,7 @@ use tango_types::{
     ClusterId, FxHashMap, NodeId, Request, RequestId, RequestOutcome, Resources, ServiceClass,
     ServiceId, SimTime,
 };
-use tango_workload::ServiceCatalog;
+use tango_workload::{DiurnalProfile, ServiceCatalog, TraceCursor, TraceSpec};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
 
@@ -165,11 +171,18 @@ impl ReservationTable {
 
 /// State owned by the lifecycle stage.
 pub struct LifecycleState {
-    /// Every request the trace has injected, by id, including terminal
-    /// ones (the audit walks this map).
+    /// Every live request, by id. A request leaves the map when it
+    /// reaches a terminal state ([`LifecycleState::retire`]).
     pub(crate) requests: FxHashMap<RequestId, Request>,
-    /// Next request id to allocate.
+    /// Next request id to allocate: the count of requests injected so
+    /// far, live or retired.
     pub(crate) next_request_id: u64,
+    /// Retired requests, counted by [`RequestOutcome`] (completed,
+    /// abandoned, failed).
+    pub(crate) retired: [u64; 3],
+    /// The trace's arrival cursor, set when the run is primed. The event
+    /// queue holds at most its one next arrival.
+    pub(crate) arrivals: Option<TraceCursor>,
     /// The dispatcher's in-flight reservation table.
     pub(crate) reserved: ReservationTable,
     /// Per-node LC wait queues: the R′_k requests that DSS-LC routes to a
@@ -186,6 +199,8 @@ impl LifecycleState {
         LifecycleState {
             requests: FxHashMap::default(),
             next_request_id: 0,
+            retired: [0; 3],
+            arrivals: None,
             reserved: ReservationTable::new(n_nodes),
             node_wait: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             be_evictions: 0,
@@ -198,20 +213,97 @@ impl LifecycleState {
         id
     }
 
+    /// Install a decoded request ledger (restore path): the live
+    /// requests, the next id and the retired counts. Each live id must
+    /// be unique and below `next_request_id`, and live plus retired must
+    /// equal `next_request_id`, or the ledger is [`SnapError::Corrupt`].
+    pub(crate) fn load_ledger(
+        &mut self,
+        requests: Vec<Request>,
+        next_request_id: u64,
+        retired: [u64; 3],
+    ) -> Result<(), SnapError> {
+        let mut table = FxHashMap::default();
+        table.reserve(requests.len());
+        for q in requests {
+            if q.id.0 >= next_request_id {
+                return Err(SnapError::Corrupt("request id past the next id"));
+            }
+            if table.insert(q.id, q).is_some() {
+                return Err(SnapError::Corrupt("duplicate request id"));
+            }
+        }
+        let injected = retired
+            .iter()
+            .try_fold(table.len() as u64, |n, &r| n.checked_add(r));
+        if injected != Some(next_request_id) {
+            return Err(SnapError::Corrupt("request ledger"));
+        }
+        self.requests = table;
+        self.next_request_id = next_request_id;
+        self.retired = retired;
+        Ok(())
+    }
+
+    /// Remove a request that reached its terminal `outcome` and count
+    /// it. `None` when it had already left.
+    pub(crate) fn retire(&mut self, rid: RequestId, outcome: RequestOutcome) -> Option<Request> {
+        let req = self.requests.remove(&rid)?;
+        self.retired[outcome as usize] += 1;
+        Some(req)
+    }
+
+    /// Pull the trace's next arrival as `(at, key, event)`. The key is
+    /// the id its request will take, a sequence number below
+    /// [`KEYED_SEQS`](tango_simcore::KEYED_SEQS): arrivals pop ahead of
+    /// every other event at their instant, in trace order, which is the
+    /// event order the golden digests pin.
+    pub(crate) fn next_arrival(
+        &mut self,
+        catalog: &ServiceCatalog,
+    ) -> Option<(SimTime, u64, Event)> {
+        let e = self.arrivals.as_mut()?.next_event(catalog)?;
+        let event = Event::Arrival {
+            service: e.service,
+            origin: e.origin,
+            demand: e.demand,
+        };
+        Some((e.at, self.next_request_id, event))
+    }
+
     /// Release (part of) a node's in-flight reservation.
     pub(crate) fn release_reservation(&mut self, node: NodeId, demand: Resources) {
         self.reserved.release(node, demand);
     }
 }
 
-/// `Arrival`: queue the request at its origin master (LC or BE queue).
+/// The trace a run to `horizon` replays, as the config describes it.
+pub(crate) fn trace_spec(cfg: &TangoConfig, horizon: SimTime) -> TraceSpec {
+    TraceSpec {
+        diurnal: if cfg.workload.diurnal {
+            DiurnalProfile::default()
+        } else {
+            DiurnalProfile::flat()
+        },
+        ..TraceSpec::new(
+            cfg.workload.pattern(),
+            cfg.clusters,
+            horizon,
+            cfg.seed ^ 0x77ace,
+        )
+    }
+}
+
+/// `Arrival`: queue the request at its origin master (LC or BE queue),
+/// and the trace's next arrival in the engine.
 pub(crate) fn on_arrival(
     ctx: &mut SystemCtx<'_>,
     service: ServiceId,
     origin: ClusterId,
     demand: Resources,
-    now: SimTime,
+    sched: &mut Sched<'_>,
 ) {
+    let now = sched.now();
     let spec = ctx.catalog.get(service);
     let class = spec.class;
     let id = ctx.lifecycle.alloc_request_id();
@@ -228,12 +320,18 @@ pub(crate) fn on_arrival(
         service,
         origin,
     });
+    if let Some((at, key, event)) = ctx.lifecycle.next_arrival(ctx.catalog) {
+        sched.schedule_keyed(at, key, event);
+    }
 }
 
-/// Mark a request abandoned (shed from a queue).
+/// Retire a request as abandoned (shed from a queue).
 pub(crate) fn abandon(ctx: &mut SystemCtx<'_>, rid: RequestId, now: SimTime) {
-    if let Some(req) = ctx.lifecycle.requests.get_mut(&rid) {
-        req.mark_done(RequestOutcome::Abandoned, now);
+    if ctx
+        .lifecycle
+        .retire(rid, RequestOutcome::Abandoned)
+        .is_some()
+    {
         ctx.counters.add(now, Counter::Abandoned, 1);
         ctx.emit(now, || TraceEvent::Abandoned { request: rid });
     }
@@ -283,18 +381,15 @@ pub(crate) fn requeue_or_abandon(ctx: &mut SystemCtx<'_>, rid: RequestId, now: S
     let Some(req) = ctx.lifecycle.requests.get_mut(&rid) else {
         return;
     };
-    if req.is_done() {
-        return;
-    }
     req.mark_requeued();
-    if req.class.is_lc() && req.requeues > ctx.cfg.max_requeues {
-        req.mark_done(RequestOutcome::Failed, now);
+    let (class, origin) = (req.class, req.origin);
+    if class.is_lc() && req.requeues > ctx.cfg.max_requeues {
+        ctx.lifecycle.retire(rid, RequestOutcome::Failed);
         ctx.counters.add(now, Counter::Abandoned, 1);
         ctx.emit(now, || TraceEvent::Abandoned { request: rid });
         return;
     }
-    let origin = req.origin;
-    match req.class {
+    match class {
         ServiceClass::Lc => ctx.clusters[origin.index()].lc_q.push_back(rid),
         ServiceClass::Be => {
             if ctx.cfg.local_only {
@@ -332,11 +427,8 @@ pub(crate) fn try_admit_at(
         return false; // callers guard this; last line of defense
     }
     let Some(req) = ctx.lifecycle.requests.get(&rid) else {
-        return true; // vanished: treat as handled
+        return true; // retired: treat as handled
     };
-    if req.is_done() {
-        return true;
-    }
     let service = req.service;
     let work = ctx.catalog.get(service).work_milli_ms;
     let factor = ctx
@@ -434,9 +526,6 @@ pub(crate) fn on_deliver(
     let Some(req) = ctx.lifecycle.requests.get(&rid) else {
         return;
     };
-    if req.is_done() {
-        return;
-    }
     if ctx.fault.is_down(node_id) || ctx.fault.epoch(node_id) != epoch {
         // The target crashed while the payload was in flight (a stale
         // epoch means it also already recovered). Its reservation entry
@@ -511,7 +600,7 @@ pub(crate) fn on_node_check(
 }
 
 /// Book the requests `node_id` finished by `now` (as drained by
-/// `Node::take_completions`): mark each done, count it, and feed LC
+/// `Node::take_completions`): retire each, count it, and feed LC
 /// latencies to the QoS detector. Node checks and crashes share it.
 pub(crate) fn book_completions(
     ctx: &mut SystemCtx<'_>,
@@ -521,10 +610,12 @@ pub(crate) fn book_completions(
 ) {
     let node_cap = ctx.nodes[node_id.index()].capacity();
     for done in completions {
-        let Some(req) = ctx.lifecycle.requests.get_mut(&done.request) else {
+        let Some(req) = ctx
+            .lifecycle
+            .retire(done.request, RequestOutcome::Completed)
+        else {
             continue;
         };
-        req.mark_done(RequestOutcome::Completed, now);
         let latency = now.saturating_since(req.arrival);
         match done.class {
             ServiceClass::Lc => {

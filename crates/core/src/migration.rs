@@ -219,7 +219,7 @@ fn execute_migration(
     let Some(req) = ctx.lifecycle.requests.get(&d.request) else {
         return;
     };
-    if req.is_done() || !matches!(req.state, RequestState::Running { target } if target == d.src) {
+    if !matches!(req.state, RequestState::Running { target } if target == d.src) {
         return;
     }
     let service = req.service;
@@ -286,9 +286,6 @@ pub(crate) fn on_migrate_arrive(
     let Some(req) = ctx.lifecycle.requests.get(&rid) else {
         return;
     };
-    if req.is_done() {
-        return;
-    }
     if ctx.fault.is_down(dst) || ctx.fault.epoch(dst) != epoch {
         // Destination crashed (or crash-recovered) while the checkpoint
         // was in flight. The work already left the source, so it simply

@@ -43,7 +43,8 @@ pub struct RunReport {
 }
 
 /// Conservation audit over every request a run injected: each `Arrival`
-/// must land in exactly one bucket. Produced by
+/// must land in exactly one bucket. The terminal buckets are the
+/// runtime's retired counts, `pending` its live requests. Produced by
 /// `EdgeCloudSystem::run_audited`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunAudit {
@@ -64,6 +65,10 @@ pub struct RunAudit {
     /// residual work rides the in-flight checkpoint, attached to neither
     /// endpoint, so crashes on either side can't lose or duplicate them.
     pub in_migration: u64,
+    /// Queue, wait-list, fault-limbo and in-flight migration entries that
+    /// name no live request — must be zero: a finished request leaves
+    /// every queue before it is retired.
+    pub dangling: u64,
 }
 
 impl RunAudit {
@@ -338,6 +343,7 @@ mod tests {
             pending: 1,
             running_on_down_nodes: 0,
             in_migration: 0,
+            dangling: 0,
         };
         assert!(a.conserved());
         a.pending = 0;

@@ -1,14 +1,16 @@
 //! Versioned whole-system checkpoints: snapshot, deterministic resume,
 //! and the periodic checkpoint driver.
 //!
-//! A snapshot captures every piece of *state* the run accumulated —
-//! request tables, queues, reservations, node/cgroup dynamics, detector
-//! windows, re-assurance factors, D-VPA counters, the fault ledger,
-//! topology overlays, the state storage, scheduler policy state and the
-//! full pending-event queue — and none of the *rebuildables*: the placed
-//! topology, the service catalog, candidate-view scratch and the worker
-//! pool are all reconstructed from the [`TangoConfig`] at restore time
-//! (see DESIGN.md §11 for the state-vs-cache inventory). Restoring onto
+//! A snapshot captures every piece of *state* the run holds — the live
+//! requests and the retired counts, queues, reservations, node/cgroup
+//! dynamics, detector windows, re-assurance factors, D-VPA counters, the
+//! fault ledger, topology overlays, the state storage, scheduler policy
+//! state, the trace cursor and the pending-event queue (which holds at
+//! most one arrival) — and none of the *rebuildables*: the placed
+//! topology, the service catalog, the trace spec, candidate-view scratch
+//! and the worker pool are all reconstructed from the [`TangoConfig`]
+//! and the horizon at restore time (see DESIGN.md §11 for the
+//! state-vs-cache inventory). Restoring onto
 //! the same config therefore yields a run whose remaining events, RNG
 //! draws and final [`RunReport`] digest are bit-identical to the
 //! uninterrupted run at any thread count.
@@ -27,12 +29,12 @@ use crate::runtime::Allocator;
 use crate::system::{EdgeCloudSystem, Event};
 use std::collections::VecDeque;
 use tango_metrics::ExperimentCounters;
-use tango_simcore::{Engine, EventQueue};
+use tango_simcore::{Engine, EventQueue, KEYED_SEQS};
 use tango_snap::{
     fnv1a, snap_enum, snap_record, SnapDecode, SnapEncode, SnapError, SnapFile, SnapFileBuilder,
 };
 use tango_types::{NodeId, Request, RequestId, Resources, SimTime};
-use tango_workload::ServiceCatalog;
+use tango_workload::{ServiceCatalog, TraceCursor};
 
 snap_enum!(Event, "event tag" {
     0 => Arrival { service, origin, demand },
@@ -135,11 +137,19 @@ pub(crate) fn encode(sys: &EdgeCloudSystem, engine: &Engine<Event>) -> Result<Ve
         requests.sort_unstable_by_key(|q| q.id);
         requests.encode(w);
         w.put_u64(sys.lifecycle.next_request_id);
+        sys.lifecycle.retired.encode(w);
         // nonzero entries in node-id order
         let reserved: Vec<(NodeId, Resources)> = sys.lifecycle.reserved.iter_nonzero().collect();
         reserved.encode(w);
         sys.lifecycle.node_wait.encode(w);
         w.put_u64(sys.lifecycle.be_evictions);
+        match &sys.lifecycle.arrivals {
+            None => w.put_u8(0),
+            Some(cursor) => {
+                w.put_u8(1);
+                cursor.snapshot(w);
+            }
+        }
     });
 
     b.section(SEC_CLUSTERS, |w| {
@@ -283,7 +293,11 @@ impl EdgeCloudSystem {
     /// the snapshot was taken under (checked via fingerprint; the
     /// thread-count field is ignored). The substrate — topology placement,
     /// node layout, deployed services, policy objects — is rebuilt from
-    /// the config, then every dynamic section is overlaid.
+    /// the config, then every dynamic section is overlaid. A request
+    /// ledger that does not add up, an id queued anywhere that names no
+    /// live request, a trace cursor out of order and a queued arrival
+    /// outside the keyed sequence range or naming an unknown service or
+    /// origin are all [`SnapError::Corrupt`].
     pub fn restore(cfg: TangoConfig, bytes: &[u8]) -> Result<Resumed, SnapError> {
         let file = SnapFile::parse(bytes)?;
         let expected = config_fingerprint(&cfg);
@@ -298,10 +312,37 @@ impl EdgeCloudSystem {
         let mut r = file.section(SEC_META, "meta section")?;
         sys.horizon = SimTime::decode(&mut r)?;
 
+        // The engine first: the trace cursor is checked against its clock.
+        let mut r = file.section(SEC_ENGINE, "engine section")?;
+        let now = SimTime::decode(&mut r)?;
+        let processed = r.u64()?;
+        let next_seq = r.u64()?;
+        let entries = Vec::<(SimTime, u64, Event)>::decode(&mut r)?;
+        if next_seq < KEYED_SEQS {
+            return Err(SnapError::Corrupt("keyed event seq"));
+        }
+        for (_, seq, event) in &entries {
+            if let Event::Arrival {
+                service, origin, ..
+            } = event
+            {
+                if *seq >= KEYED_SEQS {
+                    return Err(SnapError::Corrupt("keyed event seq"));
+                }
+                if service.index() >= sys.catalog.len() || origin.index() >= sys.cfg.clusters {
+                    return Err(SnapError::Corrupt("arrival payload"));
+                }
+            }
+        }
+        let engine =
+            Engine::from_parts(now, processed, EventQueue::from_entries(entries, next_seq));
+
         let mut r = file.section(SEC_LIFECYCLE, "lifecycle section")?;
         let requests = Vec::<Request>::decode(&mut r)?;
-        sys.lifecycle.requests = requests.into_iter().map(|q| (q.id, q)).collect();
-        sys.lifecycle.next_request_id = r.u64()?;
+        let next_request_id = r.u64()?;
+        let retired = <[u64; 3]>::decode(&mut r)?;
+        sys.lifecycle
+            .load_ledger(requests, next_request_id, retired)?;
         let reservations = Vec::<(NodeId, Resources)>::decode(&mut r)?;
         sys.lifecycle.reserved.load(&reservations)?;
         let node_wait = Vec::<VecDeque<RequestId>>::decode(&mut r)?;
@@ -310,6 +351,16 @@ impl EdgeCloudSystem {
         }
         sys.lifecycle.node_wait = node_wait;
         sys.lifecycle.be_evictions = r.u64()?;
+        sys.lifecycle.arrivals = match r.u8()? {
+            0 => None,
+            1 => {
+                let spec = crate::lifecycle::trace_spec(&sys.cfg, sys.horizon);
+                let mut cursor = TraceCursor::new(&sys.catalog, spec);
+                cursor.restore(&mut r, now)?;
+                Some(cursor)
+            }
+            _ => return Err(SnapError::Corrupt("trace cursor presence")),
+        };
 
         let mut r = file.section(SEC_CLUSTERS, "clusters section")?;
         let queues = Vec::<(VecDeque<RequestId>, VecDeque<RequestId>)>::decode(&mut r)?;
@@ -380,14 +431,6 @@ impl EdgeCloudSystem {
         let mut r = file.section(SEC_STORE, "store section")?;
         sys.store.restore(&mut r, sys.nodes.len())?;
 
-        let mut r = file.section(SEC_ENGINE, "engine section")?;
-        let now = SimTime::decode(&mut r)?;
-        let processed = r.u64()?;
-        let next_seq = r.u64()?;
-        let entries = Vec::<(SimTime, u64, Event)>::decode(&mut r)?;
-        let engine =
-            Engine::from_parts(now, processed, EventQueue::from_entries(entries, next_seq));
-
         let mut r = file.section(SEC_CTRL, "ctrl section")?;
         match (r.u8()?, sys.ctrl.detector.as_mut()) {
             (0, None) => {}
@@ -401,6 +444,9 @@ impl EdgeCloudSystem {
         let in_flight = Vec::<(RequestId, InFlight)>::decode(&mut r)?;
         sys.migration.in_flight.extend(in_flight);
 
+        if !crate::fault_rt::dangling(&sys).is_empty() {
+            return Err(SnapError::Corrupt("dangling request id"));
+        }
         Ok(Resumed { sys, engine })
     }
 

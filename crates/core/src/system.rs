@@ -43,7 +43,7 @@ use crate::ctrl_rt::CtrlState;
 use crate::ctx::SystemCtx;
 use crate::dispatch::DispatchState;
 use crate::fault_rt;
-use crate::lifecycle::LifecycleState;
+use crate::lifecycle::{self, LifecycleState};
 use crate::migration::MigrationState;
 use crate::policy::{make_be_scheduler, make_lc_scheduler};
 use crate::report::{RunAudit, RunReport};
@@ -57,7 +57,7 @@ use tango_metrics::{Counter, ExperimentCounters, QosDetector, StateStorage, Trac
 use tango_net::NetworkTopology;
 use tango_simcore::{Engine, EventHandler, SimRng};
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
-use tango_workload::{DiurnalProfile, ServiceCatalog, TraceGenerator, TraceSpec};
+use tango_workload::{ServiceCatalog, TraceCursor};
 
 /// Simulation events.
 #[derive(Debug, Clone)]
@@ -327,7 +327,7 @@ impl EdgeCloudSystem {
     /// neither loses requests nor leaves them running on dead nodes.
     pub fn run_audited(mut self, duration: SimTime, label: &str) -> (RunReport, RunAudit) {
         self.run_inner(duration);
-        let audit = fault_rt::audit(&self.lifecycle, &self.fault);
+        let audit = fault_rt::audit(&self);
         (self.finish(label), audit)
     }
 
@@ -337,35 +337,16 @@ impl EdgeCloudSystem {
         engine.run_until(self, duration);
     }
 
-    /// Seed a fresh engine with everything a run needs — trace arrivals,
-    /// the compiled fault plan, the periodic drivers — and set the
-    /// horizon. `run_inner` and the checkpoint loop both start here.
+    /// Seed a fresh engine with everything a run needs — the trace's
+    /// first arrival (each arrival queues the next), the compiled fault
+    /// plan, the periodic drivers — and set the horizon. `run_inner` and
+    /// the checkpoint loop both start here.
     pub(crate) fn prime(&mut self, engine: &mut Engine<Event>, duration: SimTime) {
         self.horizon = duration;
-        // trace
-        let spec = TraceSpec {
-            diurnal: if self.cfg.workload.diurnal {
-                DiurnalProfile::default()
-            } else {
-                DiurnalProfile::flat()
-            },
-            ..TraceSpec::new(
-                self.cfg.workload.pattern(),
-                self.cfg.clusters,
-                duration,
-                self.cfg.seed ^ 0x77ace,
-            )
-        };
-        let events = TraceGenerator::new(&self.catalog, spec).collect_events();
-        for ev in events {
-            engine.schedule_at(
-                ev.at,
-                Event::Arrival {
-                    service: ev.service,
-                    origin: ev.origin,
-                    demand: ev.demand,
-                },
-            );
+        let spec = lifecycle::trace_spec(&self.cfg, duration);
+        self.lifecycle.arrivals = Some(TraceCursor::new(&self.catalog, spec));
+        if let Some((at, key, event)) = self.lifecycle.next_arrival(&self.catalog) {
+            engine.schedule_keyed(at, key, event);
         }
         // fault plan: compiled once, sequentially, before the engine
         // starts — the resulting schedule is thread-count-invariant by
@@ -425,7 +406,7 @@ impl EventHandler for EdgeCloudSystem {
                 service,
                 origin,
                 demand,
-            } => crate::lifecycle::on_arrival(&mut ctx, service, origin, demand, sched.now()),
+            } => crate::lifecycle::on_arrival(&mut ctx, service, origin, demand, sched),
             Event::Dispatch(cluster) => crate::dispatch::on_dispatch(&mut ctx, cluster, sched),
             Event::CentralArrive(rid) => crate::dispatch::on_central_arrive(&mut ctx, rid),
             Event::BeDispatch => crate::dispatch::on_be_dispatch(&mut ctx, sched),

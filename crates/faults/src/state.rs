@@ -172,6 +172,11 @@ impl FaultState {
         self.limbo_run[node.index()].extend(items);
     }
 
+    /// Every request parked in some node's limbo, in node order.
+    pub fn limbo(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.limbo_run.iter().flatten().map(|&(_, rid)| rid)
+    }
+
     /// Take (and clear) the node's limbo list — at detection or
     /// recovery, whichever comes first.
     pub fn take_limbo(&mut self, node: NodeId) -> Vec<(ServiceClass, RequestId)> {

@@ -31,6 +31,13 @@ impl<'a, E> Scheduler<'a, E> {
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.push(at.max(self.now), event);
     }
+
+    /// Like [`schedule_at`](Self::schedule_at), under a caller-chosen
+    /// sequence key below [`KEYED_SEQS`](crate::queue::KEYED_SEQS) (see
+    /// [`EventQueue::push_keyed`]).
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
+        self.queue.push_keyed(at.max(self.now), key, event);
+    }
 }
 
 /// Domain logic driven by the engine.
@@ -84,6 +91,12 @@ impl<E> Engine<E> {
     /// Seed an event before (or during) the run.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.push(at.max(self.now), event);
+    }
+
+    /// Seed an event under a sequence key (see
+    /// [`Scheduler::schedule_keyed`]).
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
+        self.queue.push_keyed(at.max(self.now), key, event);
     }
 
     /// Read access to the pending-event queue, for checkpointing.

@@ -17,5 +17,5 @@ pub mod queue;
 pub mod rng;
 
 pub use engine::{Engine, EventHandler};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, KEYED_SEQS};
 pub use rng::SimRng;

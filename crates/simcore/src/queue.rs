@@ -15,7 +15,11 @@
 //! Ordering contract (unchanged from the binary-heap implementation):
 //! events pop in ascending `(time, seq)` order, so events scheduled for
 //! the same instant pop in the order they were pushed (FIFO), which keeps
-//! simulations deterministic. Snapshot wire-compat is likewise unchanged:
+//! simulations deterministic. Sequence numbers below [`KEYED_SEQS`] are
+//! chosen by the caller ([`EventQueue::push_keyed`]); plain pushes
+//! number upward from that boundary, so a keyed event pops ahead of
+//! every plain event at the same instant, and keyed events among
+//! themselves in key order. Snapshot wire-compat is likewise unchanged:
 //! [`EventQueue::entries`] exposes every pending `(at, seq, event)` and
 //! [`EventQueue::from_entries`] rebuilds from them, with checkpointing
 //! sorting by `(at, seq)` before encoding exactly as before.
@@ -23,6 +27,10 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tango_types::SimTime;
+
+/// The first sequence number of plain pushes. Everything below it is a
+/// key handed to [`EventQueue::push_keyed`].
+pub const KEYED_SEQS: u64 = 1 << 63;
 
 /// log2 of the bucket width in microseconds: 1024 µs ≈ 1 ms buckets.
 const BUCKET_SHIFT: u32 = 10;
@@ -101,7 +109,7 @@ impl<E> EventQueue<E> {
             cursor_day: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
-            next_seq: 0,
+            next_seq: KEYED_SEQS,
         }
     }
 
@@ -110,6 +118,18 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.push_raw(Entry { at, seq, event });
+    }
+
+    /// Schedule `event` at `at` under the caller's sequence number `key`
+    /// (below [`KEYED_SEQS`]): it pops ahead of every plain push at the
+    /// same instant, and after keyed events with smaller keys.
+    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
+        assert!(key < KEYED_SEQS, "key {key} is in the plain range");
+        self.push_raw(Entry {
+            at,
+            seq: key,
+            event,
+        });
     }
 
     /// Insert an entry with an already-assigned sequence number.
@@ -318,6 +338,23 @@ mod tests {
         for i in 0..50 {
             assert_eq!(q.pop(), Some((t, i)));
         }
+    }
+
+    #[test]
+    fn keyed_pushes_pop_ahead_of_plain_ones_in_key_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(3);
+        q.push(t, "plain 0");
+        q.push_keyed(t, 9, "key 9");
+        q.push(t, "plain 1");
+        q.push_keyed(t, 2, "key 2");
+        q.push_keyed(SimTime::from_millis(4), 0, "later key 0");
+        assert_eq!(q.next_seq(), KEYED_SEQS + 2);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["key 2", "key 9", "plain 0", "plain 1", "later key 0"]
+        );
     }
 
     #[test]

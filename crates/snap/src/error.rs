@@ -21,7 +21,7 @@ pub enum SnapError {
         /// Version this build understands.
         expected: u16,
     },
-    /// The whole-file FNV-1a checksum did not match — bytes were
+    /// The whole-file checksum did not match — bytes were
     /// corrupted after the snapshot was sealed.
     BadChecksum {
         /// Checksum stored in the file.

@@ -2,7 +2,7 @@
 //! trailing checksum.
 
 use crate::rw::{SnapReader, SnapWriter};
-use crate::{fnv1a, SnapError};
+use crate::{checksum, SnapError};
 
 /// The eight magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"TNGOSNAP";
@@ -11,7 +11,7 @@ pub const MAGIC: [u8; 8] = *b"TNGOSNAP";
 /// the file layout or to any section's encoding; decoding a snapshot
 /// written under a different version fails with
 /// [`SnapError::VersionMismatch`] instead of misreading state.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Builds a sealed snapshot file from tagged sections.
 #[derive(Debug)]
@@ -38,7 +38,7 @@ impl SnapFileBuilder {
         self.sections.push((tag, w.into_bytes()));
     }
 
-    /// Seal the file: header, sections, FNV-1a checksum.
+    /// Seal the file: header, sections, [`checksum`].
     pub fn seal(self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_raw(&MAGIC);
@@ -51,8 +51,8 @@ impl SnapFileBuilder {
             w.put_raw(payload);
         }
         let mut bytes = w.into_bytes();
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     }
 }
@@ -88,7 +88,7 @@ impl<'a> SnapFile<'a> {
         }
         let body = &bytes[..bytes.len() - 8];
         let found = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let computed = fnv1a(body);
+        let computed = checksum(body);
         if found != computed {
             return Err(SnapError::BadChecksum { found, computed });
         }
@@ -206,8 +206,8 @@ mod tests {
         w.put_u32(7); // tag
         w.put_u64(1_000_000); // length lie
         let mut bytes = w.into_bytes();
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(SnapFile::parse(&bytes), Err(SnapError::Truncated));
     }
 

@@ -40,11 +40,10 @@ pub enum RequestState {
         /// When the state transfer lands at `dst`.
         done_at: SimTime,
     },
-    /// Finished; see [`RequestOutcome`].
-    Done(RequestOutcome),
 }
 
-/// Terminal status of a request.
+/// Terminal status of a request. A request that reaches one leaves the
+/// runtime's request table; only its count by outcome remains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// Completed successfully; latency = completion − arrival.
@@ -77,8 +76,6 @@ pub struct Request {
     pub state: RequestState,
     /// When the request started executing (set on admission to a container).
     pub started: Option<SimTime>,
-    /// When the request reached a terminal state.
-    pub finished: Option<SimTime>,
     /// Number of times this request was evicted/requeued.
     pub requeues: u32,
 }
@@ -102,31 +99,7 @@ impl Request {
             demand,
             state: RequestState::Queued,
             started: None,
-            finished: None,
             requeues: 0,
-        }
-    }
-
-    /// End-to-end latency if the request completed.
-    pub fn latency(&self) -> Option<SimTime> {
-        match (self.state, self.finished) {
-            (RequestState::Done(RequestOutcome::Completed), Some(fin)) => {
-                Some(fin.saturating_since(self.arrival))
-            }
-            _ => None,
-        }
-    }
-
-    /// `true` once the request is in a terminal state.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, RequestState::Done(_))
-    }
-
-    /// Terminal outcome, if any.
-    pub fn outcome(&self) -> Option<RequestOutcome> {
-        match self.state {
-            RequestState::Done(o) => Some(o),
-            _ => None,
         }
     }
 
@@ -139,12 +112,6 @@ impl Request {
     pub fn mark_running(&mut self, target: NodeId, now: SimTime) {
         self.state = RequestState::Running { target };
         self.started = Some(now);
-    }
-
-    /// Mark the request finished with `outcome` at time `now`.
-    pub fn mark_done(&mut self, outcome: RequestOutcome, now: SimTime) {
-        self.state = RequestState::Done(outcome);
-        self.finished = Some(now);
     }
 
     /// Return the request to the queued state after an eviction.
@@ -181,26 +148,13 @@ mod tests {
     fn lifecycle_happy_path() {
         let mut r = req();
         assert_eq!(r.state, RequestState::Queued);
-        assert!(!r.is_done());
 
         r.mark_dispatched(NodeId(5));
         assert_eq!(r.state, RequestState::Dispatched { target: NodeId(5) });
 
         r.mark_running(NodeId(5), SimTime::from_millis(12));
+        assert_eq!(r.state, RequestState::Running { target: NodeId(5) });
         assert_eq!(r.started, Some(SimTime::from_millis(12)));
-
-        r.mark_done(RequestOutcome::Completed, SimTime::from_millis(42));
-        assert!(r.is_done());
-        assert_eq!(r.outcome(), Some(RequestOutcome::Completed));
-        assert_eq!(r.latency(), Some(SimTime::from_millis(32)));
-    }
-
-    #[test]
-    fn abandoned_requests_have_no_latency() {
-        let mut r = req();
-        r.mark_done(RequestOutcome::Abandoned, SimTime::from_millis(50));
-        assert_eq!(r.latency(), None);
-        assert_eq!(r.outcome(), Some(RequestOutcome::Abandoned));
     }
 
     #[test]
@@ -226,7 +180,6 @@ mod tests {
                 done_at: SimTime::from_millis(95),
             }
         );
-        assert!(!r.is_done());
         assert_eq!(r.started, Some(SimTime::from_millis(20)));
         // landing resumes execution on the destination
         r.mark_running(NodeId(7), SimTime::from_millis(95));

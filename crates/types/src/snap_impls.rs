@@ -43,7 +43,6 @@ snap_enum!(RequestState, "request state tag" {
     0 => Queued,
     1 => Dispatched { target },
     2 => Running { target },
-    3 => Done(outcome),
     4 => Migrating { src, dst, done_at },
 });
 
@@ -56,6 +55,5 @@ snap_record!(Request {
     demand,
     state,
     started,
-    finished,
     requeues,
 });

@@ -14,7 +14,8 @@
 //! Fig. 1, the three §7.1 request patterns (P1/P2/P3), and a Google-like
 //! bursty job-arrival process. Every generator is deterministic per seed,
 //! and the system builds its trace from the config on every run; there is
-//! no trace file format.
+//! no trace file format. A checkpoint stores a [`TraceCursor`]'s drawn
+//! state, not the arrivals still to come.
 
 pub mod catalog;
 pub mod diurnal;
@@ -24,4 +25,4 @@ pub mod trace;
 pub use catalog::ServiceCatalog;
 pub use diurnal::DiurnalProfile;
 pub use patterns::{Pattern, PatternKind};
-pub use trace::{TraceEvent, TraceGenerator, TraceSpec};
+pub use trace::{TraceCursor, TraceEvent, TraceGenerator, TraceSpec};

@@ -13,6 +13,7 @@ use crate::catalog::ServiceCatalog;
 use crate::diurnal::DiurnalProfile;
 use crate::patterns::Pattern;
 use tango_simcore::SimRng;
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 use tango_types::{ClusterId, Resources, ServiceClass, ServiceId, SimTime};
 
 /// One synthesized arrival.
@@ -29,6 +30,14 @@ pub struct TraceEvent {
     /// Jittered per-request resource demand.
     pub demand: Resources,
 }
+
+snap_record!(TraceEvent {
+    at,
+    service,
+    class,
+    origin,
+    demand,
+});
 
 /// Parameters of a synthesized trace.
 #[derive(Debug, Clone)]
@@ -70,9 +79,16 @@ impl TraceSpec {
     }
 }
 
-/// Iterator producing [`TraceEvent`]s in non-decreasing time order.
-pub struct TraceGenerator<'a> {
-    catalog: &'a ServiceCatalog,
+/// The state of a synthesized trace, advanced one arrival at a time.
+///
+/// It owns everything the trace has drawn so far (RNG, the two class
+/// clocks, the pending burst copies) and borrows the catalog only for
+/// each step, so a long-lived owner (the runtime's lifecycle stage)
+/// can pull arrivals lazily instead of queueing the whole horizon up
+/// front, and checkpoint the cursor ([`snapshot`](Self::snapshot) /
+/// [`restore`](Self::restore)) instead of the arrivals.
+#[derive(Debug, Clone)]
+pub struct TraceCursor {
     spec: TraceSpec,
     rng: SimRng,
     /// Independent thinned-Poisson clocks per class.
@@ -81,34 +97,31 @@ pub struct TraceGenerator<'a> {
     cluster_weights: Vec<f64>,
     lc_ids: Vec<ServiceId>,
     be_ids: Vec<ServiceId>,
-    /// Pending burst copies of the last BE arrival.
+    /// Pending burst copies of the last BE arrivals, sorted descending
+    /// by time so the earliest pops off the back.
     pending: Vec<TraceEvent>,
 }
 
-impl<'a> TraceGenerator<'a> {
-    /// Create a generator over `catalog` according to `spec`.
-    pub fn new(catalog: &'a ServiceCatalog, spec: TraceSpec) -> Self {
+impl TraceCursor {
+    /// A cursor at the start of the trace `spec` describes over `catalog`.
+    pub fn new(catalog: &ServiceCatalog, spec: TraceSpec) -> Self {
         let mut rng = SimRng::new(spec.seed);
         let cluster_weights: Vec<f64> = (0..spec.clusters)
             .map(|i| 1.0 / ((i + 1) as f64).powf(spec.cluster_skew))
             .collect();
-        let lc_ids = catalog.lc_ids();
-        let be_ids = catalog.be_ids();
-        let mut gen = TraceGenerator {
-            catalog,
+        let mut cursor = TraceCursor {
             spec,
+            rng: rng.fork(),
             next_lc: SimTime::ZERO,
             next_be: SimTime::ZERO,
             cluster_weights,
-            lc_ids,
-            be_ids,
+            lc_ids: catalog.lc_ids(),
+            be_ids: catalog.be_ids(),
             pending: Vec::new(),
-            rng: SimRng::new(0), // replaced below
         };
-        gen.rng = rng.fork();
-        gen.next_lc = gen.draw_next(ServiceClass::Lc, SimTime::ZERO);
-        gen.next_be = gen.draw_next(ServiceClass::Be, SimTime::ZERO);
-        gen
+        cursor.next_lc = cursor.draw_next(ServiceClass::Lc, SimTime::ZERO);
+        cursor.next_be = cursor.draw_next(ServiceClass::Be, SimTime::ZERO);
+        cursor
     }
 
     fn envelope(&self, class: ServiceClass) -> f64 {
@@ -143,7 +156,12 @@ impl<'a> TraceGenerator<'a> {
         base.scale_f64(factor).max(&Resources::new(1, 1, 0, 0))
     }
 
-    fn make_event(&mut self, class: ServiceClass, at: SimTime) -> Option<TraceEvent> {
+    fn make_event(
+        &mut self,
+        catalog: &ServiceCatalog,
+        class: ServiceClass,
+        at: SimTime,
+    ) -> Option<TraceEvent> {
         let ids = match class {
             ServiceClass::Lc => &self.lc_ids,
             ServiceClass::Be => &self.be_ids,
@@ -153,7 +171,7 @@ impl<'a> TraceGenerator<'a> {
         }
         let service = ids[self.rng.next_below(ids.len() as u64) as usize];
         let origin = ClusterId(self.rng.weighted_index(&self.cluster_weights).unwrap_or(0) as u32);
-        let demand = self.jitter_demand(self.catalog.get(service).min_request);
+        let demand = self.jitter_demand(catalog.get(service).min_request);
         Some(TraceEvent {
             at,
             service,
@@ -164,7 +182,7 @@ impl<'a> TraceGenerator<'a> {
     }
 
     /// Queue extra burst copies after a BE head event.
-    fn maybe_burst(&mut self, head: &TraceEvent) {
+    fn maybe_burst(&mut self, catalog: &ServiceCatalog, head: &TraceEvent) {
         if self.spec.be_burst_mean <= 1.0 {
             return;
         }
@@ -177,7 +195,7 @@ impl<'a> TraceGenerator<'a> {
         for i in 0..extra {
             // burst members share the origin; demands re-jittered, times
             // offset by a few ms so they stay ordered.
-            let base = self.catalog.get(head.service).min_request;
+            let base = catalog.get(head.service).min_request;
             let demand = self.jitter_demand(base);
             let at = head.at + SimTime::from_millis((i as u64 + 1) * 2);
             if at <= self.spec.duration {
@@ -188,25 +206,13 @@ impl<'a> TraceGenerator<'a> {
                 });
             }
         }
-        // keep pending sorted ascending so pop() from the back yields the
-        // earliest... simpler: sort descending and pop from the end.
+        // sorted descending, so pop() from the end yields the earliest
         self.pending.sort_by_key(|e| std::cmp::Reverse(e.at));
     }
 
-    /// Generate the whole trace eagerly.
-    pub fn collect_events(self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for e in self {
-            out.push(e);
-        }
-        out
-    }
-}
-
-impl<'a> Iterator for TraceGenerator<'a> {
-    type Item = TraceEvent;
-
-    fn next(&mut self) -> Option<TraceEvent> {
+    /// The next arrival of the trace, or `None` once it is exhausted.
+    /// `catalog` must be the one the cursor was created over.
+    pub fn next_event(&mut self, catalog: &ServiceCatalog) -> Option<TraceEvent> {
         loop {
             // flush pending burst members that precede both clocks
             if let Some(p) = self.pending.last() {
@@ -230,14 +236,82 @@ impl<'a> Iterator for TraceGenerator<'a> {
                 ServiceClass::Be => self.next_be = next,
             }
             if self.accept(class, at) {
-                if let Some(e) = self.make_event(class, at) {
+                if let Some(e) = self.make_event(catalog, class, at) {
                     if class.is_be() {
-                        self.maybe_burst(&e);
+                        self.maybe_burst(catalog, &e);
                     }
                     return Some(e);
                 }
             }
         }
+    }
+
+    /// Encode the drawn state: the RNG, both class clocks and the
+    /// pending bursts. The spec and everything derived from it are
+    /// rebuilt by [`TraceCursor::new`] at restore time.
+    pub fn snapshot(&self, w: &mut SnapWriter) {
+        self.rng.state().encode(w);
+        self.next_lc.encode(w);
+        self.next_be.encode(w);
+        self.pending.encode(w);
+    }
+
+    /// Overlay a [`snapshot`](Self::snapshot) onto a cursor built from the
+    /// same spec and catalog. Every pending burst must be a BE arrival
+    /// of this catalog from one of the spec's clusters, and the list
+    /// must be sorted descending within `[from, spec.duration]` (`from`
+    /// is the restored clock: a pending burst is never older than the
+    /// arrival the cursor last produced), or the state is
+    /// [`SnapError::Corrupt`].
+    pub fn restore(&mut self, r: &mut SnapReader<'_>, from: SimTime) -> Result<(), SnapError> {
+        let rng = <[u64; 4]>::decode(r)?;
+        let next_lc = SimTime::decode(r)?;
+        let next_be = SimTime::decode(r)?;
+        let pending = Vec::<TraceEvent>::decode(r)?;
+        let valid = |e: &TraceEvent| {
+            e.class == ServiceClass::Be
+                && self.be_ids.contains(&e.service)
+                && e.origin.index() < self.spec.clusters
+                && (from..=self.spec.duration).contains(&e.at)
+        };
+        if !pending.iter().all(valid) || !pending.windows(2).all(|p| p[0].at >= p[1].at) {
+            return Err(SnapError::Corrupt("trace burst"));
+        }
+        self.rng = SimRng::from_state(rng);
+        self.next_lc = next_lc;
+        self.next_be = next_be;
+        self.pending = pending;
+        Ok(())
+    }
+}
+
+/// Iterator producing [`TraceEvent`]s in non-decreasing time order: a
+/// [`TraceCursor`] bound to its catalog.
+pub struct TraceGenerator<'a> {
+    catalog: &'a ServiceCatalog,
+    cursor: TraceCursor,
+}
+
+impl<'a> TraceGenerator<'a> {
+    /// Create a generator over `catalog` according to `spec`.
+    pub fn new(catalog: &'a ServiceCatalog, spec: TraceSpec) -> Self {
+        TraceGenerator {
+            catalog,
+            cursor: TraceCursor::new(catalog, spec),
+        }
+    }
+
+    /// Generate the whole trace eagerly.
+    pub fn collect_events(self) -> Vec<TraceEvent> {
+        self.collect()
+    }
+}
+
+impl Iterator for TraceGenerator<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        self.cursor.next_event(self.catalog)
     }
 }
 
@@ -351,6 +425,51 @@ mod tests {
             }
         }
         assert!(high as f64 > 2.0 * low as f64, "high={high} low={low}");
+    }
+
+    #[test]
+    fn a_restored_cursor_continues_the_trace() {
+        let catalog = ServiceCatalog::standard();
+        let spec = TraceSpec::new(
+            Pattern::new(PatternKind::P3, 40.0, 30.0),
+            4,
+            SimTime::from_secs(20),
+            11,
+        );
+        let whole = TraceGenerator::new(&catalog, spec.clone()).collect_events();
+        let mut cursor = TraceCursor::new(&catalog, spec.clone());
+        // stop inside a burst with at least two copies still pending
+        let mut head = Vec::new();
+        while head.len() < 100 || cursor.pending.len() < 2 {
+            head.push(cursor.next_event(&catalog).expect("a burst comes up"));
+        }
+        let mut w = SnapWriter::new();
+        cursor.snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = TraceCursor::new(&catalog, spec.clone());
+        let from = head.last().unwrap().at;
+        restored
+            .restore(&mut SnapReader::new(&bytes), from)
+            .unwrap();
+        let tail: Vec<TraceEvent> = std::iter::from_fn(|| restored.next_event(&catalog)).collect();
+        assert_eq!([head, tail].concat(), whole);
+
+        // bursts out of order, or older than the restored clock, are corrupt
+        let corrupt = |edit: &dyn Fn(&mut Vec<TraceEvent>), from: SimTime| {
+            let mut c = cursor.clone();
+            edit(&mut c.pending);
+            let mut w = SnapWriter::new();
+            c.snapshot(&mut w);
+            let bytes = w.into_bytes();
+            TraceCursor::new(&catalog, spec.clone()).restore(&mut SnapReader::new(&bytes), from)
+        };
+        assert_eq!(corrupt(&|_| {}, from), Ok(()));
+        let bad = Err(SnapError::Corrupt("trace burst"));
+        assert_eq!(corrupt(&|p| p.reverse(), from), bad);
+        assert_eq!(corrupt(&|_| {}, SimTime::from_secs(21)), bad);
+        assert_eq!(corrupt(&|p| p[0].at = SimTime::from_secs(21), from), bad);
+        assert_eq!(corrupt(&|p| p[0].origin = ClusterId(4), from), bad);
+        assert_eq!(corrupt(&|p| p[0].service = catalog.lc_ids()[0], from), bad);
     }
 
     #[test]

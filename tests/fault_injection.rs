@@ -81,6 +81,9 @@ fn churn_conserves_every_request_and_never_uses_down_nodes() {
         audit.conserved(),
         "requests lost or double-counted: {audit:?}"
     );
+    // invariant 4: no queue, wait list, limbo or transfer holds the id
+    // of a finished (retired) request
+    assert_eq!(audit.dangling, 0, "{audit:?}");
     assert_eq!(audit.total, report.lc_arrived + be_total(&report, &audit));
 }
 
@@ -132,6 +135,7 @@ fn master_failover_reroutes_dispatch_through_a_stand_in() {
     assert!(audit.conserved());
     assert_eq!(report.faults.down_node_dispatches, 0);
     assert_eq!(audit.running_on_down_nodes, 0);
+    assert_eq!(audit.dangling, 0, "{audit:?}");
 }
 
 /// Cloud-enabled, defrag-heavy run whose fault plan crashes migration
@@ -203,6 +207,7 @@ fn migrations_survive_endpoint_crashes_without_losing_requests() {
     // destination bounces it back to the scheduler
     assert!(audit.conserved(), "requests lost: {audit:?}");
     assert_eq!(audit.running_on_down_nodes, 0, "{audit:?}");
+    assert_eq!(audit.dangling, 0, "{audit:?}");
     assert_eq!(report.faults.down_node_dispatches, 0);
     // crashes actually interrupted transfers: some migrations never
     // landed, and at least one arrival bounced off a crashed destination
@@ -240,6 +245,7 @@ fn calm_weather_run_reports_zero_fault_activity() {
     let (report, audit) = EdgeCloudSystem::new(cfg).run_audited(SimTime::from_secs(3), "calm");
     assert_eq!(report.faults, tango::FaultSummary::default());
     assert!(audit.conserved());
+    assert_eq!(audit.dangling, 0, "{audit:?}");
 }
 
 /// Work that runs out at the instant its node crashes has finished: it
@@ -262,4 +268,5 @@ fn work_finishing_at_a_crash_is_booked_not_left_on_the_down_node() {
     assert!(report.faults.node_crashes > 0);
     assert!(audit.conserved(), "requests lost: {audit:?}");
     assert_eq!(audit.running_on_down_nodes, 0, "{audit:?}");
+    assert_eq!(audit.dangling, 0, "{audit:?}");
 }

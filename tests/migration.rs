@@ -59,7 +59,11 @@ fn cloud_and_defrag_are_off_by_default() {
 
 #[test]
 fn migration_heavy_run_matches_pinned_digest_and_actually_migrates() {
-    let r = run(cloud_cfg());
+    let (r, audit) = EdgeCloudSystem::new(cloud_cfg()).run_audited(HORIZON, "cloud");
+    // every request accounted for, and no queue or transfer names a
+    // finished one
+    assert!(audit.conserved(), "{audit:?}");
+    assert_eq!(audit.dangling, 0, "{audit:?}");
     assert!(r.migrations_started > 0, "defrag pass never fired");
     assert_eq!(
         r.migrations_completed,

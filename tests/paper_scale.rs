@@ -25,9 +25,10 @@ fn cfg_104(threads: usize) -> TangoConfig {
 
 #[test]
 fn sharded_104_cluster_run_is_bit_identical_across_thread_counts() {
-    let d1 = EdgeCloudSystem::new(cfg_104(1))
-        .run(HORIZON, "paper-104")
-        .digest();
+    let (report, audit) = EdgeCloudSystem::new(cfg_104(1)).run_audited(HORIZON, "paper-104");
+    assert!(audit.conserved(), "{audit:?}");
+    assert_eq!(audit.dangling, 0, "{audit:?}");
+    let d1 = report.digest();
     assert_eq!(
         d1, PAPER_104_DIGEST,
         "104-cluster digest drifted at 1 thread: {d1:#018x}"

@@ -10,11 +10,18 @@
 //! (truncation, bit flips, version bumps, wrong config) must surface as
 //! a typed `SnapError`, never a panic or a silently wrong resume.
 
+use std::collections::VecDeque;
 use tango::{
-    BePolicy, CheckpointPolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, SnapError,
-    TangoConfig,
+    BePolicy, CheckpointPolicy, CloudConfig, DefragConfig, EdgeCloudSystem, Event, FaultPlan,
+    LcPolicy, NodeRef, SnapError, TangoConfig,
 };
-use tango_types::{ClusterId, SimTime};
+use tango_simcore::KEYED_SEQS;
+use tango_snap::{SnapDecode, SnapEncode, SnapFile, SnapReader, SnapWriter};
+use tango_types::{
+    ClusterId, NodeId, Request, RequestId, RequestState, Resources, ServiceClass, ServiceId,
+    SimTime,
+};
+use tango_workload::{ServiceCatalog, TraceEvent};
 
 /// Uninterrupted-run digests, shared with `refactor_equivalence.rs`.
 const CALM_DIGEST: u64 = 0x6338323c1d6cf929;
@@ -204,34 +211,53 @@ fn garbage_bytes_are_rejected() {
     ));
 }
 
-/// Overwrite the `u32` node id at `offset` into section `tag`'s payload
-/// of a sealed snapshot and re-seal the checksum, so the edited file gets
-/// past every framing check and reaches the section decoders.
-fn with_node_id(sealed: &[u8], tag: u32, offset: usize, id: u32) -> Vec<u8> {
-    let mut bytes = sealed.to_vec();
+/// Replace section `tag`'s payload of a sealed snapshot with
+/// `edit(payload)` and re-seal the checksum, so the edited file gets past
+/// every framing check and reaches the section decoders.
+fn with_section(sealed: &[u8], tag: u32, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
     // magic (8) + format version (2) + fingerprint (8) + section count (4)
+    let mut bytes = sealed[..22].to_vec();
     let mut pos = 22;
-    loop {
-        let t = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        if t == tag {
-            let at = pos + 12 + offset;
-            bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
-            break;
-        }
+    let mut edit = Some(edit);
+    while pos < sealed.len() - 8 {
+        let t = u32::from_le_bytes(sealed[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(sealed[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        let payload = &sealed[pos + 12..pos + 12 + len];
+        let payload = match edit.take() {
+            Some(edit) if t == tag => edit(payload),
+            other => {
+                edit = other;
+                payload.to_vec()
+            }
+        };
+        bytes.extend_from_slice(&t.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
         pos += 12 + len;
     }
-    let body = bytes.len() - 8;
-    let checksum = tango_snap::fnv1a(&bytes[..body]);
-    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    let checksum = tango_snap::checksum(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
+}
+
+/// Overwrite the `u32` node id at `offset` into section `tag`'s payload.
+fn with_node_id(sealed: &[u8], tag: u32, offset: usize, id: u32) -> Vec<u8> {
+    with_section(sealed, tag, |payload| {
+        let mut payload = payload.to_vec();
+        payload[offset..offset + 4].copy_from_slice(&id.to_le_bytes());
+        payload
+    })
+}
+
+fn fixture() -> Vec<u8> {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/calm_mid.snap");
+    std::fs::read(path).expect("committed calm_mid.snap fixture")
 }
 
 #[test]
 fn hostile_node_ids_are_rejected_without_over_allocating() {
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/calm_mid.snap");
-    let bytes = std::fs::read(fixture).expect("committed calm_mid.snap fixture");
+    let bytes = fixture();
     // (section, offset of its first node id, what the decoder reports):
     // the detector's first window follows its width and count, the
     // store's first row follows its count
@@ -282,5 +308,288 @@ fn rl_policies_round_trip_through_checkpoints() {
             "resumed {} run drifted from the uninterrupted one",
             be.name()
         );
+    }
+}
+
+// Section tags of the system snapshot (crates/core/src/snapshot.rs).
+const SEC_LIFECYCLE: u32 = 2;
+const SEC_CLUSTERS: u32 = 3;
+const SEC_ENGINE: u32 = 13;
+
+/// The lifecycle section, split into the parts the hostile-input tests
+/// edit; `rest` is the BE eviction count and the trace cursor, verbatim.
+struct Lifecycle {
+    requests: Vec<Request>,
+    next_request_id: u64,
+    retired: [u64; 3],
+    reserved: Vec<(NodeId, Resources)>,
+    node_wait: Vec<VecDeque<RequestId>>,
+    rest: Vec<u8>,
+}
+
+impl Lifecycle {
+    fn decode(payload: &[u8]) -> Self {
+        let mut r = SnapReader::new(payload);
+        let mut lc = Lifecycle {
+            requests: SnapDecode::decode(&mut r).unwrap(),
+            next_request_id: r.u64().unwrap(),
+            retired: SnapDecode::decode(&mut r).unwrap(),
+            reserved: SnapDecode::decode(&mut r).unwrap(),
+            node_wait: SnapDecode::decode(&mut r).unwrap(),
+            rest: Vec::new(),
+        };
+        lc.rest = payload[payload.len() - r.remaining()..].to_vec();
+        lc
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.requests.encode(&mut w);
+        w.put_u64(self.next_request_id);
+        self.retired.encode(&mut w);
+        self.reserved.encode(&mut w);
+        self.node_wait.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&self.rest);
+        bytes
+    }
+}
+
+fn lifecycle_of(sealed: &[u8]) -> Lifecycle {
+    let file = SnapFile::parse(sealed).unwrap();
+    let mut r = file.section(SEC_LIFECYCLE, "lifecycle").unwrap();
+    let payload: Vec<u8> = (0..r.remaining()).map(|_| r.u8().unwrap()).collect();
+    Lifecycle::decode(&payload)
+}
+
+/// The fixture with its lifecycle section edited.
+fn with_lifecycle(edit: impl FnOnce(&mut Lifecycle)) -> Vec<u8> {
+    with_section(&fixture(), SEC_LIFECYCLE, |payload| {
+        let mut lc = Lifecycle::decode(payload);
+        edit(&mut lc);
+        lc.encode()
+    })
+}
+
+/// The engine section's pending events as `(at, seq, event)`.
+fn engine_entries(sealed: &[u8]) -> Vec<(SimTime, u64, Event)> {
+    let file = SnapFile::parse(sealed).unwrap();
+    let mut r = file.section(SEC_ENGINE, "engine").unwrap();
+    SimTime::decode(&mut r).unwrap();
+    r.u64().unwrap();
+    r.u64().unwrap();
+    SnapDecode::decode(&mut r).unwrap()
+}
+
+fn assert_corrupt(bytes: &[u8], what: &str) {
+    match EdgeCloudSystem::restore(calm_cfg(), bytes) {
+        Err(SnapError::Corrupt(found)) => assert_eq!(found, what),
+        Err(e) => panic!("expected Corrupt({what}), got {e:?}"),
+        Ok(_) => panic!("expected Corrupt({what}), the snapshot restored"),
+    }
+}
+
+/// An id below the next id that names no live request: a retired one.
+fn retired_id(lc: &Lifecycle) -> RequestId {
+    (0..lc.next_request_id)
+        .map(RequestId)
+        .find(|id| lc.requests.iter().all(|q| q.id != *id))
+        .expect("the fixture has retired requests")
+}
+
+#[test]
+fn the_edit_helpers_reproduce_the_fixture() {
+    assert_eq!(with_lifecycle(|_| {}), fixture());
+    let lc = lifecycle_of(&fixture());
+    let live = lc.requests.len() as u64;
+    assert_eq!(live + lc.retired.iter().sum::<u64>(), lc.next_request_id);
+    assert!(lc.retired[0] > 0, "the fixture has completed requests");
+}
+
+#[test]
+fn restore_rejects_a_duplicate_request_id() {
+    let crafted = with_lifecycle(|lc| {
+        let dup = lc.requests[0].clone();
+        lc.requests.push(dup);
+    });
+    assert_corrupt(&crafted, "duplicate request id");
+}
+
+#[test]
+fn restore_rejects_a_request_id_at_or_past_the_next_id() {
+    for past in [0, 1, u64::MAX - 1] {
+        let crafted = with_lifecycle(|lc| {
+            let last = lc.requests.len() - 1;
+            lc.requests[last].id = RequestId(lc.next_request_id.saturating_add(past));
+        });
+        assert_corrupt(&crafted, "request id past the next id");
+    }
+}
+
+#[test]
+fn restore_rejects_a_ledger_that_does_not_add_up() {
+    // a running request sits in no queue, so dropping it leaves only the
+    // ledger short by one
+    let crafted = with_lifecycle(|lc| {
+        let running = lc
+            .requests
+            .iter()
+            .position(|q| matches!(q.state, RequestState::Running { .. }))
+            .expect("the fixture has running requests");
+        lc.requests.remove(running);
+    });
+    assert_corrupt(&crafted, "request ledger");
+    // retired counts that overflow the ledger sum
+    assert_corrupt(
+        &with_lifecycle(|lc| lc.retired = [u64::MAX; 3]),
+        "request ledger",
+    );
+}
+
+#[test]
+fn restore_rejects_queued_ids_that_name_no_live_request() {
+    let gone = retired_id(&lifecycle_of(&fixture()));
+    let crafted = with_section(&fixture(), SEC_CLUSTERS, |payload| {
+        let mut queues: Vec<(VecDeque<RequestId>, VecDeque<RequestId>)> =
+            SnapDecode::decode(&mut SnapReader::new(payload)).unwrap();
+        queues[0].0.push_back(gone);
+        tango_snap::to_bytes(&queues)
+    });
+    assert_corrupt(&crafted, "dangling request id");
+    let crafted = with_lifecycle(|lc| lc.node_wait[1].push_back(gone));
+    assert_corrupt(&crafted, "dangling request id");
+}
+
+/// The fixture with `bursts` (latest first, as the cursor keeps them)
+/// in place of its trace cursor's pending bursts.
+fn with_bursts(bursts: &[SimTime]) -> Vec<u8> {
+    let catalog = ServiceCatalog::standard();
+    with_lifecycle(|lc| {
+        let mut r = SnapReader::new(&lc.rest);
+        let be_evictions = r.u64().unwrap();
+        assert_eq!(r.u8().unwrap(), 1, "the fixture has a trace cursor");
+        let rng = <[u64; 4]>::decode(&mut r).unwrap();
+        let clocks = <(SimTime, SimTime)>::decode(&mut r).unwrap();
+        Vec::<TraceEvent>::decode(&mut r).unwrap();
+        let pending: Vec<TraceEvent> = bursts
+            .iter()
+            .map(|&at| TraceEvent {
+                at,
+                service: catalog.be_ids()[0],
+                class: ServiceClass::Be,
+                origin: ClusterId(0),
+                demand: Resources::cpu_mem(100, 64),
+            })
+            .collect();
+        let mut w = SnapWriter::new();
+        w.put_u64(be_evictions);
+        w.put_u8(1);
+        (rng, clocks, pending).encode(&mut w);
+        lc.rest = w.into_bytes();
+    })
+}
+
+#[test]
+fn restore_rejects_pending_bursts_unsorted_or_outside_the_run() {
+    let clock = EdgeCloudSystem::restore(calm_cfg(), &fixture())
+        .unwrap()
+        .now();
+    let at = |ms| clock + SimTime::from_millis(ms);
+    // in order and inside [clock, horizon]: restores
+    let ok = with_bursts(&[at(4), at(2), at(0)]);
+    EdgeCloudSystem::restore(calm_cfg(), &ok).expect("valid bursts restore");
+    assert_corrupt(&with_bursts(&[at(2), at(4)]), "trace burst");
+    assert_corrupt(
+        &with_bursts(&[clock - SimTime::from_micros(1)]),
+        "trace burst",
+    );
+    assert_corrupt(
+        &with_bursts(&[DURATION + SimTime::from_micros(1)]),
+        "trace burst",
+    );
+}
+
+/// The fixture with its queued arrival's `(seq, event)` edited.
+fn with_arrival(edit: impl FnOnce(&mut u64, &mut Event)) -> Vec<u8> {
+    with_section(&fixture(), SEC_ENGINE, |payload| {
+        let mut r = SnapReader::new(payload);
+        let head = <(SimTime, u64, u64)>::decode(&mut r).unwrap();
+        let mut entries = Vec::<(SimTime, u64, Event)>::decode(&mut r).unwrap();
+        let (_, seq, event) = entries
+            .iter_mut()
+            .find(|(_, _, e)| matches!(e, Event::Arrival { .. }))
+            .expect("the fixture has its next arrival queued");
+        edit(seq, event);
+        tango_snap::to_bytes(&(head, entries))
+    })
+}
+
+#[test]
+fn restore_rejects_a_malformed_queued_arrival() {
+    assert_corrupt(&with_arrival(|seq, _| *seq = KEYED_SEQS), "keyed event seq");
+    let crafted = with_arrival(|_, e| {
+        if let Event::Arrival { service, .. } = e {
+            *service = ServiceId(999);
+        }
+    });
+    assert_corrupt(&crafted, "arrival payload");
+    let crafted = with_arrival(|_, e| {
+        if let Event::Arrival { origin, .. } = e {
+            *origin = ClusterId(2); // calm_cfg has clusters 0 and 1
+        }
+    });
+    assert_corrupt(&crafted, "arrival payload");
+}
+
+/// The migration suite's cloud config: the cloud tier with defrag.
+fn cloud_cfg() -> TangoConfig {
+    let mut cfg = calm_cfg();
+    cfg.workload.be_rps = 24.0;
+    cfg.cloud = Some(CloudConfig::default());
+    cfg.defrag = Some(DefragConfig {
+        every_n_ticks: 2,
+        max_moves: 8,
+        hot_threshold: 0.5,
+        cold_threshold: 0.35,
+    });
+    cfg
+}
+
+#[test]
+fn checkpoints_hold_live_work_only() {
+    // every tick of the churn golden and of the cloud tier with defrag
+    let runs = [
+        (churn_cfg(), DURATION, Some(CHURN_DIGEST)),
+        (cloud_cfg(), SimTime::from_secs(3), None),
+    ];
+    let every_tick = CheckpointPolicy {
+        every_n_ticks: 1,
+        keep_last_k: 0,
+    };
+    for (cfg, horizon, golden) in runs {
+        let (report, checkpoints) = EdgeCloudSystem::new(cfg.clone())
+            .run_checkpointed(horizon, "shape", every_tick)
+            .unwrap();
+        if let Some(golden) = golden {
+            assert_eq!(report.digest(), golden);
+        }
+        assert!(checkpoints.len() >= 29, "{} checkpoints", checkpoints.len());
+        for cp in &checkpoints {
+            let arrivals = engine_entries(&cp.bytes)
+                .iter()
+                .filter(|(_, _, e)| matches!(e, Event::Arrival { .. }))
+                .count();
+            assert!(arrivals <= 1, "{arrivals} arrivals queued at {:?}", cp.at);
+            let lc = lifecycle_of(&cp.bytes);
+            let retired: u64 = lc.retired.iter().sum();
+            assert_eq!(lc.requests.len() as u64 + retired, lc.next_request_id);
+            let resumed = EdgeCloudSystem::restore(cfg.clone(), &cp.bytes).unwrap();
+            assert_eq!(
+                resumed.finish("shape").digest(),
+                report.digest(),
+                "{:?}",
+                cp.at
+            );
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! Snapshot *wire-compatibility* regression test.
 //!
 //! `tests/fixtures/calm_mid.snap` is a committed mid-run checkpoint of
-//! the calm golden scenario, captured before the event queue moved from
-//! a binary heap to the calendar layout. The checkpoint encoder's
-//! contract is that the queue section is serialized sorted by
-//! `(at, seq)` — independent of the queue's in-memory layout — so this
-//! fixture must keep restoring bit-identically, and the current encoder
-//! must keep producing exactly these bytes for the same state.
+//! the calm golden scenario, last regenerated at snapshot format 5 (live
+//! requests only, the trace cursor instead of queued arrivals, the
+//! word-wise checksum). The checkpoint encoder's contract is that the
+//! queue section is serialized sorted by `(at, seq)` — independent of
+//! the queue's in-memory layout — so this fixture must keep restoring
+//! bit-identically, and the current encoder must keep producing exactly
+//! these bytes for the same state.
 //!
 //! If an intentional format change breaks these tests, bump the snapshot
 //! version and regenerate the fixture with
