@@ -43,9 +43,9 @@ fn run_scenario(name: &str, cfg: TangoConfig, horizon: SimTime) -> RunReport {
 fn main() {
     // Learner microbenches first, while the process still looks like a
     // fresh bench_baseline run: the committed figures were measured
-    // before any multi-threaded system scenario touched the allocator
-    // or spun up the worker pool, and running them after the heavy
-    // scenarios below skews them well past real regressions.
+    // before any system scenario touched the allocator, and running them
+    // after the heavy scenarios below skews them well past real
+    // regressions.
     microbench_guard(&baseline_json());
 
     // 104 clusters, short horizon: two sync ticks + a dozen dispatch
@@ -61,53 +61,17 @@ fn main() {
         SimTime::from_millis(250),
     );
 
-    // thread-count invariance at scale: the same short 104-cluster run
-    // must digest identically at 1 and 4 workers
-    let digest = |threads: usize| {
-        let mut cfg = TangoConfig::dual_space(104);
-        cfg.be_policy = BePolicy::LoadGreedy;
-        cfg.parallelism = Some(threads);
-        EdgeCloudSystem::new(cfg)
-            .run(SimTime::from_millis(250), "smoke-digest")
-            .digest()
-    };
-    let (d1, d4) = (digest(1), digest(4));
-    assert_eq!(
-        d1, d4,
-        "104-cluster digest differs across thread counts: {d1:#x} vs {d4:#x}"
-    );
-    println!("smoke/digest/104             0x{d1:016x} at 1 and 4 threads");
-
     // ~1000-node preset under keep-alive detection and node churn, the
     // perfbench `churn_1k` shape: detections and recoveries re-derive
-    // single clusters' candidate-view segments at full scale. Liveness,
-    // then the same digest at 1 and 4 workers.
-    let churn = |threads: usize| {
-        let mut cfg = TangoConfig::paper_scale();
-        cfg.detection = Some(Default::default());
-        cfg.faults = FaultPlan::default().node_churn(
-            SimTime::from_secs(2),
-            SimTime::from_millis(500),
-            cfg.seed ^ 0xC4012,
-        );
-        cfg.parallelism = Some(threads);
-        cfg
-    };
-    const CHURN_MS: u64 = 500;
-    let d1 = run_scenario(
-        "smoke/churn/1000node",
-        churn(1),
-        SimTime::from_millis(CHURN_MS),
-    )
-    .digest();
-    let d4 = EdgeCloudSystem::new(churn(4))
-        .run(SimTime::from_millis(CHURN_MS), "smoke/churn/1000node")
-        .digest();
-    assert_eq!(
-        d1, d4,
-        "1000-node churn digest differs across thread counts: {d1:#x} vs {d4:#x}"
+    // single clusters' candidate-view segments at full scale.
+    let mut churn = TangoConfig::paper_scale();
+    churn.detection = Some(Default::default());
+    churn.faults = FaultPlan::default().node_churn(
+        SimTime::from_secs(2),
+        SimTime::from_millis(500),
+        churn.seed ^ 0xC4012,
     );
-    println!("smoke/churn/1000node         0x{d1:016x} at 1 and 4 threads");
+    run_scenario("smoke/churn/1000node", churn, SimTime::from_millis(500));
 
     // Dispatch-heavy smoke: high arrival rate over a metro region keeps
     // every master's queue non-empty, so every dispatch round plans and

@@ -249,11 +249,12 @@ pub struct TangoConfig {
     pub detection: Option<KeepAliveConfig>,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the deterministic parallel runtime
-    /// (`tango-par`). Resolution order: the `TANGO_THREADS` environment
-    /// variable, then this field, then `available_parallelism()`. Any
-    /// value produces bit-identical results — it only changes wall-clock
-    /// time.
+    /// No run reads this field: each run's event loop is single-threaded,
+    /// and `run_parallel`'s budget across runs comes from `TANGO_THREADS`
+    /// or `available_parallelism()`. It stays only because `perfbench`
+    /// still writes it, and [`config_fingerprint`] masks it.
+    ///
+    /// [`config_fingerprint`]: crate::config_fingerprint
     pub parallelism: Option<usize>,
 }
 

@@ -62,7 +62,7 @@ pub struct SystemCtx<'a> {
     pub(crate) lifecycle: &'a mut LifecycleState,
     /// Dispatch stage state (LC/BE schedulers, central BE queue).
     pub(crate) dispatch: &'a mut DispatchState,
-    /// Sync stage scratch (per-node draft buffer).
+    /// Sync stage scratch.
     pub(crate) sync: &'a mut SyncState,
     /// Fault runtime state (down flags, crash epochs, ledger).
     pub(crate) fault: &'a mut FaultState,
@@ -72,8 +72,6 @@ pub struct SystemCtx<'a> {
     /// Migration stage state (in-flight transfers, defrag cadence,
     /// cloud egress accounting).
     pub(crate) migration: &'a mut crate::migration::MigrationState,
-    /// Deterministic worker pool for the embarrassingly-parallel phases.
-    pub(crate) pool: &'a tango_par::Pool,
     /// Run horizon (completions projected past it are never scheduled).
     pub(crate) horizon: SimTime,
     /// Optional stage-boundary trace sink.

@@ -206,13 +206,12 @@ pub struct RunSpec {
 
 /// Run every spec to its report, results in input order, fanned out
 /// over the process-wide pool ([`tango_par::global`], so `TANGO_THREADS`
-/// bounds it).
+/// bounds it). This is the one place a run's work leaves its thread.
 ///
 /// Tango the system is heavily asynchronous (§6: multiprocessing, thread
-/// pools); the simulation keeps each *run's* event loop single-threaded
-/// for exact determinism and instead parallelizes across runs — which is
-/// what the evaluation needs: Fig. 12 alone is a 4×4 grid of policy
-/// pairings.
+/// pools); the simulation keeps each *run* on one thread for exact
+/// determinism and instead parallelizes across runs — which is what the
+/// evaluation needs: Fig. 12 alone is a 4×4 grid of policy pairings.
 pub fn run_parallel(specs: Vec<RunSpec>) -> Vec<RunReport> {
     tango_par::global().par_map_collect(&specs, |_, spec| {
         EdgeCloudSystem::new(spec.config.clone()).run(spec.duration, &spec.label)

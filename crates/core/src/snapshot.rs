@@ -7,13 +7,12 @@
 //! fault ledger, topology overlays, the state storage, scheduler policy
 //! state, the trace cursor and the pending-event queue (which holds at
 //! most one arrival) — and none of the *rebuildables*: the placed
-//! topology, the service catalog, the trace spec, candidate-view scratch
-//! and the worker pool are all reconstructed from the [`TangoConfig`]
-//! and the horizon at restore time (see DESIGN.md §11 for the
-//! state-vs-cache inventory). Restoring onto
-//! the same config therefore yields a run whose remaining events, RNG
-//! draws and final [`RunReport`] digest are bit-identical to the
-//! uninterrupted run at any thread count.
+//! topology, the service catalog, the trace spec and candidate-view
+//! scratch are all reconstructed from the [`TangoConfig`] and the
+//! horizon at restore time (see DESIGN.md §11 for the state-vs-cache
+//! inventory). Restoring onto the same config therefore yields a run
+//! whose remaining events, RNG draws and final [`RunReport`] digest are
+//! bit-identical to the uninterrupted run.
 //!
 //! The file layout is the `tango-snap` container: magic, format version,
 //! a config fingerprint (FNV-1a over the `Debug` rendering of the config
@@ -28,12 +27,13 @@ use crate::report::RunReport;
 use crate::runtime::Allocator;
 use crate::system::{EdgeCloudSystem, Event};
 use std::collections::VecDeque;
+use tango_faults::FaultEvent;
 use tango_metrics::ExperimentCounters;
 use tango_simcore::{Engine, EventQueue, KEYED_SEQS};
 use tango_snap::{
     fnv1a, snap_enum, snap_record, SnapDecode, SnapEncode, SnapError, SnapFile, SnapFileBuilder,
 };
-use tango_types::{NodeId, Request, RequestId, Resources, SimTime};
+use tango_types::{ClusterId, NodeId, Request, RequestId, Resources, SimTime};
 use tango_workload::{ServiceCatalog, TraceCursor};
 
 snap_enum!(Event, "event tag" {
@@ -60,8 +60,8 @@ snap_record!(InFlight {
 });
 
 /// Fingerprint of everything in the config that shapes results. The
-/// `parallelism` field is masked out first: thread count never changes
-/// behavior, so a snapshot taken at 4 threads restores at 1 (and vice
+/// `parallelism` field, which no run reads, is masked out first, so a
+/// snapshot taken under `Some(4)` restores under `Some(1)` (and vice
 /// versa).
 pub fn config_fingerprint(cfg: &TangoConfig) -> u64 {
     let mut masked = cfg.clone();
@@ -283,6 +283,50 @@ impl Resumed {
     }
 }
 
+/// Check one queued event against the rebuilt system: an arrival must
+/// sit in the keyed sequence range and name a known service and edge
+/// origin, and every node or cluster id an event carries must index the
+/// system's tables, or the event would index past them when it fires.
+fn check_queued(sys: &EdgeCloudSystem, seq: u64, event: &Event) -> Result<(), SnapError> {
+    let node = |n: &NodeId| {
+        (n.index() < sys.nodes.len())
+            .then_some(())
+            .ok_or(SnapError::Corrupt("queued event node"))
+    };
+    let cluster = |c: &ClusterId| {
+        (c.index() < sys.clusters.len())
+            .then_some(())
+            .ok_or(SnapError::Corrupt("queued event cluster"))
+    };
+    match event {
+        Event::Arrival {
+            service, origin, ..
+        } => {
+            if seq >= KEYED_SEQS {
+                return Err(SnapError::Corrupt("keyed event seq"));
+            }
+            if service.index() >= sys.catalog.len() || origin.index() >= sys.cfg.clusters {
+                return Err(SnapError::Corrupt("arrival payload"));
+            }
+            Ok(())
+        }
+        Event::Dispatch(c) => cluster(c),
+        Event::Deliver(_, n, _) | Event::NodeCheck(n, _) | Event::MigrateArrive(_, n, _) => node(n),
+        Event::Fault(FaultEvent::NodeCrash { node: n } | FaultEvent::NodeRecover { node: n }) => {
+            node(n)
+        }
+        Event::Fault(FaultEvent::LinkDegrade { a, b, .. } | FaultEvent::LinkRestore { a, b }) => {
+            cluster(a).and(cluster(b))
+        }
+        Event::Fault(FaultEvent::Partition { side }) => side.iter().try_for_each(cluster),
+        Event::Fault(FaultEvent::Heal)
+        | Event::CentralArrive(_)
+        | Event::BeDispatch
+        | Event::Reassure
+        | Event::Sync => Ok(()),
+    }
+}
+
 impl EdgeCloudSystem {
     /// Encode the system and its engine into a sealed snapshot.
     pub fn snapshot(&self, engine: &Engine<Event>) -> Result<Vec<u8>, SnapError> {
@@ -291,13 +335,14 @@ impl EdgeCloudSystem {
 
     /// Restore a run from snapshot bytes. `cfg` must be the configuration
     /// the snapshot was taken under (checked via fingerprint; the
-    /// thread-count field is ignored). The substrate — topology placement,
+    /// `parallelism` field is ignored). The substrate — topology placement,
     /// node layout, deployed services, policy objects — is rebuilt from
     /// the config, then every dynamic section is overlaid. A request
     /// ledger that does not add up, an id queued anywhere that names no
-    /// live request, a trace cursor out of order and a queued arrival
+    /// live request, a trace cursor out of order, a queued arrival
     /// outside the keyed sequence range or naming an unknown service or
-    /// origin are all [`SnapError::Corrupt`].
+    /// origin, and any queued event naming a node or cluster outside the
+    /// rebuilt system are all [`SnapError::Corrupt`].
     pub fn restore(cfg: TangoConfig, bytes: &[u8]) -> Result<Resumed, SnapError> {
         let file = SnapFile::parse(bytes)?;
         let expected = config_fingerprint(&cfg);
@@ -322,17 +367,7 @@ impl EdgeCloudSystem {
             return Err(SnapError::Corrupt("keyed event seq"));
         }
         for (_, seq, event) in &entries {
-            if let Event::Arrival {
-                service, origin, ..
-            } = event
-            {
-                if *seq >= KEYED_SEQS {
-                    return Err(SnapError::Corrupt("keyed event seq"));
-                }
-                if service.index() >= sys.catalog.len() || origin.index() >= sys.cfg.clusters {
-                    return Err(SnapError::Corrupt("arrival payload"));
-                }
-            }
+            check_queued(&sys, *seq, event)?;
         }
         let engine =
             Engine::from_parts(now, processed, EventQueue::from_entries(entries, next_seq));

@@ -118,10 +118,6 @@ pub struct EdgeCloudSystem {
     pub(crate) ctrl: CtrlState,
     pub(crate) migration: MigrationState,
     pub(crate) horizon: SimTime,
-    /// Deterministic worker pool for the embarrassingly-parallel phases
-    /// (per-type dispatch planning, per-node sync accounting). Thread
-    /// count never changes results, only wall-clock time.
-    pub(crate) pool: tango_par::Pool,
     /// Optional stage-boundary trace sink (None = zero-cost no-op).
     pub(crate) trace: Option<Box<dyn TraceSink + Send>>,
 }
@@ -214,7 +210,6 @@ impl EdgeCloudSystem {
         let lifecycle = LifecycleState::new(nodes.len());
         let fault = FaultState::new(nodes.len());
         let ctrl = CtrlState::from_config(&cfg, nodes.len());
-        let pool = tango_par::Pool::new(tango_par::resolve(cfg.parallelism));
         EdgeCloudSystem {
             cfg,
             catalog,
@@ -241,7 +236,6 @@ impl EdgeCloudSystem {
             ctrl,
             migration,
             horizon: SimTime::MAX,
-            pool,
             trace: None,
         }
     }
@@ -305,7 +299,6 @@ impl EdgeCloudSystem {
             fault: &mut self.fault,
             ctrl: &mut self.ctrl,
             migration: &mut self.migration,
-            pool: &self.pool,
             horizon: self.horizon,
             trace: self.trace.as_deref_mut().map(|t| t as _),
         }
@@ -348,9 +341,7 @@ impl EdgeCloudSystem {
         if let Some((at, key, event)) = self.lifecycle.next_arrival(&self.catalog) {
             engine.schedule_keyed(at, key, event);
         }
-        // fault plan: compiled once, sequentially, before the engine
-        // starts — the resulting schedule is thread-count-invariant by
-        // construction
+        // fault plan: compiled once, before the engine starts
         if !self.cfg.faults.is_empty() {
             let layout = SystemLayout {
                 masters: self.clusters.iter().map(|c| c.master).collect(),

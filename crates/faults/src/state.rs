@@ -106,19 +106,9 @@ impl FaultState {
         self.phys_down[node.index()]
     }
 
-    /// Physically-down flags in node order.
-    pub fn phys_down_slice(&self) -> &[bool] {
-        &self.phys_down
-    }
-
     /// The node's current crash epoch.
     pub fn epoch(&self, node: NodeId) -> u64 {
         self.epochs[node.index()]
-    }
-
-    /// Down flags in node order (for bulk masking).
-    pub fn down_slice(&self) -> &[bool] {
-        &self.down
     }
 
     /// Whether any fault (down node, degraded link, partition) is active —

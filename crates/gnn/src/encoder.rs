@@ -87,33 +87,25 @@ impl AggOp {
 
     /// out = A · h
     ///
-    /// Output rows are independent (row i reads only row i's CSR
-    /// entries), so the row loop fans out over the global pool; each
-    /// row's entries accumulate in CSR order regardless of chunking, so
-    /// the product is bit-identical at any thread count.
+    /// Row i reads only row i's CSR entries and accumulates them in CSR
+    /// order.
     fn apply(&self, h: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.n_rows(), h.cols);
-        let pool = tango_par::global().limit(self.entries.len() * h.cols, 1 << 16);
-        pool.par_chunks_mut(out.as_mut_slice(), h.cols.max(1), |first_row, rows| {
-            for (r, out_row) in rows.chunks_mut(h.cols).enumerate() {
-                for &(src, w) in self.row(first_row + r) {
-                    for (o, &v) in out_row.iter_mut().zip(h.row(src)) {
-                        *o += w * v;
-                    }
+        for i in 0..self.n_rows() {
+            let out_row = out.row_mut(i);
+            for &(src, w) in self.row(i) {
+                for (o, &v) in out_row.iter_mut().zip(h.row(src)) {
+                    *o += w * v;
                 }
             }
-        });
+        }
         out
     }
 
     /// out = Aᵀ · g
     ///
-    /// Stays sequential, although it runs in every A2C training round
-    /// (inside BE `feedback`): row i *scatters* into `out.row_mut(src)`,
-    /// so output rows are shared across input rows and a row-chunked
-    /// fan-out would race, while atomics or a per-worker accumulator
-    /// merge would change each element's float sequence and break the
-    /// bitwise-determinism contract.
+    /// Row i *scatters* into `out.row_mut(src)`, so each output row sums
+    /// its terms in input-row order.
     fn apply_transpose(&self, g: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.n_rows(), g.cols);
         for i in 0..self.n_rows() {
@@ -601,30 +593,6 @@ mod tests {
         let g = chain_graph(3, 2);
         let mut enc = GnnEncoder::new(EncoderKind::Gcn, &[5, 4], 1);
         enc.forward(&g);
-    }
-
-    /// Every encoder kind's forward pass is bit-identical at any thread
-    /// count (the tango-par determinism contract, through the CSR
-    /// aggregation and the matmul kernels).
-    #[test]
-    fn forward_is_thread_count_invariant() {
-        let g = chain_graph(64, 6);
-        let saved = tango_par::threads();
-        for kind in [
-            EncoderKind::Sage { p: 3 },
-            EncoderKind::Gcn,
-            EncoderKind::Gat,
-            EncoderKind::Native,
-        ] {
-            tango_par::set_threads(1);
-            let h1 = GnnEncoder::paper_shape(kind, 6, 32, 16, 11).forward(&g);
-            for t in [2usize, 4] {
-                tango_par::set_threads(t);
-                let ht = GnnEncoder::paper_shape(kind, 6, 32, 16, 11).forward(&g);
-                assert_eq!(ht, h1, "{kind:?} diverged at {t} threads");
-            }
-        }
-        tango_par::set_threads(saved);
     }
 
     /// Topology-determined kinds share one cached operator across layers

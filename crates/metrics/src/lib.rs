@@ -28,7 +28,7 @@ pub mod window;
 
 pub use counters::{Column, Counter, ExperimentCounters, PeriodRecord};
 pub use percentile::percentile;
-pub use qos::{slack_score, NodeWindows, QosDetector};
+pub use qos::{slack_score, QosDetector};
 pub use store::{NodeRole, StateStorage, StoreRow};
 pub use trace::{TraceEvent, TraceLane, TraceRecorder, TraceSink, DEFAULT_TRACE_CAPACITY};
 pub use window::LatencyWindow;

@@ -26,26 +26,17 @@ pub fn slack_score(tail: SimTime, target: SimTime) -> f64 {
     1.0 - tail.as_micros() as f64 / target.as_micros() as f64
 }
 
-/// One node's latency windows, keyed by service. A row of the detector:
-/// the sharded sync loop hands each shard `&mut` rows for its own nodes
-/// so slack queries (whose window pruning mutates state) run in parallel
-/// without cross-node interference.
+/// One node's latency windows, keyed by service: a row of the detector,
+/// indexed by node id.
 #[derive(Debug, Default)]
-pub struct NodeWindows {
+struct NodeWindows {
     windows: FxHashMap<ServiceId, LatencyWindow>,
 }
 
 impl NodeWindows {
     /// p95 tail latency ξ for one service at `now`.
-    pub fn tail(&mut self, service: ServiceId, now: SimTime) -> Option<SimTime> {
+    fn tail(&mut self, service: ServiceId, now: SimTime) -> Option<SimTime> {
         self.windows.get_mut(&service)?.p95(now)
-    }
-
-    /// Slack δ for one service at `now`; `None` when no samples exist in
-    /// the window.
-    pub fn slack(&mut self, service: ServiceId, target: SimTime, now: SimTime) -> Option<f64> {
-        let tail = self.tail(service, now)?;
-        Some(slack_score(tail, target))
     }
 
     /// Services with a window, in sorted order (empty windows included).
@@ -57,9 +48,7 @@ impl NodeWindows {
 }
 
 /// Collects per-(node, service) latency windows and answers slack queries —
-/// the QoS detector of Fig. 3 ➍. Windows are stored as one row per node
-/// ([`NodeWindows`]) so the sync loop can query shards of nodes in
-/// parallel.
+/// the QoS detector of Fig. 3 ➍. Windows are stored as one row per node.
 #[derive(Debug)]
 pub struct QosDetector {
     pub(crate) width: SimTime,
@@ -85,11 +74,6 @@ impl QosDetector {
         if self.nodes.len() < n {
             self.nodes.resize_with(n, NodeWindows::default);
         }
-    }
-
-    /// Mutable rows, indexed by node id, for sharded queries.
-    pub fn rows_mut(&mut self) -> &mut [NodeWindows] {
-        &mut self.nodes
     }
 
     /// Record a completed LC request's latency.

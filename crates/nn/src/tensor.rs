@@ -400,47 +400,41 @@ const ROW_BLOCK: usize = 8;
 /// left operand. Every element is overwritten.
 ///
 /// Output rows go in blocks of [`ROW_BLOCK`]. A block first lists its
-/// rows' terms `(p, a[i][p])` into one buffer per worker, reused for
-/// every block and written without a branch: each term is stored, and
-/// the write position moves past it unless it is skipped, so the zero
-/// test is paid once per term, not once per strip. Then every strip
-/// (see [`strips_of`]) runs over the block while its terms sit in L1: a
-/// strip of one output row stays in registers while its terms run, and
-/// every inner loop is a contiguous axpy over the strip's panel. The
-/// strip loop runs on `kernel`, [`Kernel::detect`]'s choice outside the
-/// tests; both builds give each element the same float sequence. Output
-/// rows are independent, so they fan out over the global pool; no
-/// element's float sequence depends on the partition, hence
-/// bit-identical results at any thread count.
+/// rows' terms `(p, a[i][p])` into one buffer, reused for every block
+/// and written without a branch: each term is stored, and the write
+/// position moves past it unless it is skipped, so the zero test is paid
+/// once per term, not once per strip. Then every strip (see
+/// [`strips_of`]) runs over the block while its terms sit in L1: a strip
+/// of one output row stays in registers while its terms run, and every
+/// inner loop is a contiguous axpy over the strip's panel. The strip
+/// loop runs on `kernel`, [`Kernel::detect`]'s choice outside the tests;
+/// both builds give each element the same float sequence.
 fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
     kernel: Kernel,
-    a: impl Fn(usize) -> R + Sync,
+    a: impl Fn(usize) -> R,
     b: &Packed,
     init: f32,
     out: &mut [f32],
 ) {
     let n = b.n;
     assert!(u32::try_from(b.k).is_ok(), "depth overflows the term index");
-    let pool = tango_par::global().limit(out.len() * b.k, 1 << 17);
-    pool.par_chunks_mut(out, n, |first_row, out_rows| {
-        let mut terms = vec![(0, 0.0); ROW_BLOCK * b.k];
-        let mut ends = [0; ROW_BLOCK];
-        for (block, i0) in out_rows
-            .chunks_mut(ROW_BLOCK * n)
-            .zip((first_row..).step_by(ROW_BLOCK))
-        {
-            let ends = &mut ends[..block.len() / n];
-            let mut l = 0;
-            for (i, end) in (i0..).zip(ends.iter_mut()) {
-                for (p, x) in a(i).enumerate() {
-                    terms[l] = (p as u32, x);
-                    l += usize::from(!(SKIP && x == 0.0));
-                }
-                *end = l;
+    if out.is_empty() {
+        return;
+    }
+    let mut terms = vec![(0, 0.0); ROW_BLOCK * b.k];
+    let mut ends = [0; ROW_BLOCK];
+    for (block, i0) in out.chunks_mut(ROW_BLOCK * n).zip((0..).step_by(ROW_BLOCK)) {
+        let ends = &mut ends[..block.len() / n];
+        let mut l = 0;
+        for (i, end) in (i0..).zip(ends.iter_mut()) {
+            for (p, x) in a(i).enumerate() {
+                terms[l] = (p as u32, x);
+                l += usize::from(!(SKIP && x == 0.0));
             }
-            kernel.strips(&terms, ends, b, init, block);
+            *end = l;
         }
-    });
+        kernel.strips(&terms, ends, b, init, block);
+    }
 }
 
 /// Which build of the strip loop a product runs. Both compile the one
@@ -842,35 +836,5 @@ mod tests {
                     .all(|v| v.to_bits() == (-0.0f32).to_bits()));
             }
         }
-    }
-
-    /// No element's float sequence depends on how rows are chunked, so
-    /// any thread count must match the single-thread result bit for bit
-    /// (the tango-par determinism contract), on every build.
-    #[test]
-    fn kernels_are_thread_count_invariant() {
-        let a = awkward(67, 130, 11);
-        let b = awkward(130, 41, 12);
-        let c = awkward(67, 41, 13);
-        let bt = b.transpose();
-        let saved = tango_par::threads();
-        for kernel in kernels("kernels_are_thread_count_invariant") {
-            let run = || {
-                let mut tm = Matrix::zeros(0, 0);
-                a.t_matmul_on(kernel, &c, &mut tm);
-                (a.matmul_on(kernel, &b), tm, a.matmul_t_on(kernel, &bt))
-            };
-            tango_par::set_threads(1);
-            let (m1, t1, u1) = run();
-            for t in [2usize, 4, 8] {
-                tango_par::set_threads(t);
-                let (mt, tt, ut) = run();
-                let what = format!("threads = {t}, {kernel:?}");
-                assert_bits_eq(&mt, &m1, &format!("matmul, {what}"));
-                assert_bits_eq(&tt, &t1, &format!("t_matmul, {what}"));
-                assert_bits_eq(&ut, &u1, &format!("matmul_t, {what}"));
-            }
-        }
-        tango_par::set_threads(saved);
     }
 }

@@ -1,29 +1,22 @@
-//! Deterministic data-parallel primitives over `std::thread::scope`.
+//! The one fan-out of the workspace: separate experiment runs share
+//! nothing, so `tango::run_parallel` maps them over scoped threads. Each
+//! run's event loop, and every kernel it calls, runs on one thread.
 //!
-//! Some of Tango's loops are data-parallel by construction: the GNN
-//! encoder's aggregation and linear maps are independent per row (§5.3),
-//! the per-node tick phase touches each node in isolation, and separate
-//! experiment runs share nothing. This crate gives those loops a shared
-//! runtime with one hard guarantee:
-//!
-//! **Determinism contract.** Work is split into *statically chunked*
+//! **Determinism contract.** Items are split into *statically chunked*
 //! contiguous ranges (`ceil(len / workers)` items each) and results are
 //! merged in *input order*. Every closure must be a pure function of
 //! `(index, item)`. Under that contract the output is bit-identical for
 //! every thread count, including `threads == 1`, which runs inline on
 //! the caller with zero synchronization overhead.
 //!
-//! There is deliberately **no work stealing**: dynamic scheduling would
-//! make which-worker-ran-what (and therefore any per-worker scratch
-//! reuse pattern) timing-dependent. Static chunking keeps the mapping a
-//! pure function of `(len, threads)`; the cost — imbalance when item
-//! costs vary — is bounded by the fan-outs we run (many small, similar
-//! items), and is the price of reproducible runs.
+//! There is deliberately **no work stealing**: static chunking keeps
+//! which-worker-ran-what a pure function of `(len, threads)`, at the
+//! cost of imbalance when item costs vary.
 //!
 //! Workers are scoped (`std::thread::scope`), so closures may borrow the
 //! caller's stack freely and no pool state outlives a call.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A parallelism budget: how many OS threads a fan-out may use.
 ///
@@ -47,148 +40,14 @@ impl Pool {
         self.threads
     }
 
-    /// This pool, further limited so each worker gets at least
-    /// `min_per_worker` of `units` of work. Keeps tiny inputs inline —
-    /// spawning four threads for a 4×4 matmul costs more than the
-    /// matmul. Thresholding never affects results (the contract makes
-    /// every thread count bit-identical), only where time is spent.
-    pub fn limit(&self, units: usize, min_per_worker: usize) -> Pool {
-        let cap = units / min_per_worker.max(1);
-        Pool {
-            threads: self.threads.min(cap.max(1)),
-        }
-    }
-
-    /// How many workers a fan-out over `len` items actually uses.
-    fn workers_for(&self, len: usize) -> usize {
-        self.threads.min(len.max(1))
-    }
-
-    /// Run `f` over statically chunked row ranges of `data`, in
-    /// parallel. `data.len()` must be a multiple of `stride` (one row =
-    /// `stride` elements; chunk boundaries always fall on row
-    /// boundaries). `f(first_row, chunk)` receives the global index of
-    /// its first row. Chunk 0 runs on the calling thread.
-    pub fn par_chunks_mut<T: Send>(
-        &self,
-        data: &mut [T],
-        stride: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        if data.is_empty() {
-            return;
-        }
-        debug_assert!(
-            stride > 0 && data.len().is_multiple_of(stride),
-            "ragged rows"
-        );
-        let rows = data.len() / stride.max(1);
-        let workers = self.workers_for(rows);
-        if workers == 1 {
-            f(0, data);
-            return;
-        }
-        let rows_per = rows.div_ceil(workers);
-        let mut chunks = data.chunks_mut(rows_per * stride);
-        let first = chunks.next().expect("nonempty data has a first chunk");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let f = &f;
-                    scope.spawn(move || f((i + 1) * rows_per, chunk))
-                })
-                .collect();
-            f(0, first);
-            for h in handles {
-                h.join().expect("tango-par worker panicked");
-            }
-        });
-    }
-
-    /// Run `f` over caller-chosen contiguous *parts* of three
-    /// equal-length slices, in parallel: `f(first_index, a, b, c)` once
-    /// per part. `bounds` lists the ascending end offset of each part;
-    /// the last bound must equal the slice length. Part 0 runs on the
-    /// calling thread.
-    ///
-    /// This is the shard primitive for structure-aligned fan-outs (one
-    /// part per group of clusters, never splitting a cluster), where the
-    /// even `ceil(len/workers)` chunking of [`Pool::par_chunks_mut`]
-    /// would cut through a group. The determinism contract is the same —
-    /// each part writes only its own elements, so the part layout can
-    /// never affect results, only where time is spent.
-    pub fn par_parts_zip3_mut<A: Send, B: Send, C: Send>(
-        &self,
-        bounds: &[usize],
-        a: &mut [A],
-        b: &mut [B],
-        c: &mut [C],
-        f: impl Fn(usize, &mut [A], &mut [B], &mut [C]) + Sync,
-    ) {
-        assert_eq!(a.len(), b.len(), "par_parts_zip3_mut length mismatch");
-        assert_eq!(a.len(), c.len(), "par_parts_zip3_mut length mismatch");
-        if a.is_empty() {
-            assert!(
-                bounds.is_empty() || bounds == [0],
-                "nonempty bounds over empty slices"
-            );
-            return;
-        }
-        assert_eq!(
-            bounds.last().copied(),
-            Some(a.len()),
-            "last bound must equal the slice length"
-        );
-        if self.threads == 1 || bounds.len() == 1 {
-            let mut start = 0;
-            for &end in bounds {
-                assert!(end >= start, "bounds must be ascending");
-                f(
-                    start,
-                    &mut a[start..end],
-                    &mut b[start..end],
-                    &mut c[start..end],
-                );
-                start = end;
-            }
-            return;
-        }
-        let mut parts = Vec::with_capacity(bounds.len());
-        let (mut ra, mut rb, mut rc) = (a, b, c);
-        let mut start = 0;
-        for &end in bounds {
-            assert!(end >= start, "bounds must be ascending");
-            let (pa, ta) = ra.split_at_mut(end - start);
-            let (pb, tb) = rb.split_at_mut(end - start);
-            let (pc, tc) = rc.split_at_mut(end - start);
-            parts.push((start, pa, pb, pc));
-            (ra, rb, rc) = (ta, tb, tc);
-            start = end;
-        }
-        std::thread::scope(|scope| {
-            let mut parts = parts.into_iter();
-            let head = parts.next().expect("nonempty bounds have a first part");
-            let handles: Vec<_> = parts
-                .map(|(first, pa, pb, pc)| {
-                    let f = &f;
-                    scope.spawn(move || f(first, pa, pb, pc))
-                })
-                .collect();
-            f(head.0, head.1, head.2, head.3);
-            for h in handles {
-                h.join().expect("tango-par worker panicked");
-            }
-        });
-    }
-
     /// Map every item through `f`, collecting results in input order.
+    /// Chunk 0 runs on the calling thread.
     pub fn par_map_collect<I: Sync, R: Send>(
         &self,
         items: &[I],
         f: impl Fn(usize, &I) -> R + Sync,
     ) -> Vec<R> {
-        let workers = self.workers_for(items.len());
+        let workers = self.threads.min(items.len().max(1));
         if workers == 1 {
             return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
         }
@@ -226,52 +85,24 @@ impl Pool {
     }
 }
 
-/// Global thread budget: 0 = not yet resolved.
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// The process-wide thread budget: [`resolve`] with no config value,
-/// cached on first use. [`set_threads`] overrides it at any time.
+/// The process-wide thread budget, resolved on first use and cached:
+/// the `TANGO_THREADS` environment variable when it holds a count ≥ 1,
+/// else [`std::thread::available_parallelism`].
 pub fn threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => {
-            let t = resolve(None);
-            THREADS.store(t, Ordering::Relaxed);
-            t
-        }
-        t => t,
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("TANGO_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
-/// Override the process-wide thread budget (clamped to ≥ 1). Intended
-/// for benches sweeping thread counts and tests pinning both sides of a
-/// determinism comparison; the simulation runtime carries its own
-/// per-system [`Pool`] resolved from its config instead.
-pub fn set_threads(threads: usize) {
-    THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide pool: the compute kernels (matmul, CSR aggregation)
-/// and `tango::run_parallel`'s experiment runs share it.
+/// The process-wide pool of [`threads`] workers, which
+/// `tango::run_parallel`'s experiment runs share.
 pub fn global() -> Pool {
     Pool::new(threads())
-}
-
-/// Resolve a config-level thread request: `TANGO_THREADS` wins, then the
-/// explicit config value, then [`std::thread::available_parallelism`].
-pub fn resolve(config: Option<usize>) -> usize {
-    if let Ok(v) = std::env::var("TANGO_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    match config {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
 }
 
 #[cfg(test)]
@@ -292,87 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_covers_every_row_once() {
-        for t in [1, 2, 5, 16] {
-            let mut data = vec![0u32; 10 * 7]; // 10 rows of stride 7
-            Pool::new(t).par_chunks_mut(&mut data, 7, |first_row, chunk| {
-                for (r, row) in chunk.chunks_mut(7).enumerate() {
-                    for v in row.iter_mut() {
-                        *v += (first_row + r) as u32 + 1;
-                    }
-                }
-            });
-            let want: Vec<u32> = (0..10u32).flat_map(|r| [r + 1; 7]).collect();
-            assert_eq!(data, want, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn parts_zip3_respects_caller_bounds() {
-        for t in [1, 2, 4, 16] {
-            let mut a: Vec<u64> = (0..20).collect();
-            let mut b = vec![0u64; 20];
-            let mut c = vec![0u64; 20];
-            // ragged parts: [0..3), [3..10), [10..11), [11..20)
-            let bounds = [3usize, 10, 11, 20];
-            Pool::new(t).par_parts_zip3_mut(
-                &bounds,
-                &mut a,
-                &mut b,
-                &mut c,
-                |first, xa, xb, xc| {
-                    for (j, ((x, y), z)) in
-                        xa.iter().zip(xb.iter_mut()).zip(xc.iter_mut()).enumerate()
-                    {
-                        assert_eq!(*x as usize, first + j);
-                        *y = *x * 3;
-                        *z = first as u64;
-                    }
-                },
-            );
-            assert_eq!(b, (0..20).map(|x| x * 3).collect::<Vec<u64>>(), "t = {t}");
-            let want_c: Vec<u64> = (0..20u64)
-                .map(|i| match i {
-                    0..=2 => 0,
-                    3..=9 => 3,
-                    10 => 10,
-                    _ => 11,
-                })
-                .collect();
-            assert_eq!(c, want_c, "t = {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "last bound must equal")]
-    fn parts_zip3_rejects_short_bounds() {
-        let mut a = [0u8; 4];
-        let mut b = [0u8; 4];
-        let mut c = [0u8; 4];
-        Pool::new(2).par_parts_zip3_mut(&[2], &mut a, &mut b, &mut c, |_, _, _, _| {});
-    }
-
-    #[test]
     fn empty_inputs_are_noops() {
-        let p = Pool::new(8);
-        assert!(p.par_map_collect(&Vec::<u8>::new(), |_, &x| x).is_empty());
-        p.par_chunks_mut(&mut Vec::<u8>::new(), 1, |_, _| panic!("no chunks"));
-        p.par_parts_zip3_mut(
-            &[],
-            &mut [0u8; 0],
-            &mut [0u8; 0],
-            &mut [0u8; 0],
-            |_, _, _, _| panic!("no parts"),
-        );
-    }
-
-    #[test]
-    fn limit_keeps_small_work_inline() {
-        let p = Pool::new(8);
-        assert_eq!(p.limit(10, 100).threads(), 1);
-        assert_eq!(p.limit(1000, 100).threads(), 8);
-        assert_eq!(p.limit(250, 100).threads(), 2);
-        assert_eq!(p.limit(0, 0).threads(), 1);
+        assert!(Pool::new(8)
+            .par_map_collect(&Vec::<u8>::new(), |_, &x| x)
+            .is_empty());
     }
 
     #[test]

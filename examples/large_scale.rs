@@ -1,14 +1,14 @@
 //! Large-scale hybrid-cluster comparison (Fig. 13 in miniature): Tango vs
 //! CERES (elastic local allocation, no cross-cluster scheduling) vs DSACO
 //! (intelligent distributed offloading, no mixed-workload allocation) on
-//! a dual-space deployment, driven through the sharded sync runtime.
+//! a dual-space deployment, driven through the paper-scale runtime.
 //!
 //! The paper runs 104 clusters / ~1000 nodes for many minutes; this
 //! example defaults to 12 clusters × 20 s so it completes in seconds.
 //! Pass a cluster count — and optionally a total node-count target, which
 //! tunes the per-cluster worker draw — to scale it up to the paper's
-//! shape (thread count comes from `TANGO_THREADS` or defaults to the
-//! host):
+//! shape. The three systems run side by side, one thread each, up to
+//! `TANGO_THREADS` (default: the host's core count) at once:
 //!
 //! ```sh
 //! cargo run --release --example large_scale -- 30

@@ -3,20 +3,20 @@
 //! Two runs of the same configuration must be bit-identical — that is the
 //! determinism contract every scheduler and substrate in this repo keeps.
 //! When the contract breaks (a nondeterministic map iteration, an
-//! unseeded RNG, a thread-order dependence), the final `RunReport::digest`
+//! unseeded RNG, a dependence on hash order), the final `RunReport::digest`
 //! tells you *that* the runs diverged but not *when*. This tool finds the
 //! first tick at which they diverge:
 //!
 //! 1. **Record**: run scenario A, snapshotting at every sync tick, and
 //!    keep an FNV-1a digest of each snapshot's bytes.
-//! 2. **Replay**: run B — the same config at a different thread count —
-//!    the same way, then restore B's mid-run checkpoint and re-snapshot
-//!    tick by tick from there (the record/replay path).
+//! 2. **Replay**: run B — a second run of the same config — the same
+//!    way, then restore B's mid-run checkpoint and re-snapshot tick by
+//!    tick from there (the record/replay path).
 //! 3. **Bisect**: compare the per-tick digest streams and report the
 //!    first tick where they disagree, or confirm bit-identity.
 //!
-//! Usage: `cargo run --release --example snap_bisect [calm|churn] [threads_b]`
-//! (defaults: `calm`, `4`; run A always uses 1 thread).
+//! Usage: `cargo run --release --example snap_bisect [calm|churn]`
+//! (default: `calm`).
 
 use tango::{
     BePolicy, Checkpoint, CheckpointPolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef,
@@ -71,21 +71,14 @@ fn record(cfg: TangoConfig, label: &str) -> (u64, Vec<Checkpoint>) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let name = args.next().unwrap_or_else(|| "calm".to_string());
-    let threads_b: usize = args
-        .next()
-        .map(|s| s.parse().expect("threads_b must be a number"))
-        .unwrap_or(4);
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "calm".to_string());
+    let cfg = scenario(&name);
 
-    let mut cfg_a = scenario(&name);
-    cfg_a.parallelism = Some(1);
-    let mut cfg_b = scenario(&name);
-    cfg_b.parallelism = Some(threads_b);
-
-    println!("scenario {name}: run A at 1 thread, run B at {threads_b} threads");
-    let (digest_a, ticks_a) = record(cfg_a, "bisect-a");
-    let (digest_b, ticks_b) = record(cfg_b.clone(), "bisect-b");
+    println!("scenario {name}: runs A and B of one config");
+    let (digest_a, ticks_a) = record(cfg.clone(), "bisect-a");
+    let (digest_b, ticks_b) = record(cfg.clone(), "bisect-b");
     println!(
         "run A final digest: {digest_a:#018x} ({} ticks)",
         ticks_a.len()
@@ -110,7 +103,7 @@ fn main() {
             std::process::exit(1);
         }
         None => println!(
-            "all {} per-tick snapshots are bit-identical across thread counts",
+            "all {} per-tick snapshots are bit-identical across the two runs",
             ticks_a.len().min(ticks_b.len())
         ),
     }
@@ -119,7 +112,7 @@ fn main() {
     // tick; every digest must rejoin the recorded stream
     let mid = ticks_b.len() / 2;
     let mut resumed =
-        EdgeCloudSystem::restore(cfg_b, &ticks_b[mid].bytes).expect("restore mid-run checkpoint");
+        EdgeCloudSystem::restore(cfg, &ticks_b[mid].bytes).expect("restore mid-run checkpoint");
     let mut replay_divergence = None;
     for original in &ticks_b[mid + 1..] {
         resumed.run_to(original.at);

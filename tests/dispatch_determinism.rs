@@ -5,8 +5,8 @@
 //! order and each plans against the reservations of the rounds before
 //! it. These tests pin that with golden digests of a *dispatch-heavy*
 //! scenario (arrival rate high enough that every round carries work for
-//! every cluster) in calm weather and under fault churn, compared across
-//! 1/4/8 workers — plus a conflict-path scenario where two clusters plan
+//! every cluster) in calm weather and under fault churn — plus a
+//! conflict-path scenario where two clusters plan
 //! onto the *same* nearly-full workers every round, so each round must
 //! see what the other just reserved (conflicts resolved by cluster
 //! ordering, never by requeue).
@@ -14,12 +14,10 @@
 use tango::{BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport, TangoConfig};
 use tango_types::{ClusterId, SimTime};
 
-/// Golden digest of `dispatch_heavy_calm()` run for 2 s, captured at
-/// `TANGO_THREADS=1`.
+/// Golden digest of `dispatch_heavy_calm()` run for 2 s.
 const HEAVY_CALM_DIGEST: u64 = 0xb7f3d61af8535834;
 
-/// Golden digest of `dispatch_heavy_churn()` run for 2 s, captured at
-/// `TANGO_THREADS=1`.
+/// Golden digest of `dispatch_heavy_churn()` run for 2 s.
 const HEAVY_CHURN_DIGEST: u64 = 0x3d287885ad1e8f2e;
 
 /// Golden digest of `shared_node_conflict()` run for 2 s.
@@ -82,74 +80,49 @@ fn shared_node_conflict() -> TangoConfig {
     cfg
 }
 
-fn run_with(mut cfg: TangoConfig, threads: usize) -> RunReport {
-    cfg.parallelism = Some(threads);
+fn run(cfg: TangoConfig) -> RunReport {
     EdgeCloudSystem::new(cfg).run(SimTime::from_secs(2), "dispatch-det")
 }
 
 #[test]
 fn heavy_calm_digest_is_pinned_and_thread_invariant() {
-    let one = run_with(dispatch_heavy_calm(), 1);
-    assert!(one.lc_arrived > 1_000, "scenario is not dispatch-heavy");
+    let report = run(dispatch_heavy_calm());
+    assert!(report.lc_arrived > 1_000, "scenario is not dispatch-heavy");
     assert_eq!(
-        one.digest(),
+        report.digest(),
         HEAVY_CALM_DIGEST,
         "dispatch-heavy calm digest drifted (report: {})",
-        one.summary()
+        report.summary()
     );
-    for threads in [4usize, 8] {
-        let t = run_with(dispatch_heavy_calm(), threads);
-        assert_eq!(
-            t.digest(),
-            one.digest(),
-            "digest diverged at {threads} workers"
-        );
-    }
 }
 
 #[test]
 fn heavy_churn_digest_is_pinned_and_thread_invariant() {
-    let one = run_with(dispatch_heavy_churn(), 1);
-    assert!(one.lc_arrived > 1_000, "scenario is not dispatch-heavy");
+    let report = run(dispatch_heavy_churn());
+    assert!(report.lc_arrived > 1_000, "scenario is not dispatch-heavy");
     assert_eq!(
-        one.digest(),
+        report.digest(),
         HEAVY_CHURN_DIGEST,
         "dispatch-heavy churn digest drifted (report: {})",
-        one.summary()
+        report.summary()
     );
-    for threads in [4usize, 8] {
-        let t = run_with(dispatch_heavy_churn(), threads);
-        assert_eq!(
-            t.digest(),
-            one.digest(),
-            "digest diverged at {threads} workers"
-        );
-    }
 }
 
 #[test]
 fn shared_node_conflict_serializes_identically() {
-    let one = run_with(shared_node_conflict(), 1);
+    let report = run(shared_node_conflict());
     // The scenario must really contend: far more arrivals than two
     // nearly-full workers can absorb, yet some work completes.
-    assert!(one.lc_arrived > 400, "not enough load for contention");
-    assert!(one.lc_completed > 0, "nothing completed");
+    assert!(report.lc_arrived > 400, "not enough load for contention");
+    assert!(report.lc_completed > 0, "nothing completed");
     assert!(
-        one.lc_completed < one.lc_arrived,
+        report.lc_completed < report.lc_arrived,
         "workers absorbed everything — nodes are not nearly full"
     );
     assert_eq!(
-        one.digest(),
+        report.digest(),
         CONFLICT_DIGEST,
         "conflict-path digest drifted (report: {})",
-        one.summary()
+        report.summary()
     );
-    for threads in [4usize, 8] {
-        let t = run_with(shared_node_conflict(), threads);
-        assert_eq!(
-            t.digest(),
-            one.digest(),
-            "conflict-path digest diverged at {threads} workers"
-        );
-    }
 }

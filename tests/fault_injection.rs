@@ -1,7 +1,7 @@
 //! End-to-end fault-injection tests: the tango-faults subsystem wired
 //! through the whole system must (a) never lose a request or leave one
-//! on a dead node, (b) actually reroute interrupted work, and (c) stay
-//! bit-identical across thread counts even under heavy churn.
+//! on a dead node, (b) actually reroute interrupted work, and (c) replay
+//! bit-identically even under heavy churn.
 
 use tango::{
     BePolicy, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunAudit, RunReport, TangoConfig,
@@ -11,7 +11,7 @@ use tango_types::{ClusterId, SimTime};
 /// The acceptance scenario from the issue: at least three node crashes
 /// (two timed + staggered recoveries, plus seeded churn on top) and one
 /// link degradation, on the physical-testbed layout.
-fn churn_cfg(threads: Option<usize>) -> TangoConfig {
+fn churn_cfg() -> TangoConfig {
     let mut cfg = TangoConfig::physical_testbed();
     cfg.clusters = 3;
     cfg.topology.clusters = 3;
@@ -19,7 +19,6 @@ fn churn_cfg(threads: Option<usize>) -> TangoConfig {
     cfg.workload.be_rps = 12.0;
     cfg.lc_policy = LcPolicy::DssLc;
     cfg.be_policy = BePolicy::LoadGreedy;
-    cfg.parallelism = threads;
     cfg.faults = FaultPlan::new()
         .crash_for(
             SimTime::from_secs(1),
@@ -50,13 +49,13 @@ fn churn_cfg(threads: Option<usize>) -> TangoConfig {
     cfg
 }
 
-fn run_churn(threads: usize) -> (RunReport, RunAudit) {
-    EdgeCloudSystem::new(churn_cfg(Some(threads))).run_audited(SimTime::from_secs(10), "churn")
+fn run_churn() -> (RunReport, RunAudit) {
+    EdgeCloudSystem::new(churn_cfg()).run_audited(SimTime::from_secs(10), "churn")
 }
 
 #[test]
 fn churn_conserves_every_request_and_never_uses_down_nodes() {
-    let (report, audit) = run_churn(1);
+    let (report, audit) = run_churn();
     let f = &report.faults;
 
     // the scenario actually happened: ≥ 3 crashes, a degraded link, a
@@ -93,10 +92,13 @@ fn be_total(report: &RunReport, audit: &RunAudit) -> u64 {
     audit.total - report.lc_arrived
 }
 
+/// No pin covers this scenario, so two runs of one config check that it
+/// replays bit-identically. Each run is on one thread, so thread count
+/// cannot move it.
 #[test]
 fn churn_heavy_run_is_bit_identical_across_thread_counts() {
-    let (a_report, a_audit) = run_churn(1);
-    let (b_report, b_audit) = run_churn(4);
+    let (a_report, a_audit) = run_churn();
+    let (b_report, b_audit) = run_churn();
     assert!(a_report.faults.node_crashes >= 3, "scenario too calm");
     assert_eq!(a_audit, b_audit);
     assert_eq!(a_report.faults, b_report.faults);
@@ -144,7 +146,7 @@ fn master_failover_reroutes_dispatch_through_a_stand_in() {
 /// 10 ms after defrag boundaries land while checkpoints are in flight.
 /// Cluster 2 is the cloud tier (destinations); clusters 0–1 are the hot
 /// edge (sources).
-fn migration_churn_cfg(threads: Option<usize>) -> TangoConfig {
+fn migration_churn_cfg() -> TangoConfig {
     let mut cfg = TangoConfig::physical_testbed();
     cfg.clusters = 2;
     cfg.topology.clusters = 2;
@@ -152,7 +154,6 @@ fn migration_churn_cfg(threads: Option<usize>) -> TangoConfig {
     cfg.workload.be_rps = 24.0;
     cfg.lc_policy = LcPolicy::DssLc;
     cfg.be_policy = BePolicy::LoadGreedy;
-    cfg.parallelism = threads;
     cfg.cloud = Some(tango::CloudConfig::default());
     cfg.defrag = Some(tango::DefragConfig {
         every_n_ticks: 2,
@@ -198,7 +199,7 @@ fn migration_churn_cfg(threads: Option<usize>) -> TangoConfig {
 #[test]
 fn migrations_survive_endpoint_crashes_without_losing_requests() {
     let (report, audit) =
-        EdgeCloudSystem::new(migration_churn_cfg(Some(1))).run_audited(SimTime::from_secs(5), "mc");
+        EdgeCloudSystem::new(migration_churn_cfg()).run_audited(SimTime::from_secs(5), "mc");
     // the scenario is live: migrations actually started, crashes hit
     assert!(report.migrations_started > 0, "defrag never fired");
     assert!(report.faults.node_crashes >= 6);
@@ -224,12 +225,13 @@ fn migrations_survive_endpoint_crashes_without_losing_requests() {
     );
 }
 
+/// Two runs of one config, as for the churn run above.
 #[test]
 fn migration_churn_is_bit_identical_across_thread_counts() {
-    let (a_report, a_audit) =
-        EdgeCloudSystem::new(migration_churn_cfg(Some(1))).run_audited(SimTime::from_secs(5), "mc");
-    let (b_report, b_audit) =
-        EdgeCloudSystem::new(migration_churn_cfg(Some(4))).run_audited(SimTime::from_secs(5), "mc");
+    let run =
+        || EdgeCloudSystem::new(migration_churn_cfg()).run_audited(SimTime::from_secs(5), "mc");
+    let (a_report, a_audit) = run();
+    let (b_report, b_audit) = run();
     assert!(a_report.migrations_started > 0);
     assert_eq!(a_audit, b_audit);
     assert_eq!(a_report.faults, b_report.faults);

@@ -10,11 +10,8 @@
 //! The stream is the scheduler's own state encoding (`build_graph`,
 //! `context_mask`) over [`ROWS`] candidates in four clusters. In every
 //! step a quarter of the rows are infeasible or dead, so the mask-aware
-//! paths of each learner run. The digests must hold at 1, 4 and 8
-//! threads: the kernels keep each output element's float sequence fixed
-//! whatever the partition.
+//! paths of each learner run.
 
-use std::sync::Mutex;
 use tango_gnn::{EncoderKind, FeatureGraph};
 use tango_rl::{A2cAgent, A2cConfig, Agent, SacAgent, SacConfig, Td3Agent, Td3Config};
 use tango_sched::dcg_be::{build_graph, context_mask, FEATURE_DIM};
@@ -22,9 +19,6 @@ use tango_sched::CandidateNode;
 use tango_simcore::SimRng;
 use tango_snap::fnv1a;
 use tango_types::{ClusterId, NodeId, Resources, SimTime};
-
-/// Serializes tests that flip the process-global thread count.
-static GLOBAL_THREADS: Mutex<()> = Mutex::new(());
 
 /// Candidate rows per decision.
 const ROWS: usize = 24;
@@ -194,46 +188,31 @@ fn td3() -> Td3Agent {
     })
 }
 
-/// Run `digest` at 1, 4 and 8 threads and check each against `golden`.
-fn pinned_at_every_thread_count(name: &str, golden: u64, digest: impl Fn() -> u64) {
-    let got: Vec<(usize, u64)> = {
-        let _guard = GLOBAL_THREADS
-            .lock()
-            .expect("a thread-count test panicked while holding the lock");
-        let saved = tango_par::threads();
-        let got = [1usize, 4, 8]
-            .into_iter()
-            .map(|t| {
-                tango_par::set_threads(t);
-                (t, digest())
-            })
-            .collect();
-        tango_par::set_threads(saved);
-        got
-    };
-    for (t, d) in got {
-        assert_eq!(d, golden, "{name} at {t} threads: {d:#018x}");
-    }
+/// Check a learner's state digest against its pin.
+fn pinned(name: &str, golden: u64, digest: u64) {
+    assert_eq!(digest, golden, "{name}: {digest:#018x}");
 }
 
 #[test]
 fn a2c_sage_learner_state_is_pinned() {
-    pinned_at_every_thread_count("a2c/sage", A2C_SAGE_DIGEST, || {
-        digest(a2c(EncoderKind::Sage { p: 3 }))
-    });
+    pinned(
+        "a2c/sage",
+        A2C_SAGE_DIGEST,
+        digest(a2c(EncoderKind::Sage { p: 3 })),
+    );
 }
 
 #[test]
 fn a2c_gat_learner_state_is_pinned() {
-    pinned_at_every_thread_count("a2c/gat", A2C_GAT_DIGEST, || digest(a2c(EncoderKind::Gat)));
+    pinned("a2c/gat", A2C_GAT_DIGEST, digest(a2c(EncoderKind::Gat)));
 }
 
 #[test]
 fn sac_learner_state_is_pinned() {
-    pinned_at_every_thread_count("sac", SAC_DIGEST, || digest(sac()));
+    pinned("sac", SAC_DIGEST, digest(sac()));
 }
 
 #[test]
 fn td3_learner_state_is_pinned() {
-    pinned_at_every_thread_count("td3", TD3_DIGEST, || digest(td3()));
+    pinned("td3", TD3_DIGEST, digest(td3()));
 }

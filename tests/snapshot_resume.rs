@@ -12,8 +12,8 @@
 
 use std::collections::VecDeque;
 use tango::{
-    BePolicy, CheckpointPolicy, CloudConfig, DefragConfig, EdgeCloudSystem, Event, FaultPlan,
-    LcPolicy, NodeRef, SnapError, TangoConfig,
+    BePolicy, CheckpointPolicy, CloudConfig, DefragConfig, EdgeCloudSystem, Event, FaultEvent,
+    FaultPlan, LcPolicy, NodeRef, SnapError, TangoConfig,
 };
 use tango_simcore::KEYED_SEQS;
 use tango_snap::{SnapDecode, SnapEncode, SnapFile, SnapReader, SnapWriter};
@@ -539,6 +539,71 @@ fn restore_rejects_a_malformed_queued_arrival() {
         }
     });
     assert_corrupt(&crafted, "arrival payload");
+}
+
+/// The fixture with `event` queued at its clock, behind every event it
+/// already holds.
+fn with_queued(event: Event) -> Vec<u8> {
+    with_section(&fixture(), SEC_ENGINE, |payload| {
+        let mut r = SnapReader::new(payload);
+        let (now, processed, next_seq) = <(SimTime, u64, u64)>::decode(&mut r).unwrap();
+        let mut entries = Vec::<(SimTime, u64, Event)>::decode(&mut r).unwrap();
+        entries.push((now, next_seq, event));
+        tango_snap::to_bytes(&((now, processed, next_seq + 1), entries))
+    })
+}
+
+#[test]
+fn restore_rejects_queued_events_that_name_an_unknown_node_or_cluster() {
+    let bytes = fixture();
+    let live = lifecycle_of(&bytes).requests[0].id;
+    // every event kind that carries a node or cluster id, naming `node`
+    // or `cluster` there, with the error a bad id must give
+    let events = |node: NodeId, cluster: ClusterId| {
+        let (nodes, clusters) = ("queued event node", "queued event cluster");
+        [
+            (Event::Dispatch(cluster), clusters),
+            (Event::Deliver(live, node, 0), nodes),
+            (Event::NodeCheck(node, 0), nodes),
+            (Event::MigrateArrive(live, node, 0), nodes),
+            (Event::Fault(FaultEvent::NodeCrash { node }), nodes),
+            (Event::Fault(FaultEvent::NodeRecover { node }), nodes),
+            (
+                Event::Fault(FaultEvent::LinkDegrade {
+                    a: ClusterId(0),
+                    b: cluster,
+                    latency_factor: 2.0,
+                    bandwidth_factor: 2.0,
+                }),
+                clusters,
+            ),
+            (
+                Event::Fault(FaultEvent::LinkRestore {
+                    a: cluster,
+                    b: ClusterId(0),
+                }),
+                clusters,
+            ),
+            (
+                Event::Fault(FaultEvent::Partition {
+                    side: vec![ClusterId(0), cluster],
+                }),
+                clusters,
+            ),
+        ]
+    };
+    for (event, what) in events(NodeId(4_000_000_000), ClusterId(4_000_000_000)) {
+        assert_corrupt(&with_queued(event), what);
+    }
+    // the last node and cluster of the rebuilt system are still accepted
+    let sys = EdgeCloudSystem::new(calm_cfg());
+    let last_node = NodeId(sys.node_count() as u32 - 1);
+    let last_cluster = ClusterId(sys.cluster_count() as u32 - 1);
+    for (event, _) in events(last_node, last_cluster) {
+        let what = format!("{event:?}");
+        EdgeCloudSystem::restore(calm_cfg(), &with_queued(event))
+            .unwrap_or_else(|e| panic!("{what} at the table edge: {e:?}"));
+    }
 }
 
 /// The migration suite's cloud config: the cloud tier with defrag.
