@@ -187,5 +187,5 @@ fn main() {
     for s in &samples {
         microbench::report(s);
     }
-    emit(&to_json(&samples, tango_par::threads()), out_path);
+    emit(&to_json(&samples), out_path);
 }

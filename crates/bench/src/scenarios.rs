@@ -219,9 +219,10 @@ pub fn sample_json(s: &Sample) -> String {
 /// Render a stamped result set: `threads` + `git_rev` + the samples.
 /// (serde is unavailable offline; the schema is flat so hand-rolled
 /// emission is adequate.)
-pub fn to_json(samples: &[Sample], threads: usize) -> String {
+pub fn to_json(samples: &[Sample]) -> String {
+    // every sample is timed on the calling thread, one run at a time
     let mut s = format!(
-        "{{\n  \"threads\": {threads},\n  \"git_rev\": \"{}\",\n  \"samples\": [\n",
+        "{{\n  \"threads\": 1,\n  \"git_rev\": \"{}\",\n  \"samples\": [\n",
         git_rev()
     );
     for (i, smp) in samples.iter().enumerate() {
@@ -266,8 +267,8 @@ mod tests {
     #[test]
     fn json_is_stamped() {
         let s = microbench::run("probe", 1, || 1 + 1);
-        let j = to_json(std::slice::from_ref(&s), 4);
-        assert!(j.contains("\"threads\": 4"));
+        let j = to_json(std::slice::from_ref(&s));
+        assert!(j.contains("\"threads\": 1"));
         assert!(j.contains("\"git_rev\""));
         assert!(j.contains("\"scenario\": \"probe\""));
         assert!(j.contains("\"rate_per_sec\""));

@@ -339,10 +339,11 @@ impl EdgeCloudSystem {
     /// node layout, deployed services, policy objects — is rebuilt from
     /// the config, then every dynamic section is overlaid. A request
     /// ledger that does not add up, an id queued anywhere that names no
-    /// live request, a trace cursor out of order, a queued arrival
-    /// outside the keyed sequence range or naming an unknown service or
-    /// origin, and any queued event naming a node or cluster outside the
-    /// rebuilt system are all [`SnapError::Corrupt`].
+    /// live request, a trace cursor out of order, a queued event earlier
+    /// than the engine clock, a queued arrival outside the keyed sequence
+    /// range or naming an unknown service or origin, and any queued event
+    /// naming a node or cluster outside the rebuilt system are all
+    /// [`SnapError::Corrupt`].
     pub fn restore(cfg: TangoConfig, bytes: &[u8]) -> Result<Resumed, SnapError> {
         let file = SnapFile::parse(bytes)?;
         let expected = config_fingerprint(&cfg);
@@ -366,7 +367,12 @@ impl EdgeCloudSystem {
         if next_seq < KEYED_SEQS {
             return Err(SnapError::Corrupt("keyed event seq"));
         }
-        for (_, seq, event) in &entries {
+        for (at, seq, event) in &entries {
+            // the engine never queues into the past, and such an event
+            // would pop first and set the clock back
+            if *at < now {
+                return Err(SnapError::Corrupt("queued event time"));
+            }
             check_queued(&sys, *seq, event)?;
         }
         let engine =

@@ -42,6 +42,6 @@ pub use mirror::{
     MirrorStats,
 };
 pub use proxy::{
-    channel_pair, ChannelServer, ChannelSource, DecisionReply, DecisionRequest, DecisionSource,
-    NoopProxy, PolicyFn, ProxyBackend, ProxyStats, RequestBatch,
+    DecisionReply, DecisionRequest, DecisionSource, NoopProxy, PolicyFn, ProxyBackend, ProxyStats,
+    RequestBatch,
 };

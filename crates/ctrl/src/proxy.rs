@@ -17,7 +17,6 @@
 //! planning, the one decision with a wire-shaped batch view.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use crate::frame;
@@ -123,7 +122,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<DecisionReply, SnapError> {
 /// request bytes, get encoded reply bytes back — or `None` to decline
 /// the round (the wrapped local policy then plans it). The byte-level
 /// surface is what a socket transport will implement; the in-process
-/// transports below speak it already.
+/// sources below speak it already.
 pub trait DecisionSource: Send {
     /// Offer one round. `None` = decline (not a failure).
     fn decide(&mut self, request: &[u8]) -> Option<Vec<u8>>;
@@ -164,75 +163,6 @@ where
         let req = decode_request(request).ok()?;
         (self.0)(&req).map(|reply| encode_reply(&reply))
     }
-}
-
-/// Client end of the in-process channel transport: ships request bytes
-/// to a [`ChannelServer`] (typically on another thread) and blocks for
-/// the reply. A hung-up server reads as a decline, so a dead external
-/// process degrades to local planning instead of wedging the run.
-pub struct ChannelSource {
-    tx: SyncSender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-impl DecisionSource for ChannelSource {
-    fn decide(&mut self, request: &[u8]) -> Option<Vec<u8>> {
-        self.tx.send(request.to_vec()).ok()?;
-        self.rx.recv().ok()
-    }
-}
-
-/// Server end of the in-process channel transport.
-pub struct ChannelServer {
-    rx: Receiver<Vec<u8>>,
-    tx: Sender<Vec<u8>>,
-}
-
-impl ChannelServer {
-    /// Block for the next request's bytes; `None` when the proxy side
-    /// has been dropped (run over).
-    pub fn recv(&self) -> Option<Vec<u8>> {
-        self.rx.recv().ok()
-    }
-
-    /// Send one reply's bytes. Errors (client gone) are ignored — the
-    /// run has already moved on via fallback.
-    pub fn reply(&self, bytes: Vec<u8>) {
-        let _ = self.tx.send(bytes);
-    }
-
-    /// Serve requests with a decoded-level policy until the client hangs
-    /// up. Convenience for example/test server threads.
-    pub fn serve<F>(&self, mut policy: F)
-    where
-        F: FnMut(&DecisionRequest) -> Option<DecisionReply>,
-    {
-        while let Some(req_bytes) = self.recv() {
-            let reply = decode_request(&req_bytes)
-                .ok()
-                .and_then(|req| policy(&req))
-                .map(|r| encode_reply(&r))
-                .unwrap_or_default();
-            self.reply(reply);
-        }
-    }
-}
-
-/// Build a connected in-process transport pair. The request channel is
-/// rendezvous-bounded so an absent server back-pressures immediately.
-pub fn channel_pair() -> (ChannelSource, ChannelServer) {
-    let (req_tx, req_rx) = std::sync::mpsc::sync_channel(1);
-    let (rep_tx, rep_rx) = std::sync::mpsc::channel();
-    (
-        ChannelSource {
-            tx: req_tx,
-            rx: rep_rx,
-        },
-        ChannelServer {
-            rx: req_rx,
-            tx: rep_tx,
-        },
-    )
 }
 
 /// Why delegation handed a round back to the local policy, per round.
@@ -568,34 +498,5 @@ mod tests {
         assert_eq!(proxy.assign(&batches[0]), out[0]);
         assert_eq!(proxy.stats().totals(), (0, 2, 0));
         assert!(proxy.snapshot_state().is_err());
-    }
-
-    #[test]
-    fn channel_transport_round_trips_through_a_server_thread() {
-        let (source, server) = channel_pair();
-        let t = std::thread::spawn(move || {
-            server.serve(|req| {
-                Some(DecisionReply {
-                    round: req.round,
-                    compute_latency: SimTime::ZERO,
-                    placements: req
-                        .batches
-                        .iter()
-                        .map(|b| b.requests.iter().map(|&r| (r, NodeId(0))).collect())
-                        .collect(),
-                })
-            });
-        });
-        let mut proxy = ProxyBackend::new(
-            Box::new(PinAll(NodeId(1))),
-            Box::new(source),
-            ClusterId(0),
-            SimTime::from_millis(5),
-        );
-        let batches = [batch(&[9], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches);
-        assert_eq!(out, vec![vec![(RequestId(9), NodeId(0))]]);
-        drop(proxy); // hang up so the server thread exits
-        t.join().unwrap();
     }
 }

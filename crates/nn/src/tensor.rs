@@ -36,16 +36,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Matrix {
-            rows: 1,
-            cols,
-            data,
-        }
-    }
-
     /// Element at (r, c).
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

@@ -88,7 +88,7 @@ impl Pool {
 /// The process-wide thread budget, resolved on first use and cached:
 /// the `TANGO_THREADS` environment variable when it holds a count ≥ 1,
 /// else [`std::thread::available_parallelism`].
-pub fn threads() -> usize {
+fn threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::env::var("TANGO_THREADS")
@@ -99,8 +99,9 @@ pub fn threads() -> usize {
     })
 }
 
-/// The process-wide pool of [`threads`] workers, which
-/// `tango::run_parallel`'s experiment runs share.
+/// The process-wide pool, which `tango::run_parallel`'s experiment runs
+/// share: `TANGO_THREADS` workers when the variable holds a count ≥ 1,
+/// else one per core. The budget is resolved on first use and cached.
 pub fn global() -> Pool {
     Pool::new(threads())
 }

@@ -2,8 +2,8 @@
 //!
 //! A thin, fully deterministic PRNG (xoshiro256**) plus the handful of
 //! distributions the workload synthesizer and schedulers need: uniform,
-//! exponential inter-arrivals, normal (Box–Muller), log-normal and Pareto
-//! demand distributions, and Fisher–Yates shuffling (the random sorting
+//! exponential inter-arrivals, normal (Box–Muller) and log-normal demand
+//! distributions, and Fisher–Yates shuffling (the random sorting
 //! function ρ(·) of DSS-LC, §5.2.2).
 //!
 //! We implement the generator ourselves rather than pulling `rand`'s
@@ -154,18 +154,6 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Pareto variate with scale `x_min` and shape `alpha` (> 0).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        debug_assert!(alpha > 0.0 && x_min > 0.0);
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        x_min / u.powf(1.0 / alpha)
-    }
-
     /// Fisher–Yates shuffle — the random sorting function ρ(·) DSS-LC uses
     /// to split overload-case requests (§5.2.2).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
@@ -289,14 +277,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
         assert!((var - 4.0).abs() < 0.15, "var={var}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::new(19);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

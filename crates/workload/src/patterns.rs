@@ -27,6 +27,13 @@ impl PatternKind {
     pub const ALL: [PatternKind; 3] = [PatternKind::P1, PatternKind::P2, PatternKind::P3];
 }
 
+/// Period of the square wave for the periodic class.
+const PERIOD: SimTime = SimTime::from_secs(20);
+/// Fraction of the period spent in the high phase.
+const DUTY: f64 = 0.5;
+/// High-phase rate of the periodic class, as a multiple of its mean.
+const SWING: f64 = 1.8;
+
 /// A concrete pattern: per-class arrival rates over time.
 #[derive(Debug, Clone)]
 pub struct Pattern {
@@ -34,33 +41,19 @@ pub struct Pattern {
     /// Mean rate for each class, requests/second.
     lc_mean_rps: f64,
     be_mean_rps: f64,
-    /// Period of the square wave for the periodic class.
-    period: SimTime,
-    /// Fraction of the period spent in the high phase.
-    duty: f64,
-    /// high/low rate ratio of the periodic class.
-    swing: f64,
 }
 
 impl Pattern {
     /// Build a pattern with the given mean rates. The periodic class
-    /// oscillates between `swing`× and (2−`swing`-adjusted) low phase so
-    /// its *mean* stays at the requested rate.
+    /// runs a 20 s square wave: 1.8× its mean for the first half of each
+    /// period, and a low phase that keeps its *mean* at the requested
+    /// rate for the second.
     pub fn new(kind: PatternKind, lc_mean_rps: f64, be_mean_rps: f64) -> Self {
         Pattern {
             kind,
             lc_mean_rps,
             be_mean_rps,
-            period: SimTime::from_secs(20),
-            duty: 0.5,
-            swing: 1.8,
         }
-    }
-
-    /// Override the oscillation period (default 20 s).
-    pub fn with_period(mut self, period: SimTime) -> Self {
-        self.period = period;
-        self
     }
 
     /// The pattern kind.
@@ -78,13 +71,13 @@ impl Pattern {
 
     fn periodic_rate(&self, mean: f64, at: SimTime) -> f64 {
         // square wave with mean preserved:
-        // high phase rate = swing*mean, low phase chosen so duty-weighted
+        // high phase rate = SWING*mean, low phase chosen so duty-weighted
         // average equals mean.
-        let period_us = self.period.as_micros().max(1);
+        let period_us = PERIOD.as_micros();
         let phase = (at.as_micros() % period_us) as f64 / period_us as f64;
-        let high = self.swing * mean;
-        let low = ((1.0 - self.duty * self.swing) / (1.0 - self.duty)).max(0.0) * mean;
-        if phase < self.duty {
+        let high = SWING * mean;
+        let low = ((1.0 - DUTY * SWING) / (1.0 - DUTY)).max(0.0) * mean;
+        if phase < DUTY {
             high
         } else {
             low
@@ -111,7 +104,7 @@ impl Pattern {
         let mean = self.mean_rps(class);
         match (self.kind, class) {
             (PatternKind::P1, ServiceClass::Lc) | (PatternKind::P2, ServiceClass::Be) => {
-                self.swing * mean
+                SWING * mean
             }
             _ => mean,
         }

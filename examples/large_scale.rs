@@ -98,7 +98,6 @@ fn main() {
     if json {
         // One timed sample per system, emitted in the bench harness's
         // stamped shape (hand-rolled: serde is unavailable offline).
-        let threads = tango_par::threads();
         let rev = git_rev();
         let mut samples = Vec::new();
         for spec in specs {
@@ -116,8 +115,9 @@ fn main() {
                 rate
             ));
         }
+        // every sample ran on this one thread
         let mut out =
-            format!("{{\n  \"threads\": {threads},\n  \"git_rev\": \"{rev}\",\n  \"samples\": [\n");
+            format!("{{\n  \"threads\": 1,\n  \"git_rev\": \"{rev}\",\n  \"samples\": [\n");
         for (i, s) in samples.iter().enumerate() {
             out.push_str(&format!(
                 "    {}{}\n",

@@ -1,14 +1,13 @@
-//! Property tests for the calendar event queue against a `BinaryHeap`
-//! oracle.
+//! Property tests for the event queue against an independent oracle.
 //!
 //! The queue's contract is exactly "pop in ascending `(at, seq)` order,
-//! FIFO within an instant" — which a binary heap over `(at, seq)` keys
-//! implements by construction. These tests drive both structures through
-//! randomized interleavings of push / pop / peek — including pushes
-//! *behind* the calendar cursor ("schedule in the past", which the engine
-//! clamps but the queue must survive) and pushes far enough ahead to land
-//! in the overflow heap — and assert the calendar never diverges from the
-//! oracle.
+//! FIFO within an instant". The oracle implements it with its own
+//! sequence counter and plain tuple keys, sharing none of the queue's
+//! entry ordering. These tests drive both structures through randomized
+//! interleavings of push / pop / peek — including pushes *behind* the
+//! last popped instant ("schedule in the past", which the engine clamps
+//! but the queue must survive) and pushes seconds ahead — and assert the
+//! queue never diverges from the oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,25 +37,24 @@ impl Oracle {
     }
 }
 
-/// One ring bucket is 1024 µs and the ring spans 1024 buckets; timestamps
-/// are drawn across ~3 ring windows so pushes regularly cross into the
-/// overflow heap and migrate back as the cursor sweeps.
-const RING_SPAN_US: u64 = 1024 * 1024;
+/// About one simulated second (2^20 µs): pushes land up to three of
+/// these ahead of the frontier, so the pending set spans seconds.
+const SPAN_US: u64 = 1024 * 1024;
 
 /// Draw a timestamp for the next push: usually near the current popped
-/// frontier, sometimes far future (overflow), sometimes in the past
-/// (behind the cursor).
+/// frontier, sometimes seconds ahead, sometimes in the past (behind the
+/// frontier).
 fn arb_time(rng: &mut SimRng, frontier: SimTime) -> SimTime {
     let base = frontier.as_micros();
     match rng.next_below(10) {
         // same-instant pile-up: exactly the frontier (exercises FIFO)
         0 | 1 => frontier,
-        // behind the cursor: anywhere in [0, frontier]
+        // behind the frontier: anywhere in [0, frontier]
         2 => SimTime::from_micros(rng.next_below(base + 1)),
-        // far future: 1–3 ring windows ahead
-        3 | 4 => SimTime::from_micros(base + RING_SPAN_US + rng.next_below(2 * RING_SPAN_US)),
-        // near future within the ring window
-        _ => SimTime::from_micros(base + rng.next_below(RING_SPAN_US / 2)),
+        // far future: one to three spans ahead
+        3 | 4 => SimTime::from_micros(base + SPAN_US + rng.next_below(2 * SPAN_US)),
+        // near future: within half a span
+        _ => SimTime::from_micros(base + rng.next_below(SPAN_US / 2)),
     }
 }
 
@@ -131,12 +129,12 @@ fn same_instant_pushes_pop_fifo() {
 fn past_pushes_still_pop_in_key_order() {
     let mut q: EventQueue<u32> = EventQueue::new();
     let mut oracle = Oracle::default();
-    // march the cursor deep into the ring, then push behind it
+    // pop the 10 ms event, then push behind it and between the rest
     for (i, at) in [10_000u64, 2_000_000, 2_000_000].into_iter().enumerate() {
         q.push(SimTime::from_micros(at), i as u32);
         oracle.push(SimTime::from_micros(at), i as u32);
     }
-    assert_eq!(q.pop(), oracle.pop()); // cursor now at ~2s
+    assert_eq!(q.pop(), oracle.pop()); // the frontier is now 10 ms
     for (i, at) in [5u64, 1_500_000, 0].into_iter().enumerate() {
         q.push(SimTime::from_micros(at), 10 + i as u32);
         oracle.push(SimTime::from_micros(at), 10 + i as u32);

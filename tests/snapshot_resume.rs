@@ -541,16 +541,34 @@ fn restore_rejects_a_malformed_queued_arrival() {
     assert_corrupt(&crafted, "arrival payload");
 }
 
-/// The fixture with `event` queued at its clock, behind every event it
-/// already holds.
-fn with_queued(event: Event) -> Vec<u8> {
+/// The fixture with `event` queued at `at(clock)`, under the next plain
+/// sequence number.
+fn with_queued_at(at: impl FnOnce(SimTime) -> SimTime, event: Event) -> Vec<u8> {
     with_section(&fixture(), SEC_ENGINE, |payload| {
         let mut r = SnapReader::new(payload);
         let (now, processed, next_seq) = <(SimTime, u64, u64)>::decode(&mut r).unwrap();
         let mut entries = Vec::<(SimTime, u64, Event)>::decode(&mut r).unwrap();
-        entries.push((now, next_seq, event));
+        entries.push((at(now), next_seq, event));
         tango_snap::to_bytes(&((now, processed, next_seq + 1), entries))
     })
+}
+
+/// The fixture with `event` queued at its clock, behind every event it
+/// already holds.
+fn with_queued(event: Event) -> Vec<u8> {
+    with_queued_at(|now| now, event)
+}
+
+#[test]
+fn restore_rejects_a_queued_event_before_the_clock() {
+    // it would pop first and set the engine clock back
+    let dispatch = Event::Dispatch(ClusterId(0));
+    let early = with_queued_at(|now| now - SimTime::from_micros(1), dispatch.clone());
+    assert_corrupt(&early, "queued event time");
+    assert_corrupt(
+        &with_queued_at(|_| SimTime::ZERO, dispatch),
+        "queued event time",
+    );
 }
 
 #[test]
