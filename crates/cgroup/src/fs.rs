@@ -1,7 +1,6 @@
-//! The cgroup filesystem model.
+//! The cgroup tree model.
 
-use tango_types::FxHashMap;
-use tango_types::{ResourceKind, Resources, TangoError};
+use tango_types::{ContainerId, ResourceKind, Resources, TangoError};
 
 /// Index of a cgroup within a [`CgroupFs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,12 +23,12 @@ pub enum QosLevel {
 }
 
 impl QosLevel {
-    /// Directory name under `kubepods`.
-    pub const fn dir(self) -> &'static str {
+    /// Path of the level's group.
+    pub const fn path(self) -> &'static str {
         match self {
-            QosLevel::Guaranteed => "guaranteed",
-            QosLevel::Burstable => "burstable",
-            QosLevel::BestEffort => "besteffort",
+            QosLevel::Guaranteed => "kubepods/guaranteed",
+            QosLevel::Burstable => "kubepods/burstable",
+            QosLevel::BestEffort => "kubepods/besteffort",
         }
     }
 
@@ -41,32 +40,69 @@ impl QosLevel {
     ];
 }
 
-#[derive(Debug)]
-pub(crate) struct Group {
-    pub(crate) path: String,
-    pub(crate) parent: Option<usize>,
-    pub(crate) children: Vec<usize>,
-    pub(crate) limit: Resources,
-    pub(crate) usage: Resources,
-    pub(crate) alive: bool,
+/// Where a group sits in the tree; its name is formatted from this.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    Root,
+    Qos(QosLevel),
+    /// A pod, labelled by the id of the one container it holds.
+    Pod(ContainerId),
+    Container(ContainerId),
 }
 
-/// An in-memory cgroup tree rooted at `kubepods`.
+#[derive(Debug)]
+pub(crate) struct Group {
+    place: Place,
+    pub(crate) parent: Option<usize>,
+    pub(crate) limit: Resources,
+    pub(crate) usage: Resources,
+}
+
+/// A node's cgroup tree rooted at `kubepods`, fixed at deployment.
 ///
-/// The root's limit is the node's allocatable capacity; QoS-level groups sit
-/// directly below; pods below those; containers below pods.
+/// The root's limit is the node's allocatable capacity; the three QoS-level
+/// groups sit directly below it, then one pod per deployed service under
+/// its QoS group, and the pod's one container below that. Tango's pods run
+/// continuously and D-VPA resizes them in place, so no group is ever
+/// removed or renamed: a group's index is its identity, and only limits
+/// and usage change.
 #[derive(Debug)]
 pub struct CgroupFs {
-    groups: Vec<Group>,
-    by_path: FxHashMap<String, usize>,
-    /// Bumped on every create/remove/limit write — anything that can move
+    /// The root, the QoS groups in [`QosLevel::ALL`] order, then each
+    /// pod followed by its container.
+    pub(crate) groups: Vec<Group>,
+    /// Bumped on every create and limit write — anything that can move
     /// an effective limit. Lets callers cache `effective_limit` results
     /// and revalidate with one integer compare.
-    limit_epoch: u64,
+    pub(crate) limit_epoch: u64,
 }
 
 /// Root path constant.
-pub const ROOT: &str = "kubepods";
+const ROOT: &str = "kubepods";
+
+/// Index of a QoS-level group.
+fn qos_index(level: QosLevel) -> usize {
+    1 + level as usize
+}
+
+/// Append `label` and `id` in lower-case hex, as `{label}{id:x}` would,
+/// without the formatter: a checkpoint writes the path of every group of
+/// every node.
+fn push_label(out: &mut String, label: &str, id: ContainerId) {
+    let mut hex = [0; 16];
+    let mut start = hex.len();
+    let mut rest = id.raw();
+    loop {
+        start -= 1;
+        hex[start] = b"0123456789abcdef"[(rest & 0xf) as usize];
+        rest >>= 4;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(label);
+    out.push_str(std::str::from_utf8(&hex[start..]).expect("hex digits are ASCII"));
+}
 
 impl CgroupFs {
     /// Create a tree whose root (`kubepods`) is limited to `capacity` and
@@ -74,123 +110,94 @@ impl CgroupFs {
     /// the full node capacity, as K8s does — the QoS groups are priority
     /// bands, not static partitions).
     pub fn new(capacity: Resources) -> Self {
-        let mut fs = CgroupFs {
-            groups: Vec::with_capacity(8),
-            by_path: FxHashMap::default(),
-            limit_epoch: 1,
-        };
-        let root = fs.insert(ROOT.to_string(), None, capacity);
-        for level in QosLevel::ALL {
-            let path = format!("{ROOT}/{}", level.dir());
-            fs.insert_child(path, root, capacity);
-        }
-        fs
-    }
-
-    fn insert(&mut self, path: String, parent: Option<usize>, limit: Resources) -> usize {
-        let idx = self.groups.len();
-        self.groups.push(Group {
-            path: path.clone(),
+        let group = |place, parent| Group {
+            place,
             parent,
-            children: Vec::new(),
-            limit,
+            limit: capacity,
             usage: Resources::ZERO,
-            alive: true,
-        });
-        self.by_path.insert(path, idx);
-        self.limit_epoch += 1;
-        idx
+        };
+        let mut groups = Vec::with_capacity(8);
+        groups.push(group(Place::Root, None));
+        groups.extend(QosLevel::ALL.map(|level| group(Place::Qos(level), Some(0))));
+        CgroupFs {
+            groups,
+            limit_epoch: 1,
+        }
     }
 
-    fn insert_child(&mut self, path: String, parent: usize, limit: Resources) -> usize {
-        let idx = self.insert(path, Some(parent), limit);
-        self.groups[parent].children.push(idx);
-        idx
-    }
-
-    /// Resolve a path to an id.
-    pub fn lookup(&self, path: &str) -> Option<CgroupId> {
-        self.by_path
-            .get(path)
-            .copied()
-            .filter(|&i| self.groups[i].alive)
-            .map(CgroupId)
-    }
-
-    /// Id of a QoS-level group.
-    pub fn qos_group(&self, level: QosLevel) -> CgroupId {
-        self.lookup(&format!("{ROOT}/{}", level.dir()))
-            .expect("qos groups exist from construction")
-    }
-
-    /// Id of the root group.
-    pub fn root(&self) -> CgroupId {
-        self.lookup(ROOT).expect("root exists")
-    }
-
-    /// Full path of a group.
-    pub fn path(&self, id: CgroupId) -> &str {
-        &self.groups[id.0].path
-    }
-
-    /// Create a child cgroup (a pod under a QoS group, or a container under
-    /// a pod) with an initial limit. Fails if the name collides or the limit
-    /// exceeds the parent's.
-    pub fn create(
+    /// Create a pod under `level`'s group and its one container under the
+    /// pod, both labelled `id` and limited to `limit`; returns the pod and
+    /// the container. Fails if `limit` exceeds the QoS group's.
+    pub fn create_pod(
         &mut self,
-        parent: CgroupId,
-        name: &str,
+        level: QosLevel,
+        id: ContainerId,
         limit: Resources,
-    ) -> Result<CgroupId, TangoError> {
-        if !self.groups[parent.0].alive {
+    ) -> Result<(CgroupId, CgroupId), TangoError> {
+        let qos = qos_index(level);
+        if !limit.fits_within(&self.groups[qos].limit) {
             return Err(TangoError::CgroupViolation(format!(
-                "parent {} is removed",
-                self.groups[parent.0].path
+                "initial limit for pod{:x} exceeds {} limit",
+                id.raw(),
+                self.path(CgroupId(qos))
             )));
         }
-        let path = format!("{}/{}", self.groups[parent.0].path, name);
-        if self.by_path.contains_key(&path) && self.lookup(&path).is_some() {
-            return Err(TangoError::CgroupViolation(format!(
-                "cgroup {path} already exists"
-            )));
-        }
-        if !limit.fits_within(&self.groups[parent.0].limit) {
-            return Err(TangoError::CgroupViolation(format!(
-                "initial limit for {path} exceeds parent limit"
-            )));
-        }
-        Ok(CgroupId(self.insert_child(path, parent.0, limit)))
-    }
-
-    /// Remove a cgroup. Fails if it still has live children or charged
-    /// usage (`rmdir` on a busy cgroup returns `EBUSY`).
-    pub fn remove(&mut self, id: CgroupId) -> Result<(), TangoError> {
-        let g = &self.groups[id.0];
-        if !g.alive {
-            return Err(TangoError::CgroupViolation(format!(
-                "{} already removed",
-                g.path
-            )));
-        }
-        if g.children.iter().any(|&c| self.groups[c].alive) {
-            return Err(TangoError::CgroupViolation(format!(
-                "{} still has live children",
-                g.path
-            )));
-        }
-        if !g.usage.is_zero() {
-            return Err(TangoError::CgroupViolation(format!(
-                "{} is busy (usage nonzero)",
-                g.path
-            )));
-        }
-        self.by_path.remove(&g.path);
-        self.groups[id.0].alive = false;
-        if let Some(p) = self.groups[id.0].parent {
-            self.groups[p].children.retain(|&c| c != id.0);
+        let pod = self.groups.len();
+        for (place, parent) in [(Place::Pod(id), qos), (Place::Container(id), pod)] {
+            self.groups.push(Group {
+                place,
+                parent: Some(parent),
+                limit,
+                usage: Resources::ZERO,
+            });
         }
         self.limit_epoch += 1;
-        Ok(())
+        Ok((CgroupId(pod), CgroupId(pod + 1)))
+    }
+
+    /// Full path of a group, e.g. `kubepods/burstable/pod1/ctr1`. Formatted
+    /// on each call, for display and error text.
+    pub fn path(&self, id: CgroupId) -> String {
+        let mut out = String::new();
+        if let (Place::Container(_), Some(pod)) =
+            (self.groups[id.0].place, self.groups[id.0].parent)
+        {
+            self.step_path(pod, &mut out);
+        }
+        self.step_path(id.0, &mut out);
+        out
+    }
+
+    /// Turn `path` from group `idx - 1`'s path into group `idx`'s. Table
+    /// walks go in index order, and each container directly follows its
+    /// pod, so a container's path only extends the one before it.
+    pub(crate) fn step_path(&self, idx: usize, path: &mut String) {
+        let g = &self.groups[idx];
+        match g.place {
+            Place::Root | Place::Qos(_) => path.clear(),
+            Place::Pod(_) => self.step_path(g.parent.expect("a pod has a QoS group"), path),
+            Place::Container(_) => {}
+        }
+        match g.place {
+            Place::Root => path.push_str(ROOT),
+            Place::Qos(level) => path.push_str(level.path()),
+            Place::Pod(id) => push_label(path, "/pod", id),
+            Place::Container(id) => push_label(path, "/ctr", id),
+        }
+    }
+
+    /// Group `idx`'s children, in creation order. A child is always
+    /// created after its parent: the QoS groups with the tree, pods after
+    /// them, and each container right after its pod; so only that range is
+    /// searched.
+    pub(crate) fn children(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = match self.groups[idx].place {
+            Place::Root => 1..1 + QosLevel::ALL.len(),
+            Place::Qos(_) => idx + 1..self.groups.len(),
+            Place::Pod(_) => idx + 1..idx + 2,
+            Place::Container(_) => idx..idx,
+        };
+        range.filter(move |&c| self.groups[c].parent == Some(idx))
     }
 
     /// Write a new limit to a cgroup's control files.
@@ -198,40 +205,36 @@ impl CgroupFs {
     /// Kernel-faithful rejection rules (the reason D-VPA's write order
     /// matters):
     /// 1. the new limit may not exceed the parent's current limit;
-    /// 2. the new limit may not be below any live child's current limit;
+    /// 2. the new limit may not be below any child's current limit;
     /// 3. incompressible dimensions (memory, disk) may not shrink below
     ///    current usage — compressible ones (CPU, bandwidth) may (that is
     ///    throttling).
     pub fn set_limit(&mut self, id: CgroupId, new_limit: Resources) -> Result<(), TangoError> {
         let g = &self.groups[id.0];
-        if !g.alive {
-            return Err(TangoError::CgroupViolation(format!(
-                "{} is removed",
-                g.path
-            )));
-        }
         if let Some(p) = g.parent {
             if !new_limit.fits_within(&self.groups[p].limit) {
                 return Err(TangoError::CgroupViolation(format!(
                     "limit for {} would exceed parent {} limit",
-                    g.path, self.groups[p].path
+                    self.path(id),
+                    self.path(CgroupId(p))
                 )));
             }
         }
-        for &c in &g.children {
-            let child = &self.groups[c];
-            if child.alive && !child.limit.fits_within(&new_limit) {
-                return Err(TangoError::CgroupViolation(format!(
-                    "limit for {} would fall below child {} limit",
-                    g.path, child.path
-                )));
-            }
+        if let Some(c) = self
+            .children(id.0)
+            .find(|&c| !self.groups[c].limit.fits_within(&new_limit))
+        {
+            return Err(TangoError::CgroupViolation(format!(
+                "limit for {} would fall below child {} limit",
+                self.path(id),
+                self.path(CgroupId(c))
+            )));
         }
         for kind in [ResourceKind::Memory, ResourceKind::Disk] {
             if new_limit.get(kind) < g.usage.get(kind) {
                 return Err(TangoError::CgroupViolation(format!(
                     "cannot shrink incompressible {kind:?} of {} below usage",
-                    g.path
+                    self.path(id)
                 )));
             }
         }
@@ -240,7 +243,7 @@ impl CgroupFs {
         Ok(())
     }
 
-    /// Epoch of the last structural or limit write (see field docs).
+    /// Epoch of the last create or limit write (see field docs).
     pub fn limit_epoch(&self) -> u64 {
         self.limit_epoch
     }
@@ -265,12 +268,6 @@ impl CgroupFs {
     /// Current charged usage of this cgroup (includes descendants' charges).
     pub fn usage(&self, id: CgroupId) -> Resources {
         self.groups[id.0].usage
-    }
-
-    /// Headroom = effective limit − usage (saturating).
-    pub fn headroom(&self, id: CgroupId) -> Resources {
-        self.effective_limit(id)
-            .saturating_sub(&self.groups[id.0].usage)
     }
 
     /// Charge `amount` of usage to a cgroup and every ancestor. Fails (with
@@ -307,56 +304,59 @@ impl CgroupFs {
             cur = self.groups[i].parent;
         }
     }
-
-    /// The raw group table, for checkpoint encoding.
-    pub(crate) fn raw_groups(&self) -> &[Group] {
-        &self.groups
-    }
-
-    /// Swap in a restored group table (see `snapshot` module).
-    pub(crate) fn replace_table(&mut self, groups: Vec<Group>, by_path: FxHashMap<String, usize>) {
-        self.groups = groups;
-        self.by_path = by_path;
-    }
-
-    /// Live children of a group.
-    pub fn children(&self, id: CgroupId) -> Vec<CgroupId> {
-        self.groups[id.0]
-            .children
-            .iter()
-            .filter(|&&c| self.groups[c].alive)
-            .map(|&c| CgroupId(c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const ROOT_ID: CgroupId = CgroupId(0);
+
     fn cap() -> Resources {
         Resources::new(4_000, 8_192, 1_000, 50_000)
     }
 
+    /// A Burstable pod limited to 1000m, its container to 500m.
     fn fs_with_pod() -> (CgroupFs, CgroupId, CgroupId) {
         let mut fs = CgroupFs::new(cap());
-        let burst = fs.qos_group(QosLevel::Burstable);
-        let pod = fs
-            .create(burst, "pod67f7df", Resources::new(1_000, 1_024, 100, 1_000))
+        let (pod, ctr) = fs
+            .create_pod(
+                QosLevel::Burstable,
+                ContainerId(0x67f7df),
+                Resources::new(1_000, 1_024, 100, 1_000),
+            )
             .unwrap();
-        let ctr = fs
-            .create(pod, "cc13fc77c", Resources::new(500, 512, 50, 500))
+        fs.set_limit(ctr, Resources::new(500, 512, 50, 500))
             .unwrap();
         (fs, pod, ctr)
     }
 
     #[test]
     fn layout_matches_kubepods_hierarchy() {
-        let (fs, pod, ctr) = fs_with_pod();
+        let (mut fs, pod, ctr) = fs_with_pod();
+        let (pod2, ctr2) = fs
+            .create_pod(QosLevel::BestEffort, ContainerId(0xa), Resources::ZERO)
+            .unwrap();
+        assert_eq!(fs.path(ROOT_ID), "kubepods");
+        for level in QosLevel::ALL {
+            let qos = CgroupId(qos_index(level));
+            assert_eq!(fs.path(qos), level.path());
+        }
         assert_eq!(fs.path(pod), "kubepods/burstable/pod67f7df");
-        assert_eq!(fs.path(ctr), "kubepods/burstable/pod67f7df/cc13fc77c");
-        assert!(fs.lookup("kubepods/guaranteed").is_some());
-        assert!(fs.lookup("kubepods/besteffort").is_some());
+        assert_eq!(fs.path(ctr), "kubepods/burstable/pod67f7df/ctr67f7df");
+        assert_eq!(fs.path(pod2), "kubepods/besteffort/poda");
+        assert_eq!(fs.path(ctr2), "kubepods/besteffort/poda/ctra");
+
+        let children = |id: CgroupId| fs.children(id.0).collect::<Vec<_>>();
+        assert_eq!(children(ROOT_ID), [1, 2, 3]);
+        assert!(children(CgroupId(qos_index(QosLevel::Guaranteed))).is_empty());
+        assert_eq!(children(CgroupId(qos_index(QosLevel::Burstable))), [pod.0]);
+        assert_eq!(
+            children(CgroupId(qos_index(QosLevel::BestEffort))),
+            [pod2.0]
+        );
+        assert_eq!(children(pod), [ctr.0]);
+        assert!(children(ctr).is_empty());
     }
 
     #[test]
@@ -408,21 +408,21 @@ mod tests {
     #[test]
     fn charge_propagates_to_ancestors_and_is_atomic() {
         let (mut fs, pod, ctr) = fs_with_pod();
-        let burst = fs.qos_group(QosLevel::Burstable);
+        let burst = CgroupId(qos_index(QosLevel::Burstable));
         fs.charge(ctr, Resources::cpu_mem(300, 300)).unwrap();
         assert_eq!(fs.usage(ctr).cpu_milli, 300);
         assert_eq!(fs.usage(pod).cpu_milli, 300);
         assert_eq!(fs.usage(burst).cpu_milli, 300);
-        assert_eq!(fs.usage(fs.root()).memory_mib, 300);
+        assert_eq!(fs.usage(ROOT_ID).memory_mib, 300);
 
         // A charge that would blow the container limit fails with NO
         // partial effect anywhere on the path.
-        let before_root = fs.usage(fs.root());
+        let before_root = fs.usage(ROOT_ID);
         assert!(fs.charge(ctr, Resources::cpu_mem(400, 0)).is_err());
-        assert_eq!(fs.usage(fs.root()), before_root);
+        assert_eq!(fs.usage(ROOT_ID), before_root);
 
         fs.uncharge(ctr, Resources::cpu_mem(300, 300));
-        assert!(fs.usage(fs.root()).is_zero());
+        assert!(fs.usage(ROOT_ID).is_zero());
     }
 
     #[test]
@@ -440,60 +440,25 @@ mod tests {
     }
 
     #[test]
-    fn remove_requires_empty_and_idle() {
-        let (mut fs, pod, ctr) = fs_with_pod();
-        // busy child
-        fs.charge(ctr, Resources::cpu_mem(10, 10)).unwrap();
-        assert!(fs.remove(ctr).is_err());
-        fs.uncharge(ctr, Resources::cpu_mem(10, 10));
-        // parent with live child
-        assert!(fs.remove(pod).is_err());
-        fs.remove(ctr).unwrap();
-        fs.remove(pod).unwrap();
-        assert!(fs.lookup("kubepods/burstable/pod67f7df").is_none());
-    }
-
-    #[test]
-    fn recreate_after_remove_is_allowed() {
-        let (mut fs, pod, ctr) = fs_with_pod();
-        fs.remove(ctr).unwrap();
-        fs.remove(pod).unwrap();
-        let burst = fs.qos_group(QosLevel::Burstable);
-        let pod2 = fs
-            .create(burst, "pod67f7df", Resources::cpu_mem(100, 100))
-            .unwrap();
-        assert_eq!(fs.path(pod2), "kubepods/burstable/pod67f7df");
-    }
-
-    #[test]
-    fn duplicate_create_rejected() {
-        let (mut fs, _pod, _ctr) = fs_with_pod();
-        let burst = fs.qos_group(QosLevel::Burstable);
-        assert!(fs.create(burst, "pod67f7df", Resources::ZERO).is_err());
-    }
-
-    #[test]
     fn create_over_parent_limit_rejected() {
         let mut fs = CgroupFs::new(cap());
-        let burst = fs.qos_group(QosLevel::Burstable);
         let huge = Resources::new(100_000, 1, 1, 1);
-        assert!(fs.create(burst, "p", huge).is_err());
+        assert!(fs
+            .create_pod(QosLevel::Burstable, ContainerId(1), huge)
+            .is_err());
+        assert_eq!(fs.groups.len(), 4);
     }
 
     #[test]
-    fn headroom_subtracts_usage_from_effective() {
-        let (mut fs, _pod, ctr) = fs_with_pod();
-        fs.charge(ctr, Resources::cpu_mem(200, 100)).unwrap();
-        let hr = fs.headroom(ctr);
-        assert_eq!(hr.cpu_milli, 300);
-        assert_eq!(hr.memory_mib, 412);
-    }
-
-    #[test]
-    fn children_lists_only_live() {
-        let (mut fs, pod, ctr) = fs_with_pod();
-        assert_eq!(fs.children(pod), vec![ctr]);
-        fs.remove(ctr).unwrap();
-        assert!(fs.children(pod).is_empty());
+    fn creates_and_limit_writes_bump_the_epoch() {
+        let (mut fs, pod, _ctr) = fs_with_pod();
+        let epoch = fs.limit_epoch();
+        fs.set_limit(pod, Resources::new(900, 1_024, 100, 1_000))
+            .unwrap();
+        assert!(fs.limit_epoch() > epoch);
+        let epoch = fs.limit_epoch();
+        fs.create_pod(QosLevel::BestEffort, ContainerId(2), Resources::ZERO)
+            .unwrap();
+        assert!(fs.limit_epoch() > epoch);
     }
 }

@@ -17,10 +17,12 @@
 //! * usage is charged against every ancestor, so "effective capacity" is
 //!   the minimum over the path to the root.
 //!
-//! The model keeps only the tree's current state; it records no history
-//! of writes. D-VPA counts its own control-file writes
-//! (`ScaleOutcome::writes`), and the rejection rules above are what pin
-//! its write order.
+//! Tango's pods run continuously and D-VPA resizes them in place, so a
+//! node's tree keeps the shape it had once its services were deployed
+//! ([`CgroupFs`]); the model keeps only each group's current limit and
+//! usage, and no history of writes. D-VPA counts its own control-file
+//! writes (`ScaleOutcome::writes`), and the rejection rules above are what
+//! pin its write order.
 
 pub mod fs;
 pub mod snapshot;

@@ -207,13 +207,9 @@ impl Node {
         // The pod and its container share the node-local sequence number.
         let id = ContainerId((self.id.raw() as u64) << 32 | self.next_local_id);
         self.next_local_id += 1;
-        let qos_group = self.cgroups.qos_group(qos_level_for(spec.class));
-        let pod_cgroup =
+        let (pod_cgroup, cgroup) =
             self.cgroups
-                .create(qos_group, &format!("pod{:x}", id.raw()), initial_limit)?;
-        let cgroup =
-            self.cgroups
-                .create(pod_cgroup, &format!("ctr{:x}", id.raw()), initial_limit)?;
+                .create_pod(qos_level_for(spec.class), id, initial_limit)?;
         self.containers.push(Container {
             id,
             service: spec.id,
@@ -612,11 +608,26 @@ mod tests {
 
     #[test]
     fn deploy_creates_pod_and_container_cgroups() {
-        let (n, ctr, s) = node_with_service();
+        let (mut n, ctr, s) = node_with_service();
         assert_eq!(n.container(s.id).map(|c| c.id), Some(ctr));
-        let (pod_cg, ctr_cg) = n.scaling_cgroups(s.id).unwrap();
-        assert_ne!(pod_cg, ctr_cg);
-        assert!(n.cgroups.path(ctr_cg).starts_with("kubepods/burstable/pod"));
+        let be = spec(1, ServiceClass::Be, 500, 256, 50_000);
+        n.deploy_service(&be, Resources::new(1_000, 1_024, 100, 1_000), SimTime::ZERO)
+            .unwrap();
+        let (_, first) = n.scaling_cgroups(s.id).unwrap();
+        assert_eq!(
+            n.cgroups.path(first),
+            "kubepods/burstable/pod100000000/ctr100000000"
+        );
+        for c in n.containers() {
+            let qos = match c.class {
+                ServiceClass::Lc => "burstable",
+                ServiceClass::Be => "besteffort",
+            };
+            let pod = format!("kubepods/{qos}/pod{:x}", c.id.raw());
+            let (pod_cg, ctr_cg) = n.scaling_cgroups(c.service).unwrap();
+            assert_eq!(n.cgroups.path(pod_cg), pod);
+            assert_eq!(n.cgroups.path(ctr_cg), format!("{pod}/ctr{:x}", c.id.raw()));
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Checkpoint encoding for per-node dynamic state.
 //!
 //! A node's *structure* — which services are deployed, container ids,
-//! cgroup paths — is rebuilt deterministically from the config, so a
-//! snapshot carries only what the run changed: the execution clock and
+//! the cgroup tree — is rebuilt deterministically from the config, so a
+//! snapshot carries what the run changed: the execution clock and
 //! generation counter, in-flight requests per container, restart counts,
-//! availability windows, the undrained completion buffer, and the full
-//! cgroup table (which does hold structure, because limits and charges at
-//! tick T are not derivable from the config).
+//! availability windows, the undrained completion buffer, and the cgroup
+//! limits and usage. The cgroup table also writes the tree's shape, which
+//! the restore checks against the rebuilt tree (see `tango_cgroup`'s
+//! `snapshot` module).
 
 use crate::node::{CompletedRequest, Node, RunningRequest};
 use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
@@ -88,9 +89,8 @@ mod tests {
         ClusterId, NodeId, RequestId, Resources, ServiceClass, ServiceId, ServiceSpec,
     };
 
-    /// A node with three services deployed, one request running in the
-    /// second.
-    fn node() -> Node {
+    /// A freshly built node with three services deployed.
+    fn deployed() -> Node {
         let mut n = Node::new(
             NodeId(3),
             ClusterId(0),
@@ -114,6 +114,12 @@ mod tests {
             )
             .unwrap();
         }
+        n
+    }
+
+    /// [`deployed`] with one request running in the second service.
+    fn node() -> Node {
+        let mut n = deployed();
         n.admit(
             RequestId(7),
             ServiceId(1),
@@ -123,6 +129,43 @@ mod tests {
         )
         .unwrap();
         n
+    }
+
+    fn dynamic_bytes(n: &Node) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        n.snapshot_dynamic(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_worker_with_running_requests_round_trips_byte_for_byte() {
+        // Move every part of the node's state off the build's: requests
+        // running in two containers, part of their work done, and the
+        // second container resized in D-VPA's order (pod first).
+        let mut src = node();
+        src.admit(
+            RequestId(8),
+            ServiceId(2),
+            Resources::cpu_mem(400, 128),
+            30_000.0,
+            SimTime::from_millis(5),
+        )
+        .unwrap();
+        src.advance(SimTime::from_millis(20));
+        let (pod, ctr) = src.scaling_cgroups(ServiceId(1)).unwrap();
+        let bigger = Resources::new(2_000, 2_048, 200, 2_000);
+        src.cgroups.set_limit(pod, bigger).unwrap();
+        src.cgroups.set_limit(ctr, bigger).unwrap();
+        let bytes = dynamic_bytes(&src);
+
+        let mut dst = deployed();
+        let mut r = SnapReader::new(&bytes);
+        dst.restore_dynamic(&mut r).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(dynamic_bytes(&dst), bytes);
+        assert_eq!(dst.cgroups.limit(ctr), bigger);
+        assert_eq!(dst.cgroups.usage(ctr), src.cgroups.usage(ctr));
+        assert_eq!(dst.effective_cpu(ServiceId(1)), 2_000);
     }
 
     /// A `snapshot_dynamic` payload of `src` whose overlay list names
@@ -150,9 +193,7 @@ mod tests {
 
         // The honest list restores, and so does a real snapshot.
         assert!(restore(&payload(&src, &ids)).is_ok());
-        let mut w = SnapWriter::new();
-        src.snapshot_dynamic(&mut w);
-        assert!(restore(&w.into_bytes()).is_ok());
+        assert!(restore(&dynamic_bytes(&src)).is_ok());
 
         // One container named twice and another omitted: the count
         // matches, but the omitted one would keep its fresh state.

@@ -10,7 +10,7 @@ use tango_repro::cgroup::{CgroupFs, QosLevel};
 use tango_repro::flow::{FlowGraph, MinCostMaxFlow};
 use tango_repro::metrics::percentile;
 use tango_repro::simcore::{EventQueue, SimRng};
-use tango_repro::types::{Resources, SimTime};
+use tango_repro::types::{ContainerId, Resources, SimTime};
 
 const CASES: u64 = 256;
 
@@ -202,12 +202,12 @@ fn cgroup_child_never_exceeds_parent() {
         let n_targets = 1 + rng.next_below(19) as usize;
         let cap = Resources::new(8_000, 8_192, 1_000, 10_000);
         let mut fs = CgroupFs::new(cap);
-        let burst = fs.qos_group(QosLevel::Burstable);
-        let pod = fs
-            .create(burst, "pod", Resources::cpu_mem(1_000, 1_000))
-            .unwrap();
-        let ctr = fs
-            .create(pod, "ctr", Resources::cpu_mem(1_000, 1_000))
+        let (pod, ctr) = fs
+            .create_pod(
+                QosLevel::Burstable,
+                ContainerId(0),
+                Resources::cpu_mem(1_000, 1_000),
+            )
             .unwrap();
         for _ in 0..n_targets {
             let cpu = 1 + rng.next_below(7_999);

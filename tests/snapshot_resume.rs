@@ -15,11 +15,12 @@ use tango::{
     BePolicy, CheckpointPolicy, CloudConfig, DefragConfig, EdgeCloudSystem, Event, FaultEvent,
     FaultPlan, LcPolicy, NodeRef, SnapError, TangoConfig,
 };
+use tango_kube::{CompletedRequest, RunningRequest};
 use tango_simcore::KEYED_SEQS;
-use tango_snap::{SnapDecode, SnapEncode, SnapFile, SnapReader, SnapWriter};
+use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapFile, SnapReader, SnapWriter};
 use tango_types::{
-    ClusterId, NodeId, Request, RequestId, RequestState, Resources, ServiceClass, ServiceId,
-    SimTime,
+    ClusterId, ContainerId, NodeId, Request, RequestId, RequestState, Resources, ServiceClass,
+    ServiceId, SimTime,
 };
 use tango_workload::{ServiceCatalog, TraceEvent};
 
@@ -314,6 +315,7 @@ fn rl_policies_round_trip_through_checkpoints() {
 // Section tags of the system snapshot (crates/core/src/snapshot.rs).
 const SEC_LIFECYCLE: u32 = 2;
 const SEC_CLUSTERS: u32 = 3;
+const SEC_NODES: u32 = 5;
 const SEC_ENGINE: u32 = 13;
 
 /// The lifecycle section, split into the parts the hostile-input tests
@@ -622,6 +624,73 @@ fn restore_rejects_queued_events_that_name_an_unknown_node_or_cluster() {
         EdgeCloudSystem::restore(calm_cfg(), &with_queued(event))
             .unwrap_or_else(|e| panic!("{what} at the table edge: {e:?}"));
     }
+}
+
+/// One cgroup as a node's table in the nodes section holds it.
+#[derive(Debug)]
+struct CgroupRow {
+    path: String,
+    parent: Option<usize>,
+    children: Vec<usize>,
+    limit: Resources,
+    usage: Resources,
+    alive: bool,
+}
+
+snap_record!(CgroupRow {
+    path,
+    parent,
+    children,
+    limit,
+    usage,
+    alive,
+});
+
+/// The fixture with the cgroup table of its first worker (the first node
+/// with pods) edited.
+fn with_worker_cgroups(edit: impl FnOnce(&mut Vec<CgroupRow>)) -> Vec<u8> {
+    with_section(&fixture(), SEC_NODES, |payload| {
+        let mut r = SnapReader::new(payload);
+        for _ in 0..r.u64().unwrap() {
+            SimTime::decode(&mut r).unwrap();
+            r.u64().unwrap();
+            r.u64().unwrap();
+            Vec::<CompletedRequest>::decode(&mut r).unwrap();
+            Vec::<(ContainerId, u32, SimTime, Vec<RunningRequest>)>::decode(&mut r).unwrap();
+            let start = payload.len() - r.remaining();
+            let mut table = Vec::<CgroupRow>::decode(&mut r).unwrap();
+            if table.len() > 4 {
+                let end = payload.len() - r.remaining();
+                edit(&mut table);
+                let mut out = payload[..start].to_vec();
+                out.extend(tango_snap::to_bytes(&table));
+                out.extend_from_slice(&payload[end..]);
+                return out;
+            }
+        }
+        panic!("the fixture has a worker");
+    })
+}
+
+#[test]
+fn restore_rejects_a_cgroup_table_that_is_not_the_rebuilt_tree() {
+    assert_eq!(with_worker_cgroups(|_| {}), fixture());
+    // The root and the three QoS groups come first, then the first pod
+    // and its container. Made the child of its own container, the pod
+    // closes a cycle that every walk up the tree would loop on.
+    assert_corrupt(
+        &with_worker_cgroups(|t| t[4].parent = Some(5)),
+        "cgroup parent",
+    );
+    // The last container dropped, from the table and its pod's children.
+    assert_corrupt(
+        &with_worker_cgroups(|t| {
+            let last = t.pop().unwrap();
+            t[last.parent.unwrap()].children.clear();
+        }),
+        "cgroup count",
+    );
+    assert_corrupt(&with_worker_cgroups(|t| t[4].path.push('0')), "cgroup path");
 }
 
 /// The migration suite's cloud config: the cloud tier with defrag.
