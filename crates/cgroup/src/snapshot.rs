@@ -8,7 +8,7 @@
 
 use crate::fs::CgroupFs;
 use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
-use tango_types::Resources;
+use tango_types::{ResourceKind, Resources};
 
 impl CgroupFs {
     /// Encode the group table: per group its path, parent, children,
@@ -31,7 +31,10 @@ impl CgroupFs {
 
     /// Overlay [`CgroupFs::snapshot`] bytes onto this tree. A table that
     /// is not this tree (another group count, or any path, parent, child
-    /// list or liveness flag that differs) is [`SnapError::Corrupt`].
+    /// list or liveness flag that differs) is [`SnapError::Corrupt`], and
+    /// so are values that break a rule the writers keep: a limit above
+    /// its parent's, memory or disk usage above its own limit, or usage
+    /// below a child's.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.u64()? != self.groups.len() as u64 {
             return Err(SnapError::Corrupt("cgroup count"));
@@ -58,6 +61,23 @@ impl CgroupFs {
             g.usage = usage;
         }
         self.limit_epoch += 1;
+        for g in &self.groups {
+            if [ResourceKind::Memory, ResourceKind::Disk]
+                .into_iter()
+                .any(|kind| g.usage.get(kind) > g.limit.get(kind))
+            {
+                return Err(SnapError::Corrupt("cgroup usage above its limit"));
+            }
+            let Some(parent) = g.parent.map(|p| &self.groups[p]) else {
+                continue;
+            };
+            if !g.limit.fits_within(&parent.limit) {
+                return Err(SnapError::Corrupt("cgroup limit above its parent's"));
+            }
+            if !g.usage.fits_within(&parent.usage) {
+                return Err(SnapError::Corrupt("cgroup usage below a child's"));
+            }
+        }
         Ok(())
     }
 }
@@ -202,5 +222,35 @@ mod tests {
         rejects(|t| t[2].children.reverse(), "cgroup children");
         rejects(|t| t[2].children.push(99), "cgroup children");
         rejects(|t| t[7].alive = false, "cgroup liveness");
+        // values the writers never leave: a container limited to 9000m
+        // under its 1000m pod, memory used past a limit, and a pod using
+        // less than its container
+        rejects(
+            |t| t[5].limit.cpu_milli = 9_000,
+            "cgroup limit above its parent's",
+        );
+        rejects(
+            |t| t[2].limit.disk_mib += 1,
+            "cgroup limit above its parent's",
+        );
+        rejects(
+            |t| t[7].usage.memory_mib = 2_048,
+            "cgroup usage above its limit",
+        );
+        rejects(
+            |t| t[0].usage.disk_mib = 60_000,
+            "cgroup usage above its limit",
+        );
+        rejects(
+            |t| t[9].usage.bandwidth_mbps = 5,
+            "cgroup usage below a child's",
+        );
+        // CPU usage past the limit is throttling, which `set_limit` allows
+        assert!(edited(|t| {
+            for g in &mut t[..6] {
+                g.usage.cpu_milli = 1_200;
+            }
+        })
+        .is_ok());
     }
 }

@@ -203,18 +203,6 @@ impl GnnEncoder {
         GnnEncoder::new(kind, &[in_dim, hidden, out_dim], seed)
     }
 
-    /// Sample ≤ p neighbors without replacement (paper §5.3.2 "Sampling").
-    fn sample_neighbors(&mut self, g: &FeatureGraph, v: usize, p: usize) -> Vec<usize> {
-        let nbrs = g.neighbors(v);
-        if nbrs.len() <= p {
-            return nbrs.to_vec();
-        }
-        let mut pool: Vec<usize> = nbrs.to_vec();
-        self.rng.shuffle(&mut pool);
-        pool.truncate(p);
-        pool
-    }
-
     /// Whether this forward pass's operator is a pure function of the
     /// topology (no randomness, no activations): GCN and Native always;
     /// SAGE when no node exceeds the sampling budget p, since sampling
@@ -253,14 +241,23 @@ impl GnnEncoder {
         match self.kind {
             EncoderKind::Native => AggOp::identity(n),
             EncoderKind::Sage { p } => {
-                // MEAN over self ∪ sampled neighbors (Eq. 9)
+                // MEAN over self ∪ ≤ p neighbors sampled without
+                // replacement (Eq. 9, §5.3.2 "Sampling"): a node over
+                // budget keeps the first p of its shuffled neighbors
                 let mut op = AggOp::builder(n);
+                let mut pool = Vec::new();
                 for v in 0..n {
-                    let sampled = self.sample_neighbors(g, v, p);
-                    let k = (sampled.len() + 1) as f32;
-                    op.push_entry(v, 1.0 / k);
-                    for s in sampled {
-                        op.push_entry(s, 1.0 / k);
+                    let mut sampled = g.neighbors(v);
+                    if sampled.len() > p {
+                        pool.clear();
+                        pool.extend_from_slice(sampled);
+                        self.rng.shuffle(&mut pool);
+                        sampled = &pool[..p];
+                    }
+                    let w = 1.0 / (sampled.len() + 1) as f32;
+                    op.push_entry(v, w);
+                    for &s in sampled {
+                        op.push_entry(s, w);
                     }
                     op.finish_row();
                 }
@@ -394,19 +391,29 @@ impl Encoder for GnnEncoder {
         h
     }
 
+    /// Layer 0's input is the graph's features, which have no
+    /// parameters, so its ∂L/∂input (and for SAGE, GCN and Native the
+    /// aggregation transpose after it) is never computed.
     fn backward(&mut self, grad: &Matrix) {
+        let linear_first = self.linear_first();
         let mut g = grad.clone();
         for li in (0..self.layers.len()).rev() {
             let cache = &self.caches[li];
+            let layer = &mut self.layers[li];
             g = g.hadamard(&cache.relu_mask);
-            if self.linear_first() {
+            if linear_first {
                 // forward was: pre = A · (layer.forward(h))
                 let g_hw = cache.agg.apply_transpose(&g);
-                g = self.layers[li].backward(&g_hw);
+                layer.accumulate_grads(&g_hw);
+                if li > 0 {
+                    g = layer.grad_input(&g_hw);
+                }
             } else {
                 // forward was: pre = layer.forward(A · h)
-                let g_ah = self.layers[li].backward(&g);
-                g = cache.agg.apply_transpose(&g_ah);
+                layer.accumulate_grads(&g);
+                if li > 0 {
+                    g = cache.agg.apply_transpose(&layer.grad_input(&g));
+                }
             }
         }
     }
@@ -560,12 +567,12 @@ mod tests {
         let analytic: Vec<f32> = enc.layers[0].grad_w.as_slice().to_vec();
         let eps = 1e-3f32;
         for idx in [0usize, 4, 9, 14] {
-            let orig = enc.layers[0].w.as_slice()[idx];
-            enc.layers[0].w.as_mut_slice()[idx] = orig + eps;
+            let orig = enc.layers[0].w().as_slice()[idx];
+            enc.layers[0].w_mut().as_mut_slice()[idx] = orig + eps;
             let lp = loss(&mut enc, &g);
-            enc.layers[0].w.as_mut_slice()[idx] = orig - eps;
+            enc.layers[0].w_mut().as_mut_slice()[idx] = orig - eps;
             let lm = loss(&mut enc, &g);
-            enc.layers[0].w.as_mut_slice()[idx] = orig;
+            enc.layers[0].w_mut().as_mut_slice()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps as f64);
             let ana = analytic[idx] as f64;
             assert!(
@@ -581,9 +588,9 @@ mod tests {
         let mut enc = GnnEncoder::new(EncoderKind::Sage { p: 2 }, &[3, 4], 21);
         let h = enc.forward(&g);
         enc.backward(&h);
-        let before = enc.layers[0].w.clone();
+        let before = enc.layers[0].w().clone();
         enc.step(0.05);
-        assert_ne!(enc.layers[0].w, before);
+        assert_ne!(enc.layers[0].w(), &before);
         assert!(enc.layers[0].grad_w.as_slice().iter().all(|&v| v == 0.0));
     }
 

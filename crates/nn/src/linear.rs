@@ -1,14 +1,22 @@
 //! A fully-connected layer with manual backprop.
 
 use crate::init::he_normal;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, Packed};
+use std::cell::OnceCell;
 use tango_simcore::SimRng;
 
 /// `y = x·W + b` with cached activations for the backward pass.
+///
+/// The layer keeps `W` and `Wᵀ` packed for the product kernel, each
+/// built on its first use after a write, so weights that change once
+/// per optimiser step are packed once per step, not once per product.
+/// `W` is private so that every write goes through a method that drops
+/// both packs: a stale pack would give wrong products and raise no
+/// error.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weights, `in_dim × out_dim`.
-    pub w: Matrix,
+    w: Matrix,
     /// Bias, length `out_dim`.
     pub b: Vec<f32>,
     /// ∂L/∂W accumulated by `backward`.
@@ -16,9 +24,10 @@ pub struct Linear {
     /// ∂L/∂b accumulated by `backward`.
     pub grad_b: Vec<f32>,
     cached_input: Option<Matrix>,
-    /// One `backward`'s `xᵀ·dY`, before it is added to `grad_w`:
-    /// scratch that every call overwrites, never checkpointed.
-    step_grad_w: Matrix,
+    /// `W` packed as a right operand, for the forward product.
+    packed_w: OnceCell<Packed>,
+    /// `Wᵀ` packed as a right operand, for ∂X.
+    packed_wt: OnceCell<Packed>,
 }
 
 impl Linear {
@@ -30,7 +39,8 @@ impl Linear {
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
             cached_input: None,
-            step_grad_w: Matrix::zeros(0, 0),
+            packed_w: OnceCell::new(),
+            packed_wt: OnceCell::new(),
         }
     }
 
@@ -44,42 +54,75 @@ impl Linear {
         self.w.cols
     }
 
+    /// Weights, `in_dim × out_dim`.
+    pub fn w(&self) -> &Matrix {
+        &self.w
+    }
+
+    /// Weights, to write. Drops the packs; the next product rebuilds them.
+    pub fn w_mut(&mut self) -> &mut Matrix {
+        self.packed_w.take();
+        self.packed_wt.take();
+        &mut self.w
+    }
+
     /// Forward pass on a batch (`batch × in_dim`), caching the input.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.w.rows, "linear forward dim mismatch");
-        let mut y = x.matmul(&self.w);
-        y.add_row_broadcast(&self.b);
-        self.cached_input = Some(x.clone());
+        let y = self.forward_inference(x);
+        let cached = self.cached_input.get_or_insert_with(|| Matrix::zeros(0, 0));
+        cached.copy_from(x);
         y
     }
 
     /// Forward without caching (inference only).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
+        assert_eq!(x.cols, self.w.rows, "linear forward dim mismatch");
+        let mut y = x.matmul(self.packed_w.get_or_init(|| Packed::new(&self.w)));
         y.add_row_broadcast(&self.b);
         y
     }
 
     /// Backward pass: given ∂L/∂y, accumulate ∂L/∂W and ∂L/∂b and return
     /// ∂L/∂x. Must follow a `forward` call.
+    ///
+    /// ∂X = ∂Y·Wᵀ runs on the cached `Wᵀ` pack with the forward
+    /// product's float sequence: `+0.0`, ascending, zero ∂Y terms
+    /// skipped. That equals adding every term from `-0.0`, as
+    /// `Iterator::sum` does, in every element but an all-zero one, whose
+    /// zero may change sign: a `±0` product added to a nonzero partial
+    /// sum leaves it unchanged, and a zero partial sum plus a nonzero
+    /// term is that term. (A `0·∞` term, were a weight ever infinite,
+    /// would give NaN only in the every-term sum.) No consumer tells
+    /// `+0` from `-0`: ReLU masks multiply, the next ∂X skips zeros, and
+    /// `grad_w`, `grad_b` and the encoder's aggregation transpose start
+    /// at `+0.0`, which `±0` terms never change.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.accumulate_grads(grad_out);
+        self.grad_input(grad_out)
+    }
+
+    /// The parameter half of [`Linear::backward`], for a layer whose
+    /// ∂L/∂x nothing reads (a first layer: its input has no parameters).
+    /// Adds ∂L/∂W = xᵀ·∂Y and ∂L/∂b, the column sums of ∂Y, to the
+    /// gradients; each element of `grad_w` takes its call's whole sum in
+    /// one add. Must follow a `forward` call.
+    pub fn accumulate_grads(&mut self, grad_out: &Matrix) {
         let x = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
         assert_eq!(grad_out.rows, x.rows, "batch size mismatch in backward");
-        // dW = xᵀ · dY, summed whole in the scratch and then added, so
-        // each element of `grad_w` takes one add per call
-        x.t_matmul_into(grad_out, &mut self.step_grad_w);
-        self.grad_w.add_assign(&self.step_grad_w);
-        // db = column sums of dY
+        x.add_t_matmul(grad_out, &mut self.grad_w);
         for r in 0..grad_out.rows {
-            for (c, &g) in grad_out.row(r).iter().enumerate() {
-                self.grad_b[c] += g;
+            for (b, &g) in self.grad_b.iter_mut().zip(grad_out.row(r)) {
+                *b += g;
             }
         }
-        // dX = dY · Wᵀ
-        grad_out.matmul_t(&self.w)
+    }
+
+    /// The input half of [`Linear::backward`]: ∂L/∂x = ∂Y·Wᵀ.
+    pub fn grad_input(&self, grad_out: &Matrix) -> Matrix {
+        grad_out.matmul(self.packed_wt.get_or_init(|| Packed::transposed(&self.w)))
     }
 
     /// The input cached by the last [`Linear::forward`].
@@ -96,7 +139,9 @@ impl Linear {
     }
 
     /// (parameter, gradient) slices for the optimizer: weights then bias.
+    /// Drops the packs, as [`Linear::w_mut`] does.
     pub fn params_and_grads(&mut self) -> [(&mut [f32], &[f32]); 2] {
+        self.w_mut();
         let Linear {
             w,
             b,
@@ -138,12 +183,12 @@ mod tests {
         let eps = 1e-3f32;
         // check dW entries
         for idx in [0usize, 5, 11] {
-            let orig = layer.w.as_slice()[idx];
-            layer.w.as_mut_slice()[idx] = orig + eps;
+            let orig = layer.w().as_slice()[idx];
+            layer.w_mut().as_mut_slice()[idx] = orig + eps;
             let lp = loss(&layer, &x);
-            layer.w.as_mut_slice()[idx] = orig - eps;
+            layer.w_mut().as_mut_slice()[idx] = orig - eps;
             let lm = loss(&layer, &x);
-            layer.w.as_mut_slice()[idx] = orig;
+            layer.w_mut().as_mut_slice()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps as f64);
             let ana = layer.grad_w.as_slice()[idx] as f64;
             assert!(
@@ -212,8 +257,7 @@ mod tests {
     }
 
     /// `backward` adds each call's whole `xᵀ·dY` to `grad_w`, one add
-    /// per element per call, through a scratch that calls of any batch
-    /// size (the 1–3-row path and the blocked kernel) overwrite.
+    /// per element per call, whatever the batch size.
     #[test]
     fn backward_adds_each_calls_product_once() {
         let mut rng = SimRng::new(5);
@@ -228,12 +272,45 @@ mod tests {
             let (x, g) = (draw(6), draw(4));
             layer.forward(&x);
             layer.backward(&g);
-            want.add_assign(&x.t_matmul(&g));
+            want.add_assign(&x.transpose().matmul(&Packed::new(&g)));
             let (got, want) = (layer.grad_w.as_slice(), want.as_slice());
             assert!(got
                 .iter()
                 .zip(want)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    /// After a write through `params_and_grads` or `w_mut`, the layer's
+    /// products equal those of a fresh layer holding the same weights,
+    /// which has never packed: no product runs on a stale pack.
+    #[test]
+    fn writes_drop_the_packs() {
+        let mut rng = SimRng::new(13);
+        let mut layer = Linear::new(6, 5, &mut rng);
+        let x = Matrix::from_vec(3, 6, (0..18).map(|v| v as f32 * 0.1 - 0.7).collect()).unwrap();
+        let g = Matrix::from_vec(3, 5, (0..15).map(|v| v as f32 * 0.2 - 1.3).collect()).unwrap();
+        let writes: [fn(&mut Linear); 2] = [
+            |l| {
+                l.params_and_grads()[0]
+                    .0
+                    .iter_mut()
+                    .for_each(|w| *w *= -1.5)
+            },
+            |l| l.w_mut().as_mut_slice()[7] += 0.25,
+        ];
+        for write in writes {
+            layer.forward(&x);
+            layer.backward(&g);
+            layer.zero_grad();
+            write(&mut layer);
+            let mut fresh = Linear::new(6, 5, &mut rng);
+            fresh.w_mut().clone_from(layer.w());
+            fresh.b.clone_from(&layer.b);
+            assert_eq!(layer.forward_inference(&x), fresh.forward_inference(&x));
+            assert_eq!(layer.forward(&x), fresh.forward(&x));
+            assert_eq!(layer.backward(&g), fresh.backward(&g));
+            assert_eq!(layer.grad_w, fresh.grad_w);
         }
     }
 

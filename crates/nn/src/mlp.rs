@@ -60,7 +60,7 @@ impl Mlp {
     pub fn param_count(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.w.rows * l.w.cols + l.b.len())
+            .map(|l| l.in_dim() * l.out_dim() + l.b.len())
             .sum()
     }
 
@@ -128,8 +128,8 @@ impl Mlp {
     pub fn copy_params_from(&mut self, other: &Mlp) {
         assert_eq!(self.layers.len(), other.layers.len());
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.w = b.w.clone();
-            a.b = b.b.clone();
+            a.w_mut().copy_from(b.w());
+            a.b.clone_from(&b.b);
         }
     }
 
@@ -158,7 +158,7 @@ impl Mlp {
     pub fn polyak_from(&mut self, other: &Mlp, tau: f32) {
         assert_eq!(self.layers.len(), other.layers.len());
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            for (x, &y) in a.w.as_mut_slice().iter_mut().zip(b.w.as_slice()) {
+            for (x, &y) in a.w_mut().as_mut_slice().iter_mut().zip(b.w().as_slice()) {
                 *x = tau * y + (1.0 - tau) * *x;
             }
             for (x, &y) in a.b.iter_mut().zip(&b.b) {
@@ -222,12 +222,12 @@ mod tests {
         // probe a few weights in each layer
         for li in 0..2 {
             for idx in [0usize, 3, 7] {
-                let orig = mlp.layers[li].w.as_slice()[idx];
-                mlp.layers[li].w.as_mut_slice()[idx] = orig + eps;
+                let orig = mlp.layers[li].w().as_slice()[idx];
+                mlp.layers[li].w_mut().as_mut_slice()[idx] = orig + eps;
                 let lp = loss(&mlp, &x);
-                mlp.layers[li].w.as_mut_slice()[idx] = orig - eps;
+                mlp.layers[li].w_mut().as_mut_slice()[idx] = orig - eps;
                 let lm = loss(&mlp, &x);
-                mlp.layers[li].w.as_mut_slice()[idx] = orig;
+                mlp.layers[li].w_mut().as_mut_slice()[idx] = orig;
                 let num = (lp - lm) / (2.0 * eps as f64);
                 let ana = mlp.layers[li].grad_w.as_slice()[idx] as f64;
                 assert!(
@@ -272,15 +272,163 @@ mod tests {
         let src = Mlp::new(&[2, 4, 1], 1e-3, &mut rng);
         let mut dst = Mlp::new(&[2, 4, 1], 1e-3, &mut rng);
         dst.copy_params_from(&src);
-        assert_eq!(dst.layers[0].w, src.layers[0].w);
+        assert_eq!(dst.layers[0].w(), src.layers[0].w());
         // polyak with tau=1 equals copy
         let mut dst2 = Mlp::new(&[2, 4, 1], 1e-3, &mut rng);
         dst2.polyak_from(&src, 1.0);
-        assert_eq!(dst2.layers[1].w, src.layers[1].w);
+        assert_eq!(dst2.layers[1].w(), src.layers[1].w());
         // tau=0 is a no-op
-        let before = dst.layers[0].w.clone();
+        let before = dst.layers[0].w().clone();
         dst.polyak_from(&dst2, 0.0);
-        assert_eq!(dst.layers[0].w, before);
+        assert_eq!(dst.layers[0].w(), &before);
+    }
+
+    /// A seeded `rows×cols` matrix of standard normal draws passed
+    /// through `f`.
+    fn drawn(rows: usize, cols: usize, rng: &mut SimRng, f: fn(f32) -> f32) -> Matrix {
+        let data = (0..rows * cols).map(|_| f(rng.standard_normal() as f32));
+        Matrix::from_vec(rows, cols, data.collect()).unwrap()
+    }
+
+    /// A reference backward pass from `mlp`'s cached inputs and weights:
+    /// each layer adds its whole `xᵀ·∂Y` sums (`+0.0`, ascending, zero
+    /// `x` skipped) and ∂Y's column sums to `grads`, and takes ∂X as
+    /// `Iterator::sum` would: from `-0.0`, with every term
+    /// `∂Y[r][j]·W[p][j]` added in ascending `j`.
+    fn every_term_backward(
+        mlp: &Mlp,
+        grad_out: &Matrix,
+        grads: &mut [(Matrix, Vec<f32>)],
+    ) -> Matrix {
+        let mut g = grad_out.clone();
+        for (layer, (gw, gb)) in mlp.layers.iter().zip(grads).rev() {
+            let (x, w) = (layer.cached_input(), layer.w());
+            for i in 0..w.rows {
+                for j in 0..w.cols {
+                    let mut acc = 0.0f32;
+                    for r in (0..x.rows).filter(|&r| x.get(r, i) != 0.0) {
+                        acc += x.get(r, i) * g.get(r, j);
+                    }
+                    gw.set(i, j, gw.get(i, j) + acc);
+                }
+            }
+            for r in 0..g.rows {
+                for (b, &v) in gb.iter_mut().zip(g.row(r)) {
+                    *b += v;
+                }
+            }
+            let mut dx = Matrix::zeros(g.rows, w.rows);
+            for r in 0..g.rows {
+                for p in 0..w.rows {
+                    let mut acc = -0.0f32;
+                    for j in 0..w.cols {
+                        acc += g.get(r, j) * w.get(p, j);
+                    }
+                    dx.set(r, p, acc);
+                }
+            }
+            g = dx;
+            // the ReLU mask of the layer below, as `Mlp::backward` applies it
+            if !std::ptr::eq(layer, &mlp.layers[0]) {
+                for (v, &x) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *v *= if x > 0.0 { 1.0 } else { 0.0 };
+                }
+            }
+        }
+        g
+    }
+
+    /// ∂X skips the zero terms of ∂Y and starts at `+0.0`; adding every
+    /// term from `-0.0` instead gives the same gradients. On the paper's
+    /// head over ReLU-sparse batches, with output gradients holding an
+    /// all-`+0.0` row and a row of `-0.0`, every layer's `grad_w` and
+    /// `grad_b` equals the every-term reference's bit for bit,
+    /// accumulated over batches of 1, 3, 9 and 183 rows, and ∂X equals
+    /// it under `==`.
+    #[test]
+    fn skipping_zero_terms_of_the_output_gradient_moves_no_gradient() {
+        let mut rng = SimRng::new(31);
+        let mut mlp = Mlp::new(&[16, 256, 128, 32, 1], 2e-4, &mut rng);
+        let mut grads: Vec<_> = mlp
+            .layers
+            .iter()
+            .map(|l| {
+                (
+                    Matrix::zeros(l.in_dim(), l.out_dim()),
+                    vec![0.0; l.out_dim()],
+                )
+            })
+            .collect();
+        for (rows, zero_rows) in [
+            (1, &[][..]),
+            (3, &[(1, 0.0)]),
+            (9, &[(4, -0.0)]),
+            (183, &[(17, -0.0), (100, 0.0)]),
+        ] {
+            let x = drawn(rows, 16, &mut rng, |v| v.max(0.0));
+            let mut grad_out = drawn(rows, 1, &mut rng, |v| v);
+            for &(r, zero) in zero_rows {
+                grad_out.row_mut(r).fill(zero);
+            }
+            mlp.forward(&x);
+            let want = every_term_backward(&mlp, &grad_out, &mut grads);
+            let got = mlp.backward(&grad_out);
+            assert_eq!(got, want, "∂X of {rows} rows");
+            for (l, (layer, (gw, gb))) in mlp.layers.iter().zip(&grads).enumerate() {
+                let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(layer.grad_w.as_slice()),
+                    bits(gw.as_slice()),
+                    "layer {l} grad_w at {rows} rows"
+                );
+                assert_eq!(
+                    bits(&layer.grad_b),
+                    bits(gb),
+                    "layer {l} grad_b at {rows} rows"
+                );
+            }
+        }
+    }
+
+    /// After each writer (an Adam step, `polyak_from`, `copy_params_from`
+    /// and a snapshot restore), whose products run on packs built before
+    /// it, the MLP's products equal those of a fresh MLP holding the same
+    /// parameters, which has never packed.
+    #[test]
+    fn writers_drop_the_packs() {
+        use tango_snap::{SnapReader, SnapWriter};
+        let mut rng = SimRng::new(23);
+        let dims = [3, 8, 5, 2];
+        let other = Mlp::new(&dims, 1e-2, &mut rng);
+        let mut w = SnapWriter::new();
+        Mlp::new(&dims, 1e-2, &mut rng).snap_write(&mut w);
+        let saved = w.into_bytes();
+        let writes: [&dyn Fn(&mut Mlp); 4] = [
+            &|m| m.step(),
+            &|m| m.polyak_from(&other, 0.3),
+            &|m| m.copy_params_from(&other),
+            &|m| m.snap_read(&mut SnapReader::new(&saved)).unwrap(),
+        ];
+        let x = drawn(4, 3, &mut rng, |v| v);
+        let g = drawn(4, 2, &mut rng, |v| v);
+        let mut mlp = Mlp::new(&dims, 1e-2, &mut rng);
+        for write in writes {
+            mlp.forward(&x);
+            mlp.backward(&g);
+            write(&mut mlp);
+            mlp.zero_grad();
+            let mut fresh = Mlp::new(&dims, 1e-2, &mut rng);
+            for (f, l) in fresh.layers.iter_mut().zip(&mlp.layers) {
+                f.w_mut().clone_from(l.w());
+                f.b.clone_from(&l.b);
+            }
+            assert_eq!(mlp.forward_inference(&x), fresh.forward_inference(&x));
+            assert_eq!(mlp.forward(&x), fresh.forward(&x));
+            assert_eq!(mlp.backward(&g), fresh.backward(&g));
+            for (a, b) in mlp.layers.iter().zip(&fresh.layers) {
+                assert_eq!(a.grad_w, b.grad_w);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use tango_snap::{SnapDecode, SnapEncode, SnapError, SnapReader, SnapWriter};
 /// Write each layer's weights and bias, count-prefixed: the parameter
 /// list an [`Mlp`](crate::Mlp) and a GNN encoder each checkpoint.
 pub fn write_layers(layers: &[Linear], w: &mut SnapWriter) {
-    let params: Vec<(&Matrix, &Vec<f32>)> = layers.iter().map(|l| (&l.w, &l.b)).collect();
+    let params: Vec<(&Matrix, &Vec<f32>)> = layers.iter().map(|l| (l.w(), &l.b)).collect();
     params.encode(w);
 }
 
@@ -29,13 +29,13 @@ pub fn read_layers(layers: &mut [Linear], r: &mut SnapReader<'_>) -> Result<(), 
         return Err(SnapError::Corrupt("layer count mismatch"));
     }
     let same_shape = |l: &Linear, (w, b): &(Matrix, Vec<f32>)| {
-        (w.rows, w.cols, b.len()) == (l.w.rows, l.w.cols, l.b.len())
+        (w.rows, w.cols, b.len()) == (l.in_dim(), l.out_dim(), l.b.len())
     };
     if !layers.iter().zip(&params).all(|(l, p)| same_shape(l, p)) {
         return Err(SnapError::Corrupt("layer shape mismatch"));
     }
     for (layer, (w, b)) in layers.iter_mut().zip(params) {
-        layer.w = w;
+        *layer.w_mut() = w;
         layer.b = b;
         layer.zero_grad();
     }

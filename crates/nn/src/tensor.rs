@@ -50,6 +50,12 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
+    /// Overwrite with `other`'s shape and values, keeping this buffer.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        (self.rows, self.cols) = (other.rows, other.cols);
+        self.data.clone_from(&other.data);
+    }
+
     /// Flat row-major view.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -70,106 +76,43 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` (rows×cols · cols×k). Panics on shape mismatch.
+    /// `self · b` for a packed right operand (rows×k · k×n). Panics on
+    /// shape mismatch.
     ///
     /// Each output element starts at `+0.0` and adds `a[i][p]·b[p][j]`
     /// in ascending `p`, skipping terms whose `a[i][p] == 0.0`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_on(Kernel::detect(), other)
+    pub(crate) fn matmul(&self, b: &Packed) -> Matrix {
+        self.matmul_on(Kernel::detect(), b)
     }
 
     /// [`Matrix::matmul`] with its strips on `kernel`.
-    fn matmul_on(&self, kernel: Kernel, other: &Matrix) -> Matrix {
+    fn matmul_on(&self, kernel: Kernel, b: &Packed) -> Matrix {
         assert_eq!(
-            self.cols, other.rows,
+            self.cols, b.k,
             "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
+            self.rows, self.cols, b.k, b.n
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if self.rows <= 3 {
-            axpy_rows(&mut out, self.entries(), other);
-        } else {
-            let row = |i| self.row(i).iter().copied();
-            gemm::<true, _>(kernel, row, &pack(other), 0.0, &mut out.data);
-        }
+        let mut out = Matrix::zeros(self.rows, b.n);
+        let row = |i| self.row(i).iter().copied();
+        gemm::<false, _>(kernel, row, b, &mut out.data);
         out
     }
 
-    /// `selfᵀ · other`: the float sequence of [`Matrix::matmul`] on the
-    /// transposed left operand (`+0.0`, ascending, zero terms skipped).
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_into(other, &mut out);
-        out
+    /// `out += selfᵀ · other`. Each element's whole sum is formed first,
+    /// with the float sequence of [`Matrix::matmul`] on the transposed
+    /// left operand (`+0.0`, ascending, zero terms skipped), and then
+    /// added to `out` once. Panics on shape mismatch.
+    pub(crate) fn add_t_matmul(&self, other: &Matrix, out: &mut Matrix) {
+        self.add_t_matmul_on(Kernel::detect(), other, out);
     }
 
-    /// [`Matrix::t_matmul`] written over `out`, which takes the
-    /// product's shape and keeps its buffer: every element is
-    /// overwritten, whatever `out` held before.
-    pub(crate) fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.t_matmul_on(Kernel::detect(), other, out);
-    }
-
-    /// [`Matrix::t_matmul_into`] with its strips on `kernel`.
-    fn t_matmul_on(&self, kernel: Kernel, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, other.rows,
-            "t_matmul shape mismatch: {}x{} ᵀ· {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        (out.rows, out.cols) = (self.cols, other.cols);
-        out.data.resize(self.cols * other.cols, 0.0);
-        if self.rows <= 3 {
-            out.data.fill(0.0);
-            axpy_rows(out, self.entries().map(|(r, i, x)| (i, r, x)), other);
-            return;
-        }
+    /// [`Matrix::add_t_matmul`] with its strips on `kernel`.
+    fn add_t_matmul_on(&self, kernel: Kernel, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "add_t_matmul shape mismatch");
+        let shape = (self.cols, other.cols);
+        assert_eq!((out.rows, out.cols), shape, "add_t_matmul shape mismatch");
         let column = |i| self.data.iter().skip(i).step_by(self.cols).copied();
-        gemm::<true, _>(kernel, column, &pack(other), 0.0, &mut out.data);
-    }
-
-    /// `self · otherᵀ`. Each output element is the dot product of two
-    /// rows as `Iterator::sum` folds it: it starts at `-0.0` and adds
-    /// every term in ascending order, zero terms included.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        self.matmul_t_on(Kernel::detect(), other)
-    }
-
-    /// [`Matrix::matmul_t`] with its strips on `kernel`.
-    fn matmul_t_on(&self, kernel: Kernel, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t shape mismatch: {}x{} · {}x{}ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if self.rows <= 3 {
-            // A row or three (the critic's pooled row): packing `other`
-            // would cost as much as the product, so take the dots
-            // directly, eight at a time so that their chains overlap.
-            for i in 0..self.rows {
-                let a = self.row(i);
-                for (j0, dots) in (0..).step_by(8).zip(out.row_mut(i).chunks_mut(8)) {
-                    if let Ok(dots) = <&mut [f32; 8]>::try_from(&mut *dots) {
-                        *dots = interleaved_dots(a, other, j0);
-                    } else {
-                        for (j, d) in (j0..).zip(dots) {
-                            [*d] = interleaved_dots(a, other, j);
-                        }
-                    }
-                }
-            }
-        } else {
-            let row = |i| self.row(i).iter().copied();
-            gemm::<false, _>(kernel, row, &pack_t(other), -0.0, &mut out.data);
-        }
-        out
-    }
-
-    /// Every `(row, column, value)`, row-major.
-    fn entries(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        let rows = self.data.chunks_exact(self.cols.max(1)).enumerate();
-        rows.flat_map(|(r, row)| row.iter().enumerate().map(move |(c, &x)| (r, c, x)))
+        gemm::<true, _>(kernel, column, &Packed::new(other), &mut out.data);
     }
 
     /// Transposed copy.
@@ -295,71 +238,46 @@ impl Matrix {
     }
 }
 
-/// `out[i] += x · b[p]` for every `(i, p, x)` with `x != 0.0`, into a
-/// zeroed output of `b.cols` columns: the [`Matrix::matmul`] float
-/// sequence as long as each `i`'s terms come in ascending `p`. Serves
-/// left operands of 1–3 rows, where packing `b` or setting up a strip
-/// per output row would cost as much as the product (the critic's
-/// pooled row).
-fn axpy_rows(out: &mut Matrix, terms: impl Iterator<Item = (usize, usize, f32)>, b: &Matrix) {
-    for (i, p, x) in terms.filter(|&(_, _, x)| x != 0.0) {
-        for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(p)) {
-            *o += x * y;
-        }
-    }
-}
-
-/// The dots of `a` with rows `j0..j0 + C` of `b`, each folded like
-/// `Iterator::sum`: `-0.0`, then every term in ascending order. The `C`
-/// chains advance together, so an add waits only on its own chain.
-fn interleaved_dots<const C: usize>(a: &[f32], b: &Matrix, j0: usize) -> [f32; C] {
-    let rows: [&[f32]; C] = std::array::from_fn(|c| &b.row(j0 + c)[..a.len()]);
-    let mut acc = [-0.0; C];
-    for (p, &x) in a.iter().enumerate() {
-        for (o, row) in acc.iter_mut().zip(rows) {
-            *o += x * row[p];
-        }
-    }
-    acc
-}
-
 /// A `k×n` right-hand operand in strip-major order: the columns of
 /// each strip (see [`strips_of`]) form one contiguous `k×w` block, so a
 /// strip's panel has unit stride whatever `n` is.
-struct Packed {
+#[derive(Debug, Clone)]
+pub(crate) struct Packed {
     k: usize,
     n: usize,
     data: Vec<f32>,
 }
 
-/// Pack `b` as the right-hand operand.
-fn pack(b: &Matrix) -> Packed {
-    let mut data = Vec::with_capacity(b.rows * b.cols);
-    for (j0, w) in strips_of(b.cols) {
-        for row in b.data.chunks_exact(b.cols) {
-            data.extend_from_slice(&row[j0..j0 + w]);
+impl Packed {
+    /// `b` packed as the right-hand operand.
+    pub(crate) fn new(b: &Matrix) -> Packed {
+        let mut data = Vec::with_capacity(b.rows * b.cols);
+        for (j0, w) in strips_of(b.cols) {
+            for row in b.data.chunks_exact(b.cols) {
+                data.extend_from_slice(&row[j0..j0 + w]);
+            }
+        }
+        Packed {
+            k: b.rows,
+            n: b.cols,
+            data,
         }
     }
-    Packed {
-        k: b.rows,
-        n: b.cols,
-        data,
-    }
-}
 
-/// Pack `bᵀ` as the right-hand operand.
-fn pack_t(b: &Matrix) -> Packed {
-    let mut data = Vec::with_capacity(b.rows * b.cols);
-    for (j0, w) in strips_of(b.rows) {
-        let rows = &b.data[j0 * b.cols..(j0 + w) * b.cols];
-        for p in 0..b.cols {
-            data.extend(rows.iter().skip(p).step_by(b.cols));
+    /// `bᵀ` packed as the right-hand operand.
+    pub(crate) fn transposed(b: &Matrix) -> Packed {
+        let mut data = Vec::with_capacity(b.rows * b.cols);
+        for (j0, w) in strips_of(b.rows) {
+            let rows = &b.data[j0 * b.cols..(j0 + w) * b.cols];
+            for p in 0..b.cols {
+                data.extend(rows.iter().skip(p).step_by(b.cols));
+            }
         }
-    }
-    Packed {
-        k: b.cols,
-        n: b.rows,
-        data,
+        Packed {
+            k: b.cols,
+            n: b.rows,
+            data,
+        }
     }
 }
 
@@ -384,26 +302,26 @@ fn strips_of(n: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Output rows per block: [`gemm`] lists one block's terms at a time.
 const ROW_BLOCK: usize = 8;
 
-/// `init + Σ_p a[i][p]·b[p][j]` for every element of the row-major
-/// output `out` (row length `b.n`), `p` ascending; with `SKIP`, terms
-/// whose `a[i][p] == 0.0` are left out. `a(i)` yields row `i` of the
-/// left operand. Every element is overwritten.
+/// `Σ_p a[i][p]·b[p][j]` for every element of the row-major output `out`
+/// (row length `b.n`): each sum starts at `+0.0`, adds its terms in
+/// ascending `p` and leaves out those whose `a[i][p] == 0.0`. `a(i)`
+/// yields row `i` of the left operand. The sum overwrites its element,
+/// or with `ADD` is added to it once.
 ///
 /// Output rows go in blocks of [`ROW_BLOCK`]. A block first lists its
 /// rows' terms `(p, a[i][p])` into one buffer, reused for every block
 /// and written without a branch: each term is stored, and the write
-/// position moves past it unless it is skipped, so the zero test is paid
+/// position moves past it unless it is zero, so the zero test is paid
 /// once per term, not once per strip. Then every strip (see
 /// [`strips_of`]) runs over the block while its terms sit in L1: a strip
 /// of one output row stays in registers while its terms run, and every
 /// inner loop is a contiguous axpy over the strip's panel. The strip
 /// loop runs on `kernel`, [`Kernel::detect`]'s choice outside the tests;
 /// both builds give each element the same float sequence.
-fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
+fn gemm<const ADD: bool, R: Iterator<Item = f32>>(
     kernel: Kernel,
     a: impl Fn(usize) -> R,
     b: &Packed,
-    init: f32,
     out: &mut [f32],
 ) {
     let n = b.n;
@@ -411,7 +329,7 @@ fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
     if out.is_empty() {
         return;
     }
-    let mut terms = vec![(0, 0.0); ROW_BLOCK * b.k];
+    let mut terms = vec![(0, 0.0); (out.len() / n).min(ROW_BLOCK) * b.k];
     let mut ends = [0; ROW_BLOCK];
     for (block, i0) in out.chunks_mut(ROW_BLOCK * n).zip((0..).step_by(ROW_BLOCK)) {
         let ends = &mut ends[..block.len() / n];
@@ -419,11 +337,11 @@ fn gemm<const SKIP: bool, R: Iterator<Item = f32>>(
         for (i, end) in (i0..).zip(ends.iter_mut()) {
             for (p, x) in a(i).enumerate() {
                 terms[l] = (p as u32, x);
-                l += usize::from(!(SKIP && x == 0.0));
+                l += usize::from(x != 0.0);
             }
             *end = l;
         }
-        kernel.strips(&terms, ends, b, init, block);
+        kernel.strips::<ADD>(&terms, ends, b, block);
     }
 }
 
@@ -452,12 +370,11 @@ impl Kernel {
     }
 
     /// Run every strip of one row block on this build.
-    fn strips(
+    fn strips<const ADD: bool>(
         self,
         terms: &[(u32, f32)],
         ends: &[usize],
         b: &Packed,
-        init: f32,
         block: &mut [f32],
     ) {
         #[cfg(target_arch = "x86_64")]
@@ -466,51 +383,56 @@ impl Kernel {
             // target feature and nothing else, and the guard has just
             // found that feature on the running CPU, so no instruction
             // it may contain is unsupported.
-            return unsafe { strips_avx2(terms, ends, b, init, block) };
+            return unsafe { strips_avx2::<ADD>(terms, ends, b, block) };
         }
-        strips(terms, ends, b, init, block);
+        strips::<ADD>(terms, ends, b, block);
     }
 }
 
 /// [`strips`] compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn strips_avx2(terms: &[(u32, f32)], ends: &[usize], b: &Packed, init: f32, block: &mut [f32]) {
-    strips(terms, ends, b, init, block);
+fn strips_avx2<const ADD: bool>(
+    terms: &[(u32, f32)],
+    ends: &[usize],
+    b: &Packed,
+    block: &mut [f32],
+) {
+    strips::<ADD>(terms, ends, b, block);
 }
 
 /// Columns of every strip of a row block (row stride `b.n`): the one
 /// body behind both [`Kernel`] builds. Row `r`'s terms are
 /// `terms[ends[r - 1]..ends[r]]`.
 #[inline(always)]
-fn strips(terms: &[(u32, f32)], ends: &[usize], b: &Packed, init: f32, block: &mut [f32]) {
+fn strips<const ADD: bool>(terms: &[(u32, f32)], ends: &[usize], b: &Packed, block: &mut [f32]) {
     for (j0, w) in strips_of(b.n) {
         let panel = &b.data[j0 * b.k..(j0 + w) * b.k];
         match w {
-            32 => strip::<32>(terms, ends, panel, init, block, b.n, j0),
-            16 => strip::<16>(terms, ends, panel, init, block, b.n, j0),
-            8 => strip::<8>(terms, ends, panel, init, block, b.n, j0),
-            4 => strip::<4>(terms, ends, panel, init, block, b.n, j0),
-            _ => strip::<1>(terms, ends, panel, init, block, b.n, j0),
+            32 => strip::<32, ADD>(terms, ends, panel, block, b.n, j0),
+            16 => strip::<16, ADD>(terms, ends, panel, block, b.n, j0),
+            8 => strip::<8, ADD>(terms, ends, panel, block, b.n, j0),
+            4 => strip::<4, ADD>(terms, ends, panel, block, b.n, j0),
+            _ => strip::<1, ADD>(terms, ends, panel, block, b.n, j0),
         }
     }
 }
 
 /// Columns `j0..j0 + W` of every row of a block (row stride `n`) from
-/// the strip's `k×W` panel.
+/// the strip's `k×W` panel, written over the block or, with `ADD`,
+/// added to it.
 #[inline(always)]
-fn strip<const W: usize>(
+fn strip<const W: usize, const ADD: bool>(
     terms: &[(u32, f32)],
     ends: &[usize],
     panel: &[f32],
-    init: f32,
     block: &mut [f32],
     n: usize,
     j0: usize,
 ) {
     let mut start = 0;
     for (out_row, &end) in block.chunks_exact_mut(n).zip(ends) {
-        let mut acc = [init; W];
+        let mut acc = [0.0; W];
         for &(p, x) in &terms[start..end] {
             let p = p as usize;
             let bs: &[f32; W] = panel[p * W..(p + 1) * W].try_into().expect("W columns");
@@ -518,7 +440,12 @@ fn strip<const W: usize>(
                 *o += x * y;
             }
         }
-        out_row[j0..j0 + W].copy_from_slice(&acc);
+        let out = &mut out_row[j0..j0 + W];
+        if ADD {
+            out.iter_mut().zip(acc).for_each(|(o, a)| *o += a);
+        } else {
+            out.copy_from_slice(&acc);
+        }
         start = end;
     }
 }
@@ -541,7 +468,7 @@ mod tests {
     fn matmul_known_product() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = m(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let c = a.matmul(&Packed::new(&b));
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -549,18 +476,19 @@ mod tests {
     fn transpose_variants_agree() {
         let a = m(2, 3, &[1.0, -2.0, 3.0, 0.5, 4.0, -1.0]);
         let b = m(2, 4, &[2.0, 0.0, 1.0, -1.0, 3.0, 1.0, 0.0, 2.0]);
-        // aᵀ·b  via t_matmul vs explicit transpose
-        let t1 = a.t_matmul(&b);
-        let t2 = a.transpose().matmul(&b);
+        // aᵀ·b added onto zeros vs an explicit transpose
+        let mut t1 = Matrix::zeros(3, 4);
+        a.add_t_matmul(&b, &mut t1);
+        let t2 = a.transpose().matmul(&Packed::new(&b));
         assert_eq!(t1, t2);
-        // a·cᵀ via matmul_t vs explicit
+        // a·cᵀ on the transposed packing vs an explicit transpose
         let c = m(
             4,
             3,
             &[1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0, 2.0, 2.0, -1.0, 0.0, 1.0],
         );
-        let u1 = a.matmul_t(&c);
-        let u2 = a.matmul(&c.transpose());
+        let u1 = a.matmul(&Packed::transposed(&c));
+        let u2 = a.matmul(&Packed::new(&c.transpose()));
         assert_eq!(u1, u2);
     }
 
@@ -569,7 +497,15 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = a.matmul(&Packed::new(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "add_t_matmul shape mismatch")]
+    fn add_t_matmul_shape_mismatch_panics() {
+        let a = Matrix::zeros(2, 3);
+        let b = Matrix::zeros(2, 4);
+        a.add_t_matmul(&b, &mut Matrix::zeros(4, 3));
     }
 
     #[test]
@@ -640,8 +576,9 @@ mod tests {
         out
     }
 
-    /// The exact float sequence of [`Matrix::t_matmul`]: `+0.0`, then
-    /// `a[r][i]·b[r][j]` for ascending `r`, skipping `a[r][i] == 0.0`.
+    /// The exact float sequence of each sum [`Matrix::add_t_matmul`]
+    /// adds: `+0.0`, then `a[r][i]·b[r][j]` for ascending `r`, skipping
+    /// `a[r][i] == 0.0`.
     fn ref_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.cols, b.cols);
         for i in 0..a.cols {
@@ -651,22 +588,6 @@ mod tests {
                     if a.get(r, i) != 0.0 {
                         acc += a.get(r, i) * b.get(r, j);
                     }
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
-    }
-
-    /// The exact float sequence of [`Matrix::matmul_t`]: `-0.0`, then
-    /// every `a[i][p]·b[j][p]` for ascending `p`.
-    fn ref_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows, b.rows);
-        for i in 0..a.rows {
-            for j in 0..b.rows {
-                let mut acc = -0.0f32;
-                for p in 0..a.cols {
-                    acc += a.get(i, p) * b.get(j, p);
                 }
                 out.set(i, j, acc);
             }
@@ -745,15 +666,16 @@ mod tests {
         kernels
     }
 
-    /// All three kernels equal their reference float sequences bit for
-    /// bit on every build, over empty, one-row, few-row and wide shapes,
-    /// row counts on both sides of the row block, strip widths on and
-    /// around 32, and inputs with signed zeros. Depth index 1 of the
-    /// right operand is infinite, so a kernel that multiplied a zero
+    /// Both products equal their reference float sequences bit for bit
+    /// on every build, over empty, one-row, few-row and wide shapes, row
+    /// counts on both sides of the row block, strip widths on and around
+    /// 32, and inputs with signed zeros. `x·B` runs on both packings of
+    /// the right operand, `B` itself and `Bᵀ` transposed back, and depth
+    /// index 1 of `B` is infinite, so a kernel that multiplied a zero
     /// left term instead of skipping it would produce NaN. The shapes
     /// around the row block also run with all-zero output rows inside
-    /// blocks of dense ones, and `t_matmul_into` writes over a
-    /// NaN-filled buffer of the wrong shape.
+    /// blocks of dense ones. `add_t_matmul` adds onto a nonzero `out`,
+    /// so a sum added twice, or term by term, would show.
     #[test]
     fn kernels_match_their_float_sequences_bitwise() {
         let kernels = kernels("kernels_match_their_float_sequences_bitwise");
@@ -764,10 +686,11 @@ mod tests {
                     if k > 1 {
                         b.row_mut(1).fill(f32::INFINITY);
                     }
-                    let mut bt = awkward(n, k, (n * 31 + k + 3) as u64);
-                    if k > 1 {
-                        (0..n).for_each(|j| bt.set(j, 1, f32::INFINITY));
-                    }
+                    let packs = [
+                        ("b", Packed::new(&b)),
+                        ("(bᵀ)ᵀ", Packed::transposed(&b.transpose())),
+                    ];
+                    let out = seeded(m, n, (m * 77 + n) as u64, |_, _, v| v + 1.0);
                     let mut lefts = vec![(
                         awkward(m, k, (m * 1000 + k) as u64),
                         awkward(k, m, (m * 31 + k) as u64),
@@ -780,21 +703,22 @@ mod tests {
                     }
                     for (a, at) in &lefts {
                         let want_mm = ref_matmul(a, &b);
-                        let want_tm = ref_t_matmul(at, &b);
-                        let want_mt = ref_matmul_t(a, &bt);
+                        let want_tm = out.add(&ref_t_matmul(at, &b));
                         let what = format!("{m}x{k}·{k}x{n}");
-                        assert_bits_eq(&a.matmul(&b), &want_mm, &format!("matmul {what}"));
-                        assert_bits_eq(&at.t_matmul(&b), &want_tm, &format!("t_matmul {what}"));
-                        assert_bits_eq(&a.matmul_t(&bt), &want_mt, &format!("matmul_t {what}"));
+                        let mm = a.matmul(&packs[0].1);
+                        assert_bits_eq(&mm, &want_mm, &format!("matmul {what}"));
+                        let mut tm = out.clone();
+                        at.add_t_matmul(&b, &mut tm);
+                        assert_bits_eq(&tm, &want_tm, &format!("add_t_matmul {what}"));
                         for &kernel in &kernels {
                             let what = format!("{what} on {kernel:?}");
-                            let mm = a.matmul_on(kernel, &b);
-                            assert_bits_eq(&mm, &want_mm, &format!("matmul {what}"));
-                            let mut tm = Matrix::from_vec(2, 3, vec![f32::NAN; 6]).unwrap();
-                            at.t_matmul_on(kernel, &b, &mut tm);
-                            assert_bits_eq(&tm, &want_tm, &format!("t_matmul_into {what}"));
-                            let mt = a.matmul_t_on(kernel, &bt);
-                            assert_bits_eq(&mt, &want_mt, &format!("matmul_t {what}"));
+                            for (packing, pack) in &packs {
+                                let mm = a.matmul_on(kernel, pack);
+                                assert_bits_eq(&mm, &want_mm, &format!("matmul {packing} {what}"));
+                            }
+                            let mut tm = out.clone();
+                            at.add_t_matmul_on(kernel, &b, &mut tm);
+                            assert_bits_eq(&tm, &want_tm, &format!("add_t_matmul {what}"));
                         }
                     }
                 }
@@ -802,28 +726,25 @@ mod tests {
         }
     }
 
-    /// With nothing to add, `matmul` and `t_matmul` give `+0.0` and
-    /// `matmul_t` gives `-0.0`, the neutral element of `Iterator::sum`,
-    /// on every build.
+    /// With nothing to add, `matmul` gives `+0.0` on either packing, and
+    /// `add_t_matmul` adds one `+0.0`, which turns a `-0.0` element into
+    /// `+0.0`, on every build.
     #[test]
     fn empty_depth_gives_the_initial_zero() {
         for kernel in kernels("empty_depth_gives_the_initial_zero") {
             for m in [1usize, 3, 5, 9] {
                 let a = Matrix::zeros(m, 0);
-                assert!(a
-                    .matmul_on(kernel, &Matrix::zeros(0, 4))
-                    .as_slice()
-                    .iter()
-                    .all(|v| v.to_bits() == 0));
-                let mut t = Matrix::from_vec(1, 1, vec![f32::NAN]).unwrap();
-                Matrix::zeros(0, m).t_matmul_on(kernel, &Matrix::zeros(0, 4), &mut t);
-                assert_eq!((t.rows, t.cols), (m, 4));
+                for pack in [
+                    Packed::new(&Matrix::zeros(0, 4)),
+                    Packed::transposed(&Matrix::zeros(4, 0)),
+                ] {
+                    let out = a.matmul_on(kernel, &pack);
+                    assert_eq!((out.rows, out.cols), (m, 4));
+                    assert!(out.as_slice().iter().all(|v| v.to_bits() == 0));
+                }
+                let mut t = Matrix::from_vec(m, 4, vec![-0.0; m * 4]).unwrap();
+                Matrix::zeros(0, m).add_t_matmul_on(kernel, &Matrix::zeros(0, 4), &mut t);
                 assert!(t.as_slice().iter().all(|v| v.to_bits() == 0));
-                let t = a.matmul_t_on(kernel, &Matrix::zeros(4, 0));
-                assert!(t
-                    .as_slice()
-                    .iter()
-                    .all(|v| v.to_bits() == (-0.0f32).to_bits()));
             }
         }
     }
