@@ -331,17 +331,22 @@ fn fig11ab() {
 /// round pays only the plan.
 fn dss_scaling() {
     println!("\n### DSS-LC decision-time scaling (§7.2 text) ###");
-    use std::sync::Arc;
     use tango_bench::scenarios::make_batch;
-    use tango_sched::{DssLc, TypeBatch};
+    use tango_sched::{delay_order, DssLc, LcBatch};
     use tango_types::{RequestId, ServiceId};
 
     for &n_nodes in &[100usize, 250, 500, 1000] {
         let nodes = make_batch(n_nodes, 0).nodes;
         let requests: Vec<RequestId> = (0..(n_nodes as u64 * 2)).map(RequestId).collect();
         let decide = |sched: &mut DssLc| {
-            let batch = TypeBatch::new(ServiceId(0), requests.clone(), Arc::clone(&nodes));
-            sched.plan(&batch)
+            let by_delay = delay_order(&nodes);
+            let batch = LcBatch {
+                service: ServiceId(0),
+                requests: &requests,
+                rows: &nodes,
+                by_delay: &by_delay,
+            };
+            sched.plan_many(&[batch])
         };
         let mut sched = DssLc::new(7);
         // warm up

@@ -5,19 +5,17 @@
 //! queue, and the incremental candidate-view cache): both the LC and the
 //! BE paths read their scheduler views from
 //! `crate::view_cache::CandidateViewCache`, whose single row builder
-//! goes through `CandidateNode::from_observation` — so reservation
-//! subtraction, liveness filtering and reachability cannot drift between
-//! the two dispatcher roles.
+//! serves both — so reservation subtraction, liveness filtering and
+//! reachability cannot drift between the two dispatcher roles.
 
 use crate::ctx::SystemCtx;
 use crate::lifecycle;
 use crate::system::Event;
 use crate::view_cache::{CandidateViewCache, ViewInputs};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 use tango_metrics::{TraceEvent, TraceLane};
 use tango_net::NetworkTopology;
-use tango_sched::{BeScheduler, CandidateNode, LcScheduler, TypeBatch};
+use tango_sched::{BeScheduler, CandidateNode, LcBatch, LcScheduler};
 use tango_types::{ClusterId, FxHashSet, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
@@ -46,7 +44,8 @@ pub struct DispatchState {
 /// Assemble the candidate-view inputs from a `SystemCtx`, reborrowing
 /// only the fields a view is derived from. A macro (not a function) so
 /// the borrow checker sees the disjoint field projections and still
-/// allows `&mut ctx.dispatch.views` alongside.
+/// allows `ctx.dispatch.views` and the schedulers to be borrowed
+/// alongside.
 macro_rules! view_inputs {
     ($ctx:expr) => {
         ViewInputs {
@@ -146,20 +145,8 @@ pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, cluster: ClusterId, sched: &m
             let Some(req) = ctx.lifecycle.requests.get(&rid) else {
                 continue;
             };
-            let service = req.service;
-            let demand = req.demand;
-            let local: Vec<CandidateNode> = {
-                let views = &mut ctx.dispatch.views;
-                let inp = view_inputs!(ctx);
-                let (global, _) = views.candidates(&inp, service, ViewScope::BeGlobal);
-                global
-                    .iter()
-                    .filter(|c| c.cluster == cluster)
-                    .cloned()
-                    .collect()
-            };
-            pay_be_feedback(ctx, &demand, &local, now);
-            match ctx.dispatch.be.schedule(&demand, &local) {
+            let (service, demand) = (req.service, req.demand);
+            match decide_be(ctx, service, &demand, Some(cluster)) {
                 Some((node, _)) if ctx.fault.is_down(node) => {
                     ctx.fault.summary.down_node_dispatches += 1;
                     ctx.clusters[ci].be_q.push_back(rid);
@@ -186,9 +173,14 @@ pub(crate) fn on_dispatch(ctx: &mut SystemCtx<'_>, cluster: ClusterId, sched: &m
 }
 
 /// A round's LC lane (Alg. 2): drain the master's queue into per-type
-/// batches over its candidate views, plan them with the cluster's
-/// scheduler, and commit every placement. Unplaced requests go back on
-/// the queue in their original order.
+/// batches, bring the candidate view of every type current, lend the
+/// views to the cluster's scheduler while it plans, and commit every
+/// placement after. Unplaced requests go back on the queue in their
+/// original order.
+///
+/// A lent row is built when the scheduler reads it, so it must see the
+/// reservations the views' upkeep saw: nothing commits until planning
+/// ends, planning writes no table, and no other round runs in between.
 fn dispatch_lc(
     ctx: &mut SystemCtx<'_>,
     cluster: ClusterId,
@@ -204,27 +196,36 @@ fn dispatch_lc(
             by_type.entry(r.service).or_default().push(*rid);
         }
     }
-    let batches: Vec<TypeBatch> = {
+    {
         let views = &mut ctx.dispatch.views;
         let inp = view_inputs!(ctx);
-        by_type
-            .into_iter()
-            .map(|(service, requests)| {
-                let (nodes, by_delay) = views.candidates(&inp, service, ViewScope::LcGeo(cluster));
-                TypeBatch {
-                    service,
-                    requests,
-                    nodes,
-                    by_delay,
-                }
+        for &service in by_type.keys() {
+            views.prepare_lc(&inp, service, cluster);
+        }
+    }
+    let plans = {
+        let views = &ctx.dispatch.views;
+        let inp = view_inputs!(ctx);
+        let lent: Vec<_> = by_type
+            .keys()
+            .map(|&service| views.lc_rows(&inp, service, cluster))
+            .collect();
+        let batches: Vec<LcBatch<'_>> = by_type
+            .iter()
+            .zip(&lent)
+            .map(|((&service, requests), rows)| LcBatch {
+                service,
+                requests,
+                rows,
+                by_delay: rows.by_delay(),
             })
-            .collect()
+            .collect();
+        ctx.dispatch.lc[ci].assign_many(&batches)
     };
-    let plans = ctx.dispatch.lc[ci].assign_many(&batches);
 
     let mut assigned: FxHashSet<RequestId> = FxHashSet::default();
-    for (batch, placements) in batches.iter().zip(&plans) {
-        let payload = ctx.catalog.get(batch.service).payload_kib;
+    for (&service, placements) in by_type.keys().zip(&plans) {
+        let payload = ctx.catalog.get(service).payload_kib;
         for &(rid, node) in placements {
             if ctx.fault.is_down(node) {
                 // A dead node slipped through the masking layers; count
@@ -296,23 +297,48 @@ fn commit_be_placement(
     sched.schedule_in(delay, Event::Deliver(rid, node, ctx.fault.epoch(node)));
 }
 
-/// Pay the §5.3.1 reward for the previous BE decision.
-pub(crate) fn pay_be_feedback(
+/// The §5.3.1 reward for the previous BE decision, when one awaits it.
+fn take_be_reward(ctx: &mut SystemCtx<'_>) -> Option<f32> {
+    let prev_node = ctx.dispatch.be_pending_feedback.take()?;
+    let node = &ctx.nodes[prev_node.index()];
+    let (_, be_held) = node.demand_usage();
+    let r_short = tango_sched::dcg_be::short_term_reward(&be_held, &node.capacity());
+    let r_long = tango_sched::dcg_be::long_term_reward(ctx.dispatch.be_completed_frac);
+    ctx.dispatch.be_completed_frac = 0.0;
+    // r = r_short + η·r_long (§5.3.1; η = 1 in the paper)
+    Some(r_short + ctx.cfg.ablations.dcg_eta * r_long)
+}
+
+/// One BE decision for a request of `service`: pay the BE scheduler the
+/// reward for its previous decision, then let it pick over the service's
+/// global view, or only `local`'s rows of it (CERES mode).
+fn decide_be(
     ctx: &mut SystemCtx<'_>,
-    next_demand: &Resources,
-    next_nodes: &[CandidateNode],
-    _now: SimTime,
-) {
-    if let Some(prev_node) = ctx.dispatch.be_pending_feedback.take() {
-        let node = &ctx.nodes[prev_node.index()];
-        let (_, be_held) = node.demand_usage();
-        let r_short = tango_sched::dcg_be::short_term_reward(&be_held, &node.capacity());
-        let r_long = tango_sched::dcg_be::long_term_reward(ctx.dispatch.be_completed_frac);
-        ctx.dispatch.be_completed_frac = 0.0;
-        // r = r_short + η·r_long (§5.3.1; η = 1 in the paper)
-        let reward = r_short + ctx.cfg.ablations.dcg_eta * r_long;
-        ctx.dispatch.be.feedback(reward, next_demand, next_nodes);
+    service: ServiceId,
+    demand: &Resources,
+    local: Option<ClusterId>,
+) -> Option<(NodeId, Resources)> {
+    let reward = take_be_reward(ctx);
+    let views = &mut ctx.dispatch.views;
+    let inp = view_inputs!(ctx);
+    let global = views.be_candidates(&inp, service);
+    let local_rows: Vec<CandidateNode>;
+    let rows = match local {
+        Some(cluster) => {
+            local_rows = global
+                .iter()
+                .filter(|c| c.cluster == cluster)
+                .copied()
+                .collect();
+            &local_rows
+        }
+        None => global,
+    };
+    let be = &mut ctx.dispatch.be;
+    if let Some(reward) = reward {
+        be.feedback(reward, demand, rows);
     }
+    be.schedule(demand, rows)
 }
 
 /// `CentralArrive`: a forwarded BE request lands in the central queue.
@@ -358,15 +384,8 @@ pub(crate) fn on_be_dispatch(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
         let Some(req) = ctx.lifecycle.requests.get(&rid) else {
             continue;
         };
-        let service = req.service;
-        let demand = req.demand;
-        let candidates: Arc<Vec<CandidateNode>> = {
-            let views = &mut ctx.dispatch.views;
-            let inp = view_inputs!(ctx);
-            views.candidates(&inp, service, ViewScope::BeGlobal).0
-        };
-        pay_be_feedback(ctx, &demand, &candidates, now);
-        match ctx.dispatch.be.schedule(&demand, &candidates) {
+        let (service, demand) = (req.service, req.demand);
+        match decide_be(ctx, service, &demand, None) {
             Some((node, _)) if ctx.fault.is_down(node) => {
                 ctx.fault.summary.down_node_dispatches += 1;
                 deferred.push_back(rid);

@@ -440,11 +440,8 @@ pub(crate) fn try_admit_at(
         .demand
         .scale_f64(factor)
         .max(&Resources::new(1, 1, 0, 0));
-    let mut admit_req = req.clone();
-    admit_req.demand = eff_demand;
-
     let node = &mut ctx.nodes[node_id.index()];
-    let result = ctx.allocator.admit(node, &admit_req, work as f64, now);
+    let result = ctx.allocator.admit(node, req, eff_demand, work as f64, now);
     let admitted = result.is_ok();
     ctx.emit(now, || TraceEvent::Admission {
         request: rid,

@@ -297,12 +297,13 @@ pub(crate) fn on_migrate_arrive(
     }
     // The common admission path, resuming from the shipped residue with
     // the demand the pod held on its source.
-    let mut pod = req.clone();
-    pod.demand = mig.demand;
-    match ctx
-        .allocator
-        .admit(&mut ctx.nodes[dst.index()], &pod, mig.remaining_work, now)
-    {
+    match ctx.allocator.admit(
+        &mut ctx.nodes[dst.index()],
+        req,
+        mig.demand,
+        mig.remaining_work,
+        now,
+    ) {
         Ok(_) => {
             if let Some(r) = ctx.lifecycle.requests.get_mut(&rid) {
                 r.mark_running(dst, now);

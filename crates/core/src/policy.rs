@@ -5,8 +5,8 @@ use tango_gnn::EncoderKind;
 use tango_rl::{Agent, SacAgent, SacConfig};
 use tango_sched::dcg_be::{build_graph, GreedyBe, RoundRobinBe};
 use tango_sched::{
-    BeScheduler, DcgBe, DcgBeConfig, DssLc, GnnSacBe, KsNative, LcScheduler, LoadGreedy, Scoring,
-    Td3Be, Td3BeConfig, TypeBatch,
+    BeScheduler, DcgBe, DcgBeConfig, DssLc, GnnSacBe, KsNative, LcBatch, LcScheduler, LoadGreedy,
+    Scoring, Td3Be, Td3BeConfig,
 };
 use tango_types::{NodeId, RequestId};
 
@@ -59,7 +59,8 @@ pub fn make_be_scheduler(
 /// soft-actor-critic over the geo-nearby candidate graph and offloads one
 /// request at a time. Rewarded bandit-style by the load of the node it
 /// picked — intelligent offloading, but with no HRM underneath (the
-/// pairing the paper's Fig. 13 isolates).
+/// pairing the paper's Fig. 13 isolates). Its graph holds every
+/// candidate, so it materialises a batch's rows once per call.
 pub struct DsacoLc {
     agent: SacAgent,
 }
@@ -80,28 +81,25 @@ impl DsacoLc {
 }
 
 impl LcScheduler for DsacoLc {
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        let mut remaining: Vec<u64> = batch.nodes.iter().map(|n| n.capacity_now(true)).collect();
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
+        let nodes = batch.rows.to_vec();
+        let mut remaining: Vec<u64> = nodes.iter().map(|n| n.capacity_now(true)).collect();
         let mut out = Vec::with_capacity(batch.requests.len());
-        let demand = batch
-            .nodes
-            .first()
-            .map(|n| n.min_request)
-            .unwrap_or_default();
-        for &req in &batch.requests {
-            let graph = build_graph(&demand, &batch.nodes);
+        let demand = nodes.first().map(|n| n.min_request).unwrap_or_default();
+        for &req in batch.requests {
+            let graph = build_graph(&demand, &nodes);
             let mask: Vec<bool> = remaining.iter().map(|&r| r > 0).collect();
             let Some(idx) = self.agent.act(&graph, &mask) else {
                 break;
             };
             remaining[idx] -= 1;
-            out.push((req, batch.nodes[idx].node));
+            out.push((req, nodes[idx].node));
             // bandit reward: free-capacity fraction after placement,
             // discounted by the offloading delay — the latency/load
             // trade-off DSACO's critic optimizes.
-            let cap_total = batch.nodes[idx].capacity_total().max(1);
+            let cap_total = nodes[idx].capacity_total().max(1);
             let load_part = remaining[idx] as f32 / cap_total as f32;
-            let delay_ms = batch.nodes[idx].delay.as_millis_f64() as f32;
+            let delay_ms = nodes[idx].delay.as_millis_f64() as f32;
             let reward = load_part * (-delay_ms / 50.0).exp();
             self.agent.observe(reward, &graph, &mask, true);
         }
@@ -126,6 +124,7 @@ impl LcScheduler for DsacoLc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango_sched::TypeBatch;
     use tango_types::{ClusterId, Resources, ServiceId, SimTime};
 
     fn cand(id: u32, cap: u64) -> tango_sched::CandidateNode {
@@ -179,7 +178,7 @@ mod tests {
             (0..10).map(RequestId).collect(),
             vec![cand(1, 2), cand(2, 3)],
         );
-        let out = s.assign(&batch);
+        let out = s.assign(&batch.as_lc());
         assert_eq!(out.len(), 5, "5 slots total");
         let to1 = out.iter().filter(|&&(_, n)| n == NodeId(1)).count();
         let to2 = out.iter().filter(|&&(_, n)| n == NodeId(2)).count();
@@ -190,6 +189,6 @@ mod tests {
     fn dsaco_with_no_nodes_assigns_nothing() {
         let mut s = DsacoLc::new(3);
         let batch = TypeBatch::new(ServiceId(0), vec![RequestId(0)], Vec::new());
-        assert!(s.assign(&batch).is_empty());
+        assert!(s.assign(&batch.as_lc()).is_empty());
     }
 }

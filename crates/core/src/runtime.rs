@@ -114,19 +114,21 @@ impl Allocator {
         }
     }
 
-    /// Admit `req` on `node` with `work` left to run — a fresh request's
-    /// nominal work or a migrated pod's residual (the §4.1 regulations
-    /// under HRM; clamp-into-fixed-limits under static allocation).
+    /// Admit `req` on `node` with its effective `demand` and `work` left
+    /// to run — a fresh request's nominal work or a migrated pod's
+    /// residual (the §4.1 regulations under HRM; clamp-into-fixed-limits
+    /// under static allocation).
     pub(crate) fn admit(
         &mut self,
         node: &mut Node,
         req: &Request,
+        demand: Resources,
         work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
         match self {
-            Allocator::Hrm(h) => h.admit(node, req, work, now),
-            Allocator::Static(s) => s.admit(node, req, work, now),
+            Allocator::Hrm(h) => h.admit(node, req, demand, work, now),
+            Allocator::Static(s) => s.admit(node, req, demand, work, now),
         }
     }
 

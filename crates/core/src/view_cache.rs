@@ -19,16 +19,35 @@
 //!     partition and heal, and a committed migration.
 //! * **Values**: row availability, slack and re-assured min-request. The
 //!   value clock advances on every sync push and on every re-assurance
-//!   tick that moved a factor; a view behind it gathers each row's
-//!   values from its service's value table (below) through its
-//!   membership cache (the store row per view row), without re-running
-//!   the filters, and subtracts the row's current reservation.
+//!   tick that moved a factor. Values live in one table per service
+//!   (below), never in a view.
 //! * **Reservations**: the dispatcher's own reservation table, which
-//!   moves with every placement. The [`ReservationTable`]'s per-node
-//!   change stamps are the dirty bits: a view that saw reservation clock
-//!   `c` re-derives exactly the rows whose stamp exceeds `c`
-//!   (`available = base − reserved`, saturating), reading each
-//!   pre-reservation base from the value table.
+//!   moves with every placement. A row subtracts its node's current
+//!   reservation from the table's pre-reservation bases when it is built
+//!   (`available = base − reserved`, saturating).
+//!
+//! **An LC view is its structure.** It keeps the store rows it holds in
+//! segment order, where each segment ends, the link toward each segment's
+//! cluster and its delay order, and no rows. A dispatch round first
+//! brings the views of its types current
+//! ([`CandidateViewCache::prepare_lc`]: the value tables and the stale
+//! segments, moving `u32`s), then lends each batch an [`LcRows`] accessor
+//! ([`CandidateViewCache::lc_rows`]) that builds row `i` when a scheduler
+//! reads it, from the value-table entry of its store row, the node's
+//! current reservation and its segment's link and cluster. DSS-LC reads a
+//! few rows per plan of a view's ~200. A row read at plan time sees the
+//! reservations the round's upkeep saw: the round commits only after
+//! planning, planning writes no table, and no other round runs in
+//! between.
+//!
+//! **BE-global views keep rows.** Every BE pick reads every row of its
+//! service's global view, so that view keeps its rows materialised
+//! ([`CandidateViewCache::be_candidates`]): built in full after a
+//! re-derivation or a value-clock move, otherwise patched where a
+//! reservation changed. The [`ReservationTable`]'s per-node change stamps
+//! (and its journal) are the dirty bits: a view that saw reservation clock
+//! `c` rebuilds exactly the rows whose stamp exceeds `c`. One row builder
+//! ([`build_row`]) serves the LC accessor and the BE rows alike.
 //!
 //! **Value tables.** A worker's row sits in every view whose cluster list
 //! holds its cluster, about 20 LC views per service at paper scale, so
@@ -36,72 +55,62 @@
 //! Each queried service has one table with, per store row, the total,
 //! the LC and BE availability before reservations, the slack for the
 //! service and the LC-scope re-assured min-request. A query brings its
-//! service's table current before any view reads it: every row after a
+//! service's table current before any row is built: every row after a
 //! value-clock move or a newer global stamp, otherwise the node range of
 //! each cluster stamped since the table's last upkeep. The value clock
 //! alone would not do: a recovery resets its node's re-assurance factors
-//! and stamps only its cluster. Segment derivation, the value refresh
-//! and the reservation patch all read the table; the `set_verify`
-//! oracle never does, so it checks the table too.
+//! and stamps only its cluster. Every row the cache builds reads the
+//! table; the `set_verify` oracle never does, so it checks the table too.
 //!
 //! **Segments.** A view's cluster list is the origin's geo set for an LC
 //! view and every cluster for the BE-global view, in cluster order. Each
 //! cluster's nodes form one contiguous id range, the master and then its
-//! workers ([`ClusterRt::node_range`]), so a view's node-ordered rows
-//! fall into one segment per listed cluster, and the view records where
-//! each segment ends. A view built under an older structure clock
+//! workers ([`ClusterRt::node_range`]), so a view's node-ordered store
+//! rows fall into one segment per listed cluster, and the view records
+//! where each segment ends. A view built under an older structure clock
 //! re-derives only the segments whose cluster stamp is newer, walking
 //! only those clusters' node ranges, in one pass: it derives every stale
-//! segment into a scratch, then lays its own arrays out anew
+//! segment's store rows into a scratch, then lays its own list out anew
 //! ([`relayout`]), moving each kept segment at most once (those moving
 //! left in list order, those moving right in reverse list order, so no
 //! move overwrites rows still to move) and copying the derived rows in.
-//! The value refresh or the reservation patch then catches kept segments
-//! up, so a partial re-derivation leaves the view's value and
-//! reservation clocks where they were. A never-built view, or one older
-//! than the global stamp, is cleared and derives every segment straight
-//! into its own arrays.
+//! Each stale segment takes its cluster's link afresh. A never-built
+//! view, or one older than the global stamp, is cleared and derives every
+//! segment straight into its own list.
 //!
-//! **Delay order.** Beside its rows and the membership cache, each view
-//! derives a third artefact: the rows' fill order for DSS-LC, row indices
-//! in ascending `(delay, node)` order ([`tango_sched::delay_order`]).
-//! Like membership it is structural, and only a re-derivation that
-//! derived some segment (full or partial) rebuilds it. A segment's rows
-//! share their cluster's link, so its delay is one value. The order is
-//! therefore the non-empty segments sorted by `(delay, list position)`,
-//! rows ascending inside each; list position is node order because the
-//! node ranges ascend in cluster order. That sorts a view's ~20 segments
-//! instead of its ~200 rows. A value refresh or a reservation patch
-//! moves neither delay nor membership and leaves the order as it is.
+//! **Delay order.** Each LC view also derives its rows' fill order for
+//! DSS-LC, row indices in ascending `(delay, node)` order
+//! ([`tango_sched::delay_order`]). Like membership it is structural, and
+//! only a re-derivation that derived some segment (full or partial)
+//! rebuilds it. A segment's rows share their cluster's link, so its delay
+//! is one value. The order is therefore the non-empty segments sorted by
+//! `(link delay, list position)`, rows ascending inside each; list
+//! position is node order because the node ranges ascend in cluster
+//! order. That sorts a view's ~20 segments instead of its ~200 rows.
 //!
 //! D-VPA resizes surface through node capacity, which dispatchers only
 //! ever observe via sync-pushed snapshots — so the sync push's value bump
 //! covers them by construction and no extra invalidation hook is needed.
 //!
-//! Views are keyed by `(scope, service)` and store their rows in an
-//! `Arc`, so handing a round's `TypeBatch` its candidate set is a
-//! refcount bump, not a clone; the next round's in-place patch
-//! (`Arc::make_mut`) is alloc-free once the batches are dropped.
-//!
 //! The cache is deliberately *not* serialized into checkpoints: it is a
 //! pure cache, rebuilt on first use after restore, and the equivalence
 //! invariant guarantees a resumed run sees the same views an
 //! uninterrupted run would. [`CandidateViewCache::set_verify`] checks it
-//! on every query against a whole-store rebuild that reads the store and
-//! the re-assurer directly and filters rows by cluster membership instead
-//! of trusting the node ranges, and checks the delay order against a
-//! plain sort of the rows.
+//! on every query: it materialises each LC view's rows through the
+//! accessor and compares them, and each BE view's rows, with a
+//! whole-store rebuild that reads the store and the re-assurer directly
+//! and filters rows by cluster membership instead of trusting the node
+//! ranges, and checks the delay order against a plain sort of the rows.
 
 use crate::config::TangoConfig;
 use crate::lifecycle::ReservationTable;
 use crate::runtime::ClusterRt;
 use std::ops::Range;
-use std::sync::Arc;
 use tango_faults::FaultState;
 use tango_hrm::Reassurer;
 use tango_metrics::{NodeRole, StateStorage, StoreRow};
 use tango_net::NetworkTopology;
-use tango_sched::{delay_order, CandidateNode, LinkObservation, NodeObservation};
+use tango_sched::{delay_order, CandidateNode, CandidateRows, LinkObservation, NodeObservation};
 use tango_types::{ClusterId, FxHashMap, NodeId, Resources, ServiceId, SimTime};
 use tango_workload::ServiceCatalog;
 
@@ -127,87 +136,50 @@ pub(crate) struct ViewInputs<'a> {
     pub clusters: &'a [ClusterRt],
 }
 
-/// One cached `(scope, service)` view.
+/// The link an empty segment records; no row reads it.
+const NO_LINK: LinkObservation = LinkObservation {
+    delay: SimTime::ZERO,
+    capacity: 0,
+};
+
+/// One cached view's structure: the store rows it holds, in segment
+/// order, and the link toward each segment's cluster.
 #[derive(Default)]
 struct View {
     /// Structure clock this view was (re)derived under; 0 = never built.
     built_at: u64,
-    /// Value clock the row values currently reflect.
-    values_at: u64,
-    /// Reservation clock the rows currently reflect.
-    seen_res: u64,
-    /// The candidate rows, shared with outstanding `TypeBatch`es.
-    rows: Arc<Vec<CandidateNode>>,
-    /// Store row index per view row (ascending) — the membership cache,
-    /// through which a value refresh and the reservation patch read the
-    /// value table without re-running the filters. Store row `i` is node
-    /// `i`, so the reservation patch scans this slim array instead of the
-    /// ~100-byte candidate rows, touching `rows` (and `Arc::make_mut`'s
-    /// potential clone) only on hits.
+    /// Store row per view row, ascending. Store row `i` is node `i`.
     member_rows: Vec<u32>,
-    /// End offset of each listed cluster's segment in the row arrays,
+    /// End offset of each listed cluster's segment in `member_rows`,
     /// parallel to the view's cluster list.
     seg_ends: Vec<u32>,
-    /// Row indices in ascending `(delay, node)` order, shared with
-    /// outstanding `TypeBatch`es; rebuilt after every re-derivation.
-    by_delay: Arc<Vec<u32>>,
-    /// Scratch: row indices hit by the current reservation patch.
-    patch_hits: Vec<u32>,
+    /// The link toward each listed cluster, parallel to `seg_ends`: every
+    /// row of a segment shares it. [`NO_LINK`] for an empty segment.
+    seg_links: Vec<LinkObservation>,
+    /// LC views: row indices in ascending `(delay, node)` order, rebuilt
+    /// after every re-derivation. BE views leave it empty.
+    by_delay: Vec<u32>,
 }
 
 impl View {
-    /// Drop every row and segment.
-    fn clear(&mut self) {
-        Arc::make_mut(&mut self.rows).clear();
-        self.member_rows.clear();
-        self.seg_ends.clear();
-    }
-
-    /// Size every row buffer to its rows. Views hold most of a run's row
-    /// memory, and doubling growth would leave up to half of it unused.
-    fn shrink_to_fit(&mut self) {
-        Arc::make_mut(&mut self.rows).shrink_to_fit();
-        self.member_rows.shrink_to_fit();
-        Arc::make_mut(&mut self.by_delay).shrink_to_fit();
+    /// The segment holding row `i`.
+    fn segment_of(&self, i: usize) -> usize {
+        self.seg_ends.partition_point(|&end| end as usize <= i)
     }
 }
 
-/// The parallel row arrays a segment is derived into: a view's own on a
-/// full build, the [`Segment`] scratch on a partial one.
-struct Columns<'v> {
-    rows: &'v mut Vec<CandidateNode>,
-    member_rows: &'v mut Vec<u32>,
-}
-
-impl Columns<'_> {
-    fn push(&mut self, store_row: u32, row: CandidateNode) {
-        debug_assert_eq!(row.node, NodeId(store_row));
-        self.member_rows.push(store_row);
-        self.rows.push(row);
-    }
-}
-
-/// The stale segments of one partial re-derivation, in list order, before
-/// their elements move into a view. Only elements move, never buffers:
-/// each view's vectors keep a capacity of their own.
+/// One service's BE-global view: its structure and its rows, which every
+/// BE pick reads in full.
 #[derive(Default)]
-struct Segment {
+struct BeView {
+    view: View,
     rows: Vec<CandidateNode>,
-    member_rows: Vec<u32>,
-}
-
-impl Segment {
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.member_rows.clear();
-    }
-
-    fn columns(&mut self) -> Columns<'_> {
-        Columns {
-            rows: &mut self.rows,
-            member_rows: &mut self.member_rows,
-        }
-    }
+    /// Value clock the rows reflect.
+    values_at: u64,
+    /// Reservation clock the rows reflect.
+    seen_res: u64,
+    /// Scratch: row indices hit by the current reservation patch.
+    patch_hits: Vec<u32>,
 }
 
 /// One listed cluster's part in a partial re-derivation.
@@ -217,6 +189,20 @@ enum Part {
     Kept,
     /// The segment's rows become the derived rows `start..start + len`.
     Fresh { start: u32, len: u32 },
+}
+
+/// Scratch shared by every view's re-derivation. Only elements move
+/// between it and a view, never buffers: each view's vectors keep a
+/// capacity of their own.
+#[derive(Default)]
+struct Scratch {
+    /// The store rows of the segments being re-derived, in list order.
+    fresh: Vec<u32>,
+    /// Each listed cluster's part in a partial re-derivation.
+    parts: Vec<Part>,
+    /// `(delay, list position)` per non-empty segment, for sorting a
+    /// view's segments into delay order.
+    seg_order: Vec<(SimTime, u32)>,
 }
 
 /// What a candidate row reads from one store row for one service.
@@ -263,31 +249,28 @@ impl ValueTable {
     }
 }
 
-/// Key: origin cluster for LC scopes, `u32::MAX` for the BE-global scope.
-type ViewKey = (u32, ServiceId);
-
-fn key_of(scope: ViewScope, service: ServiceId) -> ViewKey {
-    match scope {
-        ViewScope::LcGeo(origin) => (origin.0, service),
-        ViewScope::BeGlobal => (u32::MAX, service),
-    }
+/// The structure clock and its stamps.
+struct StructureClock {
+    /// Advanced by every structural change; views re-derive lazily on
+    /// next use.
+    now: u64,
+    /// Per cluster index: the clock at the cluster's latest own change
+    /// (0 = none).
+    cluster_stamps: Vec<u64>,
+    /// The clock at the latest change that may touch any row.
+    global_stamp: u64,
 }
 
 /// The per-system cache of incremental candidate views.
 pub(crate) struct CandidateViewCache {
-    /// Advanced by every structural change; views re-derive lazily on
-    /// next use.
-    structure_clock: u64,
-    /// Per cluster index: the structure clock at the cluster's latest
-    /// own change (0 = none).
-    cluster_stamps: Vec<u64>,
-    /// The structure clock at the latest change that may touch any row.
-    global_stamp: u64,
+    structure: StructureClock,
     /// Bumped when only row *values* moved (sync pushes): membership and
-    /// link attributes survive, values re-read through the membership
-    /// cache.
+    /// link attributes survive, values re-read from the value tables.
     value_clock: u64,
-    views: FxHashMap<ViewKey, View>,
+    /// LC views by `(origin, service)`.
+    lc_views: FxHashMap<(ClusterId, ServiceId), View>,
+    /// Per service index: its BE-global view.
+    be_views: Vec<BeView>,
     /// Per service index: its value table, filled on the service's first
     /// query.
     tables: Vec<ValueTable>,
@@ -297,13 +280,7 @@ pub(crate) struct CandidateViewCache {
     geo_sets: FxHashMap<ClusterId, Vec<ClusterId>>,
     /// Every cluster in index order: the BE-global view's cluster list.
     all_clusters: Vec<ClusterId>,
-    /// Scratch for the segments being re-derived.
-    segment: Segment,
-    /// Scratch: each listed cluster's part in a partial re-derivation.
-    parts: Vec<Part>,
-    /// Scratch for sorting a view's segments into delay order:
-    /// `(delay, list position)` per non-empty segment.
-    seg_order: Vec<(SimTime, u32)>,
+    scratch: Scratch,
     /// When set, every query re-runs the whole-store build and asserts
     /// equality — the property-test hook for the delta ≡ rebuild
     /// invariant.
@@ -315,19 +292,20 @@ impl Default for CandidateViewCache {
         CandidateViewCache {
             // Both > View::default().built_at: a fresh view is stale
             // everywhere.
-            structure_clock: 1,
-            global_stamp: 1,
-            cluster_stamps: Vec::new(),
+            structure: StructureClock {
+                now: 1,
+                cluster_stamps: Vec::new(),
+                global_stamp: 1,
+            },
             // > ValueTable::default().values_at: a fresh table is
             // computed in full.
             value_clock: 1,
-            views: FxHashMap::default(),
+            lc_views: FxHashMap::default(),
+            be_views: Vec::new(),
             tables: Vec::new(),
             geo_sets: FxHashMap::default(),
             all_clusters: Vec::new(),
-            segment: Segment::default(),
-            parts: Vec::new(),
-            seg_order: Vec::new(),
+            scratch: Scratch::default(),
             verify: false,
         }
     }
@@ -337,19 +315,20 @@ impl CandidateViewCache {
     /// Invalidate every view's structural basis (a change that may touch
     /// any row); each re-derives all its segments on its next use.
     pub(crate) fn invalidate_structure(&mut self) {
-        self.structure_clock += 1;
-        self.global_stamp = self.structure_clock;
+        self.structure.now += 1;
+        self.structure.global_stamp = self.structure.now;
     }
 
     /// Invalidate the structural basis of `cluster`'s rows only; views
     /// listing it re-derive that one segment on their next use.
     pub(crate) fn invalidate_cluster(&mut self, cluster: ClusterId) {
-        self.structure_clock += 1;
+        self.structure.now += 1;
+        let stamps = &mut self.structure.cluster_stamps;
         let i = cluster.index();
-        if self.cluster_stamps.len() <= i {
-            self.cluster_stamps.resize(i + 1, 0);
+        if stamps.len() <= i {
+            stamps.resize(i + 1, 0);
         }
-        self.cluster_stamps[i] = self.structure_clock;
+        stamps[i] = self.structure.now;
     }
 
     /// Invalidate only row values (a sync push): views keep their
@@ -366,7 +345,7 @@ impl CandidateViewCache {
 
     /// Current structure epoch — the mirror's structural change key.
     pub(crate) fn structure_clock(&self) -> u64 {
-        self.structure_clock
+        self.structure.now
     }
 
     /// Current value epoch — bumped by every sync push.
@@ -374,75 +353,96 @@ impl CandidateViewCache {
         self.value_clock
     }
 
-    /// The candidate view for `(scope, service)`, current as of the
-    /// latest structural clock and reservation table, with its rows'
-    /// delay order. The returned `Arc`s are shared handles; they stay
-    /// valid (and frozen) even as later queries patch the cache.
-    pub(crate) fn candidates(
+    /// Bring the LC view of `service` seen from `origin` current for a
+    /// dispatch round: the service's value table and the view's
+    /// structure. [`Self::lc_rows`] then lends its rows, until the round
+    /// commits.
+    pub(crate) fn prepare_lc(
         &mut self,
         inp: &ViewInputs<'_>,
         service: ServiceId,
-        scope: ViewScope,
-    ) -> (Arc<Vec<CandidateNode>>, Arc<Vec<u32>>) {
-        // Before any re-derivation, refresh or patch reads it.
+        origin: ClusterId,
+    ) {
         self.bring_table_current(inp, service);
-        let Self {
-            structure_clock,
-            cluster_stamps,
-            global_stamp,
-            value_clock,
-            views,
-            tables,
-            geo_sets,
-            all_clusters,
-            segment,
-            parts,
-            seg_order,
-            verify,
-        } = self;
-        let list: &[ClusterId] = match scope {
-            ViewScope::LcGeo(origin) => geo_set_entry(geo_sets, inp, origin),
-            ViewScope::BeGlobal => {
-                if all_clusters.len() != inp.clusters.len() {
-                    *all_clusters = inp.clusters.iter().map(|c| c.id).collect();
-                }
-                all_clusters
-            }
-        };
-        let src = RowSource::new(inp, &tables[service.index()], service, scope);
-        let view = views.entry(key_of(scope, service)).or_default();
-        if view.built_at != *structure_clock {
-            let since = view.built_at;
-            if since < *global_stamp {
-                build(view, &src, list);
-                order_by_delay(view, seg_order);
-                view.shrink_to_fit();
-                view.values_at = *value_clock;
-                view.seen_res = inp.reserved.clock();
-            } else {
-                let stale = |c: ClusterId| {
-                    cluster_stamps
-                        .get(c.index())
-                        .is_some_and(|&stamp| stamp > since)
-                };
-                // A catch-up (no listed cluster stamped since) moves no
-                // row, so the order stands.
-                if rederive(view, &src, list, stale, segment, parts) {
-                    order_by_delay(view, seg_order);
-                }
-            }
-            view.built_at = *structure_clock;
+        let list = geo_set_entry(&mut self.geo_sets, inp, origin);
+        let scope = ViewScope::LcGeo(origin);
+        let src = RowSource::new(inp, &self.tables[service.index()], service, scope);
+        let view = self.lc_views.entry((origin, service)).or_default();
+        if update_structure(view, &src, list, &self.structure, &mut self.scratch) {
+            order_by_delay(view, &mut self.scratch.seg_order);
         }
-        if view.values_at != *value_clock {
-            refresh_values(view, &src);
-            view.values_at = *value_clock;
+        if self.verify {
+            let rows = self.lc_rows(inp, service, origin);
+            check_view(
+                &rows.to_vec(),
+                rows.view,
+                inp,
+                service,
+                scope,
+                rows.clusters,
+            );
+        }
+    }
+
+    /// The rows of the LC view that [`Self::prepare_lc`] brought current
+    /// in this round, each built when a scheduler reads it.
+    pub(crate) fn lc_rows<'a>(
+        &'a self,
+        inp: &ViewInputs<'a>,
+        service: ServiceId,
+        origin: ClusterId,
+    ) -> LcRows<'a> {
+        let view = self
+            .lc_views
+            .get(&(origin, service))
+            .expect("an LC view is prepared before its rows are lent");
+        let table = &self.tables[service.index()];
+        debug_assert!(
+            view.built_at == self.structure.now
+                && table.values_at == self.value_clock
+                && table.stamped_at == self.structure.now,
+            "LC rows lent without their round's upkeep"
+        );
+        LcRows {
+            view,
+            table,
+            reserved: inp.reserved,
+            clusters: &self.geo_sets[&origin],
+        }
+    }
+
+    /// The BE-global candidate rows of `service`, current as of the
+    /// latest clocks and reservation table.
+    pub(crate) fn be_candidates(
+        &mut self,
+        inp: &ViewInputs<'_>,
+        service: ServiceId,
+    ) -> &[CandidateNode] {
+        self.bring_table_current(inp, service);
+        if self.all_clusters.len() != inp.clusters.len() {
+            self.all_clusters = inp.clusters.iter().map(|c| c.id).collect();
+        }
+        let i = service.index();
+        if self.be_views.len() <= i {
+            self.be_views.resize_with(i + 1, BeView::default);
+        }
+        let scope = ViewScope::BeGlobal;
+        let src = RowSource::new(inp, &self.tables[i], service, scope);
+        let list = &self.all_clusters;
+        let be = &mut self.be_views[i];
+        let derived =
+            update_structure(&mut be.view, &src, list, &self.structure, &mut self.scratch);
+        if derived || be.values_at != self.value_clock {
+            materialise(be, &src, list);
+            be.values_at = self.value_clock;
+            be.seen_res = inp.reserved.clock();
         } else {
-            patch_reservations(view, &src);
+            patch_reservations(be, &src, list);
         }
-        if *verify {
-            check_view(view, inp, service, scope, list);
+        if self.verify {
+            check_view(&be.rows, &be.view, inp, service, scope, list);
         }
-        (Arc::clone(&view.rows), Arc::clone(&view.by_delay))
+        &be.rows
     }
 
     /// Bring `service`'s value table current: every row after a
@@ -456,21 +456,21 @@ impl CandidateViewCache {
             self.tables.resize_with(i + 1, ValueTable::default);
         }
         let table = &mut self.tables[i];
-        if table.values_at == self.value_clock && table.stamped_at == self.structure_clock {
+        if table.values_at == self.value_clock && table.stamped_at == self.structure.now {
             return;
         }
-        if table.values_at != self.value_clock || table.stamped_at < self.global_stamp {
+        if table.values_at != self.value_clock || table.stamped_at < self.structure.global_stamp {
             table.rows.resize(inp.store.rows(), RowValues::default());
             table.compute(inp, service, 0..inp.store.rows());
         } else {
-            for (c, &stamp) in self.cluster_stamps.iter().enumerate() {
+            for (c, &stamp) in self.structure.cluster_stamps.iter().enumerate() {
                 if stamp > table.stamped_at {
                     table.compute(inp, service, inp.clusters[c].node_range());
                 }
             }
         }
         table.values_at = self.value_clock;
-        table.stamped_at = self.structure_clock;
+        table.stamped_at = self.structure.now;
     }
 }
 
@@ -573,17 +573,81 @@ fn candidate(
     CandidateNode::from_observation(obs, link, min_request, reserved, true)
 }
 
-/// Where one view's rows come from: the inputs, the service's value table
-/// (current for this query) and the scope's link vantage.
+/// The one row builder: the candidate row of store row `store_row` from
+/// its value-table entry, the node's current reservation, its segment's
+/// link and cluster, and the scope's min-request. The LC accessor and the
+/// BE views build every row here; the oracle's [`rebuild`] goes through
+/// `CandidateNode::from_observation` instead, so that it checks this.
+fn build_row(
+    store_row: u32,
+    v: &RowValues,
+    reserved: Resources,
+    link: LinkObservation,
+    cluster: ClusterId,
+    min_request: Resources,
+) -> CandidateNode {
+    CandidateNode {
+        node: NodeId(store_row),
+        cluster,
+        total: v.total,
+        available_lc: v.lc.saturating_sub(&reserved),
+        available_be: v.be.saturating_sub(&reserved),
+        min_request,
+        delay: link.delay,
+        link_capacity: link.capacity,
+        slack: v.slack,
+        alive: true,
+    }
+}
+
+/// An LC view's rows, each built when a scheduler reads it: what a
+/// dispatch round lends each batch.
+pub(crate) struct LcRows<'a> {
+    view: &'a View,
+    table: &'a ValueTable,
+    reserved: &'a ReservationTable,
+    /// The view's cluster list: segment `k` holds `clusters[k]`'s rows.
+    clusters: &'a [ClusterId],
+}
+
+impl<'a> LcRows<'a> {
+    /// The rows' DSS-LC fill order.
+    pub(crate) fn by_delay(&self) -> &'a [u32] {
+        &self.view.by_delay
+    }
+}
+
+impl CandidateRows for LcRows<'_> {
+    fn len(&self) -> usize {
+        self.view.member_rows.len()
+    }
+
+    fn row(&self, i: usize) -> CandidateNode {
+        let store_row = self.view.member_rows[i];
+        let k = self.view.segment_of(i);
+        let v = &self.table.rows[store_row as usize];
+        build_row(
+            store_row,
+            v,
+            self.reserved.get(NodeId(store_row)),
+            self.view.seg_links[k],
+            self.clusters[k],
+            v.min_request,
+        )
+    }
+}
+
+/// What one view's structure is derived from, and its BE rows built
+/// from: the inputs, the service's value table (current for this query)
+/// and the scope's link vantage.
 struct RowSource<'a, 'i> {
     inp: &'a ViewInputs<'i>,
     table: &'a ValueTable,
     vantage: ClusterId,
     payload_kib: u64,
-    /// The BE-global scope's min-request, the catalog base for every
-    /// row; `None` for an LC scope, whose rows read the table's
-    /// re-assured one.
-    uniform_min_request: Option<Resources>,
+    /// The service's catalog min-request, which every BE-global row
+    /// carries (an LC row carries the table's re-assured one).
+    be_min_request: Resources,
 }
 
 impl<'a, 'i> RowSource<'a, 'i> {
@@ -599,16 +663,14 @@ impl<'a, 'i> RowSource<'a, 'i> {
             table,
             vantage: vantage(inp, scope),
             payload_kib: spec.payload_kib,
-            uniform_min_request: match scope {
-                ViewScope::LcGeo(_) => None,
-                ViewScope::BeGlobal => Some(spec.min_request),
-            },
+            be_min_request: spec.min_request,
         }
     }
 
-    /// Store row `i`'s values, which a view only ever reads for a present
-    /// worker: store membership is stable between structural bumps.
-    fn values(&self, i: u32) -> &RowValues {
+    /// The BE-global row of store row `i` in a segment with `link`
+    /// toward `cluster`. A view only ever holds a present worker: store
+    /// membership is stable between structural bumps.
+    fn be_row(&self, i: u32, link: LinkObservation, cluster: ClusterId) -> CandidateNode {
         debug_assert!(
             self.inp
                 .store
@@ -616,79 +678,102 @@ impl<'a, 'i> RowSource<'a, 'i> {
                 .is_some_and(|row| row.role == NodeRole::Worker),
             "store row {i} left a view's membership without a structural bump"
         );
-        &self.table.rows[i as usize]
-    }
-
-    fn min_request(&self, v: &RowValues) -> Resources {
-        self.uniform_min_request.unwrap_or(v.min_request)
+        let v = &self.table.rows[i as usize];
+        build_row(
+            i,
+            v,
+            self.inp.reserved.get(NodeId(i)),
+            link,
+            cluster,
+            self.be_min_request,
+        )
     }
 }
 
-/// Build a cleared `view` from scratch: derive every listed cluster's
-/// segment straight into the view's own arrays.
-fn build(view: &mut View, src: &RowSource<'_, '_>, list: &[ClusterId]) {
-    view.clear();
-    let View {
-        rows,
-        member_rows,
-        seg_ends,
-        ..
-    } = view;
-    let mut out = Columns {
-        rows: Arc::make_mut(rows),
-        member_rows,
-    };
-    for &c in list {
-        derive_segment(src, &src.inp.clusters[c.index()], &mut out);
-        seg_ends.push(out.member_rows.len() as u32);
+/// Bring `view`'s structure current under `clock`: derive every segment
+/// afresh when the view was never built or is older than the global
+/// stamp, otherwise re-derive only the segments whose cluster was stamped
+/// since. Returns whether any segment was derived; a catch-up (no listed
+/// cluster stamped since) moves no row.
+fn update_structure(
+    view: &mut View,
+    src: &RowSource<'_, '_>,
+    list: &[ClusterId],
+    clock: &StructureClock,
+    scratch: &mut Scratch,
+) -> bool {
+    let since = view.built_at;
+    if since == clock.now {
+        return false;
     }
+    view.built_at = clock.now;
+    if since < clock.global_stamp {
+        build(view, src, list);
+        return true;
+    }
+    let stale = |c: ClusterId| {
+        clock
+            .cluster_stamps
+            .get(c.index())
+            .is_some_and(|&stamp| stamp > since)
+    };
+    rederive(view, src, list, stale, scratch)
+}
+
+/// Build `view`'s structure from scratch: derive every listed cluster's
+/// segment straight into its own arrays.
+fn build(view: &mut View, src: &RowSource<'_, '_>, list: &[ClusterId]) {
+    view.member_rows.clear();
+    view.seg_ends.clear();
+    view.seg_links.clear();
+    for &c in list {
+        let link = derive_segment(src, &src.inp.clusters[c.index()], &mut view.member_rows);
+        view.seg_ends.push(view.member_rows.len() as u32);
+        view.seg_links.push(link);
+    }
+    // Views hold most of a run's index memory, and doubling growth would
+    // leave up to half of it unused.
+    view.member_rows.shrink_to_fit();
     // The reservation patch binary-searches rows by node id; segments
     // follow the node ranges in order, so this holds by construction.
     debug_assert!(view.member_rows.windows(2).all(|w| w[0] < w[1]));
 }
 
 /// Re-derive the segments of `view` whose cluster is `stale` in one pass:
-/// derive each into `seg` in list order, then lay the view's arrays out
-/// anew, moving each kept row at most once. Returns whether any segment
-/// was re-derived.
+/// derive each one's store rows into the scratch in list order, then lay
+/// the view's list out anew, moving each kept row at most once. Returns
+/// whether any segment was re-derived.
 fn rederive(
     view: &mut View,
     src: &RowSource<'_, '_>,
     list: &[ClusterId],
     stale: impl Fn(ClusterId) -> bool,
-    seg: &mut Segment,
-    parts: &mut Vec<Part>,
+    scratch: &mut Scratch,
 ) -> bool {
     debug_assert_eq!(view.seg_ends.len(), list.len());
-    seg.clear();
+    let Scratch { fresh, parts, .. } = scratch;
+    fresh.clear();
     parts.clear();
     let mut any = false;
-    for &c in list {
+    for (k, &c) in list.iter().enumerate() {
         if !stale(c) {
             parts.push(Part::Kept);
             continue;
         }
-        let start = seg.member_rows.len();
-        derive_segment(src, &src.inp.clusters[c.index()], &mut seg.columns());
+        let start = fresh.len();
+        view.seg_links[k] = derive_segment(src, &src.inp.clusters[c.index()], fresh);
         parts.push(Part::Fresh {
             start: start as u32,
-            len: (seg.member_rows.len() - start) as u32,
+            len: (fresh.len() - start) as u32,
         });
         any = true;
     }
     if !any {
         return false;
     }
-    let View {
-        rows,
-        member_rows,
-        seg_ends,
-        ..
-    } = view;
-    relayout(Arc::make_mut(rows), seg_ends, parts, &seg.rows);
-    relayout(member_rows, seg_ends, parts, &seg.member_rows);
-    relayout_ends(seg_ends, parts);
-    debug_assert!(member_rows.windows(2).all(|w| w[0] < w[1]));
+    relayout(&mut view.member_rows, &view.seg_ends, parts, fresh);
+    relayout_ends(&mut view.seg_ends, parts);
+    debug_assert!(view.member_rows.windows(2).all(|w| w[0] < w[1]));
     true
 }
 
@@ -699,7 +784,7 @@ fn rederive(
 /// list order, so no move lands on rows still to move. The reverse walk
 /// copies the derived rows in too, once no kept row still to move lies
 /// under their new place.
-fn relayout<T: Copy>(v: &mut Vec<T>, ends: &[u32], parts: &[Part], derived: &[T]) {
+fn relayout(v: &mut Vec<u32>, ends: &[u32], parts: &[Part], derived: &[u32]) {
     debug_assert_eq!(ends.len(), parts.len());
     debug_assert_eq!(v.len(), ends.last().map_or(0, |&e| e as usize));
     let old = |k: usize| k.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[k] as usize;
@@ -746,22 +831,23 @@ fn relayout_ends(ends: &mut [u32], parts: &[Part]) {
 }
 
 /// Rebuild `view.by_delay` from its segments: sort the non-empty ones
-/// by `(delay, list position)`, every row of a segment sharing its
-/// cluster's delay, and list each one's rows in order. The keys are
+/// by `(link delay, list position)`, every row of a segment sharing its
+/// cluster's link, and list each one's rows in order. The keys are
 /// unique, so the unstable sort is deterministic, and list position
 /// breaks delay ties in node order.
 fn order_by_delay(view: &mut View, seg_order: &mut Vec<(SimTime, u32)>) {
     seg_order.clear();
     let mut start = 0;
-    for (k, &end) in view.seg_ends.iter().enumerate() {
-        if end as usize > start {
-            seg_order.push((view.rows[start].delay, k as u32));
+    for (k, (&end, link)) in view.seg_ends.iter().zip(&view.seg_links).enumerate() {
+        if end > start {
+            seg_order.push((link.delay, k as u32));
         }
-        start = end as usize;
+        start = end;
     }
     seg_order.sort_unstable();
-    let order = Arc::make_mut(&mut view.by_delay);
+    let order = &mut view.by_delay;
     order.clear();
+    order.reserve_exact(view.member_rows.len());
     for &(_, k) in seg_order.iter() {
         let k = k as usize;
         let start = k.checked_sub(1).map_or(0, |p| view.seg_ends[p]);
@@ -769,16 +855,20 @@ fn order_by_delay(view: &mut View, seg_order: &mut Vec<(SimTime, u32)>) {
     }
 }
 
-/// Derive `cluster`'s segment into `out`: walk exactly the cluster's
-/// node range of the node-dense store and keep its live workers,
-/// annotated with the cluster's link observation and their values from
-/// the value table, reservation-adjusted.
-fn derive_segment(src: &RowSource<'_, '_>, cluster: &ClusterRt, out: &mut Columns<'_>) {
+/// Derive `cluster`'s segment: walk exactly the cluster's node range of
+/// the node-dense store, push the store rows of its live workers onto
+/// `out`, and return the link toward the cluster ([`NO_LINK`] for an
+/// empty segment).
+fn derive_segment(
+    src: &RowSource<'_, '_>,
+    cluster: &ClusterRt,
+    out: &mut Vec<u32>,
+) -> LinkObservation {
     let inp = src.inp;
     if !cluster_admissible(inp, src.vantage, cluster.id) {
-        return;
+        return NO_LINK;
     }
-    let mut link = None;
+    let start = out.len();
     for i in cluster.node_range() {
         let Some(row) = inp.store.row(i) else {
             continue;
@@ -787,36 +877,90 @@ fn derive_segment(src: &RowSource<'_, '_>, cluster: &ClusterRt, out: &mut Column
             row.cluster, cluster.id,
             "store row {i} lies outside its cluster's node range"
         );
+        debug_assert_eq!(row.node, NodeId(i as u32));
         if row.role != NodeRole::Worker || inp.fault.is_down(row.node) {
             continue;
         }
-        let link =
-            *link.get_or_insert_with(|| link_to(inp, src.vantage, cluster.id, src.payload_kib));
-        let v = &src.table.rows[i];
-        let obs = NodeObservation {
-            node: row.node,
-            cluster: row.cluster,
-            total: v.total,
-            available_lc: v.lc,
-            available_be: v.be,
-            slack: v.slack,
-        };
-        out.push(
-            i as u32,
-            CandidateNode::from_observation(
-                obs,
-                link,
-                src.min_request(v),
-                inp.reserved.get(row.node),
-                true,
-            ),
-        );
+        out.push(i as u32);
+    }
+    if out.len() > start {
+        link_to(inp, src.vantage, cluster.id, src.payload_kib)
+    } else {
+        NO_LINK
     }
 }
 
-/// The `set_verify` oracle: compare `view` with a whole-store rebuild,
-/// and check that each recorded segment holds only its cluster's rows.
+/// Build every row of a BE view from its structure, into a buffer sized
+/// to them (doubling growth would leave a third of it unused).
+fn materialise(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterId]) {
+    let BeView { view, rows, .. } = be;
+    rows.clear();
+    rows.reserve_exact(view.member_rows.len());
+    let mut start = 0;
+    for (k, &end) in view.seg_ends.iter().enumerate() {
+        let end = end as usize;
+        let (link, cluster) = (view.seg_links[k], list[k]);
+        rows.extend(
+            view.member_rows[start..end]
+                .iter()
+                .map(|&i| src.be_row(i, link, cluster)),
+        );
+        start = end;
+    }
+}
+
+/// Rebuild exactly the rows of a BE view whose reservation changed since
+/// it last looked.
+fn patch_reservations(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterId]) {
+    let reserved = src.inp.reserved;
+    let clock = reserved.clock();
+    if be.seen_res == clock {
+        return;
+    }
+    let seen = be.seen_res;
+    let BeView {
+        view,
+        rows,
+        patch_hits,
+        ..
+    } = be;
+    patch_hits.clear();
+    // Journal fast path: when the reservation table still remembers every
+    // change since `seen` and the change list is small relative to the
+    // view, visit only the changed nodes (binary search by node id, which
+    // is the store row) instead of scanning every row. Otherwise scan the
+    // slim store-row array. Either way only the rows that changed are
+    // rebuilt.
+    match reserved.changes_since(seen) {
+        Some((n, probe)) if n * 4 <= rows.len() => {
+            for node in probe {
+                if let Ok(k) = view.member_rows.binary_search(&node.raw()) {
+                    patch_hits.push(k as u32);
+                }
+            }
+        }
+        _ => {
+            for (i, &ri) in view.member_rows.iter().enumerate() {
+                if reserved.stamp(NodeId(ri)) > seen {
+                    patch_hits.push(i as u32);
+                }
+            }
+        }
+    }
+    for &k in patch_hits.iter() {
+        let k = k as usize;
+        let s = view.segment_of(k);
+        rows[k] = src.be_row(view.member_rows[k], view.seg_links[s], list[s]);
+    }
+    be.seen_res = clock;
+}
+
+/// The `set_verify` oracle: compare a view's rows with a whole-store
+/// rebuild, check that each recorded segment holds only its cluster's
+/// store rows, and, for an LC view, check its delay order against a sort
+/// of the rows.
 fn check_view(
+    rows: &[CandidateNode],
     view: &View,
     inp: &ViewInputs<'_>,
     service: ServiceId,
@@ -828,27 +972,37 @@ fn check_view(
         ViewScope::BeGlobal => None,
     };
     assert_eq!(
-        *view.rows,
-        rebuild(inp, service, scope, geo),
+        rows,
+        rebuild(inp, service, scope, geo).as_slice(),
         "candidate view cache diverged from full rebuild \
          (service {service:?}, scope {scope:?})"
     );
+    assert_eq!(view.seg_ends.len(), list.len(), "one segment per cluster");
     let mut start = 0;
     for (&c, &end) in list.iter().zip(&view.seg_ends) {
         let end = end as usize;
         assert!(
-            view.rows[start..end].iter().all(|r| r.cluster == c),
+            view.member_rows[start..end].iter().all(|&i| inp
+                .store
+                .row(i as usize)
+                .is_some_and(|row| row.cluster == c)),
             "segment of cluster {c:?} holds foreign rows (scope {scope:?})"
         );
         start = end;
     }
-    assert_eq!(start, view.rows.len(), "segments do not cover the view");
     assert_eq!(
-        *view.by_delay,
-        delay_order(&view.rows),
-        "segment-derived delay order diverged from a sort of the rows \
-         (service {service:?}, scope {scope:?})"
+        start,
+        view.member_rows.len(),
+        "segments do not cover the view"
     );
+    if geo.is_some() {
+        assert_eq!(
+            view.by_delay,
+            delay_order(rows),
+            "segment-derived delay order diverged from a sort of the rows \
+             (service {service:?}, scope {scope:?})"
+        );
+    }
 }
 
 /// The oracle's reference build: iterate every store row in node-id
@@ -890,75 +1044,6 @@ fn rebuild(
         ));
     }
     rows
-}
-
-/// Gather row *values* (availability, slack, re-assured min-request)
-/// from the value table through the membership cache after a sync push
-/// or re-assure tick, less each row's current reservation. Membership
-/// and link attributes are structure-stable and survive untouched.
-fn refresh_values(view: &mut View, src: &RowSource<'_, '_>) {
-    let reserved = src.inp.reserved;
-    let rows = Arc::make_mut(&mut view.rows);
-    for (c, &ri) in rows.iter_mut().zip(&view.member_rows) {
-        let v = src.values(ri);
-        let r = reserved.get(c.node);
-        c.total = v.total;
-        c.available_lc = v.lc.saturating_sub(&r);
-        c.available_be = v.be.saturating_sub(&r);
-        c.slack = v.slack;
-        c.min_request = src.min_request(v);
-    }
-    view.seen_res = reserved.clock();
-}
-
-/// Refresh exactly the rows whose reservation changed since the view last
-/// looked, from their pre-reservation bases in the value table.
-/// `Arc::make_mut` patches in place when no batch still holds the
-/// previous rows, and copy-on-writes otherwise (outstanding batches keep
-/// their frozen snapshot).
-fn patch_reservations(view: &mut View, src: &RowSource<'_, '_>) {
-    let reserved = src.inp.reserved;
-    let clock = reserved.clock();
-    if view.seen_res == clock {
-        return;
-    }
-    let seen = view.seen_res;
-    view.patch_hits.clear();
-    // Journal fast path: when the reservation table still remembers every
-    // change since `seen` and the change list is small relative to the
-    // view, visit only the changed nodes (binary search by node id, which
-    // is the store row) instead of scanning every row. Otherwise scan the
-    // slim store-row array. Either way the fat candidate rows are only
-    // touched (and `Arc::make_mut` only pays a potential clone) when some
-    // row of this view actually changed.
-    match reserved.changes_since(seen) {
-        Some((n, probe)) if n * 4 <= view.rows.len() => {
-            for node in probe {
-                if let Ok(k) = view.member_rows.binary_search(&node.raw()) {
-                    view.patch_hits.push(k as u32);
-                }
-            }
-        }
-        _ => {
-            for (i, &ri) in view.member_rows.iter().enumerate() {
-                if reserved.stamp(NodeId(ri)) > seen {
-                    view.patch_hits.push(i as u32);
-                }
-            }
-        }
-    }
-    if !view.patch_hits.is_empty() {
-        let rows = Arc::make_mut(&mut view.rows);
-        for &k in &view.patch_hits {
-            let k = k as usize;
-            let ri = view.member_rows[k];
-            let v = src.values(ri);
-            let r = reserved.get(NodeId(ri));
-            rows[k].available_lc = v.lc.saturating_sub(&r);
-            rows[k].available_be = v.be.saturating_sub(&r);
-        }
-    }
-    view.seen_res = clock;
 }
 
 #[cfg(test)]

@@ -14,13 +14,17 @@
 //! really was.
 //!
 //! The proxy is an [`LcScheduler`] itself: delegation covers LC round
-//! planning, the one decision with a wire-shaped batch view.
+//! planning, the one decision with a wire-shaped batch view. Node state
+//! leaves through the proxy as whole [`CandidateNode`] rows, never as the
+//! system's internal tables: the proxy materialises each lent batch's
+//! rows at this boundary, once per round, and validates replies against
+//! exactly the rows it sent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::frame;
-use tango_sched::{CandidateNode, LcScheduler, TypeBatch};
+use tango_sched::{CandidateNode, LcBatch, LcScheduler};
 use tango_snap::{snap_record, SnapDecode, SnapEncode, SnapError};
 use tango_types::{ClusterId, NodeId, RequestId, ServiceId, SimTime};
 
@@ -224,12 +228,12 @@ impl ProxyBackend {
         Arc::clone(&self.stats)
     }
 
-    /// Validate a reply against the round's batches; `Err` names the
-    /// first inconsistency (drives the fallback counter).
+    /// Validate a reply against the round's batches as sent; `Err` names
+    /// the first inconsistency (drives the fallback counter).
     fn validate(
         &self,
         reply: &DecisionReply,
-        batches: &[TypeBatch],
+        batches: &[RequestBatch],
     ) -> Result<Vec<Vec<(RequestId, NodeId)>>, &'static str> {
         if reply.round != self.round {
             return Err("round mismatch");
@@ -250,7 +254,7 @@ impl ProxyBackend {
                 if seen.contains(&rid) {
                     return Err("request placed twice");
                 }
-                let Some(cand) = batch.nodes.iter().find(|c| c.node == node) else {
+                let Some(cand) = batch.candidates.iter().find(|c| c.node == node) else {
                     return Err("placement onto a non-candidate node");
                 };
                 if !cand.alive {
@@ -266,13 +270,13 @@ impl ProxyBackend {
 
 impl LcScheduler for ProxyBackend {
     /// A lone batch is offered as a one-batch round.
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
         self.assign_many(std::slice::from_ref(batch))
             .pop()
             .unwrap_or_default()
     }
 
-    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
+    fn assign_many(&mut self, batches: &[LcBatch<'_>]) -> Vec<Vec<(RequestId, NodeId)>> {
         if batches.iter().all(|b| b.requests.is_empty()) {
             return self.inner.assign_many(batches);
         }
@@ -285,8 +289,8 @@ impl LcScheduler for ProxyBackend {
                 .iter()
                 .map(|b| RequestBatch {
                     service: b.service,
-                    requests: b.requests.clone(),
-                    candidates: b.nodes.as_ref().clone(),
+                    requests: b.requests.to_vec(),
+                    candidates: b.rows.to_vec(),
                 })
                 .collect(),
         };
@@ -296,7 +300,7 @@ impl LcScheduler for ProxyBackend {
         };
         let placements = decode_reply(&reply_bytes)
             .map_err(|_| "malformed reply frame")
-            .and_then(|reply| self.validate(&reply, batches));
+            .and_then(|reply| self.validate(&reply, &request.batches));
         match placements {
             Ok(p) => {
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -325,6 +329,7 @@ impl LcScheduler for ProxyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango_sched::TypeBatch;
     use tango_types::Resources;
 
     fn cand(node: u32, alive: bool) -> CandidateNode {
@@ -353,7 +358,7 @@ mod tests {
     /// A local stand-in that places every request on a fixed node.
     struct PinAll(NodeId);
     impl LcScheduler for PinAll {
-        fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
+        fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
             batch.requests.iter().map(|&r| (r, self.0)).collect()
         }
         fn name(&self) -> &'static str {
@@ -422,8 +427,8 @@ mod tests {
             ClusterId(0),
             SimTime::from_millis(5),
         );
-        let batches = [batch(&[1, 2], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches);
+        let b = batch(&[1, 2], vec![cand(0, true), cand(1, true)]);
+        let out = proxy.assign_many(&[b.as_lc()]);
         assert_eq!(
             out,
             vec![vec![(RequestId(1), NodeId(1)), (RequestId(2), NodeId(1))]]
@@ -450,8 +455,8 @@ mod tests {
             ClusterId(0),
             SimTime::from_millis(5),
         );
-        let batches = [batch(&[1], vec![cand(0, true), cand(1, true)])];
-        let out = proxy.assign_many(&batches);
+        let b = batch(&[1], vec![cand(0, true), cand(1, true)]);
+        let out = proxy.assign_many(&[b.as_lc()]);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -476,8 +481,8 @@ mod tests {
             ClusterId(0),
             SimTime::from_millis(5),
         );
-        let batches = [batch(&[1], vec![cand(0, true), cand(1, false)])];
-        let out = proxy.assign_many(&batches);
+        let b = batch(&[1], vec![cand(0, true), cand(1, false)]);
+        let out = proxy.assign_many(&[b.as_lc()]);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 0, 1));
     }
@@ -490,12 +495,12 @@ mod tests {
             ClusterId(0),
             SimTime::from_millis(5),
         );
-        let batches = [batch(&[1], vec![cand(0, true)])];
-        let out = proxy.assign_many(&batches);
+        let b = batch(&[1], vec![cand(0, true)]);
+        let out = proxy.assign_many(&[b.as_lc()]);
         assert_eq!(out, vec![vec![(RequestId(1), NodeId(0))]]);
         assert_eq!(proxy.stats().totals(), (0, 1, 0));
         // a lone batch is offered to the source as a one-batch round
-        assert_eq!(proxy.assign(&batches[0]), out[0]);
+        assert_eq!(proxy.assign(&b.as_lc()), out[0]);
         assert_eq!(proxy.stats().totals(), (0, 2, 0));
         assert!(proxy.snapshot_state().is_err());
     }

@@ -15,6 +15,7 @@
 //! the kernel would return `EBUSY` otherwise; the remaining shrink happens
 //! naturally as requests complete and usage drains.
 
+use tango_cgroup::CgroupId;
 use tango_kube::Node;
 use tango_types::{ResourceKind, Resources, ServiceId, SimTime, TangoError};
 
@@ -60,10 +61,21 @@ impl Dvpa {
         target: Resources,
         now: SimTime,
     ) -> Result<ScaleOutcome, TangoError> {
-        let (pod_cg, ctr_cg) = node
+        let cgroups = node
             .scaling_cgroups(service)
             .ok_or_else(|| TangoError::Unschedulable(format!("{service} not on {}", node.id)))?;
+        self.scale_cgroups(node, cgroups, target, now)
+    }
 
+    /// [`Self::scale`] for a container whose `(pod, container)` cgroups
+    /// the caller already holds ([`tango_kube::node::Container::scaling_cgroups`]).
+    pub fn scale_cgroups(
+        &mut self,
+        node: &mut Node,
+        (pod_cg, ctr_cg): (CgroupId, CgroupId),
+        target: Resources,
+        now: SimTime,
+    ) -> Result<ScaleOutcome, TangoError> {
         // Usage clamp on incompressible dimensions.
         let usage = node.cgroups.usage(ctr_cg);
         let mut target = target;

@@ -27,6 +27,7 @@
 
 use crate::dvpa::Dvpa;
 use std::collections::HashMap;
+use tango_cgroup::CgroupId;
 use tango_kube::node::RunningRequest;
 use tango_kube::Node;
 use tango_types::{Request, Resources, ServiceClass, ServiceId, SimTime, TangoError};
@@ -76,8 +77,17 @@ impl HrmAllocator {
 
     /// Regulation feasibility check (does not mutate the node).
     pub fn feasible(node: &Node, class: ServiceClass, demand: &Resources) -> bool {
-        let (lc_held, be_held) = node.demand_usage();
-        let cap = node.capacity();
+        Self::fits(node.demand_usage(), node.capacity(), class, demand)
+    }
+
+    /// The regulations' rule: whether `demand` of `class` fits a node of
+    /// capacity `cap` whose running requests hold `(lc, be)`.
+    fn fits(
+        (lc_held, be_held): (Resources, Resources),
+        cap: Resources,
+        class: ServiceClass,
+        demand: &Resources,
+    ) -> bool {
         match class {
             ServiceClass::Lc => (lc_held + *demand).fits_within(&cap),
             ServiceClass::Be => (lc_held + be_held + *demand).fits_within(&cap),
@@ -85,7 +95,7 @@ impl HrmAllocator {
     }
 
     /// Admit a fresh request with its service's nominal work: [`admit`]
-    /// with `work_milli_ms` as the work left to run.
+    /// with its own demand and `work_milli_ms` as the work left to run.
     ///
     /// [`admit`]: Self::admit
     pub fn try_admit(
@@ -95,18 +105,20 @@ impl HrmAllocator {
         work_milli_ms: u64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
-        self.admit(node, req, work_milli_ms as f64, now)
+        self.admit(node, req, req.demand, work_milli_ms as f64, now)
     }
 
-    /// Admit `req` onto `node` under the regulations, evicting/throttling
-    /// BE as needed, growing limits through D-VPA, and rebalancing. `work`
-    /// is what is left to run: a fresh request's nominal work, or the
-    /// residue of a migrated pod (migrating pods are BE, so they never
-    /// evict).
+    /// Admit `req` onto `node` with `demand`, its effective demand (which
+    /// may differ from `req.demand`), under the regulations,
+    /// evicting/throttling BE as needed, growing limits through D-VPA,
+    /// and rebalancing. `work` is what is left to run: a fresh request's
+    /// nominal work, or the residue of a migrated pod (migrating pods are
+    /// BE, so they never evict).
     pub fn admit(
         &mut self,
         node: &mut Node,
         req: &Request,
+        demand: Resources,
         work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
@@ -120,20 +132,21 @@ impl HrmAllocator {
                 req.service, node.id
             )));
         }
-        if !Self::feasible(node, req.class, &req.demand) {
-            let (lc, be) = node.demand_usage();
+        let (lc, be) = node.demand_usage();
+        let cap = node.capacity();
+        if !Self::fits((lc, be), cap, req.class, &demand) {
             return Err(TangoError::InsufficientResources {
-                requested: req.demand,
-                available: node.capacity().saturating_sub(&lc).saturating_sub(&be),
+                requested: demand,
+                available: cap.saturating_sub(&lc).saturating_sub(&be),
             });
         }
 
         let mut outcome = AdmitOutcome::default();
         if req.class.is_lc() {
-            outcome.evicted = self.evict_for_incompressible(node, &req.demand, now)?;
+            outcome.evicted = self.evict_for_incompressible(node, &demand, now)?;
         }
-        self.rebalance_with_extra(node, Some((req.service, req.demand)), now);
-        node.admit(req.id, req.service, req.demand, work, now)?;
+        self.rebalance_with_extra(node, Some((req.service, demand)), now);
+        node.admit(req.id, req.service, demand, work, now)?;
         Ok(outcome)
     }
 
@@ -195,6 +208,7 @@ impl HrmAllocator {
         struct Entry {
             service: ServiceId,
             class: ServiceClass,
+            cgroups: (CgroupId, CgroupId),
             active: Resources,
         }
         let mut entries: Vec<Entry> = Vec::with_capacity(node.containers().len());
@@ -211,6 +225,7 @@ impl HrmAllocator {
             entries.push(Entry {
                 service: c.service,
                 class: c.class,
+                cgroups: c.scaling_cgroups(),
                 active,
             });
         }
@@ -265,7 +280,7 @@ impl HrmAllocator {
                 }
             };
             // dvpa clamps incompressible dims to usage internally
-            let _ = self.dvpa.scale(node, e.service, target, now);
+            let _ = self.dvpa.scale_cgroups(node, e.cgroups, target, now);
         }
     }
 
@@ -288,11 +303,12 @@ impl StaticAllocator {
     /// reject a request for being hungry; the kernel squeezes it inside
     /// the cgroup (the "unordered competition" of Fig. 9(c)). Fails only
     /// when the container's memory limit cannot take another resident.
-    /// `work` is what is left to run, as in [`HrmAllocator::admit`].
+    /// `demand` and `work` are as in [`HrmAllocator::admit`].
     pub fn admit(
         &mut self,
         node: &mut Node,
         req: &Request,
+        demand: Resources,
         work: f64,
         now: SimTime,
     ) -> Result<AdmitOutcome, TangoError> {
@@ -300,8 +316,8 @@ impl StaticAllocator {
             .scaling_cgroups(req.service)
             .map(|(_, ctr_cg)| node.cgroups.limit(ctr_cg))
         {
-            Some(limit) => req.demand.min(&limit).max(&Resources::new(1, 1, 0, 0)),
-            None => req.demand,
+            Some(limit) => demand.min(&limit).max(&Resources::new(1, 1, 0, 0)),
+            None => demand,
         };
         node.admit(req.id, req.service, clamped, work, now)?;
         Ok(AdmitOutcome::default())
@@ -512,7 +528,7 @@ mod tests {
         let before = n.effective_cpu(lc.id);
         for i in 0..2 {
             let r = lc_req(i, &lc);
-            stat.admit(&mut n, &r, lc.work_milli_ms as f64, SimTime::ZERO)
+            stat.admit(&mut n, &r, r.demand, lc.work_milli_ms as f64, SimTime::ZERO)
                 .unwrap();
         }
         assert_eq!(n.effective_cpu(lc.id), before);

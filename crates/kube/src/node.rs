@@ -96,6 +96,12 @@ impl Container {
     pub fn is_available(&self, now: SimTime) -> bool {
         self.unavailable_until <= now
     }
+
+    /// Its pod-level and container-level cgroups — the two write targets
+    /// of a D-VPA scaling operation (Fig. 5).
+    pub fn scaling_cgroups(&self) -> (CgroupId, CgroupId) {
+        (self.pod_cgroup, self.cgroup)
+    }
 }
 
 /// A master or worker node.
@@ -566,7 +572,7 @@ impl Node {
     /// The pod-level and container-level cgroups for a service — the two
     /// write targets of a D-VPA scaling operation (Fig. 5).
     pub fn scaling_cgroups(&self, service: ServiceId) -> Option<(CgroupId, CgroupId)> {
-        self.container(service).map(|c| (c.pod_cgroup, c.cgroup))
+        self.container(service).map(Container::scaling_cgroups)
     }
 }
 

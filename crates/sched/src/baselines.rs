@@ -10,9 +10,12 @@
 //!   cloud-assisted edge scheduler: evacuate hot edge nodes by moving
 //!   their BE pods to cold edge peers first and spilling the overflow
 //!   to the cloud tier.
+//!
+//! The three LC policies compare every candidate for every request, so
+//! each materialises its batch's rows once per call.
 
 use crate::migrate::{MigrationCandidate, MigrationDecision, MigrationPlanner};
-use crate::view::{CandidateNode, LcScheduler, TypeBatch};
+use crate::view::{CandidateNode, LcBatch, LcScheduler};
 use tango_types::{NodeId, RequestId, Resources};
 
 /// Greedy: requests go one at a time to the node with the most remaining
@@ -21,22 +24,23 @@ use tango_types::{NodeId, RequestId, Resources};
 pub struct LoadGreedy;
 
 impl LcScheduler for LoadGreedy {
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        let mut remaining: Vec<u64> = batch.nodes.iter().map(|n| n.capacity_now(true)).collect();
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
+        let nodes = batch.rows.to_vec();
+        let mut remaining: Vec<u64> = nodes.iter().map(|n| n.capacity_now(true)).collect();
         let mut out = Vec::with_capacity(batch.requests.len());
-        for &req in &batch.requests {
+        for &req in batch.requests {
             // lowest load == largest remaining capacity fraction
-            let best = (0..batch.nodes.len())
+            let best = (0..nodes.len())
                 .filter(|&i| remaining[i] > 0)
                 .max_by(|&a, &b| {
-                    let fa = remaining[a] as f64 / batch.nodes[a].capacity_total().max(1) as f64;
-                    let fb = remaining[b] as f64 / batch.nodes[b].capacity_total().max(1) as f64;
+                    let fa = remaining[a] as f64 / nodes[a].capacity_total().max(1) as f64;
+                    let fb = remaining[b] as f64 / nodes[b].capacity_total().max(1) as f64;
                     fa.partial_cmp(&fb).unwrap_or(std::cmp::Ordering::Equal)
                 });
             match best {
                 Some(i) => {
                     remaining[i] -= 1;
-                    out.push((req, batch.nodes[i].node));
+                    out.push((req, nodes[i].node));
                 }
                 None => break, // nothing feasible; rest stay queued
             }
@@ -56,20 +60,21 @@ pub struct KsNative {
 }
 
 impl LcScheduler for KsNative {
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        let n = batch.nodes.len();
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
+        let nodes = batch.rows.to_vec();
+        let n = nodes.len();
         if n == 0 {
             return Vec::new();
         }
-        let mut remaining: Vec<u64> = batch.nodes.iter().map(|c| c.capacity_now(true)).collect();
+        let mut remaining: Vec<u64> = nodes.iter().map(|c| c.capacity_now(true)).collect();
         let mut out = Vec::with_capacity(batch.requests.len());
-        for &req in &batch.requests {
+        for &req in batch.requests {
             let mut placed = false;
             for off in 0..n {
                 let i = (self.cursor + off) % n;
                 if remaining[i] > 0 {
                     remaining[i] -= 1;
-                    out.push((req, batch.nodes[i].node));
+                    out.push((req, nodes[i].node));
                     self.cursor = (i + 1) % n;
                     placed = true;
                     break;
@@ -132,26 +137,26 @@ impl Scoring {
 }
 
 impl LcScheduler for Scoring {
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        let mut remaining: Vec<u64> = batch.nodes.iter().map(|n| n.capacity_now(true)).collect();
-        let max_delay = batch
-            .nodes
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
+        let nodes = batch.rows.to_vec();
+        let mut remaining: Vec<u64> = nodes.iter().map(|n| n.capacity_now(true)).collect();
+        let max_delay = nodes
             .iter()
             .map(|n| n.delay.as_micros() as f64)
             .fold(0.0, f64::max);
         let mut out = Vec::with_capacity(batch.requests.len());
-        for &req in &batch.requests {
-            let best = (0..batch.nodes.len())
+        for &req in batch.requests {
+            let best = (0..nodes.len())
                 .filter(|&i| remaining[i] > 0)
                 .max_by(|&a, &b| {
-                    let sa = self.score(&batch.nodes[a], remaining[a], max_delay);
-                    let sb = self.score(&batch.nodes[b], remaining[b], max_delay);
+                    let sa = self.score(&nodes[a], remaining[a], max_delay);
+                    let sb = self.score(&nodes[b], remaining[b], max_delay);
                     sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
                 });
             match best {
                 Some(i) => {
                     remaining[i] -= 1;
-                    out.push((req, batch.nodes[i].node));
+                    out.push((req, nodes[i].node));
                 }
                 None => break,
             }
@@ -267,7 +272,7 @@ mod tests {
     fn load_greedy_picks_emptiest() {
         let mut s = LoadGreedy;
         let b = batch(1, vec![cand(1, 1, 5), cand(2, 8, 5)]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         assert_eq!(out, vec![(tango_types::RequestId(0), NodeId(2))]);
     }
 
@@ -275,7 +280,7 @@ mod tests {
     fn load_greedy_stops_when_everything_full() {
         let mut s = LoadGreedy;
         let b = batch(5, vec![cand(1, 2, 5)]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         assert_eq!(out.len(), 2);
     }
 
@@ -283,7 +288,7 @@ mod tests {
     fn k8s_native_round_robins() {
         let mut s = KsNative::default();
         let b = batch(4, vec![cand(1, 10, 5), cand(2, 10, 5)]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         let targets: Vec<u32> = out.iter().map(|&(_, n)| n.raw()).collect();
         assert_eq!(targets, vec![1, 2, 1, 2]);
     }
@@ -292,7 +297,7 @@ mod tests {
     fn k8s_native_skips_full_nodes() {
         let mut s = KsNative::default();
         let b = batch(3, vec![cand(1, 0, 5), cand(2, 10, 5)]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         assert!(out.iter().all(|&(_, n)| n == NodeId(2)));
     }
 
@@ -303,7 +308,7 @@ mod tests {
         let near = cand(1, 6, 1);
         let far = cand(2, 8, 100);
         let b = batch(1, vec![near, far]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         assert_eq!(out[0].1, NodeId(1), "nearby node should win");
     }
 
@@ -314,7 +319,7 @@ mod tests {
         strained.slack = -0.5; // violating QoS
         let healthy = cand(2, 5, 10);
         let b = batch(1, vec![strained, healthy]);
-        let out = s.assign(&b);
+        let out = s.assign(&b.as_lc());
         assert_eq!(out[0].1, NodeId(2));
     }
 
@@ -322,10 +327,10 @@ mod tests {
     fn all_policies_handle_empty_inputs() {
         let b0 = batch(0, vec![cand(1, 5, 5)]);
         let bn = batch(3, vec![]);
-        assert!(LoadGreedy.assign(&b0).is_empty());
-        assert!(LoadGreedy.assign(&bn).is_empty());
-        assert!(KsNative::default().assign(&bn).is_empty());
-        assert!(Scoring::default().assign(&bn).is_empty());
+        assert!(LoadGreedy.assign(&b0.as_lc()).is_empty());
+        assert!(LoadGreedy.assign(&bn.as_lc()).is_empty());
+        assert!(KsNative::default().assign(&bn.as_lc()).is_empty());
+        assert!(Scoring::default().assign(&bn.as_lc()).is_empty());
         assert!(KubeDsm::default().plan(&[], 8).is_empty());
     }
 

@@ -20,19 +20,22 @@
 //! size. Queued-set requests still get dispatched; they simply wait at
 //! their target node.
 //!
-//! The fill order is not sorted here: every [`TypeBatch`] carries it as
+//! The fill order is not sorted here: every [`LcBatch`] carries it as
 //! `by_delay`, and the system's candidate-view cache derives it only
 //! when a structural change re-derives the view (delay is a link
-//! attribute). A plan is one walk down that order, which computes the
-//! Eq. 2 capacity of each row it reaches and stops once the demand is
-//! placed. The walk also settles which of Alg. 2's two cases holds: it
+//! attribute). A plan is one walk down that order, which reads each row
+//! it reaches, computes its Eq. 2 capacity and stops once the demand is
+//! placed. The rows past that point are never read, so a batch whose rows
+//! are built on demand ([`crate::view::CandidateRows`]) builds only the
+//! rows the walk reaches; only the overload case reads every row, for the
+//! λ basis. The walk also settles which of Alg. 2's two cases holds: it
 //! stops early only after placing the demand, so Σcap ≥ demand; if it
 //! runs out of rows, its running sum is the whole Σcap. And when
 //! Σcap < demand, each row's take is min(capacity, link capacity) either
 //! way, so routing the demand places exactly what routing Σcap would:
 //! the one walk is the G_k phase of both cases.
 
-use crate::view::{LcScheduler, TypeBatch};
+use crate::view::{CandidateRows, LcBatch, LcScheduler, TypeBatch};
 use tango_flow::{EdgeRef, FlowGraph, MinCostMaxFlow};
 use tango_simcore::SimRng;
 use tango_types::{NodeId, RequestId};
@@ -45,8 +48,9 @@ struct DispatchScratch {
     order: Vec<RequestId>,
     /// Per-row assignment counts from the last route, by row index.
     counts: Vec<(usize, u64)>,
-    /// Eq. 7 λ-augmented capacities (Ĝ′_k phase), by row index.
-    caps_aug: Vec<u64>,
+    /// Per row: its Eq. 7 total-resource capacity basis and its link
+    /// capacity (Ĝ′_k phase), by row index.
+    basis: Vec<(u64, u32)>,
 }
 
 /// The DSS-LC scheduler.
@@ -110,32 +114,34 @@ impl DssLc {
     /// solver and the test suite pins their equality.
     pub fn route(batch: &TypeBatch, capacities: &[u64], demand: u64) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
-        Self::route_into(batch, demand, |i| capacities[i], &mut out);
+        Self::route_into(
+            &batch.by_delay,
+            demand,
+            |i| capacities[i].min(batch.nodes[i].link_capacity as u64),
+            &mut out,
+        );
         out
     }
 
     /// [`Self::route`] writing into a caller-provided buffer (cleared
-    /// first). It walks the batch's delay order and asks `capacity` for
-    /// each row it reaches, stopping once `demand` is placed; the counts
-    /// come back sorted by row index, the order `materialize` hands out
-    /// requests in.
+    /// first). It walks `by_delay` and asks `limit` for each row it
+    /// reaches (the row's capacity, already capped by its link), stopping
+    /// once `demand` is placed; the counts come back sorted by row index,
+    /// the order `materialize` hands out requests in.
     fn route_into(
-        batch: &TypeBatch,
+        by_delay: &[u32],
         demand: u64,
-        mut capacity: impl FnMut(usize) -> u64,
+        mut limit: impl FnMut(usize) -> u64,
         out: &mut Vec<(usize, u64)>,
     ) {
-        debug_assert_eq!(batch.by_delay.len(), batch.nodes.len());
         out.clear();
         let mut remaining = demand;
-        for &i in batch.by_delay.iter() {
+        for &i in by_delay {
             if remaining == 0 {
                 break;
             }
             let i = i as usize;
-            let take = capacity(i)
-                .min(batch.nodes[i].link_capacity as u64)
-                .min(remaining);
+            let take = limit(i).min(remaining);
             if take > 0 {
                 out.push((i, take));
                 remaining -= take;
@@ -187,7 +193,7 @@ impl DssLc {
     /// Σcap requests of the shuffled order. (An earlier version popped
     /// from the back, silently reversing the queue.)
     fn materialize(
-        batch: &TypeBatch,
+        rows: &dyn CandidateRows,
         counts: &[(usize, u64)],
         requests: &[RequestId],
         cursor: &mut usize,
@@ -201,13 +207,18 @@ impl DssLc {
                     return;
                 };
                 *cursor += 1;
-                out.push((req, batch.nodes[node_idx].node));
+                out.push((req, rows.row(node_idx).node));
             }
         }
     }
 
     /// Run Alg. 2 on one type batch.
     pub fn plan(&mut self, batch: &TypeBatch) -> LcPlan {
+        self.plan_lent(&batch.as_lc())
+    }
+
+    /// [`Self::plan`] on a lent batch.
+    fn plan_lent(&mut self, batch: &LcBatch<'_>) -> LcPlan {
         Self::plan_with(
             &mut self.scratch,
             &mut self.rng,
@@ -220,7 +231,7 @@ impl DssLc {
     /// order. Each batch's ρ(·) shuffle draws from its own stream, forked
     /// from this scheduler's RNG once per batch, so a batch's plan does
     /// not depend on how many requests the batches before it shuffled.
-    pub fn plan_many(&mut self, batches: &[TypeBatch]) -> Vec<LcPlan> {
+    pub fn plan_many(&mut self, batches: &[LcBatch<'_>]) -> Vec<LcPlan> {
         batches
             .iter()
             .map(|batch| {
@@ -236,35 +247,39 @@ impl DssLc {
         scratch: &mut DispatchScratch,
         rng: &mut SimRng,
         overflow_routing: bool,
-        batch: &TypeBatch,
+        batch: &LcBatch<'_>,
     ) -> LcPlan {
         let mut plan = LcPlan::default();
         if batch.requests.is_empty() {
             return plan;
         }
         let demand = batch.requests.len() as u64;
+        let rows = batch.rows;
+        debug_assert_eq!(batch.by_delay.len(), rows.len());
 
         // ρ(·): random sorting function; LC requests share one priority.
         scratch.order.clear();
-        scratch.order.extend_from_slice(&batch.requests);
+        scratch.order.extend_from_slice(batch.requests);
         rng.shuffle(&mut scratch.order);
         let mut cursor = 0usize;
 
-        // G_k: one walk in delay order. `total_cap` sums the Eq. 2
-        // capacities it reached, which settles the case (module doc).
+        // G_k: one walk in delay order, reading each row it reaches once.
+        // `total_cap` sums the Eq. 2 capacities it reached, which settles
+        // the case (module doc).
         let mut total_cap = 0u64;
         Self::route_into(
-            batch,
+            batch.by_delay,
             demand,
             |i| {
-                let cap = batch.nodes[i].capacity_now(true);
+                let row = rows.row(i);
+                let cap = row.capacity_now(true);
                 total_cap += cap;
-                cap
+                cap.min(row.link_capacity as u64)
             },
             &mut scratch.counts,
         );
         Self::materialize(
-            batch,
+            rows,
             &scratch.counts,
             &scratch.order,
             &mut cursor,
@@ -276,20 +291,26 @@ impl DssLc {
             // the ρ order; Ĝ′_k routes R′_k over capacities from *total*
             // resources × λ (Eq. 7–8).
             let overflow = (scratch.order.len() - cursor) as u64;
-            scratch.caps_aug.clear();
-            scratch
-                .caps_aug
-                .extend(batch.nodes.iter().map(|n| n.capacity_total()));
-            let basis_sum: u64 = scratch.caps_aug.iter().sum();
+            scratch.basis.clear();
+            scratch.basis.extend((0..rows.len()).map(|i| {
+                let row = rows.row(i);
+                (row.capacity_total(), row.link_capacity)
+            }));
+            let basis_sum: u64 = scratch.basis.iter().map(|&(b, _)| b).sum();
             if overflow_routing && basis_sum > 0 {
                 let lambda = overflow as f64 / basis_sum as f64;
-                for b in &mut scratch.caps_aug {
-                    *b = ((*b as f64) * lambda).ceil() as u64;
-                }
-                let caps_aug = &scratch.caps_aug;
-                Self::route_into(batch, overflow, |i| caps_aug[i], &mut scratch.counts);
+                let basis = &scratch.basis;
+                Self::route_into(
+                    batch.by_delay,
+                    overflow,
+                    |i| {
+                        let (b, link) = basis[i];
+                        (((b as f64) * lambda).ceil() as u64).min(link as u64)
+                    },
+                    &mut scratch.counts,
+                );
                 Self::materialize(
-                    batch,
+                    rows,
                     &scratch.counts,
                     &scratch.order,
                     &mut cursor,
@@ -303,11 +324,11 @@ impl DssLc {
 }
 
 impl LcScheduler for DssLc {
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)> {
-        self.plan(batch).all().collect()
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)> {
+        self.plan_lent(batch).all().collect()
     }
 
-    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
+    fn assign_many(&mut self, batches: &[LcBatch<'_>]) -> Vec<Vec<(RequestId, NodeId)>> {
         self.plan_many(batches)
             .iter()
             .map(|p| p.all().collect())
@@ -334,7 +355,7 @@ impl LcScheduler for DssLc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::test_support::{batch, cand};
+    use crate::view::test_support::{batch, cand, CountingRows};
 
     #[test]
     fn empty_batch_is_noop() {
@@ -546,8 +567,9 @@ mod tests {
     #[test]
     fn plan_many_plans_each_batch_on_its_own_forked_stream() {
         let batches = batch_bag(17);
+        let lent: Vec<LcBatch<'_>> = batches.iter().map(TypeBatch::as_lc).collect();
         for seed in [3u64, 99, 1 << 40] {
-            let plans = DssLc::new(seed).plan_many(&batches);
+            let plans = DssLc::new(seed).plan_many(&lent);
             assert_eq!(plans.len(), batches.len());
             assert!(plans.iter().any(|p| !p.immediate.is_empty()));
             assert!(plans.iter().any(|p| !p.queued.is_empty()));
@@ -566,14 +588,68 @@ mod tests {
     #[test]
     fn plan_many_advances_rng_like_sequential_forks() {
         let batches = batch_bag(5);
+        let lent: Vec<LcBatch<'_>> = batches.iter().map(TypeBatch::as_lc).collect();
         let mut a = DssLc::new(3);
-        a.plan_many(&batches);
+        a.plan_many(&lent);
         let mut b = DssLc::new(3);
         for _ in 0..batches.len() {
             b.rng.fork();
         }
         let single = batch(4, vec![cand(1, 9, 2)]);
         assert_eq!(a.plan(&single), b.plan(&single));
+    }
+
+    /// DSS-LC builds only the rows its delay walk reaches: over seeded
+    /// batches whose demand fits Σcap, a counting accessor sees exactly
+    /// the rows of the delay order up to the one that placed the last
+    /// request. A planner that materialised the batch's rows first would
+    /// read every row.
+    #[test]
+    fn plan_reads_only_the_rows_its_delay_walk_reaches() {
+        let mut short_walks = 0;
+        for seed in 0..400u64 {
+            let mut rng = SimRng::new(0x1A2_0000 + seed);
+            let nodes: Vec<_> = (0..1 + rng.next_below(40) as u32)
+                .map(|i| {
+                    let mut c = cand(i, rng.next_below(6), 1 + rng.next_below(60));
+                    c.link_capacity = 1 + rng.next_below(6) as u32;
+                    c
+                })
+                .collect();
+            let total_cap: u64 = nodes.iter().map(|c| c.capacity_now(true)).sum();
+            let b = batch(1 + rng.next_below(total_cap.max(1)), nodes);
+            if b.requests.len() as u64 > total_cap {
+                continue; // overloaded: the λ phase reads every row
+            }
+            // The walk: every row of the delay order until the demand is
+            // placed.
+            let mut remaining = b.requests.len() as u64;
+            let mut reached = Vec::new();
+            for &i in &b.by_delay {
+                if remaining == 0 {
+                    break;
+                }
+                let c = &b.nodes[i as usize];
+                remaining -= c
+                    .capacity_now(true)
+                    .min(c.link_capacity as u64)
+                    .min(remaining);
+                reached.push(i as usize);
+            }
+            let rows = CountingRows::new(&b.nodes);
+            let placed = DssLc::new(seed).assign(&rows.lend(&b));
+            assert_eq!(placed, DssLc::new(seed).assign(&b.as_lc()), "seed {seed}");
+            let mut read = rows.reads.take();
+            read.sort_unstable();
+            read.dedup();
+            reached.sort_unstable();
+            assert_eq!(read, reached, "seed {seed}: rows read beyond the walk");
+            short_walks += usize::from(reached.len() < b.nodes.len());
+        }
+        assert!(
+            short_walks >= 200,
+            "too few walks stopped early: {short_walks}"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper has two dispatcher roles, and each has exactly one trait:
 //!
 //! * [`LcScheduler`] — per-master LC dispatch: plan a whole round of
-//!   per-type batches at once (Alg. 2). The system holds one per cluster.
+//!   per-type batches at once (Alg. 2), reading candidate rows through
+//!   [`CandidateRows`]. The system holds one per cluster.
 //! * [`BeScheduler`] — central BE dispatch: pick one node, and the
 //!   resources to grant, per request, and learn from a delayed reward
 //!   (Alg. 3). The system holds one.
@@ -53,5 +54,6 @@ pub use dss_lc::{DssLc, LcPlan};
 pub use migrate::{MigratablePod, MigrationCandidate, MigrationDecision, MigrationPlanner};
 pub use td3_be::{Td3Be, Td3BeConfig};
 pub use view::{
-    delay_order, CandidateNode, LcScheduler, LinkObservation, NodeObservation, TypeBatch,
+    delay_order, CandidateNode, CandidateRows, LcBatch, LcScheduler, LinkObservation,
+    NodeObservation, TypeBatch,
 };

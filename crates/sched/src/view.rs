@@ -6,7 +6,6 @@
 //! (X_i^k node attributes, Y_{i,j} edge attributes). The schedulers only
 //! ever see these views.
 
-use std::sync::Arc;
 use tango_types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 /// One candidate worker node as the dispatcher sees it.
@@ -72,13 +71,12 @@ pub struct LinkObservation {
 }
 
 impl CandidateNode {
-    /// The one candidate-view builder: assemble a candidate from a node
-    /// observation, the link toward it, the (re-assurance-adjusted)
-    /// minimum request, and the dispatcher's in-flight reservation
-    /// against the node. Both the LC and the BE dispatch paths go through
-    /// here, so reservation subtraction and liveness annotation cannot
-    /// drift between them — dead nodes must be filtered (or passed with
-    /// `alive = false`) by the caller, which owns the fault view.
+    /// Assemble a candidate from a node observation, the link toward it,
+    /// the (re-assurance-adjusted) minimum request, and the dispatcher's
+    /// in-flight reservation against the node. Dead nodes must be
+    /// filtered (or passed with `alive = false`) by the caller, which owns
+    /// the fault view. The system's view cache builds its rows from its
+    /// own tables; its oracle builds the reference rows through here.
     pub fn from_observation(
         obs: NodeObservation,
         link: LinkObservation,
@@ -126,19 +124,62 @@ impl CandidateNode {
     }
 }
 
-/// The pending requests of one type at one master, with their candidates.
+/// Read access to a batch's candidate rows by index.
 ///
-/// `nodes` and `by_delay` are `Arc`s: the system's candidate-view cache
-/// hands every batch of a round the *same* frozen start-of-round snapshot
-/// for its type (a refcount bump, not a clone), and schedulers only ever
-/// read it.
+/// A plain row list implements it, and so does the system's candidate-view
+/// cache, which builds a row from its tables only when a scheduler reads
+/// it. DSS-LC reads only the rows its delay walk reaches; a policy that
+/// reads every row materialises them once with [`CandidateRows::to_vec`].
+pub trait CandidateRows {
+    /// Number of rows.
+    fn len(&self) -> usize;
+
+    /// Row `i`, for `i < len()`.
+    fn row(&self, i: usize) -> CandidateNode;
+
+    /// Whether there are no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every row, in index order.
+    fn to_vec(&self) -> Vec<CandidateNode> {
+        (0..self.len()).map(|i| self.row(i)).collect()
+    }
+}
+
+impl CandidateRows for Vec<CandidateNode> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn row(&self, i: usize) -> CandidateNode {
+        self[i]
+    }
+}
+
+/// The pending requests of one type at one master, with their candidates,
+/// as an [`LcScheduler`] reads them: borrowed for one dispatch round.
 ///
 /// `by_delay` is DSS-LC's fill order. Delay is a link attribute, so the
 /// order is structural: the view cache derives it from its per-cluster
-/// segments whenever it re-derives a view, and keeps it through value
-/// refreshes and reservation patches, which move neither delay nor
-/// membership. [`TypeBatch::new`] sorts it for batches made outside the
-/// cache.
+/// segments whenever it re-derives a view. [`TypeBatch::new`] sorts it
+/// for a batch of plain rows.
+#[derive(Clone, Copy)]
+pub struct LcBatch<'a> {
+    /// The request type k.
+    pub service: ServiceId,
+    /// Pending request ids (t_i^k at this master).
+    pub requests: &'a [RequestId],
+    /// Candidate nodes (local + geo-nearby clusters' workers).
+    pub rows: &'a dyn CandidateRows,
+    /// Indices into `rows` in ascending `(delay, node)` order
+    /// ([`delay_order`]).
+    pub by_delay: &'a [u32],
+}
+
+/// A type batch that owns plain candidate rows: what tests and benchmarks
+/// build, lent to an [`LcScheduler`] by [`TypeBatch::as_lc`].
 #[derive(Debug, Clone)]
 pub struct TypeBatch {
     /// The request type k.
@@ -146,10 +187,10 @@ pub struct TypeBatch {
     /// Pending request ids (t_i^k at this master).
     pub requests: Vec<RequestId>,
     /// Candidate nodes (local + geo-nearby clusters' workers).
-    pub nodes: Arc<Vec<CandidateNode>>,
+    pub nodes: Vec<CandidateNode>,
     /// Indices into `nodes` in ascending `(delay, node)` order
     /// ([`delay_order`]).
-    pub by_delay: Arc<Vec<u32>>,
+    pub by_delay: Vec<u32>,
 }
 
 impl TypeBatch {
@@ -157,15 +198,24 @@ impl TypeBatch {
     pub fn new(
         service: ServiceId,
         requests: Vec<RequestId>,
-        nodes: impl Into<Arc<Vec<CandidateNode>>>,
+        nodes: Vec<CandidateNode>,
     ) -> TypeBatch {
-        let nodes = nodes.into();
-        let by_delay = Arc::new(delay_order(&nodes));
+        let by_delay = delay_order(&nodes);
         TypeBatch {
             service,
             requests,
             nodes,
             by_delay,
+        }
+    }
+
+    /// Lend the batch to an [`LcScheduler`].
+    pub fn as_lc(&self) -> LcBatch<'_> {
+        LcBatch {
+            service: self.service,
+            requests: &self.requests,
+            rows: &self.nodes,
+            by_delay: &self.by_delay,
         }
     }
 }
@@ -183,15 +233,19 @@ pub fn delay_order(nodes: &[CandidateNode]) -> Vec<u32> {
 
 /// An LC scheduling policy: map a type batch to (request → node)
 /// placements. Requests left unplaced stay in the master's queue.
+///
+/// A batch's rows may be built on demand ([`CandidateRows`]), so a policy
+/// reads only the rows it needs, and reads each as often as it likes: a
+/// row is the same value for the whole call.
 pub trait LcScheduler {
     /// Decide placements for one batch.
-    fn assign(&mut self, batch: &TypeBatch) -> Vec<(RequestId, NodeId)>;
+    fn assign(&mut self, batch: &LcBatch<'_>) -> Vec<(RequestId, NodeId)>;
 
     /// Decide placements for all of one dispatch round's per-type
     /// batches, one result per batch in batch order. The default runs
     /// [`LcScheduler::assign`] on each batch in turn; a policy that sees
     /// the round as a whole (the external proxy) overrides it.
-    fn assign_many(&mut self, batches: &[TypeBatch]) -> Vec<Vec<(RequestId, NodeId)>> {
+    fn assign_many(&mut self, batches: &[LcBatch<'_>]) -> Vec<Vec<(RequestId, NodeId)>> {
         batches.iter().map(|b| self.assign(b)).collect()
     }
 
@@ -244,6 +298,41 @@ pub(crate) mod test_support {
             nodes,
         )
     }
+
+    /// Plain rows behind an accessor that records the index of every
+    /// row read, as a scheduler would read the view cache's rows.
+    pub struct CountingRows<'a> {
+        rows: &'a [CandidateNode],
+        pub reads: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl<'a> CountingRows<'a> {
+        pub fn new(rows: &'a [CandidateNode]) -> Self {
+            CountingRows {
+                rows,
+                reads: Default::default(),
+            }
+        }
+
+        /// `batch` lent with these rows in place of its own.
+        pub fn lend(&'a self, batch: &'a TypeBatch) -> LcBatch<'a> {
+            LcBatch {
+                rows: self,
+                ..batch.as_lc()
+            }
+        }
+    }
+
+    impl CandidateRows for CountingRows<'_> {
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn row(&self, i: usize) -> CandidateNode {
+            self.reads.borrow_mut().push(i);
+            self.rows[i]
+        }
+    }
 }
 
 #[cfg(test)]
@@ -260,7 +349,7 @@ mod tests {
         nodes[3].cluster = ClusterId(1);
         assert_eq!(delay_order(&nodes), vec![1, 3, 0, 2]);
         let batch = TypeBatch::new(ServiceId(0), Vec::new(), nodes);
-        assert_eq!(*batch.by_delay, vec![1, 3, 0, 2]);
+        assert_eq!(batch.by_delay, vec![1, 3, 0, 2]);
     }
 
     #[test]

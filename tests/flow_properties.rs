@@ -17,10 +17,17 @@
 //! planner that sorts every row by `(delay, node)` per call, computes all
 //! Eq. 2 capacities up front and routes Σcap on overload must agree with
 //! `DssLc::plan`'s one walk down the batch's carried delay order,
-//! placement for placement.
+//! placement for placement. Over the same batches, every LC policy must
+//! plan rows read through an accessor (as the view cache lends them)
+//! exactly as it plans the plain rows.
 
+mod common;
+
+use common::CountingRows;
 use tango_repro::flow::{FlowGraph, MinCostMaxFlow};
-use tango_repro::sched::{CandidateNode, DssLc, LcPlan, TypeBatch};
+use tango_repro::sched::{
+    CandidateNode, DssLc, KsNative, LcPlan, LcScheduler, LoadGreedy, Scoring, TypeBatch,
+};
 use tango_repro::simcore::SimRng;
 use tango_repro::types::{ClusterId, NodeId, RequestId, Resources, ServiceId, SimTime};
 
@@ -376,7 +383,9 @@ fn regime_of(batch: &TypeBatch) -> Regime {
 /// capacities only as far as the demand reaches; the reference sorts and
 /// computes everything. Over thousands of shaped batches, in every
 /// regime and with and without overflow routing, the two must place the
-/// same request on the same node, in the same set.
+/// same request on the same node, in the same set. Every LC policy also
+/// plans the batch read through a counting accessor as it plans the
+/// plain rows.
 #[test]
 fn plan_matches_the_sorting_reference_planner_placement_for_placement() {
     const CASES: u64 = 4_800;
@@ -412,6 +421,23 @@ fn plan_matches_the_sorting_reference_planner_placement_for_placement() {
                 got, want,
                 "case {case} ({regime:?}, overflow routing {overflow_routing}): \
                  plan diverged from the reference planner"
+            );
+        }
+        let policies: [fn(u64) -> Box<dyn LcScheduler>; 5] = [
+            |seed| Box::new(DssLc::new(seed)),
+            |seed| Box::new(DssLc::without_overflow_routing(seed)),
+            |_| Box::new(LoadGreedy),
+            |_| Box::new(KsNative::default()),
+            |_| Box::new(Scoring::default()),
+        ];
+        for make in policies {
+            let rows = CountingRows::new(&batch.nodes);
+            let mut sched = make(seed);
+            assert_eq!(
+                sched.assign(&rows.lend(&batch)),
+                make(seed).assign(&batch.as_lc()),
+                "case {case} ({regime:?}): {} planned the lent rows differently",
+                sched.name()
             );
         }
     }

@@ -3,14 +3,18 @@
 //! Expressed as deterministic seeded sweeps (see `tests/properties.rs`
 //! for why `proptest` itself is not available in this build environment).
 
+mod common;
+
+use common::CountingRows;
+use tango_repro::ctrl::{DecisionReply, DecisionRequest, PolicyFn, ProxyBackend};
 use tango_repro::gnn::EncoderKind;
 use tango_repro::kube::Node;
 use tango_repro::sched::{
     CandidateNode, DssLc, KsNative, LcScheduler, LoadGreedy, Scoring, TypeBatch,
 };
 use tango_repro::simcore::SimRng;
-use tango_repro::tango::policy::make_be_scheduler;
-use tango_repro::tango::{Ablations, BePolicy};
+use tango_repro::tango::policy::{make_be_scheduler, make_lc_scheduler};
+use tango_repro::tango::{Ablations, BePolicy, LcPolicy};
 use tango_repro::types::{
     ClusterId, NodeId, RequestId, Resources, ServiceClass, ServiceId, ServiceSpec, SimTime,
 };
@@ -63,7 +67,7 @@ fn lc_policies_respect_capacity_and_uniqueness() {
             Box::new(Scoring::default()),
         ];
         for sched in &mut baselines {
-            let out = sched.assign(&batch);
+            let out = sched.assign(&batch.as_lc());
             let mut seen = std::collections::HashSet::new();
             let mut per_node = vec![0u64; batch.nodes.len()];
             for &(rid, node) in &out {
@@ -96,6 +100,77 @@ fn lc_policies_respect_capacity_and_uniqueness() {
         }
         for (i, &count) in per_node.iter().enumerate() {
             assert!(count <= caps[i].min(batch.nodes[i].link_capacity as u64));
+        }
+    }
+}
+
+/// An external decision source that puts every request on its batch's
+/// first candidate.
+fn first_candidate(req: &DecisionRequest) -> Option<DecisionReply> {
+    let placements = req
+        .batches
+        .iter()
+        .map(|b| match b.candidates.first() {
+            Some(c) => b.requests.iter().map(|&r| (r, c.node)).collect(),
+            None => Vec::new(),
+        })
+        .collect();
+    Some(DecisionReply {
+        round: req.round,
+        compute_latency: SimTime::ZERO,
+        placements,
+    })
+}
+
+/// Every LC policy, and the proxy in front of one, plans a batch whose
+/// rows it reads through an accessor, as the view cache lends them,
+/// exactly as it plans the plain rows. The policies that compare every
+/// candidate, and the proxy at its wire boundary, read each row once per
+/// call.
+#[test]
+fn lc_policies_plan_identically_through_a_row_accessor() {
+    let policies = [
+        Some(LcPolicy::DssLc),
+        Some(LcPolicy::LoadGreedy),
+        Some(LcPolicy::KsNative),
+        Some(LcPolicy::Scoring),
+        Some(LcPolicy::Dsaco),
+        None, // the proxy
+    ];
+    let mut rng = SimRng::new(0xACCE55);
+    for case in 0..64 {
+        let nodes = arb_candidates(&mut rng);
+        let n_requests = rng.next_below(60);
+        let batch = TypeBatch::new(
+            ServiceId(0),
+            (0..n_requests).map(RequestId).collect(),
+            nodes,
+        );
+        let seed = rng.next_u64();
+        let make = |policy: Option<LcPolicy>| -> Box<dyn LcScheduler + Send> {
+            let local = make_lc_scheduler(LcPolicy::DssLc, seed, &Ablations::default());
+            match policy {
+                Some(p) => make_lc_scheduler(p, seed, &Ablations::default()),
+                None => Box::new(ProxyBackend::new(
+                    local,
+                    Box::new(PolicyFn::new(first_candidate)),
+                    ClusterId(0),
+                    SimTime::from_millis(5),
+                )),
+            }
+        };
+        for policy in policies {
+            let rows = CountingRows::new(&batch.nodes);
+            let lent = make(policy).assign(&rows.lend(&batch));
+            assert_eq!(
+                lent,
+                make(policy).assign(&batch.as_lc()),
+                "case {case}: {policy:?} (None = proxy) planned the lent rows differently"
+            );
+            if policy != Some(LcPolicy::DssLc) && n_requests > 0 {
+                let every_row: Vec<usize> = (0..batch.nodes.len()).collect();
+                assert_eq!(rows.reads.take(), every_row, "case {case}: {policy:?}");
+            }
         }
     }
 }

@@ -73,7 +73,7 @@ fn dss_lc_plan_executes_on_real_nodes() {
         (0..n_requests).map(RequestId).collect(),
         candidates(&nodes),
     );
-    let placements = sched.assign(&batch);
+    let placements = sched.assign(&batch.as_lc());
     assert_eq!(placements.len(), n_requests as usize);
 
     let floors: HashMap<ServiceId, Resources> = [(ServiceId(0), lc_spec().min_request)]

@@ -1,14 +1,17 @@
 //! Property tests for the incremental candidate-view cache.
 //!
 //! The cache (`crates/core/src/view_cache.rs`) claims that its
-//! reservation-patched, epoch-invalidated views are always equal to a
-//! from-scratch rebuild from the same inputs. `set_view_verification`
-//! turns on an in-cache oracle that performs exactly that comparison on
-//! **every** `candidates()` call — so these tests drive whole seeded
-//! runs, under random fault churn and across config variants, with the
-//! oracle armed. Any divergence (a missed invalidation, a stale
+//! epoch-invalidated views are always equal to a from-scratch rebuild
+//! from the same inputs: the LC views' rows as their accessor builds
+//! them on demand, and the BE views' reservation-patched rows.
+//! `set_view_verification` turns on an in-cache oracle that performs
+//! exactly that comparison on **every** view query, materialising each
+//! LC view's rows through its accessor — so these tests drive whole
+//! seeded runs, under random fault churn and across config variants,
+//! with the oracle armed. Any divergence (a missed invalidation, a stale
 //! reservation patch, a wrong geo set, a segment spliced over the wrong
-//! rows) panics inside the run.
+//! rows, a row built from the wrong link or table entry) panics inside
+//! the run.
 //!
 //! The oracle's reference walks the whole store and filters by cluster
 //! membership, so it does not share the per-cluster node ranges a
@@ -18,8 +21,8 @@
 //! re-derivation dominates: many clusters, so a cluster stamp leaves
 //! most of a view's segments untouched; global stamps landing before and
 //! after cluster stamps; and the cloud tier's egress gate closing
-//! mid-run. The full-horizon churn run is `#[ignore]`d in the debug
-//! suite; CI runs it in release.
+//! mid-run. The full-horizon runs, `churn_1k`'s and `paper_calm`'s, are
+//! `#[ignore]`d in the debug suite; CI runs them in release.
 
 use tango_repro::tango::{
     BePolicy, CloudConfig, DefragConfig, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport,
@@ -150,6 +153,21 @@ fn cached_views_match_rebuild_over_the_full_churn_1k_horizon() {
         f.node_crashes,
         f.node_recoveries
     );
+}
+
+/// `paper_calm`'s shape (the paper-scale preset in calm weather) over
+/// its whole 2 s horizon: about 500 LC views lending rows to tens of
+/// thousands of plans, and every BE view patched after each placement
+/// and rebuilt after each sync push. A few seconds in a release build,
+/// far longer in a debug one, so it runs on request:
+/// `cargo test --release --test view_cache_properties -- --ignored`.
+#[test]
+#[ignore = "the full paper_calm horizon; run in release with --ignored"]
+fn cached_views_match_rebuild_over_the_full_paper_calm_horizon() {
+    let mut cfg = TangoConfig::paper_scale();
+    cfg.seed = 7;
+    let report = run_verified(cfg, 2_000, "view-verify-paper-calm");
+    assert!(report.lc_completed > 0, "the calm run completed no LC work");
 }
 
 /// Global stamps (partition, heal, link degrade and restore) landing
