@@ -15,7 +15,7 @@ use crate::view_cache::{CandidateViewCache, ViewInputs};
 use std::collections::{BTreeMap, VecDeque};
 use tango_metrics::{TraceEvent, TraceLane};
 use tango_net::NetworkTopology;
-use tango_sched::{BeScheduler, CandidateNode, LcBatch, LcScheduler};
+use tango_sched::{BeScheduler, LcBatch, LcScheduler};
 use tango_types::{ClusterId, FxHashSet, NodeId, RequestId, Resources, ServiceId, SimTime};
 
 type Sched<'a> = tango_simcore::engine::Scheduler<'a, Event>;
@@ -321,19 +321,7 @@ fn decide_be(
     let reward = take_be_reward(ctx);
     let views = &mut ctx.dispatch.views;
     let inp = view_inputs!(ctx);
-    let global = views.be_candidates(&inp, service);
-    let local_rows: Vec<CandidateNode>;
-    let rows = match local {
-        Some(cluster) => {
-            local_rows = global
-                .iter()
-                .filter(|c| c.cluster == cluster)
-                .copied()
-                .collect();
-            &local_rows
-        }
-        None => global,
-    };
+    let rows = views.be_candidates(&inp, service, local);
     let be = &mut ctx.dispatch.be;
     if let Some(reward) = reward {
         be.feedback(reward, demand, rows);

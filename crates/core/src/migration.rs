@@ -310,9 +310,6 @@ pub(crate) fn on_migrate_arrive(
             }
             ctx.counters.add(now, Counter::MigrationsCompleted, 1);
             lifecycle::schedule_node_check(ctx, dst, sched);
-            // A committed migration moved placement structure out from
-            // under every cached candidate view.
-            ctx.dispatch.views.invalidate_structure();
         }
         Err(_) => {
             // The destination filled up (or died undetected) while the

@@ -16,7 +16,11 @@
 //!     gate closing;
 //!   - the *global stamp* ([`CandidateViewCache::invalidate_structure`])
 //!     for an event that may touch any row: link degrade and restore,
-//!     partition and heal, and a committed migration.
+//!     partition and heal.
+//!
+//!   Rosters, value tables and views each ask the clock one question
+//!   ([`StructureClock::stamped_since`]): was cluster `c` stamped, by its
+//!   own stamp or the global one, since clock `t`?
 //! * **Values**: row availability, slack and re-assured min-request. The
 //!   value clock advances on every sync push and on every re-assurance
 //!   tick that moved a factor. Values live in one table per service
@@ -26,12 +30,34 @@
 //!   reservation from the table's pre-reservation bases when it is built
 //!   (`available = base − reserved`, saturating).
 //!
-//! **An LC view is its structure.** It keeps the store rows it holds in
-//! segment order, where each segment ends, the link toward each segment's
-//! cluster and its delay order, and no rows. A dispatch round first
-//! brings the views of its types current
-//! ([`CandidateViewCache::prepare_lc`]: the value tables and the stale
-//! segments, moving `u32`s), then lends each batch an [`LcRows`] accessor
+//! **Rosters.** Each cluster, the cloud tier included, has one roster:
+//! the ascending store rows of its present workers that are not believed
+//! down. Each cluster's nodes form one contiguous id range, the master
+//! and then its workers ([`ClusterRt::node_range`]), and a roster walks
+//! exactly that range, again only once its cluster was stamped since the
+//! last walk. No view keeps store rows of its own: every view indexes the
+//! rosters, so a crash, detection or recovery costs one walk of its
+//! cluster however many views list it.
+//!
+//! **Segments.** A view's cluster list is the origin's geo set for an LC
+//! view and every cluster for the BE-global view, in cluster order. A
+//! view has one segment per listed cluster: the cluster's whole roster,
+//! or nothing when the cluster is unreachable from the view's vantage or
+//! is the cloud tier behind a shut egress gate. Per segment the view
+//! keeps only where it ends among the view's rows and the link toward its
+//! cluster, so row `i` of segment `k` is store row
+//! `rosters[list[k]][i − start(k)]`, and the rows are in node order
+//! because the node ranges ascend in cluster order. A view built under an
+//! older structure clock takes the segment of each listed cluster stamped
+//! since afresh, with that cluster's link, and lays its segment ends out
+//! again. A never-built view, or one older than the global stamp, finds
+//! every listed cluster stamped.
+//!
+//! **An LC view is its structure.** It keeps where each segment ends, the
+//! link toward each segment's cluster and its delay order, and no rows. A
+//! dispatch round first brings the views of its types current
+//! ([`CandidateViewCache::prepare_lc`]: the value tables, the rosters and
+//! the stale segments), then lends each batch an [`LcRows`] accessor
 //! ([`CandidateViewCache::lc_rows`]) that builds row `i` when a scheduler
 //! reads it, from the value-table entry of its store row, the node's
 //! current reservation and its segment's link and cluster. DSS-LC reads a
@@ -42,12 +68,17 @@
 //!
 //! **BE-global views keep rows.** Every BE pick reads every row of its
 //! service's global view, so that view keeps its rows materialised
-//! ([`CandidateViewCache::be_candidates`]): built in full after a
-//! re-derivation or a value-clock move, otherwise patched where a
-//! reservation changed. The [`ReservationTable`]'s per-node change stamps
-//! (and its journal) are the dirty bits: a view that saw reservation clock
-//! `c` rebuilds exactly the rows whose stamp exceeds `c`. One row builder
-//! ([`build_row`]) serves the LC accessor and the BE rows alike.
+//! ([`CandidateViewCache::be_candidates`]): built in full from its
+//! segments' roster slices after a segment was taken afresh or the value
+//! clock moved, otherwise patched where a reservation changed. The
+//! [`ReservationTable`]'s per-node change stamps (and its journal) are
+//! the dirty bits: a view that saw reservation clock `c` rebuilds exactly
+//! the rows whose stamp exceeds `c`, found by a binary search of the
+//! node-ordered rows for each journalled node, or by a scan of the roster
+//! slices when the journal is too long or no longer reaches back to `c`.
+//! A CERES pick (`local_only`) reads only its cluster's rows, which are
+//! one segment of the view. One row builder ([`build_row`]) serves the LC
+//! accessor and the BE rows alike.
 //!
 //! **Value tables.** A worker's row sits in every view whose cluster list
 //! holds its cluster, about 20 LC views per service at paper scale, so
@@ -62,35 +93,20 @@
 //! and stamps only its cluster. Every row the cache builds reads the
 //! table; the `set_verify` oracle never does, so it checks the table too.
 //!
-//! **Segments.** A view's cluster list is the origin's geo set for an LC
-//! view and every cluster for the BE-global view, in cluster order. Each
-//! cluster's nodes form one contiguous id range, the master and then its
-//! workers ([`ClusterRt::node_range`]), so a view's node-ordered store
-//! rows fall into one segment per listed cluster, and the view records
-//! where each segment ends. A view built under an older structure clock
-//! re-derives only the segments whose cluster stamp is newer, walking
-//! only those clusters' node ranges, in one pass: it derives every stale
-//! segment's store rows into a scratch, then lays its own list out anew
-//! ([`relayout`]), moving each kept segment at most once (those moving
-//! left in list order, those moving right in reverse list order, so no
-//! move overwrites rows still to move) and copying the derived rows in.
-//! Each stale segment takes its cluster's link afresh. A never-built
-//! view, or one older than the global stamp, is cleared and derives every
-//! segment straight into its own list.
-//!
 //! **Delay order.** Each LC view also derives its rows' fill order for
 //! DSS-LC, row indices in ascending `(delay, node)` order
 //! ([`tango_sched::delay_order`]). Like membership it is structural, and
-//! only a re-derivation that derived some segment (full or partial)
-//! rebuilds it. A segment's rows share their cluster's link, so its delay
-//! is one value. The order is therefore the non-empty segments sorted by
-//! `(link delay, list position)`, rows ascending inside each; list
-//! position is node order because the node ranges ascend in cluster
-//! order. That sorts a view's ~20 segments instead of its ~200 rows.
+//! only an upkeep that took some segment afresh rebuilds it. A segment's
+//! rows share their cluster's link, so its delay is one value. The order
+//! is therefore the non-empty segments sorted by `(link delay, list
+//! position)`, rows ascending inside each; list position is node order
+//! because the node ranges ascend in cluster order. That sorts a view's
+//! ~20 segments instead of its ~200 rows.
 //!
-//! D-VPA resizes surface through node capacity, which dispatchers only
-//! ever observe via sync-pushed snapshots — so the sync push's value bump
-//! covers them by construction and no extra invalidation hook is needed.
+//! D-VPA resizes surface through node capacity, and a committed migration
+//! through node usage: dispatchers observe both only via sync-pushed
+//! store rows, so the sync push's value bump covers them by construction
+//! and neither leaves a stamp.
 //!
 //! The cache is deliberately *not* serialized into checkpoints: it is a
 //! pure cache, rebuilt on first use after restore, and the equivalence
@@ -131,7 +147,7 @@ pub(crate) struct ViewInputs<'a> {
     /// attached. Part of the inputs so view membership stays a pure
     /// function of them (the budget flip stamps the cloud cluster).
     pub cloud_gate: Option<(ClusterId, bool)>,
-    /// The cluster records, indexed by `ClusterId`: a view segment walks
+    /// The cluster records, indexed by `ClusterId`: a roster walks
     /// exactly its cluster's node range.
     pub clusters: &'a [ClusterRt],
 }
@@ -142,29 +158,81 @@ const NO_LINK: LinkObservation = LinkObservation {
     capacity: 0,
 };
 
-/// One cached view's structure: the store rows it holds, in segment
-/// order, and the link toward each segment's cluster.
+/// One cluster's live workers, shared by every view that lists it.
+#[derive(Default)]
+struct Roster {
+    /// Structure clock of the last walk; 0 = never walked.
+    walked_at: u64,
+    /// The store rows of the cluster's present workers that are not
+    /// believed down, ascending. Store row `i` is node `i`.
+    rows: Vec<u32>,
+}
+
+impl Roster {
+    /// Bring the roster current: walk exactly `cluster`'s node range of
+    /// the node-dense store again when the cluster was stamped since the
+    /// last walk.
+    fn bring_current(&mut self, inp: &ViewInputs<'_>, cluster: &ClusterRt, clock: &StructureClock) {
+        if !clock.stamped_since(cluster.id, self.walked_at) {
+            return;
+        }
+        self.walked_at = clock.now;
+        self.rows.clear();
+        for i in cluster.node_range() {
+            let Some(row) = inp.store.row(i) else {
+                continue;
+            };
+            debug_assert_eq!(
+                row.cluster, cluster.id,
+                "store row {i} lies outside its cluster's node range"
+            );
+            debug_assert_eq!(row.node, NodeId(i as u32));
+            if row.role == NodeRole::Worker && !inp.fault.is_down(row.node) {
+                self.rows.push(i as u32);
+            }
+        }
+    }
+}
+
+/// One cached view's structure: per listed cluster, where its segment
+/// ends and the link toward it. A segment is its cluster's whole roster,
+/// or empty.
 #[derive(Default)]
 struct View {
-    /// Structure clock this view was (re)derived under; 0 = never built.
+    /// Structure clock this view was brought current under; 0 = never
+    /// built.
     built_at: u64,
-    /// Store row per view row, ascending. Store row `i` is node `i`.
-    member_rows: Vec<u32>,
-    /// End offset of each listed cluster's segment in `member_rows`,
+    /// End offset of each listed cluster's segment among the view's rows,
     /// parallel to the view's cluster list.
     seg_ends: Vec<u32>,
     /// The link toward each listed cluster, parallel to `seg_ends`: every
     /// row of a segment shares it. [`NO_LINK`] for an empty segment.
     seg_links: Vec<LinkObservation>,
     /// LC views: row indices in ascending `(delay, node)` order, rebuilt
-    /// after every re-derivation. BE views leave it empty.
+    /// whenever a segment is taken afresh. BE views leave it empty.
     by_delay: Vec<u32>,
 }
 
 impl View {
+    /// The number of rows.
+    fn len(&self) -> usize {
+        self.seg_ends.last().map_or(0, |&end| end as usize)
+    }
+
     /// The segment holding row `i`.
     fn segment_of(&self, i: usize) -> usize {
         self.seg_ends.partition_point(|&end| end as usize <= i)
+    }
+
+    /// The rows of segment `k`.
+    fn seg_range(&self, k: usize) -> Range<usize> {
+        k.checked_sub(1).map_or(0, |p| self.seg_ends[p] as usize)..self.seg_ends[k] as usize
+    }
+
+    /// The store rows of segment `k`, whose cluster is `list[k]`: that
+    /// cluster's roster, or none.
+    fn segment<'r>(&self, k: usize, rosters: &'r [Roster], list: &[ClusterId]) -> &'r [u32] {
+        &rosters[list[k].index()].rows[..self.seg_range(k).len()]
     }
 }
 
@@ -173,6 +241,7 @@ impl View {
 #[derive(Default)]
 struct BeView {
     view: View,
+    /// In node order: segments follow the node ranges in cluster order.
     rows: Vec<CandidateNode>,
     /// Value clock the rows reflect.
     values_at: u64,
@@ -180,29 +249,6 @@ struct BeView {
     seen_res: u64,
     /// Scratch: row indices hit by the current reservation patch.
     patch_hits: Vec<u32>,
-}
-
-/// One listed cluster's part in a partial re-derivation.
-#[derive(Clone, Copy, Debug)]
-enum Part {
-    /// The segment keeps its rows.
-    Kept,
-    /// The segment's rows become the derived rows `start..start + len`.
-    Fresh { start: u32, len: u32 },
-}
-
-/// Scratch shared by every view's re-derivation. Only elements move
-/// between it and a view, never buffers: each view's vectors keep a
-/// capacity of their own.
-#[derive(Default)]
-struct Scratch {
-    /// The store rows of the segments being re-derived, in list order.
-    fresh: Vec<u32>,
-    /// Each listed cluster's part in a partial re-derivation.
-    parts: Vec<Part>,
-    /// `(delay, list position)` per non-empty segment, for sorting a
-    /// view's segments into delay order.
-    seg_order: Vec<(SimTime, u32)>,
 }
 
 /// What a candidate row reads from one store row for one service.
@@ -251,8 +297,8 @@ impl ValueTable {
 
 /// The structure clock and its stamps.
 struct StructureClock {
-    /// Advanced by every structural change; views re-derive lazily on
-    /// next use.
+    /// Advanced by every structural change; rosters, value tables and
+    /// views catch up lazily on next use.
     now: u64,
     /// Per cluster index: the clock at the cluster's latest own change
     /// (0 = none).
@@ -261,12 +307,27 @@ struct StructureClock {
     global_stamp: u64,
 }
 
+impl StructureClock {
+    /// Whether `cluster` was stamped since clock `t`, by its own stamp or
+    /// the global one: what was derived from its rows at `t` is stale.
+    fn stamped_since(&self, cluster: ClusterId, t: u64) -> bool {
+        t < self.global_stamp
+            || self
+                .cluster_stamps
+                .get(cluster.index())
+                .is_some_and(|&stamp| stamp > t)
+    }
+}
+
 /// The per-system cache of incremental candidate views.
 pub(crate) struct CandidateViewCache {
     structure: StructureClock,
     /// Bumped when only row *values* moved (sync pushes): membership and
     /// link attributes survive, values re-read from the value tables.
     value_clock: u64,
+    /// Per cluster index: its roster, which every view listing the
+    /// cluster indexes.
+    rosters: Vec<Roster>,
     /// LC views by `(origin, service)`.
     lc_views: FxHashMap<(ClusterId, ServiceId), View>,
     /// Per service index: its BE-global view.
@@ -280,7 +341,9 @@ pub(crate) struct CandidateViewCache {
     geo_sets: FxHashMap<ClusterId, Vec<ClusterId>>,
     /// Every cluster in index order: the BE-global view's cluster list.
     all_clusters: Vec<ClusterId>,
-    scratch: Scratch,
+    /// Scratch: `(delay, list position)` per non-empty segment, for
+    /// sorting an LC view's segments into delay order.
+    seg_order: Vec<(SimTime, u32)>,
     /// When set, every query re-runs the whole-store build and asserts
     /// equality — the property-test hook for the delta ≡ rebuild
     /// invariant.
@@ -290,8 +353,8 @@ pub(crate) struct CandidateViewCache {
 impl Default for CandidateViewCache {
     fn default() -> Self {
         CandidateViewCache {
-            // Both > View::default().built_at: a fresh view is stale
-            // everywhere.
+            // Both > View::default().built_at and Roster::default().walked_at:
+            // a fresh view or roster is stale everywhere.
             structure: StructureClock {
                 now: 1,
                 cluster_stamps: Vec::new(),
@@ -300,27 +363,30 @@ impl Default for CandidateViewCache {
             // > ValueTable::default().values_at: a fresh table is
             // computed in full.
             value_clock: 1,
+            rosters: Vec::new(),
             lc_views: FxHashMap::default(),
             be_views: Vec::new(),
             tables: Vec::new(),
             geo_sets: FxHashMap::default(),
             all_clusters: Vec::new(),
-            scratch: Scratch::default(),
+            seg_order: Vec::new(),
             verify: false,
         }
     }
 }
 
 impl CandidateViewCache {
-    /// Invalidate every view's structural basis (a change that may touch
-    /// any row); each re-derives all its segments on its next use.
+    /// Invalidate every row's structural basis (a change that may touch
+    /// any row): every roster, value table and view catches up in full on
+    /// next use.
     pub(crate) fn invalidate_structure(&mut self) {
         self.structure.now += 1;
         self.structure.global_stamp = self.structure.now;
     }
 
-    /// Invalidate the structural basis of `cluster`'s rows only; views
-    /// listing it re-derive that one segment on their next use.
+    /// Invalidate the structural basis of `cluster`'s rows only: its
+    /// roster is walked again, and each view listing it re-derives that
+    /// one segment, on next use.
     pub(crate) fn invalidate_cluster(&mut self, cluster: ClusterId) {
         self.structure.now += 1;
         let stamps = &mut self.structure.cluster_stamps;
@@ -354,9 +420,9 @@ impl CandidateViewCache {
     }
 
     /// Bring the LC view of `service` seen from `origin` current for a
-    /// dispatch round: the service's value table and the view's
-    /// structure. [`Self::lc_rows`] then lends its rows, until the round
-    /// commits.
+    /// dispatch round: the service's value table, the rosters it lists
+    /// and the view's structure. [`Self::lc_rows`] then lends its rows,
+    /// until the round commits.
     pub(crate) fn prepare_lc(
         &mut self,
         inp: &ViewInputs<'_>,
@@ -364,12 +430,14 @@ impl CandidateViewCache {
         origin: ClusterId,
     ) {
         self.bring_table_current(inp, service);
+        self.rosters
+            .resize_with(inp.clusters.len(), Roster::default);
         let list = geo_set_entry(&mut self.geo_sets, inp, origin);
         let scope = ViewScope::LcGeo(origin);
         let src = RowSource::new(inp, &self.tables[service.index()], service, scope);
         let view = self.lc_views.entry((origin, service)).or_default();
-        if update_structure(view, &src, list, &self.structure, &mut self.scratch) {
-            order_by_delay(view, &mut self.scratch.seg_order);
+        if update_structure(view, &src, list, &self.structure, &mut self.rosters) {
+            order_by_delay(view, &mut self.seg_order);
         }
         if self.verify {
             let rows = self.lc_rows(inp, service, origin);
@@ -380,6 +448,7 @@ impl CandidateViewCache {
                 service,
                 scope,
                 rows.clusters,
+                rows.rosters,
             );
         }
     }
@@ -405,6 +474,7 @@ impl CandidateViewCache {
         );
         LcRows {
             view,
+            rosters: &self.rosters,
             table,
             reserved: inp.reserved,
             clusters: &self.geo_sets[&origin],
@@ -412,13 +482,17 @@ impl CandidateViewCache {
     }
 
     /// The BE-global candidate rows of `service`, current as of the
-    /// latest clocks and reservation table.
+    /// latest clocks and reservation table; with `local`, only that
+    /// cluster's (a CERES pick), which are its segment.
     pub(crate) fn be_candidates(
         &mut self,
         inp: &ViewInputs<'_>,
         service: ServiceId,
+        local: Option<ClusterId>,
     ) -> &[CandidateNode] {
         self.bring_table_current(inp, service);
+        self.rosters
+            .resize_with(inp.clusters.len(), Roster::default);
         if self.all_clusters.len() != inp.clusters.len() {
             self.all_clusters = inp.clusters.iter().map(|c| c.id).collect();
         }
@@ -431,18 +505,23 @@ impl CandidateViewCache {
         let list = &self.all_clusters;
         let be = &mut self.be_views[i];
         let derived =
-            update_structure(&mut be.view, &src, list, &self.structure, &mut self.scratch);
+            update_structure(&mut be.view, &src, list, &self.structure, &mut self.rosters);
         if derived || be.values_at != self.value_clock {
-            materialise(be, &src, list);
+            materialise(be, &src, list, &self.rosters);
             be.values_at = self.value_clock;
             be.seen_res = inp.reserved.clock();
         } else {
-            patch_reservations(be, &src, list);
+            patch_reservations(be, &src, list, &self.rosters);
         }
         if self.verify {
-            check_view(&be.rows, &be.view, inp, service, scope, list);
+            check_view(&be.rows, &be.view, inp, service, scope, list, &self.rosters);
         }
-        &be.rows
+        match local {
+            // The list is every cluster in index order: segment `c.index()`
+            // holds exactly cluster `c`'s rows.
+            Some(c) => &be.rows[be.view.seg_range(c.index())],
+            None => &be.rows,
+        }
     }
 
     /// Bring `service`'s value table current: every row after a
@@ -463,9 +542,9 @@ impl CandidateViewCache {
             table.rows.resize(inp.store.rows(), RowValues::default());
             table.compute(inp, service, 0..inp.store.rows());
         } else {
-            for (c, &stamp) in self.structure.cluster_stamps.iter().enumerate() {
-                if stamp > table.stamped_at {
-                    table.compute(inp, service, inp.clusters[c].node_range());
+            for cluster in inp.clusters {
+                if self.structure.stamped_since(cluster.id, table.stamped_at) {
+                    table.compute(inp, service, cluster.node_range());
                 }
             }
         }
@@ -604,6 +683,7 @@ fn build_row(
 /// dispatch round lends each batch.
 pub(crate) struct LcRows<'a> {
     view: &'a View,
+    rosters: &'a [Roster],
     table: &'a ValueTable,
     reserved: &'a ReservationTable,
     /// The view's cluster list: segment `k` holds `clusters[k]`'s rows.
@@ -619,12 +699,13 @@ impl<'a> LcRows<'a> {
 
 impl CandidateRows for LcRows<'_> {
     fn len(&self) -> usize {
-        self.view.member_rows.len()
+        self.view.len()
     }
 
     fn row(&self, i: usize) -> CandidateNode {
-        let store_row = self.view.member_rows[i];
         let k = self.view.segment_of(i);
+        let start = self.view.seg_range(k).start;
+        let store_row = self.view.segment(k, self.rosters, self.clusters)[i - start];
         let v = &self.table.rows[store_row as usize];
         build_row(
             store_row,
@@ -690,144 +771,57 @@ impl<'a, 'i> RowSource<'a, 'i> {
     }
 }
 
-/// Bring `view`'s structure current under `clock`: derive every segment
-/// afresh when the view was never built or is older than the global
-/// stamp, otherwise re-derive only the segments whose cluster was stamped
-/// since. Returns whether any segment was derived; a catch-up (no listed
-/// cluster stamped since) moves no row.
+/// Bring `view`'s structure current under `clock`: for each listed
+/// cluster stamped since the view was last brought current (every one,
+/// when it never was or is older than the global stamp), bring the
+/// cluster's roster current, take the segment afresh (the whole roster,
+/// or nothing when the cluster is inadmissible from the vantage) with its
+/// link, and lay the segment ends out again. Returns whether any segment
+/// was taken afresh; a catch-up (no listed cluster stamped since) changes
+/// nothing.
 fn update_structure(
     view: &mut View,
     src: &RowSource<'_, '_>,
     list: &[ClusterId],
     clock: &StructureClock,
-    scratch: &mut Scratch,
+    rosters: &mut [Roster],
 ) -> bool {
     let since = view.built_at;
     if since == clock.now {
         return false;
     }
     view.built_at = clock.now;
-    if since < clock.global_stamp {
-        build(view, src, list);
-        return true;
-    }
-    let stale = |c: ClusterId| {
-        clock
-            .cluster_stamps
-            .get(c.index())
-            .is_some_and(|&stamp| stamp > since)
-    };
-    rederive(view, src, list, stale, scratch)
-}
-
-/// Build `view`'s structure from scratch: derive every listed cluster's
-/// segment straight into its own arrays.
-fn build(view: &mut View, src: &RowSource<'_, '_>, list: &[ClusterId]) {
-    view.member_rows.clear();
-    view.seg_ends.clear();
-    view.seg_links.clear();
-    for &c in list {
-        let link = derive_segment(src, &src.inp.clusters[c.index()], &mut view.member_rows);
-        view.seg_ends.push(view.member_rows.len() as u32);
-        view.seg_links.push(link);
-    }
-    // Views hold most of a run's index memory, and doubling growth would
-    // leave up to half of it unused.
-    view.member_rows.shrink_to_fit();
-    // The reservation patch binary-searches rows by node id; segments
-    // follow the node ranges in order, so this holds by construction.
-    debug_assert!(view.member_rows.windows(2).all(|w| w[0] < w[1]));
-}
-
-/// Re-derive the segments of `view` whose cluster is `stale` in one pass:
-/// derive each one's store rows into the scratch in list order, then lay
-/// the view's list out anew, moving each kept row at most once. Returns
-/// whether any segment was re-derived.
-fn rederive(
-    view: &mut View,
-    src: &RowSource<'_, '_>,
-    list: &[ClusterId],
-    stale: impl Fn(ClusterId) -> bool,
-    scratch: &mut Scratch,
-) -> bool {
-    debug_assert_eq!(view.seg_ends.len(), list.len());
-    let Scratch { fresh, parts, .. } = scratch;
-    fresh.clear();
-    parts.clear();
-    let mut any = false;
+    let inp = src.inp;
+    // A never-built view lists no segment yet; every cluster is stamped
+    // since clock 0.
+    view.seg_ends.resize(list.len(), 0);
+    view.seg_links.resize(list.len(), NO_LINK);
+    let (mut any, mut old_start, mut end) = (false, 0, 0);
     for (k, &c) in list.iter().enumerate() {
-        if !stale(c) {
-            parts.push(Part::Kept);
-            continue;
-        }
-        let start = fresh.len();
-        view.seg_links[k] = derive_segment(src, &src.inp.clusters[c.index()], fresh);
-        parts.push(Part::Fresh {
-            start: start as u32,
-            len: (fresh.len() - start) as u32,
-        });
-        any = true;
-    }
-    if !any {
-        return false;
-    }
-    relayout(&mut view.member_rows, &view.seg_ends, parts, fresh);
-    relayout_ends(&mut view.seg_ends, parts);
-    debug_assert!(view.member_rows.windows(2).all(|w| w[0] < w[1]));
-    true
-}
-
-/// Lay `v` out anew in one pass. Segment `k` of `v` ends at `ends[k]`;
-/// `parts[k]` keeps it, or replaces it with `derived[start..start + len]`.
-/// Each kept segment moves at most once, straight to its new offset:
-/// those moving left in list order, then those moving right in reverse
-/// list order, so no move lands on rows still to move. The reverse walk
-/// copies the derived rows in too, once no kept row still to move lies
-/// under their new place.
-fn relayout(v: &mut Vec<u32>, ends: &[u32], parts: &[Part], derived: &[u32]) {
-    debug_assert_eq!(ends.len(), parts.len());
-    debug_assert_eq!(v.len(), ends.last().map_or(0, |&e| e as usize));
-    let old = |k: usize| k.checked_sub(1).map_or(0, |p| ends[p] as usize)..ends[k] as usize;
-    let new_len = |k: usize| match parts[k] {
-        Part::Kept => old(k).len(),
-        Part::Fresh { len, .. } => len as usize,
-    };
-    let new_total: usize = (0..parts.len()).map(new_len).sum();
-    // Room for the segments that move right. The layout grows by at most
-    // the derived rows, which serve as filler: every slot is overwritten.
-    v.extend_from_slice(&derived[..new_total.saturating_sub(v.len())]);
-    let mut at = 0;
-    for (k, part) in parts.iter().enumerate() {
-        if matches!(part, Part::Kept) && at < old(k).start {
-            v.copy_within(old(k), at);
-        }
-        at += new_len(k);
-    }
-    for (k, part) in parts.iter().enumerate().rev() {
-        at -= new_len(k);
-        match *part {
-            Part::Kept if at > old(k).start => v.copy_within(old(k), at),
-            Part::Kept => {}
-            Part::Fresh { start, len } => {
-                let fresh = &derived[start as usize..][..len as usize];
-                v[at..at + fresh.len()].copy_from_slice(fresh);
-            }
-        }
-    }
-    v.truncate(new_total);
-}
-
-/// Rewrite the segment ends `ends` for the layout [`relayout`] gives.
-fn relayout_ends(ends: &mut [u32], parts: &[Part]) {
-    let (mut old_start, mut at) = (0, 0);
-    for (end, part) in ends.iter_mut().zip(parts) {
-        at += match *part {
-            Part::Kept => *end - old_start,
-            Part::Fresh { len, .. } => len,
+        let old_end = view.seg_ends[k];
+        let len = if clock.stamped_since(c, since) {
+            any = true;
+            let roster = &mut rosters[c.index()];
+            roster.bring_current(inp, &inp.clusters[c.index()], clock);
+            let len = if cluster_admissible(inp, src.vantage, c) {
+                roster.rows.len() as u32
+            } else {
+                0
+            };
+            view.seg_links[k] = if len > 0 {
+                link_to(inp, src.vantage, c, src.payload_kib)
+            } else {
+                NO_LINK
+            };
+            len
+        } else {
+            old_end - old_start
         };
-        old_start = *end;
-        *end = at;
+        old_start = old_end;
+        end += len;
+        view.seg_ends[k] = end;
     }
+    any
 }
 
 /// Rebuild `view.by_delay` from its segments: sort the non-empty ones
@@ -845,9 +839,10 @@ fn order_by_delay(view: &mut View, seg_order: &mut Vec<(SimTime, u32)>) {
         start = end;
     }
     seg_order.sort_unstable();
+    let len = view.len();
     let order = &mut view.by_delay;
     order.clear();
-    order.reserve_exact(view.member_rows.len());
+    order.reserve_exact(len);
     for &(_, k) in seg_order.iter() {
         let k = k as usize;
         let start = k.checked_sub(1).map_or(0, |p| view.seg_ends[p]);
@@ -855,63 +850,31 @@ fn order_by_delay(view: &mut View, seg_order: &mut Vec<(SimTime, u32)>) {
     }
 }
 
-/// Derive `cluster`'s segment: walk exactly the cluster's node range of
-/// the node-dense store, push the store rows of its live workers onto
-/// `out`, and return the link toward the cluster ([`NO_LINK`] for an
-/// empty segment).
-fn derive_segment(
-    src: &RowSource<'_, '_>,
-    cluster: &ClusterRt,
-    out: &mut Vec<u32>,
-) -> LinkObservation {
-    let inp = src.inp;
-    if !cluster_admissible(inp, src.vantage, cluster.id) {
-        return NO_LINK;
-    }
-    let start = out.len();
-    for i in cluster.node_range() {
-        let Some(row) = inp.store.row(i) else {
-            continue;
-        };
-        debug_assert_eq!(
-            row.cluster, cluster.id,
-            "store row {i} lies outside its cluster's node range"
-        );
-        debug_assert_eq!(row.node, NodeId(i as u32));
-        if row.role != NodeRole::Worker || inp.fault.is_down(row.node) {
-            continue;
-        }
-        out.push(i as u32);
-    }
-    if out.len() > start {
-        link_to(inp, src.vantage, cluster.id, src.payload_kib)
-    } else {
-        NO_LINK
-    }
-}
-
-/// Build every row of a BE view from its structure, into a buffer sized
-/// to them (doubling growth would leave a third of it unused).
-fn materialise(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterId]) {
+/// Build every row of a BE view from its segments' roster slices, into a
+/// buffer sized to them (doubling growth would leave a third of it
+/// unused).
+fn materialise(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterId], rosters: &[Roster]) {
     let BeView { view, rows, .. } = be;
     rows.clear();
-    rows.reserve_exact(view.member_rows.len());
-    let mut start = 0;
-    for (k, &end) in view.seg_ends.iter().enumerate() {
-        let end = end as usize;
-        let (link, cluster) = (view.seg_links[k], list[k]);
+    rows.reserve_exact(view.len());
+    for (k, &c) in list.iter().enumerate() {
+        let link = view.seg_links[k];
         rows.extend(
-            view.member_rows[start..end]
+            view.segment(k, rosters, list)
                 .iter()
-                .map(|&i| src.be_row(i, link, cluster)),
+                .map(|&i| src.be_row(i, link, c)),
         );
-        start = end;
     }
 }
 
 /// Rebuild exactly the rows of a BE view whose reservation changed since
 /// it last looked.
-fn patch_reservations(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterId]) {
+fn patch_reservations(
+    be: &mut BeView,
+    src: &RowSource<'_, '_>,
+    list: &[ClusterId],
+    rosters: &[Roster],
+) {
     let reserved = src.inp.reserved;
     let clock = reserved.clock();
     if be.seen_res == clock {
@@ -927,22 +890,25 @@ fn patch_reservations(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterI
     patch_hits.clear();
     // Journal fast path: when the reservation table still remembers every
     // change since `seen` and the change list is small relative to the
-    // view, visit only the changed nodes (binary search by node id, which
-    // is the store row) instead of scanning every row. Otherwise scan the
-    // slim store-row array. Either way only the rows that changed are
-    // rebuilt.
+    // view, visit only the changed nodes (binary search by node: the rows
+    // are in node order) instead of scanning every row. Otherwise scan the
+    // segments' slim roster slices. Either way only the rows that changed
+    // are rebuilt.
     match reserved.changes_since(seen) {
         Some((n, probe)) if n * 4 <= rows.len() => {
             for node in probe {
-                if let Ok(k) = view.member_rows.binary_search(&node.raw()) {
+                if let Ok(k) = rows.binary_search_by_key(&node, |row| row.node) {
                     patch_hits.push(k as u32);
                 }
             }
         }
         _ => {
-            for (i, &ri) in view.member_rows.iter().enumerate() {
-                if reserved.stamp(NodeId(ri)) > seen {
-                    patch_hits.push(i as u32);
+            for k in 0..list.len() {
+                let start = view.seg_range(k).start;
+                for (j, &i) in view.segment(k, rosters, list).iter().enumerate() {
+                    if reserved.stamp(NodeId(i)) > seen {
+                        patch_hits.push((start + j) as u32);
+                    }
                 }
             }
         }
@@ -950,15 +916,15 @@ fn patch_reservations(be: &mut BeView, src: &RowSource<'_, '_>, list: &[ClusterI
     for &k in patch_hits.iter() {
         let k = k as usize;
         let s = view.segment_of(k);
-        rows[k] = src.be_row(view.member_rows[k], view.seg_links[s], list[s]);
+        rows[k] = src.be_row(rows[k].node.raw(), view.seg_links[s], list[s]);
     }
     be.seen_res = clock;
 }
 
 /// The `set_verify` oracle: compare a view's rows with a whole-store
-/// rebuild, check that each recorded segment holds only its cluster's
-/// store rows, and, for an LC view, check its delay order against a sort
-/// of the rows.
+/// rebuild, check that each segment holds only its cluster's store rows
+/// and that the segments cover the view, and, for an LC view, check its
+/// delay order against a sort of the rows.
 fn check_view(
     rows: &[CandidateNode],
     view: &View,
@@ -966,6 +932,7 @@ fn check_view(
     service: ServiceId,
     scope: ViewScope,
     list: &[ClusterId],
+    rosters: &[Roster],
 ) {
     let geo = match scope {
         ViewScope::LcGeo(_) => Some(list),
@@ -978,23 +945,16 @@ fn check_view(
          (service {service:?}, scope {scope:?})"
     );
     assert_eq!(view.seg_ends.len(), list.len(), "one segment per cluster");
-    let mut start = 0;
-    for (&c, &end) in list.iter().zip(&view.seg_ends) {
-        let end = end as usize;
+    for (k, &c) in list.iter().enumerate() {
         assert!(
-            view.member_rows[start..end].iter().all(|&i| inp
+            view.segment(k, rosters, list).iter().all(|&i| inp
                 .store
                 .row(i as usize)
                 .is_some_and(|row| row.cluster == c)),
             "segment of cluster {c:?} holds foreign rows (scope {scope:?})"
         );
-        start = end;
     }
-    assert_eq!(
-        start,
-        view.member_rows.len(),
-        "segments do not cover the view"
-    );
+    assert_eq!(view.len(), rows.len(), "segments do not cover the view");
     if geo.is_some() {
         assert_eq!(
             view.by_delay,
@@ -1007,7 +967,7 @@ fn check_view(
 
 /// The oracle's reference build: iterate every store row in node-id
 /// order, filtering by cluster membership (not by the node ranges the
-/// segment walk trusts) exactly as the dispatchers always have — workers
+/// roster walk trusts) exactly as the dispatchers always have — workers
 /// only, live, reachable, in the geo set for LC scopes — and computing
 /// each row from the store and the re-assurer, never the value table.
 fn rebuild(
@@ -1044,125 +1004,4 @@ fn rebuild(
         ));
     }
     rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tango_simcore::SimRng;
-
-    /// The layout the one-pass move must reproduce: splice each fresh
-    /// segment over its old rows in list order, as re-derivation once did.
-    fn splice_reference(v: &[u32], ends: &[u32], parts: &[Part], derived: &[u32]) -> Vec<u32> {
-        let mut v = v.to_vec();
-        let (mut old_end, mut at) = (0, 0);
-        for (&end, part) in ends.iter().zip(parts) {
-            let old_len = end as usize - old_end;
-            old_end = end as usize;
-            at += match *part {
-                Part::Kept => old_len,
-                Part::Fresh { start, len } => {
-                    let fresh = &derived[start as usize..(start + len) as usize];
-                    v.splice(at..at + old_len, fresh.iter().copied());
-                    len as usize
-                }
-            };
-        }
-        v
-    }
-
-    #[test]
-    fn one_pass_relayout_matches_splicing_each_stale_segment() {
-        const CASES: usize = 12_000;
-        let mut rng = SimRng::new(0x5E6_1A70);
-        let mut stale_kinds = [0usize; 6];
-        let (mut grew, mut shrank, mut emptied, mut refilled) = (0, 0, 0, 0);
-        let (mut empty_views, mut single_segment) = (0, 0);
-        for case in 0..CASES {
-            let n = match case % 10 {
-                0 => 0,
-                1 => 1,
-                _ => rng.range_u64(2, 12) as usize,
-            };
-            // Old segments: often empty, so that empty ones refill.
-            let old_lens: Vec<u32> = (0..n)
-                .map(|_| match rng.next_below(4) {
-                    0 => 0,
-                    _ => rng.range_u64(1, 9) as u32,
-                })
-                .collect();
-            let kind = case % 6;
-            let stale: Vec<bool> = (0..n)
-                .map(|k| match kind {
-                    0 => false,
-                    1 => true,
-                    2 => k % 2 == case % 4 / 2,
-                    3 => k == 0,
-                    4 => k + 1 == n,
-                    _ => rng.chance(0.3),
-                })
-                .collect();
-            if n > 0 {
-                stale_kinds[kind] += 1;
-            }
-            // Rows labelled by segment and position, so any misplaced
-            // move shows.
-            let mut v = Vec::new();
-            let mut ends = Vec::new();
-            for (k, &len) in old_lens.iter().enumerate() {
-                v.extend((0..len).map(|j| (k as u32) * 1_000 + j));
-                ends.push(v.len() as u32);
-            }
-            let mut derived = Vec::new();
-            let mut parts = Vec::new();
-            for (k, &is_stale) in stale.iter().enumerate() {
-                if !is_stale {
-                    parts.push(Part::Kept);
-                    continue;
-                }
-                let len = match rng.next_below(5) {
-                    0 => 0,
-                    _ => rng.range_u64(1, 13) as u32,
-                };
-                let start = derived.len() as u32;
-                derived.extend((0..len).map(|j| 1_000_000 + (k as u32) * 1_000 + j));
-                parts.push(Part::Fresh { start, len });
-                match (old_lens[k], len) {
-                    (0, 0) => {}
-                    (0, _) => refilled += 1,
-                    (_, 0) => emptied += 1,
-                    (o, l) if l > o => grew += 1,
-                    (o, l) if l < o => shrank += 1,
-                    _ => {}
-                }
-            }
-            empty_views += usize::from(v.is_empty());
-            single_segment += usize::from(n == 1);
-
-            let want = splice_reference(&v, &ends, &parts, &derived);
-            relayout(&mut v, &ends, &parts, &derived);
-            assert_eq!(v, want, "case {case}: ends {ends:?}, parts {parts:?}");
-            let mut want_ends = Vec::new();
-            let mut at = 0;
-            for (k, part) in parts.iter().enumerate() {
-                at += match *part {
-                    Part::Kept => old_lens[k],
-                    Part::Fresh { len, .. } => len,
-                };
-                want_ends.push(at);
-            }
-            relayout_ends(&mut ends, &parts);
-            assert_eq!(ends, want_ends, "case {case}: segment ends");
-        }
-        // Every shape the satellite list names actually occurred.
-        assert!(
-            stale_kinds.iter().all(|&c| c > 1_000),
-            "stale patterns (none, all, alternate, first, last, random): {stale_kinds:?}"
-        );
-        assert!(
-            [grew, shrank, emptied, refilled].iter().all(|&c| c > 1_000),
-            "grew {grew}, shrank {shrank}, emptied {emptied}, refilled {refilled}"
-        );
-        assert!(empty_views > 1_000 && single_segment > 1_000);
-    }
 }

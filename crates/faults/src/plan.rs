@@ -254,12 +254,6 @@ impl FaultPlan {
         self
     }
 
-    /// Override the recovery cold-start delay.
-    pub fn with_restart_delay(mut self, delay: SimTime) -> Self {
-        self.restart_delay = delay;
-        self
-    }
-
     /// Compile the plan against a layout into a time-sorted event
     /// schedule over `[0, horizon]`. Purely sequential and seeded: the
     /// same (plan, layout, horizon) always yields the same schedule,

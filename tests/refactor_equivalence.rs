@@ -5,7 +5,8 @@
 //! to be *behavior-preserving*: same seed in, bit-identical `RunReport`
 //! out. These tests pin the digest of two seeded end-to-end runs — one
 //! calm-weather, one under fault churn — to constants captured from the
-//! pre-refactor monolith. Any drift in event ordering, RNG consumption,
+//! pre-refactor monolith, and a third, the local-only CERES preset, to a
+//! later capture. Any drift in event ordering, RNG consumption,
 //! candidate construction or accounting changes the digest and fails the
 //! test exactly.
 
@@ -63,6 +64,17 @@ fn run(cfg: TangoConfig) -> RunReport {
     EdgeCloudSystem::new(cfg).run(SimTime::from_secs(5), "golden")
 }
 
+/// Digest of `ceres_cfg()` run for 2 s: the local-only comparison point,
+/// whose BE picks read only the dispatching cluster's rows. Captured
+/// while each pick still filtered the global view into a fresh list.
+const CERES_DIGEST: u64 = 0x7d7b6227f01fb483;
+
+fn ceres_cfg() -> TangoConfig {
+    let mut cfg = TangoConfig::dual_space(16).as_ceres();
+    cfg.seed = 7;
+    cfg
+}
+
 #[test]
 fn calm_run_matches_pre_refactor_digest() {
     let report = run(calm_cfg());
@@ -87,6 +99,17 @@ fn churn_run_matches_pre_refactor_digest() {
         report.summary()
     );
     assert_eq!(fnv1a(report.periods_csv().as_bytes()), CHURN_CSV_FNV);
+}
+
+#[test]
+fn ceres_run_matches_its_digest() {
+    let report = EdgeCloudSystem::new(ceres_cfg()).run(SimTime::from_secs(2), "golden");
+    assert_eq!(
+        report.digest(),
+        CERES_DIGEST,
+        "CERES RunReport drifted from its golden (report: {})",
+        report.summary()
+    );
 }
 
 /// Each run is on one thread and no run reads `parallelism`, so setting

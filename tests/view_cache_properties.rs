@@ -9,20 +9,20 @@
 //! LC view's rows through its accessor — so these tests drive whole
 //! seeded runs, under random fault churn and across config variants,
 //! with the oracle armed. Any divergence (a missed invalidation, a stale
-//! reservation patch, a wrong geo set, a segment spliced over the wrong
-//! rows, a row built from the wrong link or table entry) panics inside
-//! the run.
+//! roster, a stale reservation patch, a wrong geo set, a segment kept
+//! for an inadmissible cluster, a row built from the wrong link or table
+//! entry) panics inside the run.
 //!
 //! The oracle's reference walks the whole store and filters by cluster
-//! membership, so it does not share the per-cluster node ranges a
-//! partial re-derivation walks, nor the per-service value tables the
-//! views read: it computes every row from the store and the re-assurer.
-//! The paper-scale churn runs and the last two runs are where partial
-//! re-derivation dominates: many clusters, so a cluster stamp leaves
-//! most of a view's segments untouched; global stamps landing before and
-//! after cluster stamps; and the cloud tier's egress gate closing
-//! mid-run. The full-horizon runs, `churn_1k`'s and `paper_calm`'s, are
-//! `#[ignore]`d in the debug suite; CI runs them in release.
+//! membership, so it does not share the per-cluster node ranges a roster
+//! walks, nor the per-service value tables the views read: it computes
+//! every row from the store and the re-assurer. The paper-scale churn
+//! runs and the last two runs are where cluster stamps dominate: many
+//! clusters, so a cluster stamp leaves most of a view's segments
+//! untouched; global stamps landing before and after cluster stamps; and
+//! the cloud tier's egress gate closing mid-run. The full-horizon runs,
+//! `churn_1k`'s, `paper_calm`'s and `spill_ckpt`'s, are `#[ignore]`d in
+//! the debug suite; CI runs them in release.
 
 use tango_repro::tango::{
     BePolicy, CloudConfig, DefragConfig, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport,
@@ -137,9 +137,9 @@ fn cached_views_match_rebuild_at_paper_scale_under_churn() {
     assert!(report.faults.node_crashes > 0, "churn crashed no node");
 }
 
-/// The same shape over `churn_1k`'s whole 2 s horizon, where partial
-/// re-derivation is dense: hundreds of crashes and recoveries, each
-/// stamping one cluster. A few seconds in a release build, far longer in
+/// The same shape over `churn_1k`'s whole 2 s horizon, where cluster
+/// stamps are dense: hundreds of crashes and recoveries, each stamping
+/// one cluster. A few seconds in a release build, far longer in
 /// a debug one, so it runs on request:
 /// `cargo test --release --test view_cache_properties -- --ignored`.
 #[test]
@@ -168,6 +168,42 @@ fn cached_views_match_rebuild_over_the_full_paper_calm_horizon() {
     cfg.seed = 7;
     let report = run_verified(cfg, 2_000, "view-verify-paper-calm");
     assert!(report.lc_completed > 0, "the calm run completed no LC work");
+}
+
+/// `spill_ckpt`'s shape over its whole 10 s horizon: the cloud tier with
+/// KubeDSM defragmentation over sixteen clusters, built as
+/// `tango_bench::scenarios::edge_spill_cfg(16)` builds it. Hundreds of
+/// migrations land while every BE view lists the cloud segment, and no
+/// landing stamps any cluster. The armed run must also digest like an
+/// unarmed one. About a second in a release build, so it runs on request
+/// with the other full horizons:
+/// `cargo test --release --test view_cache_properties -- --ignored`.
+#[test]
+#[ignore = "the full spill_ckpt horizon; run in release with --ignored"]
+fn cached_views_match_rebuild_over_the_full_spill_ckpt_horizon() {
+    let mut cfg = TangoConfig::dual_space(16);
+    cfg.be_policy = BePolicy::LoadGreedy;
+    cfg.workload.be_rps = cfg.workload.be_rps.max(12.0 * 16.0);
+    cfg.cloud = Some(CloudConfig::default());
+    cfg.defrag = Some(DefragConfig {
+        every_n_ticks: 2,
+        max_moves: 16,
+        hot_threshold: 0.5,
+        cold_threshold: 0.35,
+    });
+    cfg.seed = 7;
+    let unarmed = EdgeCloudSystem::new(cfg.clone()).run(SimTime::from_secs(10), "spill");
+    let report = run_verified(cfg, 10_000, "view-verify-spill");
+    assert!(
+        report.migrations_completed > 0,
+        "no migration landed ({} started)",
+        report.migrations_started
+    );
+    assert_eq!(
+        report.digest(),
+        unarmed.digest(),
+        "the armed run digested unlike the unarmed one"
+    );
 }
 
 /// Global stamps (partition, heal, link degrade and restore) landing
