@@ -187,10 +187,11 @@ pub(crate) fn on_fault(ctx: &mut SystemCtx<'_>, fault: FaultEvent, sched: &mut S
         }
     };
     // Every arm that falls through changed structural view inputs: a
-    // node's down flag and re-assurance factors, which only its own
-    // cluster's rows read, or the topology, which any row may. Arms that
-    // found nothing to do returned early above. Cached candidate views
-    // re-derive the affected segments on their next use.
+    // node's down flag, which only its own cluster's roster reads, or the
+    // topology, which any row may. (The factors a recovery resets reach
+    // LC rows when they are built.) Arms that found nothing to do
+    // returned early above. Cached candidate views re-derive the affected
+    // segments on their next use.
     match touched {
         Some(cluster) => ctx.dispatch.views.invalidate_cluster(cluster),
         None => ctx.dispatch.views.invalidate_structure(),

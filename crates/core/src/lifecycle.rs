@@ -47,18 +47,22 @@ pub(crate) struct ReservationTable {
     stamps: Vec<u64>,
     clock: u64,
     /// Ring of `(clock, node)` change records, ascending by clock — the
-    /// candidate-view cache's incremental dirty list. Bounded: once the
-    /// ring wraps, readers whose last-seen clock predates the oldest
-    /// retained record fall back to a full stamp scan.
+    /// candidate-view cache's incremental dirty list. Bounded by
+    /// `journal_cap`: once the ring wraps, readers whose last-seen clock
+    /// predates the oldest retained record fall back to a full stamp
+    /// scan.
     journal: std::collections::VecDeque<(u64, NodeId)>,
     /// Highest clock value already discarded from the journal.
     journal_base: u64,
 }
 
-/// Change records retained before the journal starts forgetting. At
-/// paper scale a dispatch round touches a few hundred reservations, so
-/// this covers dozens of rounds of reader lag.
-const JOURNAL_CAP: usize = 32 * 1024;
+/// Change records the journal keeps before it starts forgetting: a
+/// quarter of the nodes. A view takes the journal only for at most a
+/// quarter of its rows' worth of changes, and no view holds every node, so
+/// a longer journal would list only lags that every view scans for anyway.
+fn journal_cap(n_nodes: usize) -> usize {
+    (n_nodes / 4).max(1)
+}
 
 impl ReservationTable {
     /// Table covering nodes `0..n`.
@@ -67,7 +71,7 @@ impl ReservationTable {
             held: vec![Resources::ZERO; n_nodes],
             stamps: vec![0; n_nodes],
             clock: 0,
-            journal: std::collections::VecDeque::with_capacity(JOURNAL_CAP),
+            journal: std::collections::VecDeque::with_capacity(journal_cap(n_nodes)),
             journal_base: 0,
         }
     }
@@ -93,7 +97,7 @@ impl ReservationTable {
     fn touch(&mut self, i: usize) {
         self.clock += 1;
         self.stamps[i] = self.clock;
-        if self.journal.len() == JOURNAL_CAP {
+        if self.journal.len() == journal_cap(self.held.len()) {
             if let Some((c, _)) = self.journal.pop_front() {
                 self.journal_base = c;
             }
@@ -713,6 +717,33 @@ mod tests {
             ));
             assert_eq!(table.held.len(), 4, "table never grows toward {hostile}");
         }
+    }
+
+    #[test]
+    fn reservation_journal_keeps_a_quarter_of_the_nodes() {
+        let n = 64;
+        let mut table = ReservationTable::new(n);
+        let r = Resources::cpu_mem(100, 64);
+        let mut touched = Vec::new();
+        for k in 0..1_000 {
+            let node = NodeId((k * 7 % n) as u32);
+            match k % 3 {
+                0 => table.add(node, r),
+                1 => table.release(node, r),
+                _ => table.clear_node(node),
+            }
+            touched.push(node);
+        }
+        assert!(table.journal.len() <= n / 4, "{}", table.journal.len());
+        let clock = table.clock();
+        for lag in 0..=n / 4 {
+            let (count, nodes) = table
+                .changes_since(clock - lag as u64)
+                .unwrap_or_else(|| panic!("lag {lag} is within the journal"));
+            assert_eq!(count, lag);
+            assert!(nodes.eq(touched[touched.len() - lag..].iter().copied()));
+        }
+        assert!(table.changes_since(clock - (n / 4 + 1) as u64).is_none());
     }
 
     #[test]

@@ -144,9 +144,10 @@ pub(crate) fn on_reassure(ctx: &mut SystemCtx<'_>, sched: &mut Sched<'_>) {
         let catalog = ctx.catalog;
         let targets = |svc: ServiceId| catalog.get(svc).qos_target;
         let adjustments = reassurer.tick(ctx.detector, &targets, now);
-        // Factors feed cached candidate views' min-requests — a row
-        // value, not membership — so only a tick that actually moved a
-        // factor needs to invalidate, and value-level suffices.
+        // No cached row reads a factor (LC rows read the re-assurer when
+        // they are built, BE rows never do), but the mirror publishes the
+        // value clock in every frame, so a tick that moved a factor still
+        // bumps it.
         if !adjustments.is_empty() {
             ctx.dispatch.views.invalidate_values();
         }

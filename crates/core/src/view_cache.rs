@@ -18,16 +18,17 @@
 //!     for an event that may touch any row: link degrade and restore,
 //!     partition and heal.
 //!
-//!   Rosters, value tables and views each ask the clock one question
+//!   Rosters and views each ask the clock one question
 //!   ([`StructureClock::stamped_since`]): was cluster `c` stamped, by its
 //!   own stamp or the global one, since clock `t`?
 //! * **Values**: row availability, slack and re-assured min-request. The
 //!   value clock advances on every sync push and on every re-assurance
-//!   tick that moved a factor. Values live in one table per service
-//!   (below), never in a view.
+//!   tick that moved a factor. A row reads them from its store row (and
+//!   an LC row its min-request from the re-assurer) when it is built
+//!   (below).
 //! * **Reservations**: the dispatcher's own reservation table, which
 //!   moves with every placement. A row subtracts its node's current
-//!   reservation from the table's pre-reservation bases when it is built
+//!   reservation from its store row's availability when it is built
 //!   (`available = base − reserved`, saturating).
 //!
 //! **Rosters.** Each cluster, the cloud tier included, has one roster:
@@ -56,15 +57,15 @@
 //! **An LC view is its structure.** It keeps where each segment ends, the
 //! link toward each segment's cluster and its delay order, and no rows. A
 //! dispatch round first brings the views of its types current
-//! ([`CandidateViewCache::prepare_lc`]: the value tables, the rosters and
-//! the stale segments), then lends each batch an [`LcRows`] accessor
+//! ([`CandidateViewCache::prepare_lc`]: the rosters and the stale
+//! segments), then lends each batch an [`LcRows`] accessor
 //! ([`CandidateViewCache::lc_rows`]) that builds row `i` when a scheduler
-//! reads it, from the value-table entry of its store row, the node's
-//! current reservation and its segment's link and cluster. DSS-LC reads a
-//! few rows per plan of a view's ~200. A row read at plan time sees the
-//! reservations the round's upkeep saw: the round commits only after
-//! planning, planning writes no table, and no other round runs in
-//! between.
+//! reads it, from its store row, the node's current reservation and
+//! re-assured min-request, and its segment's link and cluster. DSS-LC
+//! reads a few rows per plan of a view's ~200. A row read at plan time
+//! sees the store, factors and reservations the round's upkeep saw: the
+//! round commits only after planning, planning writes none of them, and
+//! no other event runs in between.
 //!
 //! **BE-global views keep rows.** Every BE pick reads every row of its
 //! service's global view, so that view keeps its rows materialised
@@ -77,21 +78,16 @@
 //! node-ordered rows for each journalled node, or by a scan of the roster
 //! slices when the journal is too long or no longer reaches back to `c`.
 //! A CERES pick (`local_only`) reads only its cluster's rows, which are
-//! one segment of the view. One row builder ([`build_row`]) serves the LC
-//! accessor and the BE rows alike.
+//! one segment of the view. A BE-global row carries the service's catalog
+//! min-request and full slack, 1.0: a BE service has no QoS target, and
+//! the sync push writes slack for LC services only. One row builder
+//! ([`build_row`]) serves the LC accessor and the BE rows alike.
 //!
-//! **Value tables.** A worker's row sits in every view whose cluster list
-//! holds its cluster, about 20 LC views per service at paper scale, so
-//! its values are computed once per service rather than once per view.
-//! Each queried service has one table with, per store row, the total,
-//! the LC and BE availability before reservations, the slack for the
-//! service and the LC-scope re-assured min-request. A query brings its
-//! service's table current before any row is built: every row after a
-//! value-clock move or a newer global stamp, otherwise the node range of
-//! each cluster stamped since the table's last upkeep. The value clock
-//! alone would not do: a recovery resets its node's re-assurance factors
-//! and stamps only its cluster. Every row the cache builds reads the
-//! table; the `set_verify` oracle never does, so it checks the table too.
+//! **Row values.** A row reads its store row, and an LC row the
+//! re-assurer, at the moment it is built; nothing keeps a copy of either
+//! that a sync push, a re-assurance tick or a recovery's factor reset
+//! could leave stale. A copy would save no work: a plan builds a few LC
+//! rows, and each BE service has one view.
 //!
 //! **Delay order.** Each LC view also derives its rows' fill order for
 //! DSS-LC, row indices in ascending `(delay, node)` order
@@ -114,9 +110,11 @@
 //! uninterrupted run would. [`CandidateViewCache::set_verify`] checks it
 //! on every query: it materialises each LC view's rows through the
 //! accessor and compares them, and each BE view's rows, with a
-//! whole-store rebuild that reads the store and the re-assurer directly
-//! and filters rows by cluster membership instead of trusting the node
-//! ranges, and checks the delay order against a plain sort of the rows.
+//! whole-store rebuild that computes every row from the store and the
+//! re-assurer through `CandidateNode::from_observation`, never through
+//! [`build_row`], and filters rows by cluster membership instead of
+//! trusting the node ranges; it also checks the delay order against a
+//! plain sort of the rows.
 
 use crate::config::TangoConfig;
 use crate::lifecycle::ReservationTable;
@@ -251,54 +249,10 @@ struct BeView {
     patch_hits: Vec<u32>,
 }
 
-/// What a candidate row reads from one store row for one service.
-#[derive(Clone, Copy, Default)]
-struct RowValues {
-    total: Resources,
-    /// LC availability before reservations.
-    lc: Resources,
-    /// BE availability before reservations.
-    be: Resources,
-    slack: f64,
-    /// The LC-scope (re-assured) min-request.
-    min_request: Resources,
-}
-
-/// One service's [`RowValues`] per store row, shared by every view of the
-/// service.
-#[derive(Default)]
-struct ValueTable {
-    /// Value clock the rows reflect; 0 = never computed.
-    values_at: u64,
-    /// Structure clock at the last upkeep: rows of the clusters stamped
-    /// after it are out of date.
-    stamped_at: u64,
-    rows: Vec<RowValues>,
-}
-
-impl ValueTable {
-    /// Recompute the rows of the store rows in `range`, with exactly the
-    /// expressions the oracle's reference build uses.
-    fn compute(&mut self, inp: &ViewInputs<'_>, service: ServiceId, range: Range<usize>) {
-        let min_request = min_request_fn(inp.catalog, service, inp.reassurer);
-        for i in range {
-            if let Some(row) = inp.store.row(i) {
-                self.rows[i] = RowValues {
-                    total: row.total,
-                    lc: row.lc_available(),
-                    be: row.be_available(),
-                    slack: row.slack_for(service).unwrap_or(1.0),
-                    min_request: min_request(row.node),
-                };
-            }
-        }
-    }
-}
-
 /// The structure clock and its stamps.
 struct StructureClock {
-    /// Advanced by every structural change; rosters, value tables and
-    /// views catch up lazily on next use.
+    /// Advanced by every structural change; rosters and views catch up
+    /// lazily on next use.
     now: u64,
     /// Per cluster index: the clock at the cluster's latest own change
     /// (0 = none).
@@ -322,8 +276,9 @@ impl StructureClock {
 /// The per-system cache of incremental candidate views.
 pub(crate) struct CandidateViewCache {
     structure: StructureClock,
-    /// Bumped when only row *values* moved (sync pushes): membership and
-    /// link attributes survive, values re-read from the value tables.
+    /// Bumped when only row *values* moved (sync pushes, factor moves):
+    /// membership and link attributes survive, BE views rebuild their
+    /// rows.
     value_clock: u64,
     /// Per cluster index: its roster, which every view listing the
     /// cluster indexes.
@@ -332,9 +287,6 @@ pub(crate) struct CandidateViewCache {
     lc_views: FxHashMap<(ClusterId, ServiceId), View>,
     /// Per service index: its BE-global view.
     be_views: Vec<BeView>,
-    /// Per service index: its value table, filled on the service's first
-    /// query.
-    tables: Vec<ValueTable>,
     /// Sorted geo-nearby cluster sets per origin. Cluster geometry is
     /// static (link degradation changes latency/bandwidth, not
     /// distance), so these never invalidate.
@@ -360,13 +312,12 @@ impl Default for CandidateViewCache {
                 cluster_stamps: Vec::new(),
                 global_stamp: 1,
             },
-            // > ValueTable::default().values_at: a fresh table is
-            // computed in full.
+            // The mirror publishes the value clock in every frame, from
+            // 1.
             value_clock: 1,
             rosters: Vec::new(),
             lc_views: FxHashMap::default(),
             be_views: Vec::new(),
-            tables: Vec::new(),
             geo_sets: FxHashMap::default(),
             all_clusters: Vec::new(),
             seg_order: Vec::new(),
@@ -377,8 +328,7 @@ impl Default for CandidateViewCache {
 
 impl CandidateViewCache {
     /// Invalidate every row's structural basis (a change that may touch
-    /// any row): every roster, value table and view catches up in full on
-    /// next use.
+    /// any row): every roster and view catches up in full on next use.
     pub(crate) fn invalidate_structure(&mut self) {
         self.structure.now += 1;
         self.structure.global_stamp = self.structure.now;
@@ -386,7 +336,9 @@ impl CandidateViewCache {
 
     /// Invalidate the structural basis of `cluster`'s rows only: its
     /// roster is walked again, and each view listing it re-derives that
-    /// one segment, on next use.
+    /// one segment, on next use. A recovery stamps its node's cluster for
+    /// the roster; the re-assurance factors it resets reach LC rows when
+    /// they are built.
     pub(crate) fn invalidate_cluster(&mut self, cluster: ClusterId) {
         self.structure.now += 1;
         let stamps = &mut self.structure.cluster_stamps;
@@ -397,8 +349,9 @@ impl CandidateViewCache {
         stamps[i] = self.structure.now;
     }
 
-    /// Invalidate only row values (a sync push): views keep their
-    /// membership and link attributes and re-read values lazily.
+    /// Invalidate only row values (a sync push, or a re-assurance tick
+    /// that moved a factor): views keep their membership and link
+    /// attributes, and BE views rebuild their rows on next use.
     pub(crate) fn invalidate_values(&mut self) {
         self.value_clock += 1;
     }
@@ -420,21 +373,19 @@ impl CandidateViewCache {
     }
 
     /// Bring the LC view of `service` seen from `origin` current for a
-    /// dispatch round: the service's value table, the rosters it lists
-    /// and the view's structure. [`Self::lc_rows`] then lends its rows,
-    /// until the round commits.
+    /// dispatch round: the rosters it lists and the view's structure.
+    /// [`Self::lc_rows`] then lends its rows, until the round commits.
     pub(crate) fn prepare_lc(
         &mut self,
         inp: &ViewInputs<'_>,
         service: ServiceId,
         origin: ClusterId,
     ) {
-        self.bring_table_current(inp, service);
         self.rosters
             .resize_with(inp.clusters.len(), Roster::default);
         let list = geo_set_entry(&mut self.geo_sets, inp, origin);
         let scope = ViewScope::LcGeo(origin);
-        let src = RowSource::new(inp, &self.tables[service.index()], service, scope);
+        let src = RowSource::new(inp, service, scope);
         let view = self.lc_views.entry((origin, service)).or_default();
         if update_structure(view, &src, list, &self.structure, &mut self.rosters) {
             order_by_delay(view, &mut self.seg_order);
@@ -465,18 +416,18 @@ impl CandidateViewCache {
             .lc_views
             .get(&(origin, service))
             .expect("an LC view is prepared before its rows are lent");
-        let table = &self.tables[service.index()];
         debug_assert!(
-            view.built_at == self.structure.now
-                && table.values_at == self.value_clock
-                && table.stamped_at == self.structure.now,
+            view.built_at == self.structure.now,
             "LC rows lent without their round's upkeep"
         );
         LcRows {
             view,
             rosters: &self.rosters,
-            table,
+            store: inp.store,
+            reassurer: inp.reassurer,
             reserved: inp.reserved,
+            service,
+            min_request: inp.catalog.get(service).min_request,
             clusters: &self.geo_sets[&origin],
         }
     }
@@ -490,7 +441,6 @@ impl CandidateViewCache {
         service: ServiceId,
         local: Option<ClusterId>,
     ) -> &[CandidateNode] {
-        self.bring_table_current(inp, service);
         self.rosters
             .resize_with(inp.clusters.len(), Roster::default);
         if self.all_clusters.len() != inp.clusters.len() {
@@ -501,7 +451,7 @@ impl CandidateViewCache {
             self.be_views.resize_with(i + 1, BeView::default);
         }
         let scope = ViewScope::BeGlobal;
-        let src = RowSource::new(inp, &self.tables[i], service, scope);
+        let src = RowSource::new(inp, service, scope);
         let list = &self.all_clusters;
         let be = &mut self.be_views[i];
         let derived =
@@ -522,34 +472,6 @@ impl CandidateViewCache {
             Some(c) => &be.rows[be.view.seg_range(c.index())],
             None => &be.rows,
         }
-    }
-
-    /// Bring `service`'s value table current: every row after a
-    /// value-clock move or a newer global stamp, otherwise the node range
-    /// of each cluster stamped since the table's last upkeep (a recovery
-    /// resets its node's re-assurance factors and stamps only its
-    /// cluster; the value clock does not move).
-    fn bring_table_current(&mut self, inp: &ViewInputs<'_>, service: ServiceId) {
-        let i = service.index();
-        if self.tables.len() <= i {
-            self.tables.resize_with(i + 1, ValueTable::default);
-        }
-        let table = &mut self.tables[i];
-        if table.values_at == self.value_clock && table.stamped_at == self.structure.now {
-            return;
-        }
-        if table.values_at != self.value_clock || table.stamped_at < self.structure.global_stamp {
-            table.rows.resize(inp.store.rows(), RowValues::default());
-            table.compute(inp, service, 0..inp.store.rows());
-        } else {
-            for cluster in inp.clusters {
-                if self.structure.stamped_since(cluster.id, table.stamped_at) {
-                    table.compute(inp, service, cluster.node_range());
-                }
-            }
-        }
-        table.values_at = self.value_clock;
-        table.stamped_at = self.structure.now;
     }
 }
 
@@ -611,27 +533,6 @@ fn link_to(
     }
 }
 
-/// The row min-request for `service` under `reassurer`: re-assured per
-/// node while any factor is in effect, else one value for every row,
-/// computed once (bit-identical: it is exactly `min_request` at factor
-/// 1.0). Without a re-assurer it is the catalog base.
-fn min_request_fn<'a>(
-    catalog: &ServiceCatalog,
-    service: ServiceId,
-    reassurer: Option<&'a Reassurer>,
-) -> impl Fn(NodeId) -> Resources + 'a {
-    let base = catalog.get(service).min_request;
-    let per_row = reassurer.filter(|r| r.has_factors());
-    let uniform = match reassurer {
-        Some(r) if per_row.is_none() => r.min_request(NodeId(0), service, base),
-        _ => base,
-    };
-    move |node| match per_row {
-        Some(r) => r.min_request(node, service, base),
-        None => uniform,
-    }
-}
-
 /// The oracle's candidate row for one store row, with
 /// reservation-adjusted availabilities.
 fn candidate(
@@ -652,29 +553,43 @@ fn candidate(
     CandidateNode::from_observation(obs, link, min_request, reserved, true)
 }
 
-/// The one row builder: the candidate row of store row `store_row` from
-/// its value-table entry, the node's current reservation, its segment's
-/// link and cluster, and the scope's min-request. The LC accessor and the
-/// BE views build every row here; the oracle's [`rebuild`] goes through
+/// Store row `i` of a view. A view only ever holds a present worker:
+/// store membership is stable between structural bumps.
+fn view_row(store: &StateStorage, i: u32) -> StoreRow<'_> {
+    let row = store
+        .row(i as usize)
+        .expect("a view's store row stays present between structural bumps");
+    debug_assert_eq!(
+        row.role,
+        NodeRole::Worker,
+        "store row {i} left a view's membership without a structural bump"
+    );
+    row
+}
+
+/// The one row builder: the candidate row of `row` with the node's
+/// current reservation, its segment's link and cluster, and the scope's
+/// min-request and slack. The LC accessor and the BE views build every
+/// row here; the oracle's [`rebuild`] goes through
 /// `CandidateNode::from_observation` instead, so that it checks this.
 fn build_row(
-    store_row: u32,
-    v: &RowValues,
+    row: &StoreRow<'_>,
     reserved: Resources,
     link: LinkObservation,
     cluster: ClusterId,
     min_request: Resources,
+    slack: f64,
 ) -> CandidateNode {
     CandidateNode {
-        node: NodeId(store_row),
+        node: row.node,
         cluster,
-        total: v.total,
-        available_lc: v.lc.saturating_sub(&reserved),
-        available_be: v.be.saturating_sub(&reserved),
+        total: row.total,
+        available_lc: row.lc_available().saturating_sub(&reserved),
+        available_be: row.be_available().saturating_sub(&reserved),
         min_request,
         delay: link.delay,
         link_capacity: link.capacity,
-        slack: v.slack,
+        slack,
         alive: true,
     }
 }
@@ -684,8 +599,13 @@ fn build_row(
 pub(crate) struct LcRows<'a> {
     view: &'a View,
     rosters: &'a [Roster],
-    table: &'a ValueTable,
+    store: &'a StateStorage,
+    reassurer: Option<&'a Reassurer>,
     reserved: &'a ReservationTable,
+    service: ServiceId,
+    /// The service's catalog min-request, which the re-assurer scales per
+    /// node.
+    min_request: Resources,
     /// The view's cluster list: segment `k` holds `clusters[k]`'s rows.
     clusters: &'a [ClusterId],
 }
@@ -705,43 +625,41 @@ impl CandidateRows for LcRows<'_> {
     fn row(&self, i: usize) -> CandidateNode {
         let k = self.view.segment_of(i);
         let start = self.view.seg_range(k).start;
-        let store_row = self.view.segment(k, self.rosters, self.clusters)[i - start];
-        let v = &self.table.rows[store_row as usize];
+        let row = view_row(
+            self.store,
+            self.view.segment(k, self.rosters, self.clusters)[i - start],
+        );
+        let min_request = match self.reassurer {
+            Some(r) => r.min_request(row.node, self.service, self.min_request),
+            None => self.min_request,
+        };
         build_row(
-            store_row,
-            v,
-            self.reserved.get(NodeId(store_row)),
+            &row,
+            self.reserved.get(row.node),
             self.view.seg_links[k],
             self.clusters[k],
-            v.min_request,
+            min_request,
+            row.slack_for(self.service).unwrap_or(1.0),
         )
     }
 }
 
 /// What one view's structure is derived from, and its BE rows built
-/// from: the inputs, the service's value table (current for this query)
-/// and the scope's link vantage.
+/// from: the inputs and the scope's link vantage.
 struct RowSource<'a, 'i> {
     inp: &'a ViewInputs<'i>,
-    table: &'a ValueTable,
     vantage: ClusterId,
     payload_kib: u64,
     /// The service's catalog min-request, which every BE-global row
-    /// carries (an LC row carries the table's re-assured one).
+    /// carries (an LC row carries the re-assured one).
     be_min_request: Resources,
 }
 
 impl<'a, 'i> RowSource<'a, 'i> {
-    fn new(
-        inp: &'a ViewInputs<'i>,
-        table: &'a ValueTable,
-        service: ServiceId,
-        scope: ViewScope,
-    ) -> Self {
+    fn new(inp: &'a ViewInputs<'i>, service: ServiceId, scope: ViewScope) -> Self {
         let spec = inp.catalog.get(service);
         RowSource {
             inp,
-            table,
             vantage: vantage(inp, scope),
             payload_kib: spec.payload_kib,
             be_min_request: spec.min_request,
@@ -749,24 +667,16 @@ impl<'a, 'i> RowSource<'a, 'i> {
     }
 
     /// The BE-global row of store row `i` in a segment with `link`
-    /// toward `cluster`. A view only ever holds a present worker: store
-    /// membership is stable between structural bumps.
+    /// toward `cluster`, at full slack: no BE service has a QoS target.
     fn be_row(&self, i: u32, link: LinkObservation, cluster: ClusterId) -> CandidateNode {
-        debug_assert!(
-            self.inp
-                .store
-                .row(i as usize)
-                .is_some_and(|row| row.role == NodeRole::Worker),
-            "store row {i} left a view's membership without a structural bump"
-        );
-        let v = &self.table.rows[i as usize];
+        let row = view_row(self.inp.store, i);
         build_row(
-            i,
-            v,
-            self.inp.reserved.get(NodeId(i)),
+            &row,
+            self.inp.reserved.get(row.node),
             link,
             cluster,
             self.be_min_request,
+            1.0,
         )
     }
 }
@@ -969,7 +879,8 @@ fn check_view(
 /// order, filtering by cluster membership (not by the node ranges the
 /// roster walk trusts) exactly as the dispatchers always have — workers
 /// only, live, reachable, in the geo set for LC scopes — and computing
-/// each row from the store and the re-assurer, never the value table.
+/// each row from the store and the re-assurer, never through
+/// [`build_row`].
 fn rebuild(
     inp: &ViewInputs<'_>,
     service: ServiceId,
@@ -981,8 +892,7 @@ fn rebuild(
         ViewScope::LcGeo(_) => inp.reassurer,
         ViewScope::BeGlobal => None,
     };
-    let min_request = min_request_fn(inp.catalog, service, reassurer);
-    let payload_kib = inp.catalog.get(service).payload_kib;
+    let spec = inp.catalog.get(service);
     let mut rows = Vec::new();
     for i in 0..inp.store.rows() {
         let Some(row) = inp.store.row(i) else {
@@ -998,8 +908,10 @@ fn rebuild(
         rows.push(candidate(
             &row,
             service,
-            link_to(inp, vantage, row.cluster, payload_kib),
-            min_request(row.node),
+            link_to(inp, vantage, row.cluster, spec.payload_kib),
+            reassurer.map_or(spec.min_request, |r| {
+                r.min_request(row.node, service, spec.min_request)
+            }),
             inp.reserved.get(row.node),
         ));
     }

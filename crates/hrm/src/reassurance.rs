@@ -86,13 +86,6 @@ impl Reassurer {
         self.factors.get(&(node, service)).copied().unwrap_or(1.0)
     }
 
-    /// Whether any adjustment factor is currently in effect. While false,
-    /// [`Self::min_request`] is a pure function of the base request —
-    /// view builders hoist it out of their per-row loops.
-    pub fn has_factors(&self) -> bool {
-        !self.factors.is_empty()
-    }
-
     /// The adjusted minimum request for (node, service) given the base.
     pub fn min_request(&self, node: NodeId, service: ServiceId, base: Resources) -> Resources {
         // Skip the per-row hash lookup while no adjustment exists (the

@@ -75,8 +75,9 @@ impl CandidateNode {
     /// the (re-assurance-adjusted) minimum request, and the dispatcher's
     /// in-flight reservation against the node. Dead nodes must be
     /// filtered (or passed with `alive = false`) by the caller, which owns
-    /// the fault view. The system's view cache builds its rows from its
-    /// own tables; its oracle builds the reference rows through here.
+    /// the fault view. The system's view cache builds its rows straight
+    /// from the state storage; its oracle builds the reference rows
+    /// through here.
     pub fn from_observation(
         obs: NodeObservation,
         link: LinkObservation,
@@ -127,9 +128,10 @@ impl CandidateNode {
 /// Read access to a batch's candidate rows by index.
 ///
 /// A plain row list implements it, and so does the system's candidate-view
-/// cache, which builds a row from its tables only when a scheduler reads
-/// it. DSS-LC reads only the rows its delay walk reaches; a policy that
-/// reads every row materialises them once with [`CandidateRows::to_vec`].
+/// cache, which builds a row from the state storage only when a scheduler
+/// reads it. DSS-LC reads only the rows its delay walk reaches; a policy
+/// that reads every row materialises them once with
+/// [`CandidateRows::to_vec`].
 pub trait CandidateRows {
     /// Number of rows.
     fn len(&self) -> usize;

@@ -9,20 +9,21 @@
 //! LC view's rows through its accessor — so these tests drive whole
 //! seeded runs, under random fault churn and across config variants,
 //! with the oracle armed. Any divergence (a missed invalidation, a stale
-//! roster, a stale reservation patch, a wrong geo set, a segment kept
-//! for an inadmissible cluster, a row built from the wrong link or table
-//! entry) panics inside the run.
+//! roster, a stale reservation patch, a BE view not rebuilt after a sync
+//! push, a wrong geo set, a segment kept for an inadmissible cluster, a
+//! row built from the wrong link or min-request) panics inside the run.
 //!
 //! The oracle's reference walks the whole store and filters by cluster
 //! membership, so it does not share the per-cluster node ranges a roster
-//! walks, nor the per-service value tables the views read: it computes
-//! every row from the store and the re-assurer. The paper-scale churn
-//! runs and the last two runs are where cluster stamps dominate: many
-//! clusters, so a cluster stamp leaves most of a view's segments
-//! untouched; global stamps landing before and after cluster stamps; and
-//! the cloud tier's egress gate closing mid-run. The full-horizon runs,
-//! `churn_1k`'s, `paper_calm`'s and `spill_ckpt`'s, are `#[ignore]`d in
-//! the debug suite; CI runs them in release.
+//! walks, nor the cache's row builder: it computes every row from the
+//! store and the re-assurer through `CandidateNode::from_observation`.
+//! The paper-scale churn runs and the last two runs are where cluster
+//! stamps dominate: many clusters, so a cluster stamp leaves most of a
+//! view's segments untouched; global stamps landing before and after
+//! cluster stamps; and the cloud tier's egress gate closing mid-run.
+//! The full-horizon runs, `churn_1k`'s, `paper_calm`'s and
+//! `spill_ckpt`'s, are `#[ignore]`d in the debug suite; CI runs them in
+//! release.
 
 use tango_repro::tango::{
     BePolicy, CloudConfig, DefragConfig, EdgeCloudSystem, FaultPlan, LcPolicy, NodeRef, RunReport,
